@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import constructions, separability, simulator, thresholds
+from . import constructions, lp, separability, simulator, thresholds
 from .pauli import BlochOp
 from .spaces import PovmSet, StateSpaceSpec, operator_compatible, qubit_xyz_povms
 
@@ -21,7 +21,8 @@ USAGE_ERROR = 2
 
 def _tolerance_banner(out) -> None:
     print(
-        "tolerances: lp-feasibility=1e-09 positivity=1e-09 bisection=1e-07",
+        f"tolerances: lp-feasibility={lp.FEASIBILITY_TOL:g} "
+        f"positivity={separability.POSITIVITY_TOL:g} bisection={thresholds.BISECTION_TOL:g}",
         file=out,
     )
 

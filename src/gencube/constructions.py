@@ -27,6 +27,7 @@ from .pauli import (
 )
 from .separability import (
     LhvCertificate,
+    cube_decide,
     cube_separable,
     vertex_pair_index,
 )
@@ -227,7 +228,7 @@ def lemma8_report(alpha: float, epsilon: float, lp_vertices: bool = True,
     feasible, fails = 0, []
     if lp_vertices:
         for (u, v), out in outputs:
-            if cube_separable(out).feasible:
+            if cube_decide(out).feasible:
                 feasible += 1
             else:
                 fails.append((tuple(int(x) for x in u.bloch),
@@ -441,8 +442,8 @@ def separable_ball_radius(a: BlochOp, b: BlochOp, n_directions: int = 12,
     product of two states cube-separable.
 
     Directions are random unit vectors in the 15-dimensional non-identity
-    coefficient space; per direction the step is bisected on LP
-    feasibility.  Centers on a cube face report radius 0.
+    coefficient space; per direction the step is bisected on
+    cube-separability.  Centers on a cube face report radius 0.
     """
     center = product(a, b).coeffs
     rng = np.random.default_rng(seed)
@@ -455,7 +456,7 @@ def separable_ball_radius(a: BlochOp, b: BlochOp, n_directions: int = 12,
         delta = delta.reshape(4, 4)
 
         def sep_at(s):
-            return cube_separable(PauliCoeffs2Q(center + s * delta)).feasible
+            return cube_decide(PauliCoeffs2Q(center + s * delta)).feasible
 
         if not sep_at(step_tol * 0.01):
             return 0.0

@@ -1,17 +1,24 @@
-"""Linear-programming membership in the 64-vertex product polytope.
+"""Membership in the 64-vertex product polytope.
 
-Two independent solver routes:
+The 64 products of cube vertices span the local polytope of the Bell
+scenario with three settings and two outcomes per party (Collins & Gisin,
+J. Phys. A 37, 1775 (2004)).  Its H-representation is 684 integer facets,
+three orbits under the signed permutations of each party's settings and
+the party swap: positivity, CHSH and I3322.  Three routes use it:
 
-* a float route built on scipy's HiGHS interior point / simplex, used for
-  every routine query, with an explicit dual-witness LP for infeasibility
-  certificates;
+* the facet test (``decide_membership``): one product with the facet
+  matrix decides every point whose least facet margin is clear of the
+  tolerance band; the violated facet is the separating functional;
+* a float residual route on scipy's HiGHS plus a least-squares polish,
+  which decides the thin band and supplies primal LHV weights;
 * an exact route: a dense phase-1 simplex with Bland's rule over Fraction
   arithmetic, whose Farkas dual is recovered by an exact basis solve.  It
-  serves as the certified fallback near degeneracy and as the independent
-  oracle in the soundness tests.
+  backs the weights where the polish misses and is the independent oracle
+  in the soundness tests.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,19 +28,21 @@ from scipy.optimize import linprog
 
 __all__ = [
     "FEASIBILITY_TOL",
-    "DEGENERACY_MARGIN",
-    "RATIONALIZE_MAX_DEN",
+    "FACET_REPRESENTATIVES",
     "vertex_product_matrix",
     "exact_vertex_columns",
     "rationalize",
+    "facet_orbit",
+    "facet_table",
+    "facet_functional",
+    "Decision",
+    "decide_membership",
     "FloatLpOutcome",
     "solve_membership_float",
     "solve_membership_exact",
 ]
 
 FEASIBILITY_TOL = 1e-9      # equality residual defining Feasible
-DEGENERACY_MARGIN = 1e-7    # float verdicts closer than this fall back to exact
-RATIONALIZE_MAX_DEN = 10 ** 6
 
 _SIGNS = tuple(itertools.product((1, -1), repeat=3))
 
@@ -49,12 +58,17 @@ _VMAT_UNIT = np.column_stack(
 )
 
 
+def _frame_scale(R: float) -> np.ndarray:
+    """diag(outer((1,R,R,R), (1,R,R,R))) as a 16-vector."""
+    f = np.array([1.0, R, R, R])
+    return np.outer(f, f).ravel()
+
+
 def vertex_product_matrix(R: float = 1.0) -> np.ndarray:
     """16 x 64 matrix whose columns are products of R-scaled cube vertices."""
     if R == 1.0:
         return _VMAT_UNIT
-    f = np.array([1.0, R, R, R])
-    return _VMAT_UNIT * np.outer(f, f).ravel()[:, None]
+    return _VMAT_UNIT * _frame_scale(R)[:, None]
 
 
 def exact_vertex_columns(R: Fraction = Fraction(1)) -> list[list[Fraction]]:
@@ -71,18 +85,127 @@ def exact_vertex_columns(R: Fraction = Fraction(1)) -> list[list[Fraction]]:
     return cols
 
 
-def rationalize(x: float, max_den: int = RATIONALIZE_MAX_DEN) -> Fraction:
+def rationalize(x: float, max_den: int = 10 ** 6) -> Fraction:
     return Fraction(x).limit_denominator(max_den)
+
+
+# ---------------------------------------------------------------------------
+# Facets of the unit polytope
+# ---------------------------------------------------------------------------
+
+# One facet per orbit; entry [i, j] multiplies A.coeffs[i, j], index 0 being
+# the identity.  The facet reads f . A >= 0 on the polytope.
+FACET_REPRESENTATIVES = (
+    ("positivity", ((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))),
+    ("chsh", ((2, 0, 0, 0), (0, -1, -1, 0), (0, -1, 1, 0), (0, 0, 0, 0))),
+    ("i3322", ((4, 1, 1, 0), (-1, -1, -1, -1), (-1, -1, -1, 1), (0, -1, 1, 0))),
+)
+
+
+def _signed_permutations() -> np.ndarray:
+    """The 48 maps of one party's coefficient index that fix the identity
+    and permute the three settings with signs, as 4 x 4 integer matrices."""
+    mats = []
+    for perm in itertools.permutations(range(3)):
+        for signs in _SIGNS:
+            M = np.zeros((4, 4), dtype=np.int64)
+            M[0, 0] = 1
+            for i, (j, s) in enumerate(zip(perm, signs)):
+                M[1 + i, 1 + j] = s
+            mats.append(M)
+    return np.array(mats)
+
+
+def facet_orbit(rep) -> np.ndarray:
+    """Distinct images of a 4 x 4 facet under the symmetry group of order
+    4608 (a signed setting permutation on each party, and the party swap),
+    as sorted rows of 16 integers."""
+    G = _signed_permutations()
+    F = np.asarray(rep, dtype=np.int64)
+    images = np.einsum("aij,jk,blk->abil", G, F, G).reshape(-1, 4, 4)
+    images = np.concatenate([images, images.transpose(0, 2, 1)])
+    return np.unique(images.reshape(-1, 16), axis=0)
+
+
+@functools.cache
+def facet_table() -> np.ndarray:
+    """The 684 x 16 integer facet table, orbit by orbit in the order of
+    FACET_REPRESENTATIVES (36 positivity, 72 CHSH, 576 I3322 rows).
+
+    Built on first use; the returned array is read-only.
+    """
+    F = np.concatenate([facet_orbit(rep) for _, rep in FACET_REPRESENTATIVES])
+    F.setflags(write=False)
+    return F
+
+
+def facet_functional(k: int, R: float = 1.0) -> np.ndarray:
+    """Row k of the facet table as a functional y on R-frame coefficients:
+    y = D^-1 f, so that y . V_j(R) = f . V_j(1) >= 0 on every column."""
+    f = facet_table()[k]
+    return f / (1.0 if R == 1.0 else _frame_scale(R))
+
+
+@functools.cache
+def _facet_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The facet table in floats, its absolute values, and 1 / |f|_1 per row."""
+    F = facet_table().astype(float)
+    absF = np.abs(F)
+    return F, absF, 1.0 / absF.sum(axis=1)
+
+
+@dataclass(frozen=True)
+class Decision:
+    """A membership verdict and the facet that sets its margin."""
+
+    feasible: bool
+    facet: int                  # row of facet_table() with the least margin
+    margin: float               # y . b / |y|_1 on that row, y = D^-1 f
+    route: str                  # "facet" | "lp-float"
+    weights: np.ndarray | None = None   # residual-route weights (band, feasible)
+
+
+def decide_membership(b: np.ndarray, R: float = 1.0,
+                      tol: float = FEASIBILITY_TOL) -> Decision:
+    """Decide membership of the coefficient vector b in the R-scaled polytope.
+
+    Each facet f acts on b as y = D^-1 f (see facet_functional).  With m
+    the least y . b / |y|_1:
+
+    * m < -tol: infeasible.  Any convex weights w have |Vw - b|_inf >=
+      -y.b / |y|_1 > tol, and f . V_j >= 0 holds exactly on every column;
+    * every facet value >= 0: feasible;
+    * otherwise (the thin band between): feasible iff the HiGHS residual
+      route reaches a residual <= tol.
+    """
+    F, absF, inv_norm = _facet_arrays()
+    x = b
+    if R != 1.0:
+        inv_d = 1.0 / _frame_scale(R)
+        x = b * inv_d
+        inv_norm = 1.0 / (absF @ inv_d)
+    values = F @ x
+    normalized = values * inv_norm
+    k = int(np.argmin(normalized))
+    margin = float(normalized[k])
+    if margin < -tol:
+        return Decision(False, k, margin, "facet")
+    if values.min() >= 0.0:
+        return Decision(True, k, margin, "facet")
+    out = solve_membership_float(b, R, tol)
+    return Decision(out.status == "feasible", k, margin, "lp-float", out.weights)
+
+
+# ---------------------------------------------------------------------------
+# Float residual route
+# ---------------------------------------------------------------------------
 
 
 @dataclass
 class FloatLpOutcome:
-    status: str  # "feasible" | "infeasible" | "ambiguous"
+    status: str  # "feasible" | "infeasible"
     weights: np.ndarray | None = None
     residual: float | None = None
-    dual: np.ndarray | None = None       # 16-vector y with y.V_j >= 0 for all columns
-    violation: float | None = None       # -y.b > 0
-    dual_slack: float | None = None      # min_j y.V_j (should be >= -1e-12)
 
 
 _HIGHS_OPTIONS = {
@@ -111,12 +234,10 @@ def polish_weights(V: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndar
 
 def solve_membership_float(b: np.ndarray, R: float = 1.0,
                            tol: float = FEASIBILITY_TOL) -> FloatLpOutcome:
-    """Classify membership of the coefficient vector b via HiGHS.
+    """The residual route: HiGHS primal weights, polished on their support.
 
-    Feasible verdicts carry weights with verified equality residual <= tol
-    (after a least-squares polish on the support); infeasible verdicts
-    carry a separating functional with a clear margin.  Anything else is
-    reported ambiguous (callers fall back to the exact route).
+    Feasible iff the polished equality residual is <= tol; feasible
+    outcomes carry the weights and their residual.
     """
     V = vertex_product_matrix(R)
     res = linprog(np.zeros(64), A_eq=V, b_eq=b, bounds=(0, None), method="highs",
@@ -125,20 +246,12 @@ def solve_membership_float(b: np.ndarray, R: float = 1.0,
         w, resid = polish_weights(V, b, np.clip(res.x, 0.0, None))
         if resid <= tol:
             return FloatLpOutcome("feasible", weights=w, residual=resid)
-    # dual witness: minimize y.b subject to V^T y >= 0, -1 <= y <= 1;
-    # a strictly negative optimum separates b from the polytope
-    wit = linprog(b, A_ub=-V.T, b_ub=np.zeros(64), bounds=(-1, 1), method="highs",
-                  options=_HIGHS_OPTIONS)
-    if wit.status == 0 and wit.x is not None:
-        y = wit.x
-        slack = float(np.min(V.T @ y))
-        value = float(y @ b)
-        if value < -DEGENERACY_MARGIN and slack > -1e-12:
-            return FloatLpOutcome("infeasible", dual=y, violation=-value, dual_slack=slack)
-        if value < -tol and slack > -1e-12:
-            # real but thin margin: let the exact route confirm
-            return FloatLpOutcome("ambiguous", dual=y, violation=-value, dual_slack=slack)
-    return FloatLpOutcome("ambiguous")
+    return FloatLpOutcome("infeasible")
+
+
+# ---------------------------------------------------------------------------
+# Exact route
+# ---------------------------------------------------------------------------
 
 
 def _solve_exact_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

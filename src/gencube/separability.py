@@ -1,15 +1,18 @@
 """Separability deciders and LHV certificates.
 
 Cube-separability of a two-particle coefficient matrix is membership in the
-convex hull of the 64 products of cube vertices, decided by LP with primal
-(convex weights) or dual (separating functional) certificates.  Quantum
-separability of two qubits is positivity plus PPT.  The module also carries
-the appendix catalog of hand-built LHV decompositions.
+convex hull of the 64 products of cube vertices, decided by its 684
+integer facets (see ``lp``).  Feasible verdicts carry primal certificates
+(convex weights), infeasible ones the violated facet as a separating
+functional.  Quantum separability of two qubits is positivity plus PPT.
+The module also carries the appendix catalog of hand-built LHV
+decompositions.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +33,7 @@ __all__ = [
     "LhvCertificate",
     "BellFunctional",
     "SeparabilityResult",
+    "cube_decide",
     "cube_separable",
     "positive_for_pauli",
     "quantum_separable_2q",
@@ -75,7 +79,11 @@ class LhvCertificate:
 
 @dataclass(frozen=True)
 class BellFunctional:
-    """Dual certificate: B with B.V >= 0 on all vertex products, B.A < 0."""
+    """Dual certificate: B with B.V >= 0 on all vertex products, B.A < 0.
+
+    Verdicts from the facet table carry a facet as B, so B is an integer
+    Bell inequality at R = 1.
+    """
 
     dual: np.ndarray  # 4x4
     violation: float
@@ -90,52 +98,70 @@ class SeparabilityResult:
     feasible: bool
     certificate: LhvCertificate | None = None
     functional: BellFunctional | None = None
-    method: str = "lp-float"
+    method: str = "facet"     # "facet" | "lp-float" (band) | "lp-exact"
+
+
+def cube_decide(A: PauliCoeffs2Q, R: float = 1.0,
+                tol: float = lp.FEASIBILITY_TOL) -> lp.Decision:
+    """Cube-separability verdict of A in the R frame, without certificates.
+
+    The facet test decides every point clear of the tolerance band; only
+    band points run the HiGHS residual route (see lp.decide_membership).
+    """
+    if not A.is_normalized:
+        raise ValueError("cube separability expects A_00 = 1")
+    if not R > 0:
+        raise ValueError("R must be positive")
+    return lp.decide_membership(A.coeffs.ravel(), R, tol)
+
+
+# Exact weights for a float instance whose facet values are all >= 0 but
+# which lies outside by a rounding error are taken at the instance pulled
+# this far toward the maximally mixed point; they reproduce it within 2x this.
+_EXACT_PULL = Fraction(1, 2 ** 40)
+
+
+def _exact_weights(b: np.ndarray, R: float, tol: float) -> LhvCertificate:
+    """Convex weights from the exact simplex on the float instance itself."""
+    bx = [Fraction(x) for x in b]
+    status, cert = lp.solve_membership_exact(bx, Fraction(R))
+    if status != "feasible":
+        centre = [Fraction(1)] + [Fraction(0)] * 15
+        pulled = [(1 - _EXACT_PULL) * x + _EXACT_PULL * c for x, c in zip(bx, centre)]
+        status, cert = lp.solve_membership_exact(pulled, Fraction(R))
+        if status != "feasible":
+            raise ArithmeticError("exact route refutes a facet-feasible instance")
+    w, resid = lp.polish_weights(lp.vertex_product_matrix(R), b,
+                                 np.array([float(x) for x in cert]))
+    return LhvCertificate(w, max(tol, resid))
 
 
 def cube_separable(A: PauliCoeffs2Q, R: float = 1.0,
                    tol: float = lp.FEASIBILITY_TOL) -> SeparabilityResult:
     """Decide membership of A in the R-scaled cube-product polytope.
 
-    The float LP route answers clear instances; verdicts within the
-    degeneracy margin are re-decided by the exact rational simplex on the
-    rationalized instance.
+    The verdict is cube_decide's.  Infeasible verdicts carry the facet with
+    the least margin as their functional (integer-valued at R = 1).
+    Feasible verdicts carry LHV weights from the HiGHS residual route;
+    where its polish misses tol they come from the exact simplex on the
+    float instance asked (method "lp-exact").
     """
-    if not A.is_normalized:
-        raise ValueError("cube_separable expects A_00 = 1")
-    if not R > 0:
-        raise ValueError("R must be positive")
+    d = cube_decide(A, R, tol)
     b = A.coeffs.ravel()
-    out = lp.solve_membership_float(b, R=R, tol=tol)
+    if not d.feasible:
+        y = lp.facet_functional(d.facet, R)
+        return SeparabilityResult(
+            False, functional=BellFunctional(y.reshape(4, 4), float(-(y @ b))),
+            method=d.route,
+        )
+    if d.weights is not None:
+        return SeparabilityResult(True, certificate=LhvCertificate(d.weights, tol),
+                                  method=d.route)
+    out = lp.solve_membership_float(b, R, tol)
     if out.status == "feasible":
-        return SeparabilityResult(
-            True, certificate=LhvCertificate(out.weights, tol), method="lp-float"
-        )
-    if out.status == "infeasible":
-        return SeparabilityResult(
-            False,
-            functional=BellFunctional(out.dual.reshape(4, 4), out.violation),
-            method="lp-float",
-        )
-    # near-degenerate: certified exact fallback on the rationalized instance
-    bf = [lp.rationalize(x) for x in b]
-    Rf = lp.rationalize(R)
-    status, cert = lp.solve_membership_exact(bf, Rf)
-    if status == "feasible":
-        V = lp.vertex_product_matrix(R)
-        w, resid = lp.polish_weights(V, b, np.array([float(x) for x in cert]))
-        return SeparabilityResult(
-            True, certificate=LhvCertificate(w, max(tol, resid)), method="lp-exact"
-        )
-    y = np.array([float(x) for x in cert])
-    scale = np.max(np.abs(y))
-    if scale > 0:
-        y = y / scale
-    return SeparabilityResult(
-        False,
-        functional=BellFunctional(y.reshape(4, 4), float(-(y @ b))),
-        method="lp-exact",
-    )
+        return SeparabilityResult(True, certificate=LhvCertificate(out.weights, tol),
+                                  method=d.route)
+    return SeparabilityResult(True, certificate=_exact_weights(b, R, tol), method="lp-exact")
 
 
 def positive_for_pauli(A: PauliCoeffs2Q, R: float = 1.0,

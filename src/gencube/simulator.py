@@ -4,8 +4,10 @@ cube-separable, plus a dense density-matrix reference for cross-validation.
 The sampler stores one cube vertex per qubit per shot.  Preparations sample
 a vertex from the per-axis product rule, each noisy CSIGN samples a vertex
 pair from a cached LHV certificate of the gate's action on the current pair,
-Cliffords permute vertices, and measurements read a vertex component off
-deterministically (the stored vertex is left unchanged).
+Cliffords permute vertices, and a measurement reads a vertex component off
+deterministically and then redraws the other two components uniformly: the
+post-measurement Pauli eigenstate is the centre of a cube face, the uniform
+mixture of its four corners.
 """
 from __future__ import annotations
 
@@ -100,6 +102,8 @@ class Circuit:
         if isinstance(op, Prepare):
             if not 0 <= op.qubit < n:
                 raise ValueError("qubit index out of range")
+            if not np.all(np.abs(op.state.bloch) <= 1.0):  # NaN fails too
+                raise ValueError(f"preparation outside the unit cube: {op.state.bloch}")
         elif isinstance(op, Clifford1):
             if not 0 <= op.qubit < n or op.gate not in ("X", "Y", "Z", "S", "H"):
                 raise ValueError("bad Clifford op")
@@ -247,21 +251,27 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
 
     All noisy CSIGNs are verified cube-separable up front (64 LPs per
     distinct gate); sampling itself never touches the LP.  Identical seeds
-    give identical histograms.
+    give identical histograms.  The redraws after measurements come from a
+    stream of their own, so a circuit that never touches a measured qubit
+    again samples exactly as if there were none.
     """
     tables = {n: _gate_tables(n) for n in _collect_noises(circuit)}
-    rng = np.random.default_rng(seed)
+    seeds = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seeds)
+    collapse_rng = np.random.default_rng(seeds.spawn(1)[0])
     rids = circuit.record_ids()
     # unprepared qubits start uniformly random, matching the dense
     # simulator's maximally mixed initial state
     state = rng.integers(0, 8, size=(shots, circuit.num_qubits), dtype=np.int64)
     records = {rid: np.zeros(shots, dtype=np.int64) for rid in rids}
 
+    # not recursive: a self-referencing closure would form a reference
+    # cycle holding every shot array until the cyclic collector runs
     def run_op(op, mask):
         if isinstance(op, Prepare):
             rows = np.nonzero(mask)[0]
             u = rng.random((rows.size, 3))
-            p_plus = (1.0 + np.clip(op.state.bloch, -1, 1)) / 2.0
+            p_plus = (1.0 + op.state.bloch) / 2.0
             bits = (u >= p_plus).astype(np.int64)  # 1 encodes the -1 outcome
             state[rows, op.qubit] = bits[:, 0] * 4 + bits[:, 1] * 2 + bits[:, 2]
         elif isinstance(op, Clifford1):
@@ -282,16 +292,24 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
             state[rows, op.qubit2] = newpair % 8
         elif isinstance(op, Measure):
             rows = np.nonzero(mask)[0]
-            comp = _VERTEX_ARRAY[state[rows, op.qubit], axis_index(op.axis) - 1]
-            records[op.record_id][rows] = comp.astype(np.int64)
-        elif isinstance(op, ClassicalControl):
-            run_op(op.op, mask & (records[op.record_id] == op.value))
+            axis = axis_index(op.axis) - 1
+            vertex = state[rows, op.qubit]
+            records[op.record_id][rows] = _VERTEX_ARRAY[vertex, axis]
+            kept = 1 << (2 - axis)  # the measured axis's sign bit
+            redraw = collapse_rng.integers(0, 8, size=rows.size, dtype=np.int64)
+            redraw &= 7 ^ kept
+            vertex &= kept
+            vertex |= redraw
+            state[rows, op.qubit] = vertex
         else:
             raise TypeError(f"unknown op {op!r}")
 
     full = np.ones(shots, dtype=bool)
     for op in circuit.ops:
-        run_op(op, full)
+        if isinstance(op, ClassicalControl):
+            run_op(op.op, records[op.record_id] == op.value)
+        else:
+            run_op(op, full)
 
     symbols = {1: "+", -1: "-", 0: "."}
     cols = [records[rid] for rid in rids]
@@ -346,12 +364,11 @@ def simulate_dense(circuit: Circuit) -> dict:
     sphere = StateSpaceSpec.sphere(1.0)
 
     dist: dict[str, float] = {}
-
-    def emit(record, prob):
-        key = "".join({1: "+", -1: "-"}.get(record.get(rid), ".") for rid in rids)
-        dist[key] = dist.get(key, 0.0) + prob
-
-    def run(rho, k, record, prob):
+    # depth first over the measurement branches, + before -, on an explicit
+    # stack: a recursive closure would form a reference cycle
+    stack = [(np.eye(2 ** n, dtype=complex) / (2 ** n), 0, {}, 1.0)]
+    while stack:
+        rho, k, record, prob = stack.pop()
         while k < len(circuit.ops):
             op = circuit.ops[k]
             k += 1
@@ -384,6 +401,7 @@ def simulate_dense(circuit: Circuit) -> dict:
                 rho = _dense_noisy_csign(rho, op, n)
             elif isinstance(op, Measure):
                 obs = embed_one(PAULIS[axis_index(op.axis)], op.qubit, n)
+                branches = []
                 for outcome in (1, -1):
                     proj = (np.eye(2 ** n) + outcome * obs) / 2
                     sub = proj @ rho @ proj
@@ -391,12 +409,12 @@ def simulate_dense(circuit: Circuit) -> dict:
                     if p > 1e-15:
                         rec2 = dict(record)
                         rec2[op.record_id] = outcome
-                        run(sub / p, k, rec2, prob * p)
-                return
-        emit(record, prob)
-
-    rho0 = np.eye(2 ** n, dtype=complex) / (2 ** n)
-    run(rho0, 0, {}, 1.0)
+                        branches.append((sub / p, k, rec2, prob * p))
+                stack.extend(reversed(branches))
+                break
+        else:
+            key = "".join({1: "+", -1: "-"}.get(record.get(rid), ".") for rid in rids)
+            dist[key] = dist.get(key, 0.0) + prob
     return dict(sorted(dist.items()))
 
 

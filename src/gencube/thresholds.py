@@ -1,10 +1,10 @@
 """Bisection and sweep engine for noise thresholds and tradeoff curves.
 
 Thresholds are the minimal noise strengths at which a noisy CSIGN becomes
-separable for the chosen state space, decided per point by the LP (cubes)
-or the positivity+PPT test (spheres).  Closed-form positivity bounds and
-the LHV-achievability boundaries of the rescaled-cube analysis live here
-as well.
+separable for the chosen state space, decided per point by the facet test
+of the cube-product polytope (cubes) or the positivity+PPT test (spheres).
+Closed-form positivity bounds and the LHV-achievability boundaries of the
+rescaled-cube analysis live here as well.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from .gates import NoiseModel, pipeline
 from .pauli import BlochOp
-from .separability import cube_separable, positive_for_pauli, quantum_separable_2q
+from .separability import cube_decide, positive_for_pauli, quantum_separable_2q
 from .spaces import StateSpaceSpec, cube_vertices
 
 __all__ = [
@@ -82,7 +82,7 @@ class DephasingVerdict:
 
 def _criterion_fn(criterion: str):
     if criterion == "cube-separable":
-        return lambda A: cube_separable(A).feasible
+        return lambda A: cube_decide(A).feasible
     if criterion == "quantum-separable":
         return quantum_separable_2q
     return lambda A: positive_for_pauli(A)
@@ -304,7 +304,7 @@ _BOUNDARY_BOUND = {"local-depol": "xy", "joint-depol": "tdb1"}
 
 def lhv_achievability_boundary(model_family: str, tol: float = 1e-6) -> float:
     """Smallest R at which the family's leading analytic bound (xy for
-    local, tdb1 for joint depolarization) is LP-achievable.
+    local, tdb1 for joint depolarization) is LHV-achievable.
 
     The state sitting on the bound (nudged inward by 1e-8 to stay off the
     knife edge) is tested for cube separability while R is bisected.
@@ -315,7 +315,7 @@ def lhv_achievability_boundary(model_family: str, tol: float = 1e-6) -> float:
     def feasible_at_bound(R):
         r = analytic_bound(model_family, "cube", R).value(bound_name) - 1e-8
         out = pipeline(allones, allones, R, NoiseModel(model_family, 1.0 - r))
-        return cube_separable(out).feasible
+        return cube_decide(out).feasible
 
     lo, hi = 0.3, 1.0
     if feasible_at_bound(lo):

@@ -1,6 +1,6 @@
-"""Regression circuits shared by the simulator tests and the acceptance
-suite: 2-4 qubits, quantum preparations, cube-separable noisy CSIGNs,
-one adaptive circuit, each qubit measured once.
+"""Regression circuits shared by the simulator, CLI and acceptance tests:
+1-3 qubits, quantum preparations, cube-separable noisy CSIGNs, one
+adaptive circuit, and one qubit measured twice.
 """
 
 T = "0.5773502691896258"
@@ -54,5 +54,12 @@ ifeq m0 -1 clif 1 H
 csign 1 2 local-depol 0.75
 meas 1 Y m1
 meas 2 Z m2
+""",
+    # measuring Z collapses the X eigenstate: the X outcome is then 50/50
+    "remeasure_zx": """
+qubits 1
+prep 0 1 0 0
+meas 0 Z a
+meas 0 X b
 """,
 }

@@ -223,7 +223,8 @@ def test_criterion_10_hn_simulator():
         rhs = U @ to_dense(A).entries @ U.conj().T
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     ok &= worst < 1e-12
-    check("criterion 10: HN vs dense TVD < 0.02 on 5 circuits; deterministic; csign map exact",
+    check(f"criterion 10: HN vs dense TVD < 0.02 on {len(SUITE)} circuits; deterministic; "
+          "csign map exact",
           ok, "; ".join(details) + f"; csign dev={worst:.1e}")
 
 

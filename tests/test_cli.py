@@ -134,3 +134,19 @@ def test_usage_error_exit_code():
 def test_invalid_input_exit_code():
     code, _ = run_cli(["simulate", "--circuit", "/nonexistent/file.txt"])
     assert code == 1
+
+
+def test_tolerance_banner_reads_the_constants(monkeypatch):
+    from gencube import cli, lp, separability, thresholds
+
+    def banner():
+        buf = io.StringIO()
+        cli._tolerance_banner(buf)
+        return buf.getvalue().strip()
+
+    assert banner() == "tolerances: lp-feasibility=1e-09 positivity=1e-09 bisection=1e-07"
+    monkeypatch.setattr(thresholds, "BISECTION_TOL", 1e-5)
+    assert banner().endswith("bisection=1e-05")
+    monkeypatch.setattr(lp, "FEASIBILITY_TOL", 2e-10)
+    monkeypatch.setattr(separability, "POSITIVITY_TOL", 3e-8)
+    assert banner() == "tolerances: lp-feasibility=2e-10 positivity=3e-08 bisection=1e-05"

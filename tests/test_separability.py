@@ -244,3 +244,111 @@ def test_appendix1_certs6_7_track_gate_outputs_over_range():
         item = appendix1_certificates(depol_p=p)[7]
         expected = apply_noise(csign(product(ALLONES, ALLONES)), local_depol(p)).coeffs
         assert np.max(np.abs(item.target.coeffs - expected)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The facet table and the facet decision
+# ---------------------------------------------------------------------------
+
+
+def _integer_columns() -> np.ndarray:
+    return np.array([[int(x) for x in col] for col in lp.exact_vertex_columns()]).T
+
+
+def test_facet_table_is_three_orbits():
+    F = lp.facet_table()
+    assert F.shape == (684, 16)
+    assert F.dtype.kind == "i"
+    assert len(np.unique(F, axis=0)) == 684
+    orbits = [lp.facet_orbit(rep) for _, rep in lp.FACET_REPRESENTATIVES]
+    assert [len(o) for o in orbits] == [36, 72, 576]
+    assert np.array_equal(F, np.concatenate(orbits))
+
+
+def test_facets_valid_and_tight_on_rank_15_vertex_sets():
+    F = lp.facet_table()
+    cols = _integer_columns()
+    values = F @ cols      # exact: integer arithmetic
+    assert values.min() == 0
+    # per row, the tight columns (the others zeroed); every column has entry
+    # 1 at the identity, so linear rank 15 is affine rank 15: each facet is
+    # a face of dimension 14 of the 15-dimensional polytope
+    tight = cols[None, :, :] * (values == 0)[:, None, :]
+    ranks = np.linalg.matrix_rank(tight.astype(float))
+    assert np.all(ranks == 15), np.nonzero(ranks != 15)
+
+
+def _random_queries(rng, n):
+    """Convex mixes of 1..6 vertex products in random frames, perturbed
+    by 0-20 % per coefficient."""
+    for _ in range(n):
+        R = float(rng.choice([1.0, 1.0, 0.8, 1.3]))
+        V = lp.vertex_product_matrix(R)
+        k = int(rng.integers(1, 7))
+        b = V[:, rng.choice(64, k, replace=False)] @ rng.dirichlet(np.ones(k))
+        b[1:] += rng.choice([0.01, 0.05, 0.2]) * rng.uniform(-1, 1, 15)
+        yield b, R
+
+
+def test_facet_verdicts_agree_with_highs():
+    rng = np.random.default_rng(61)
+    checked = {1.0: 0, "other": 0}
+    for b, R in _random_queries(rng, 1100):
+        d = lp.decide_membership(b, R)
+        if d.route != "facet":
+            continue
+        assert d.feasible == (lp.solve_membership_float(b, R).status == "feasible"), (b, R)
+        checked[1.0 if R == 1.0 else "other"] += 1
+    assert sum(checked.values()) >= 1000
+    assert checked[1.0] >= 400 and checked["other"] >= 400
+
+
+def test_infeasible_functional_separates_in_rescaled_frame():
+    for R in (0.8, 1.3):
+        V = lp.vertex_product_matrix(R)
+        # the Bell state's correlations, 1.2 times too strong in the R frame
+        A = PauliCoeffs2Q(np.diag([1.0, 1.2, -1.2, 1.2]) * np.r_[1.0, R * R, R * R, R * R])
+        res = cube_separable(A, R=R)
+        assert not res.feasible and res.method == "facet"
+        y = res.functional.dual.ravel()
+        assert np.min(V.T @ y) >= -1e-12
+        assert y @ A.coeffs.ravel() < 0 and res.functional.violation > 0
+        # in the unit frame the same functional is the integer facet; the
+        # all-plus column V[:, 0] is the frame scale diag(D)
+        facet = lp.facet_table()[lp.decide_membership(A.coeffs.ravel(), R).facet]
+        assert np.allclose(y * V[:, 0], facet, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("offset", [5e-9, 1e-8])
+def test_knife_edge_below_two_thirds_is_infeasible(offset):
+    # these points once came out feasible from an exact solve of a
+    # neighbouring, rounded instance
+    A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(2 / 3 - offset))
+    res = cube_separable(A)
+    assert not res.feasible
+    assert res.method == "facet"
+    status, _ = lp.solve_membership_exact([Fraction(x) for x in A.coeffs.ravel()])
+    assert status == "infeasible"
+
+
+def test_exact_weights_for_a_rounded_boundary_point():
+    # float(1/3) puts the 2/3 joint-depol output outside by a rounding error:
+    # the exact simplex refutes the float instance, and the weights come from
+    # the instance pulled toward the maximally mixed point
+    from gencube.separability import _exact_weights
+
+    A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(2 / 3))
+    b = A.coeffs.ravel()
+    assert lp.solve_membership_exact([Fraction(x) for x in b])[0] == "infeasible"
+    cert = _exact_weights(b, 1.0, lp.FEASIBILITY_TOL)
+    assert cert.tolerance_used == lp.FEASIBILITY_TOL
+    assert verify_certificate(cert, A)
+
+
+def test_exact_weights_back_a_missed_polish(monkeypatch):
+    A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(0.8))
+    monkeypatch.setattr(lp, "solve_membership_float",
+                        lambda b, R=1.0, tol=lp.FEASIBILITY_TOL: lp.FloatLpOutcome("infeasible"))
+    res = cube_separable(A)
+    assert res.feasible and res.method == "lp-exact"
+    assert verify_certificate(res.certificate, A)

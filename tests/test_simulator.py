@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +50,18 @@ def test_circuit_validation():
         Circuit(2, (NoisyCsign(0, 0, NoiseModel("joint-depol", 0.9)),))
     with pytest.raises(ValueError):
         Circuit(9, ())
+
+
+def test_off_cube_preparation_rejected():
+    with pytest.raises(ValueError):
+        Circuit(1, (Prepare(0, BlochOp(np.array([2.0, 0.0, 0.0]))),))
+    with pytest.raises(ValueError):
+        parse_circuit("qubits 1\nprep 0 0.5 -1.01 0\nmeas 0 Z a\n")
+    with pytest.raises(ValueError):
+        parse_circuit("qubits 1\nprep 0 nan 0 0\nmeas 0 Z a\n")
+    # every point of the cube is a valid HN preparation, corners included
+    c = parse_circuit("qubits 1\nprep 0 1 -1 1\nmeas 0 Y a\n")
+    assert simulate_hn(c, 100, seed=1).histogram == {"-": 100}
 
 
 def test_noiseless_gate_refused():
@@ -151,3 +165,33 @@ def test_cost_scales_in_shots_not_dimension():
     simulate_hn(c, 8000, seed=1)
     t_big = time.perf_counter() - t0
     assert t_big < 10 * max(t_small, 1e-3)
+
+
+def test_repeated_measurement_redraws_other_axes():
+    c = parse_circuit(SUITE["remeasure_zx"])
+    exact = simulate_dense(c)
+    assert all(abs(p - 0.25) < 1e-12 for p in exact.values())
+    hist = simulate_hn(c, 40000, seed=5).histogram
+    assert tvd(hist, exact) < 0.02
+    # the measured axis itself is kept: Z then Z repeats the outcome
+    zz = parse_circuit("qubits 1\nprep 0 0.6 0 0.8\nmeas 0 Z a\nmeas 0 Z b\n")
+    assert set(simulate_hn(zz, 2000, seed=5).histogram) == {"++", "--"}
+
+
+@pytest.mark.parametrize("simulate", [lambda c: simulate_hn(c, 200_000, seed=2),
+                                      simulate_dense], ids=["hn", "dense"])
+def test_call_retains_no_memory_without_gc(simulate):
+    c = parse_circuit(SUITE["bell_like_joint"])
+    simulate(c)  # warm caches
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        simulate(c)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert retained < 1_000_000

@@ -1,7 +1,8 @@
 """Noise thresholds that make the CSIGN cube-separable.
 
-Bisects the three scaling noise families against the LP separability
-oracle and compares with the closed forms 2/3, 2-sqrt(2), 1-1/sqrt(2).
+Finds, for each of the three scaling noise families, the root of the
+cube margin (the least normalized facet value of the noisy CSIGN output)
+and compares it with the closed forms 2/3, 2-sqrt(2), 1-1/sqrt(2).
 Also exports a small tradeoff curve over the rescaling factor R.
 
 Run:  python demos/02_noise_thresholds.py
@@ -19,14 +20,14 @@ closed_forms = {
     "local-dephase": 1 - 1 / math.sqrt(2),
 }
 
-print("noise family     bisected threshold   closed form")
+print("noise family     margin root          closed form")
 for family, expected in closed_forms.items():
     lam = min_noise(ThresholdQuery(family, CUBE, "cube-separable"))
     print(f"{family:<16} {lam:.7f}          {expected:.7f}")
 
 print("\njoint depolarization vs rescaling factor R (CSV):")
 q = ThresholdQuery("joint-depol", CUBE, "cube-separable")
-points = curve(q, 0.72, 1.2, 7, tol=1e-6)
+points = curve(q, 0.72, 1.2, 7)
 print(curve_to_csv(points))
 print("R < 1 admits the magic states as preparations; at R = 1/sqrt(2) the")
 print("threshold is 1 - 1/(sqrt(2)+1) ~ 0.5858.")

@@ -22,7 +22,7 @@ USAGE_ERROR = 2
 def _tolerance_banner(out) -> None:
     print(
         f"tolerances: lp-feasibility={lp.FEASIBILITY_TOL:g} "
-        f"positivity={separability.POSITIVITY_TOL:g} bisection={thresholds.BISECTION_TOL:g}",
+        f"positivity={separability.POSITIVITY_TOL:g} root-xtol={thresholds.ROOT_XTOL:g}",
         file=out,
     )
 

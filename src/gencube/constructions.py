@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lp
 from .dense import partial_trace, partial_transpose_qubits, permute_qubits
 from .gates import csign, pauli_flip
 from .pauli import (
@@ -29,6 +30,7 @@ from .separability import (
     LhvCertificate,
     cube_decide,
     cube_separable,
+    pauli_margin,
     vertex_pair_index,
 )
 from .spaces import cube_vertices
@@ -55,6 +57,8 @@ __all__ = [
 ]
 
 W_MAGIC = (math.sqrt(3.0) + 1.0) / 2.0
+
+_MAX_BALL_RADIUS = 1.0      # cap of separable_ball_radius
 
 
 def _magic_kets():
@@ -153,15 +157,6 @@ def _min_pt_eig(A: PauliCoeffs2Q) -> float:
     return float(eigenvalues_hermitian(to_dense(partial_transpose(A)))[0])
 
 
-def _min_pauli_born(A: PauliCoeffs2Q) -> float:
-    """Smallest Born probability over the 36 joint Pauli-pair outcomes."""
-    c = A.coeffs
-    signs = np.array([1.0, -1.0])
-    s, t = signs[:, None, None, None], signs[None, :, None, None]
-    p = 0.25 * (c[0, 0] + s * c[1:, 0][:, None] + t * c[0, 1:][None, :] + s * t * c[1:, 1:])
-    return float(np.min(p))
-
-
 @dataclass(frozen=True)
 class Lemma8Report:
     alpha: float
@@ -224,7 +219,7 @@ def lemma8_report(alpha: float, epsilon: float, lp_vertices: bool = True,
 
     verts = cube_vertices()
     outputs = [((u, v), cj_apply(cj, product(u, v))) for u in verts for v in verts]
-    min_born = min(_min_pauli_born(out) for _, out in outputs)
+    min_born = min(pauli_margin(out) for _, out in outputs)
     feasible, fails = 0, []
     if lp_vertices:
         for (u, v), out in outputs:
@@ -436,41 +431,27 @@ def appendix2_checks(n_samples: int = 1000, seed: int = 2024) -> Appendix2Report
 
 
 def separable_ball_radius(a: BlochOp, b: BlochOp, n_directions: int = 12,
-                          seed: int = 7, step_tol: float = 1e-4,
-                          max_step: float = 1.0) -> float:
-    """Largest perturbation (min over random directions) keeping the
-    product of two states cube-separable.
+                          seed: int = 7) -> float:
+    """Largest perturbation (min over random directions, capped at 1)
+    keeping the product of two states cube-separable.
 
     Directions are random unit vectors in the 15-dimensional non-identity
-    coefficient space; per direction the step is bisected on
-    cube-separability.  Centers on a cube face report radius 0.
+    coefficient space.  Facet values are linear along a ray c + s d, so the
+    ray leaves the polytope at the least -f.c / f.d over the facets it
+    approaches (f.d < 0).  Centers on a cube face report radius 0.
     """
-    center = product(a, b).coeffs
+    values = lp.facet_values(product(a, b).coeffs.ravel())
+    if values.min() < 0.0:
+        return 0.0  # the center itself lies outside
     rng = np.random.default_rng(seed)
-    radius = math.inf
+    radius = _MAX_BALL_RADIUS
     for _ in range(n_directions):
         d = rng.standard_normal(15)
         d /= np.linalg.norm(d)
-        delta = np.zeros(16)
-        delta[1:] = d
-        delta = delta.reshape(4, 4)
-
-        def sep_at(s):
-            return cube_decide(PauliCoeffs2Q(center + s * delta)).feasible
-
-        if not sep_at(step_tol * 0.01):
-            return 0.0
-        lo, hi = 0.0, max_step
-        if sep_at(hi):
-            radius = min(radius, hi)
-            continue
-        while hi - lo > step_tol:
-            mid = 0.5 * (lo + hi)
-            if sep_at(mid):
-                lo = mid
-            else:
-                hi = mid
-        radius = min(radius, lo)
+        slopes = lp.facet_values(np.concatenate(([0.0], d)))
+        approach = slopes < 0.0
+        if approach.any():
+            radius = min(radius, float(np.min(values[approach] / -slopes[approach])))
     return radius
 
 

@@ -35,6 +35,8 @@ __all__ = [
     "facet_orbit",
     "facet_table",
     "facet_functional",
+    "facet_values",
+    "facet_margins",
     "Decision",
     "decide_membership",
     "FloatLpOutcome",
@@ -165,32 +167,41 @@ class Decision:
     weights: np.ndarray | None = None   # residual-route weights (band, feasible)
 
 
+def facet_values(b: np.ndarray, R: float = 1.0) -> np.ndarray:
+    """f . D^-1 b for every facet f: the facet values of b read in the unit
+    frame.  The 36 positivity rows are four times the Pauli-pair Born
+    probabilities there."""
+    F = _facet_arrays()[0]
+    return F @ (b if R == 1.0 else b * (1.0 / _frame_scale(R)))
+
+
+def facet_margins(b: np.ndarray, R: float = 1.0) -> np.ndarray:
+    """The facet values of b normalized per row, y . b / |y|_1 with
+    y = D^-1 f (see facet_functional and decide_membership)."""
+    _, absF, inv_norm = _facet_arrays()
+    if R != 1.0:
+        inv_norm = 1.0 / (absF @ (1.0 / _frame_scale(R)))
+    return facet_values(b, R) * inv_norm
+
+
 def decide_membership(b: np.ndarray, R: float = 1.0,
                       tol: float = FEASIBILITY_TOL) -> Decision:
     """Decide membership of the coefficient vector b in the R-scaled polytope.
 
-    Each facet f acts on b as y = D^-1 f (see facet_functional).  With m
-    the least y . b / |y|_1:
+    With m the least facet margin y . b / |y|_1, y = D^-1 f (facet_margins):
 
     * m < -tol: infeasible.  Any convex weights w have |Vw - b|_inf >=
       -y.b / |y|_1 > tol, and f . V_j >= 0 holds exactly on every column;
-    * every facet value >= 0: feasible;
+    * m >= 0, i.e. every facet value >= 0: feasible;
     * otherwise (the thin band between): feasible iff the HiGHS residual
       route reaches a residual <= tol.
     """
-    F, absF, inv_norm = _facet_arrays()
-    x = b
-    if R != 1.0:
-        inv_d = 1.0 / _frame_scale(R)
-        x = b * inv_d
-        inv_norm = 1.0 / (absF @ inv_d)
-    values = F @ x
-    normalized = values * inv_norm
-    k = int(np.argmin(normalized))
-    margin = float(normalized[k])
+    margins = facet_margins(b, R)
+    k = int(np.argmin(margins))
+    margin = float(margins[k])
     if margin < -tol:
         return Decision(False, k, margin, "facet")
-    if values.min() >= 0.0:
+    if margin >= 0.0:
         return Decision(True, k, margin, "facet")
     out = solve_membership_float(b, R, tol)
     return Decision(out.status == "feasible", k, margin, "lp-float", out.weights)

@@ -5,6 +5,9 @@ convex hull of the 64 products of cube vertices, decided by its 684
 integer facets (see ``lp``).  Feasible verdicts carry primal certificates
 (convex weights), infeasible ones the violated facet as a separating
 functional.  Quantum separability of two qubits is positivity plus PPT.
+Each criterion has a margin function beside its predicate (cube_margin,
+pauli_margin, quantum_margin); the positivity and quantum predicates hold
+where margin >= -tol, and the threshold engine roots margin + tol.
 The module also carries the appendix catalog of hand-built LHV
 decompositions.
 """
@@ -17,25 +20,26 @@ from fractions import Fraction
 import numpy as np
 
 from . import lp
+from .dense import partial_transpose_qubits
 from .gates import NoiseModel, apply_noise, csign, joint_depol, local_depol, local_dephase
 from .pauli import (
     BlochOp,
     PauliCoeffs2Q,
-    born_probability,
-    eigenvalues_hermitian,
-    partial_transpose,
     product,
     to_dense,
 )
-from .spaces import cube_vertices, rescale2
+from .spaces import cube_vertices
 
 __all__ = [
     "LhvCertificate",
     "BellFunctional",
     "SeparabilityResult",
+    "cube_margin",
     "cube_decide",
     "cube_separable",
+    "pauli_margin",
     "positive_for_pauli",
+    "quantum_margin",
     "quantum_separable_2q",
     "verify_certificate",
     "certificate_to_text",
@@ -101,6 +105,21 @@ class SeparabilityResult:
     method: str = "facet"     # "facet" | "lp-float" (band) | "lp-exact"
 
 
+def _checked(A: PauliCoeffs2Q, R: float = 1.0) -> np.ndarray:
+    """The 16 coefficients of A, once A_00 = 1 and R > 0 are checked."""
+    if not A.is_normalized:
+        raise ValueError("separability criteria expect A_00 = 1")
+    if not R > 0:
+        raise ValueError("R must be positive")
+    return A.coeffs.ravel()
+
+
+def cube_margin(A: PauliCoeffs2Q, R: float = 1.0) -> float:
+    """Least normalized facet value of A in the R frame (lp.facet_margins):
+    below -tol A is not cube-separable, at or above 0 it is."""
+    return float(lp.facet_margins(_checked(A, R), R).min())
+
+
 def cube_decide(A: PauliCoeffs2Q, R: float = 1.0,
                 tol: float = lp.FEASIBILITY_TOL) -> lp.Decision:
     """Cube-separability verdict of A in the R frame, without certificates.
@@ -108,11 +127,7 @@ def cube_decide(A: PauliCoeffs2Q, R: float = 1.0,
     The facet test decides every point clear of the tolerance band; only
     band points run the HiGHS residual route (see lp.decide_membership).
     """
-    if not A.is_normalized:
-        raise ValueError("cube separability expects A_00 = 1")
-    if not R > 0:
-        raise ValueError("R must be positive")
-    return lp.decide_membership(A.coeffs.ravel(), R, tol)
+    return lp.decide_membership(_checked(A, R), R, tol)
 
 
 # Exact weights for a float instance whose facet values are all >= 0 but
@@ -164,32 +179,36 @@ def cube_separable(A: PauliCoeffs2Q, R: float = 1.0,
     return SeparabilityResult(True, certificate=_exact_weights(b, R, tol), method="lp-exact")
 
 
+# the positivity orbit leads lp.facet_table()
+_POSITIVITY_ROWS = 36
+
+
+def pauli_margin(A: PauliCoeffs2Q, R: float = 1.0) -> float:
+    """Least of the 36 Pauli-pair Born probabilities of A, read in the unit
+    frame (Bloch parts divided by R, two-body parts by R^2): a quarter of
+    the least positivity facet value."""
+    b = _checked(A, R)
+    return float(lp.facet_values(b, R)[:_POSITIVITY_ROWS].min()) / 4.0
+
+
 def positive_for_pauli(A: PauliCoeffs2Q, R: float = 1.0,
                        tol: float = POSITIVITY_TOL) -> bool:
-    """All 36 Pauli-pair Born probabilities nonnegative, in the R frame.
+    """All 36 Pauli-pair Born probabilities nonnegative, in the R frame."""
+    return pauli_margin(A, R) >= -tol
 
-    The operator is brought back to the unit frame (Bloch parts divided by
-    R, two-body parts by R^2) and its plain Born values are checked.
-    """
-    if not A.is_normalized:
-        raise ValueError("positive_for_pauli expects A_00 = 1")
-    base = rescale2(A, 1.0 / R) if R != 1.0 else A
-    for p in (1, 2, 3):
-        for q in (1, 2, 3):
-            for s in (1, -1):
-                for t in (1, -1):
-                    if born_probability(base, p, s, q, t) < -tol:
-                        return False
-    return True
+
+def quantum_margin(A: PauliCoeffs2Q) -> float:
+    """Least eigenvalue of A and of its partial transpose (one batched
+    Hermitian eigensolve of the two 4 x 4 matrices)."""
+    _checked(A)
+    rho = to_dense(A).entries
+    pair = np.stack((rho, partial_transpose_qubits(rho, [1], 2)))
+    return float(np.linalg.eigvalsh(pair)[:, 0].min())
 
 
 def quantum_separable_2q(A: PauliCoeffs2Q, tol: float = POSITIVITY_TOL) -> bool:
     """Two-qubit quantum separability: positive and PPT."""
-    if not A.is_normalized:
-        raise ValueError("quantum_separable_2q expects A_00 = 1")
-    if eigenvalues_hermitian(to_dense(A))[0] < -tol:
-        return False
-    return eigenvalues_hermitian(to_dense(partial_transpose(A)))[0] >= -tol
+    return quantum_margin(A) >= -tol
 
 
 def verify_certificate(cert: LhvCertificate, A: PauliCoeffs2Q, R: float = 1.0,

@@ -31,6 +31,7 @@ from .separability import cube_separable
 from .spaces import contains, StateSpaceSpec, cube_vertices
 
 __all__ = [
+    "DENSE_MAX_QUBITS",
     "Prepare",
     "Clifford1",
     "NoisyCsign",
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 RNG_NAME = "PCG64"
+DENSE_MAX_QUBITS = 8        # the dense reference holds a 4^n density matrix
 
 _VERTICES = cube_vertices()
 _VERTEX_ARRAY = np.array([v.bloch for v in _VERTICES])  # 8 x 3, index = sign bits
@@ -91,8 +93,8 @@ class Circuit:
     ops: tuple
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= 8:
-            raise ValueError("supported circuits have 1..8 qubits")
+        if self.num_qubits < 1:
+            raise ValueError("a circuit needs at least one qubit")
         for op in self.ops:
             self._check(op)
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -253,8 +255,11 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     distinct gate); sampling itself never touches the LP.  Identical seeds
     give identical histograms.  The redraws after measurements come from a
     stream of their own, so a circuit that never touches a measured qubit
-    again samples exactly as if there were none.
+    again samples exactly as if there were none.  The cost per shot and op
+    does not depend on the number of qubits.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1; got {shots}")
     tables = {n: _gate_tables(n) for n in _collect_noises(circuit)}
     seeds = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
@@ -358,8 +363,12 @@ def simulate_dense(circuit: Circuit) -> dict:
 
     Preparations must be quantum (inside the Bloch sphere); measurements
     collapse the state and fork the branch tree with exact Born weights.
+    Circuits of more than DENSE_MAX_QUBITS qubits are refused.
     """
     n = circuit.num_qubits
+    if n > DENSE_MAX_QUBITS:
+        raise ValueError(f"dense simulation supports at most {DENSE_MAX_QUBITS} qubits; "
+                         f"got {n}")
     rids = circuit.record_ids()
     sphere = StateSpaceSpec.sphere(1.0)
 

@@ -1,28 +1,31 @@
-"""Bisection and sweep engine for noise thresholds and tradeoff curves.
+"""Root engine for noise thresholds, tradeoff curves and LHV boundaries.
 
 Thresholds are the minimal noise strengths at which a noisy CSIGN becomes
-separable for the chosen state space, decided per point by the facet test
-of the cube-product polytope (cubes) or the positivity+PPT test (spheres).
-Closed-form positivity bounds and the LHV-achievability boundaries of the
-rescaled-cube analysis live here as well.
+separable for the chosen state space.  Each criterion has a margin beside
+its predicate in ``separability`` (the least normalized facet value for
+cubes, the least Pauli-pair Born probability, the least eigenvalue of the
+output and of its partial transpose), and the predicate holds where margin
++ tol >= 0.  A threshold is the root of margin + tol in the noise strength,
+found by Brent's method on the bracket [0, full noise]; the LHV-achievability
+boundaries are roots of the same cube margin in R.  Closed-form positivity
+bounds of the rescaled-cube analysis live here as well.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
+from . import lp, separability
 from .gates import NoiseModel, pipeline
 from .pauli import BlochOp
-from .separability import cube_decide, positive_for_pauli, quantum_separable_2q
+from .separability import cube_margin, pauli_margin, quantum_margin
 from .spaces import StateSpaceSpec, cube_vertices
 
 __all__ = [
-    "BISECTION_TOL",
+    "ROOT_XTOL",
     "ThresholdQuery",
     "CurvePoint",
     "ThresholdBracketError",
@@ -38,8 +41,7 @@ __all__ = [
     "sphere_grid_inputs",
 ]
 
-BISECTION_TOL = 1e-7
-MAX_BISECTION_ITERS = 60
+ROOT_XTOL = 1e-12           # absolute tolerance of every root (brentq xtol)
 
 
 class ThresholdBracketError(RuntimeError):
@@ -80,12 +82,15 @@ class DephasingVerdict:
     outcome: str | None = None
 
 
-def _criterion_fn(criterion: str):
+def _margin_fn(criterion: str):
+    """The criterion's margin plus its tolerance: >= 0 wherever the
+    predicate holds (for cubes the band verdict is the LP's, but an LP
+    feasible point has margin >= -tol)."""
     if criterion == "cube-separable":
-        return lambda A: cube_decide(A).feasible
+        return lambda A: cube_margin(A) + lp.FEASIBILITY_TOL
     if criterion == "quantum-separable":
-        return quantum_separable_2q
-    return lambda A: positive_for_pauli(A)
+        return lambda A: quantum_margin(A) + separability.POSITIVITY_TOL
+    return lambda A: pauli_margin(A) + separability.POSITIVITY_TOL
 
 
 def _noise_upper(noise_family: str) -> float:
@@ -93,17 +98,13 @@ def _noise_upper(noise_family: str) -> float:
     return 0.5 if noise_family == "local-dephase" else 1.0
 
 
-def _bisect(pred, lo: float, hi: float, tol: float) -> float:
-    """Smallest parameter where the monotone predicate turns true."""
-    for _ in range(MAX_BISECTION_ITERS):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _root(slack, lo: float, hi: float, holds_at_lo: str, fails_at_hi: str) -> float:
+    """Root of slack on [lo, hi], which must be < 0 at lo and >= 0 at hi."""
+    if slack(lo) >= 0.0:
+        raise ThresholdBracketError(holds_at_lo)
+    if slack(hi) < 0.0:
+        raise ThresholdBracketError(fails_at_hi)
+    return brentq(slack, lo, hi, xtol=ROOT_XTOL)
 
 
 def sphere_grid_inputs(n: int) -> list[tuple[BlochOp, BlochOp, float, float]]:
@@ -123,22 +124,21 @@ def sphere_grid_inputs(n: int) -> list[tuple[BlochOp, BlochOp, float, float]]:
     return grid
 
 
-def _grid_max_threshold(q: ThresholdQuery, tol: float):
+def _grid_max_threshold(q: ThresholdQuery):
     """Ascending scan over the sphere grid with one refinement pass."""
-    ok = _criterion_fn(q.criterion)
+    slack_of = _margin_fn(q.criterion)
     R = q.space.R
     hi = _noise_upper(q.noise_family)
-    noise = lambda p: NoiseModel(q.noise_family, p)
 
     def point_threshold(u, v, floor):
-        out_hi = pipeline(u, v, R, noise(hi))
-        if not ok(out_hi):
+        slack = lambda p: slack_of(pipeline(u, v, R, NoiseModel(q.noise_family, p)))
+        if slack(hi) < 0.0:
             raise ThresholdBracketError(
                 f"criterion still false at full noise for grid input ({u.bloch},{v.bloch})"
             )
-        if ok(pipeline(u, v, R, noise(floor))):
+        if slack(floor) >= 0.0:
             return None  # cannot raise the running maximum
-        return _bisect(lambda p: ok(pipeline(u, v, R, noise(p))), floor, hi, tol)
+        return brentq(slack, floor, hi, xtol=ROOT_XTOL)
 
     best, arg = 0.0, (0.0, 0.0)
     for u, v, th, ph in sphere_grid_inputs(q.grid_n):
@@ -160,15 +160,16 @@ def _grid_max_threshold(q: ThresholdQuery, tol: float):
     return best
 
 
-def min_noise(q: ThresholdQuery, tol: float = BISECTION_TOL) -> float:
-    """Minimal noise strength making the criterion hold for the query inputs.
+def min_noise(q: ThresholdQuery) -> float:
+    """Minimal noise strength making the criterion hold for the query inputs:
+    the root of the least margin + tol over the inputs.
 
     Raises ThresholdBracketError when the criterion already holds at zero
     noise or still fails at full noise.
     """
     if q.input_policy == "sphere-grid":
-        return _grid_max_threshold(q, tol)
-    ok = _criterion_fn(q.criterion)
+        return _grid_max_threshold(q)
+    slack_of = _margin_fn(q.criterion)
     R = q.space.R
     allones = BlochOp(np.ones(3))
     if q.input_policy == "worst-vertex":
@@ -177,16 +178,12 @@ def min_noise(q: ThresholdQuery, tol: float = BISECTION_TOL) -> float:
         verts = cube_vertices()
         inputs = [(u, v) for u in verts for v in verts]
 
-    def pred(p):
+    def slack(p):
         n = NoiseModel(q.noise_family, p)
-        return all(ok(pipeline(u, v, R, n)) for u, v in inputs)
+        return min(slack_of(pipeline(u, v, R, n)) for u, v in inputs)
 
-    hi = _noise_upper(q.noise_family)
-    if pred(0.0):
-        raise ThresholdBracketError("criterion already holds at zero noise")
-    if not pred(hi):
-        raise ThresholdBracketError("criterion still fails at full noise")
-    return _bisect(pred, 0.0, hi, tol)
+    return _root(slack, 0.0, _noise_upper(q.noise_family),
+                 "criterion already holds at zero noise", "criterion still fails at full noise")
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,7 @@ def analytic_intersection(model_family: str, lo: float = 0.3, hi: float = 0.95):
     """Root-find the crossing of the two bounds; returns (R, r)."""
     fns = _BOUND_SETS[(model_family, "cube")]
     diff = lambda R: fns[0][1](R) - fns[1][1](R)
-    R = brentq(diff, lo, hi, xtol=1e-12)
+    R = brentq(diff, lo, hi, xtol=ROOT_XTOL)
     return R, fns[0][1](R)
 
 
@@ -262,34 +259,25 @@ def analytic_intersection(model_family: str, lo: float = 0.3, hi: float = 0.95):
 # ---------------------------------------------------------------------------
 
 
-def curve(q: ThresholdQuery, R_min: float, R_max: float, steps: int,
-          tol: float = BISECTION_TOL, threads: int | None = None) -> list[CurvePoint]:
-    """Threshold as a function of R on a uniform grid.
+_CURVE_METHOD = {"cube-separable": "facet", "quantum-separable": "PPT",
+                 "pauli-positive": "positivity"}
+
+
+def curve(q: ThresholdQuery, R_min: float, R_max: float, steps: int) -> list[CurvePoint]:
+    """Threshold as a function of R on a uniform grid, in grid order.
 
     Bracket failures at individual R values are recorded as NaN gaps.
     """
     if not R_min > 0:
         raise ValueError("R_min must be positive")
-    if threads is None:
-        threads = int(os.environ.get("GENCUBE_THREADS", "1"))
-    method = "LP" if q.criterion in ("cube-separable",) else (
-        "PPT" if q.criterion == "quantum-separable" else "positivity")
-    Rs = np.linspace(R_min, R_max, steps)
-
-    def solve(R):
-        qi = ThresholdQuery(q.noise_family, StateSpaceSpec(q.space.kind, float(R)),
-                            q.criterion, q.input_policy, q.grid_n)
+    points = []
+    for R in np.linspace(R_min, R_max, steps):
+        qi = replace(q, space=StateSpaceSpec(q.space.kind, float(R)))
         try:
-            return CurvePoint(float(R), min_noise(qi, tol), method)
+            points.append(CurvePoint(float(R), min_noise(qi), _CURVE_METHOD[q.criterion]))
         except ThresholdBracketError:
-            return CurvePoint(float(R), math.nan, "gap")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(solve, Rs))
-    else:
-        points = [solve(R) for R in Rs]
-    return sorted(points, key=lambda p: p.R)
+            points.append(CurvePoint(float(R), math.nan, "gap"))
+    return points
 
 
 def curve_to_csv(points: list[CurvePoint]) -> str:
@@ -302,33 +290,24 @@ def curve_to_csv(points: list[CurvePoint]) -> str:
 _BOUNDARY_BOUND = {"local-depol": "xy", "joint-depol": "tdb1"}
 
 
-def lhv_achievability_boundary(model_family: str, tol: float = 1e-6) -> float:
+def lhv_achievability_boundary(model_family: str) -> float:
     """Smallest R at which the family's leading analytic bound (xy for
     local, tdb1 for joint depolarization) is LHV-achievable.
 
     The state sitting on the bound (nudged inward by 1e-8 to stay off the
-    knife edge) is tested for cube separability while R is bisected.
+    knife edge) is cube-separable where its cube margin + tol is >= 0; the
+    boundary is the root of that in R on [0.3, 1].
     """
     allones = BlochOp(np.ones(3))
     bound_name = _BOUNDARY_BOUND[model_family]
+    slack_of = _margin_fn("cube-separable")
 
-    def feasible_at_bound(R):
+    def slack(R):
         r = analytic_bound(model_family, "cube", R).value(bound_name) - 1e-8
-        out = pipeline(allones, allones, R, NoiseModel(model_family, 1.0 - r))
-        return cube_decide(out).feasible
+        return slack_of(pipeline(allones, allones, R, NoiseModel(model_family, 1.0 - r)))
 
-    lo, hi = 0.3, 1.0
-    if feasible_at_bound(lo):
-        raise ThresholdBracketError("bound already achievable at R = 0.3")
-    if not feasible_at_bound(hi):
-        raise ThresholdBracketError("bound not achievable at R = 1")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible_at_bound(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _root(slack, 0.3, 1.0, "bound already achievable at R = 0.3",
+                 "bound not achievable at R = 1")
 
 
 def dephasing_impossibility(R: float, p: float) -> DephasingVerdict:

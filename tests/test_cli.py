@@ -47,7 +47,7 @@ def test_curve_writes_csv(tmp_path):
     assert len(lines) == 4
     R_mid, lam_mid, method = lines[2].split(",")
     assert abs(float(lam_mid) - 2 / 3) < 1e-4
-    assert method == "LP"
+    assert method == "facet"
 
 
 def test_verify_subcommands_pass():
@@ -100,6 +100,17 @@ def test_simulate_rejects_noiseless(tmp_path):
     assert "not cube-separable" in out
 
 
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_simulate_rejects_bad_shot_count(tmp_path, capsys, shots):
+    f = tmp_path / "circ.txt"
+    f.write_text(SUITE["bell_like_joint"])
+    code, out = run_cli(["simulate", "--circuit", str(f), "--shots", shots,
+                         "--compare-dense"])
+    assert code == 1
+    assert "error: shots must be at least 1" in capsys.readouterr().err
+    assert "tvd_vs_dense" not in out
+
+
 def test_compat_xyz():
     code, out = run_cli(["compat", "--povms", "xyz"])
     assert code == 0
@@ -144,9 +155,9 @@ def test_tolerance_banner_reads_the_constants(monkeypatch):
         cli._tolerance_banner(buf)
         return buf.getvalue().strip()
 
-    assert banner() == "tolerances: lp-feasibility=1e-09 positivity=1e-09 bisection=1e-07"
-    monkeypatch.setattr(thresholds, "BISECTION_TOL", 1e-5)
-    assert banner().endswith("bisection=1e-05")
+    assert banner() == "tolerances: lp-feasibility=1e-09 positivity=1e-09 root-xtol=1e-12"
+    monkeypatch.setattr(thresholds, "ROOT_XTOL", 1e-5)
+    assert banner().endswith("root-xtol=1e-05")
     monkeypatch.setattr(lp, "FEASIBILITY_TOL", 2e-10)
     monkeypatch.setattr(separability, "POSITIVITY_TOL", 3e-8)
-    assert banner() == "tolerances: lp-feasibility=2e-10 positivity=3e-08 bisection=1e-05"
+    assert banner() == "tolerances: lp-feasibility=2e-10 positivity=3e-08 root-xtol=1e-05"

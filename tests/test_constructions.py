@@ -249,6 +249,23 @@ def test_separable_ball_radius():
     assert r_mid > r_near > 0
 
 
+@pytest.mark.parametrize("a, b, seed", [
+    (np.ones(3) / math.sqrt(3), np.ones(3) / math.sqrt(3), 3),
+    (np.ones(3) / (2 * math.sqrt(3)), np.ones(3) / (2 * math.sqrt(3)), 3),
+    (np.array([0.3, -0.5, 0.2]), np.array([0.6, 0.1, -0.4]), 11),
+    (np.array([0.9, 0.2, -0.7]), np.array([-0.1, 0.8, 0.5]), 5),
+])
+def test_separable_ball_radius_lies_on_the_boundary(a, b, seed):
+    # one direction: the radius is that ray's exit, checked on the HiGHS route
+    r = separable_ball_radius(BlochOp(a), BlochOp(b), n_directions=1, seed=seed)
+    assert 0.0 < r < 1.0
+    d = np.random.default_rng(seed).standard_normal(15)
+    d = np.concatenate(([0.0], d / np.linalg.norm(d)))
+    centre = product(BlochOp(a), BlochOp(b)).coeffs.ravel()
+    assert lp.solve_membership_float(centre + r * (1 - 1e-6) * d).status == "feasible"
+    assert lp.solve_membership_float(centre + r * (1 + 1e-6) * d).status == "infeasible"
+
+
 def test_vertex_orbit_visits_all():
     orbit = vertex_orbit()
     assert len(orbit) == 8

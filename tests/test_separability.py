@@ -6,19 +6,30 @@ import pytest
 
 from gencube import lp
 from gencube.gates import csign, joint_depol, local_dephase, local_depol, apply_noise, pipeline
-from gencube.pauli import BlochOp, PauliCoeffs2Q, from_dense, product
+from gencube.pauli import (
+    BlochOp,
+    PauliCoeffs2Q,
+    born_probability,
+    eigenvalues_hermitian,
+    from_dense,
+    partial_transpose,
+    product,
+    to_dense,
+)
 from gencube.separability import (
     LhvCertificate,
     appendix1_certificates,
     certificate_from_text,
     certificate_to_text,
     cube_separable,
+    pauli_margin,
     positive_for_pauli,
+    quantum_margin,
     quantum_separable_2q,
     verify_certificate,
     vertex_pair_index,
 )
-from gencube.spaces import cube_vertices
+from gencube.spaces import cube_vertices, rescale2
 
 BELL = PauliCoeffs2Q(np.diag([1.0, 1.0, -1.0, 1.0]))
 ALLONES = BlochOp(np.ones(3))
@@ -140,6 +151,33 @@ def test_positive_for_pauli_rescaled_frame():
         A = PauliCoeffs2Q(np.r_[1.0, rng.uniform(-1, 1, 15)].reshape(4, 4))
         for R in (0.7, 1.4):
             assert positive_for_pauli(rescale2(A, R), R) == positive_for_pauli(A, 1.0)
+
+
+def test_pauli_margin_is_the_least_born_probability():
+    # reference: the 36 Pauli-pair Born probabilities of the unit-frame operator
+    rng = np.random.default_rng(21)
+    families = (joint_depol, local_depol, local_dephase)
+    for _ in range(200):
+        u = BlochOp(rng.uniform(-1, 1, 3))
+        v = BlochOp(rng.uniform(-1, 1, 3))
+        R = float(rng.uniform(0.5, 1.8))
+        A = pipeline(u, v, R, families[rng.integers(3)](float(rng.uniform(0, 0.5))))
+        base = rescale2(A, 1.0 / R)
+        ref = min(born_probability(base, p, s, q, t)
+                  for p in (1, 2, 3) for q in (1, 2, 3) for s in (1, -1) for t in (1, -1))
+        assert abs(pauli_margin(A, R) - ref) < 1e-15
+        for tol in (0.0, 1e-9):
+            assert positive_for_pauli(A, R, tol) == (ref >= -tol)
+
+
+def test_quantum_margin_is_the_least_eigenvalue_with_its_partial_transpose():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        A = PauliCoeffs2Q(np.r_[1.0, rng.uniform(-1, 1, 15)].reshape(4, 4))
+        ref = min(eigenvalues_hermitian(to_dense(A))[0],
+                  eigenvalues_hermitian(to_dense(partial_transpose(A)))[0])
+        assert abs(quantum_margin(A) - ref) < 1e-12
+        assert quantum_separable_2q(A) == (ref >= -1e-9)
 
 
 def test_cube_separable_with_rescaled_vertices():

@@ -49,7 +49,7 @@ def test_circuit_validation():
     with pytest.raises(ValueError):
         Circuit(2, (NoisyCsign(0, 0, NoiseModel("joint-depol", 0.9)),))
     with pytest.raises(ValueError):
-        Circuit(9, ())
+        Circuit(0, ())
 
 
 def test_off_cube_preparation_rejected():
@@ -62,6 +62,25 @@ def test_off_cube_preparation_rejected():
     # every point of the cube is a valid HN preparation, corners included
     c = parse_circuit("qubits 1\nprep 0 1 -1 1\nmeas 0 Y a\n")
     assert simulate_hn(c, 100, seed=1).histogram == {"-": 100}
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+def test_bad_shot_count_rejected_before_the_gate_tables(shots):
+    # the noiseless gate would fail the table build; the shot count fails first
+    text = "qubits 2\nprep 0 1 0 0\nprep 1 0 0 1\ncsign 0 1 joint-depol 0.0\nmeas 0 X a\n"
+    with pytest.raises(ValueError, match="shots must be at least 1"):
+        simulate_hn(parse_circuit(text), shots, seed=1)
+
+
+def test_qubit_cap_holds_on_the_dense_path_only():
+    n = 120
+    lines = [f"qubits {n}"] + [f"prep {q} 0.5 0.1 0.6" for q in range(n)]
+    lines += [f"csign {q} {q + 1} joint-depol 0.8" for q in range(0, n - 1, 2)]
+    lines += [f"meas {q} Z m{q}" for q in (0, 1, n - 1)]
+    c = parse_circuit("\n".join(lines))
+    assert sum(simulate_hn(c, 20_000, seed=3).histogram.values()) == 20_000
+    with pytest.raises(ValueError, match="at most 8 qubits"):
+        simulate_dense(c)
 
 
 def test_noiseless_gate_refused():

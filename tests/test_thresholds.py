@@ -7,7 +7,6 @@ from gencube.gates import joint_depol, local_dephase, pipeline
 from gencube.pauli import BlochOp, eigenvalues_hermitian, partial_transpose, to_dense
 from gencube.spaces import StateSpaceSpec
 from gencube.thresholds import (
-
     ThresholdBracketError,
     ThresholdQuery,
     analytic_bound,
@@ -31,21 +30,33 @@ def test_cube_thresholds_reproduce_closed_forms():
     assert abs(min_noise(q) - (1 - 1 / math.sqrt(2))) < 1e-6
 
 
+@pytest.mark.parametrize("family, R, closed_form", [
+    ("joint-depol", 1.0, 2 / 3),
+    ("local-depol", 1.0, 2 - math.sqrt(2)),
+    ("local-dephase", 1.0, 1 - 1 / math.sqrt(2)),
+    ("local-depol", 1 / math.sqrt(3), 1 - 1 / math.sqrt(3)),
+])
+def test_cube_thresholds_are_margin_roots(family, R, closed_form):
+    # the root of margin + tol sits within tol / slope of the exact facet root
+    q = ThresholdQuery(family, StateSpaceSpec.cube(R), "cube-separable")
+    assert abs(min_noise(q) - closed_form) < 5e-9
+
+
 def test_partial_dephasing_on_rescaled_cube_needs_total_noise():
     # for R != 1 only complete dephasing separates: the threshold sits at 1/2
     q = ThresholdQuery("local-dephase", StateSpaceSpec.cube(1.3), "cube-separable")
-    assert min_noise(q, tol=1e-6) > 0.5 - 1e-5
+    assert min_noise(q) > 0.5 - 1e-5
 
 
 def test_min_noise_bracket_errors(monkeypatch):
     import gencube.thresholds as th
 
     q = ThresholdQuery("joint-depol", CUBE, "cube-separable")
-    monkeypatch.setattr(th, "_criterion_fn", lambda c: (lambda A: True))
-    with pytest.raises(ThresholdBracketError):
+    monkeypatch.setattr(th, "_margin_fn", lambda c: (lambda A: 1.0))
+    with pytest.raises(ThresholdBracketError, match="already holds"):
         min_noise(q)
-    monkeypatch.setattr(th, "_criterion_fn", lambda c: (lambda A: False))
-    with pytest.raises(ThresholdBracketError):
+    monkeypatch.setattr(th, "_margin_fn", lambda c: (lambda A: -1.0))
+    with pytest.raises(ThresholdBracketError, match="still fails"):
         min_noise(q)
 
 
@@ -76,8 +87,9 @@ def test_analytic_intersections():
 
 def test_curve_and_csv_format():
     q = ThresholdQuery("joint-depol", CUBE, "cube-separable")
-    pts = curve(q, 0.9, 1.1, 3, tol=1e-6)
+    pts = curve(q, 0.9, 1.1, 3)
     assert [round(p.R, 6) for p in pts] == [0.9, 1.0, 1.1]
+    assert {p.achieved_by for p in pts} == {"facet"}
     mid = pts[1]
     assert abs(mid.lambda_star - 2 / 3) < 1e-5
     csv = curve_to_csv(pts)
@@ -147,7 +159,7 @@ def test_sphere_threshold_unit_rescaling_matches_cube_case():
     # joint depol on the unrescaled sphere: the EPR threshold 2/3
     q = ThresholdQuery("joint-depol", StateSpaceSpec.sphere(1.0),
                        "quantum-separable", "sphere-grid", grid_n=25)
-    lam = min_noise(q, tol=1e-6)
+    lam = min_noise(q)
     assert abs(lam - 2 / 3) < 2e-3
 
 
@@ -155,7 +167,7 @@ def test_worst_vertex_equals_all_vertices_smoke():
     # the full three-family agreement runs in the acceptance suite
     q1 = ThresholdQuery("joint-depol", CUBE, "cube-separable", "worst-vertex")
     q2 = ThresholdQuery("joint-depol", CUBE, "cube-separable", "all-vertices")
-    assert abs(min_noise(q1, tol=1e-5) - min_noise(q2, tol=1e-5)) < 1e-4
+    assert abs(min_noise(q1) - min_noise(q2)) < 1e-4
 
 
 def test_lp_threshold_never_below_analytic_bound():
@@ -163,7 +175,7 @@ def test_lp_threshold_never_below_analytic_bound():
     for family in ("joint-depol", "local-depol"):
         for R in (0.6, 0.8, 1.0, 1.2):
             q = ThresholdQuery(family, StateSpaceSpec.cube(R), "cube-separable")
-            lam = min_noise(q, tol=1e-6)
+            lam = min_noise(q)
             r_bound = analytic_bound(family, "cube", R).active_value
             assert lam >= (1 - min(r_bound, 1.0)) - 1e-5
 
@@ -172,24 +184,15 @@ def test_pauli_positive_threshold_matches_analytic_bound():
     for family in ("joint-depol", "local-depol"):
         for R in (0.8, 1.0, 1.3):
             q = ThresholdQuery(family, StateSpaceSpec.cube(R), "pauli-positive")
-            lam = min_noise(q, tol=1e-7)
+            lam = min_noise(q)
             r_bound = analytic_bound(family, "cube", R).active_value
             assert abs(lam - (1 - min(r_bound, 1.0))) < 1e-6
-
-
-def test_curve_respects_thread_env(monkeypatch):
-    q = ThresholdQuery("joint-depol", CUBE, "cube-separable")
-    seq = curve(q, 0.95, 1.05, 3, tol=1e-6, threads=1)
-    monkeypatch.setenv("GENCUBE_THREADS", "3")
-    par = curve(q, 0.95, 1.05, 3, tol=1e-6)
-    assert [(p.R, round(p.lambda_star, 8)) for p in seq] == \
-           [(p.R, round(p.lambda_star, 8)) for p in par]
 
 
 def test_sphere_curve_smoke():
     q = ThresholdQuery("joint-depol", StateSpaceSpec.sphere(1.0),
                        "quantum-separable", "sphere-grid", grid_n=12)
-    pts = curve(q, 1.0, 1.2, 2, tol=1e-5)
+    pts = curve(q, 1.0, 1.2, 2)
     assert len(pts) == 2
     assert pts[0].lambda_star > pts[1].lambda_star  # less gate noise needed at R > 1
     assert pts[0].achieved_by == "PPT"

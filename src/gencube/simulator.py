@@ -8,9 +8,18 @@ Cliffords permute vertices, and a measurement reads a vertex component off
 deterministically and then redraws the other two components uniformly: the
 post-measurement Pauli eigenstate is the centre of a cube face, the uniform
 mixture of its four corners.
+
+A gate's 64 certificates come from its symmetry orbit: the local signed
+setting permutations map the product polytope onto itself, so a vertex
+pair whose gate output is the image of an already solved output takes the
+solved weights, permuted by the map's action on the vertex pairs, and
+rechecked on its own output.  For the three noise families one LP per gate
+suffices.  The certificates form one padded CDF table per gate, read for
+all shots of a CSIGN by a single vectorized lookup.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,9 +34,10 @@ from .dense import (
     partial_trace,
     permute_qubits,
 )
+from . import lp
 from .gates import NoiseModel, apply_noise, csign
 from .pauli import AXES, PAULIS, BlochOp, axis_index, product
-from .separability import cube_separable
+from .separability import LhvCertificate, cube_separable, verify_certificate
 from .spaces import contains, StateSpaceSpec, cube_vertices
 
 __all__ = [
@@ -98,6 +108,11 @@ class Circuit:
         for op in self.ops:
             self._check(op)
         object.__setattr__(self, "ops", tuple(self.ops))
+        written = set(self.record_ids())
+        for op in self.ops:
+            if isinstance(op, ClassicalControl) and op.record_id not in written:
+                raise ValueError(f"ifeq reads record id {op.record_id!r}, "
+                                 "which no measurement writes")
 
     def _check(self, op, nested: bool = False):
         n = self.num_qubits
@@ -140,6 +155,33 @@ class CircuitNotSimulableError(RuntimeError):
     """A gate in the circuit is not cube-separable; HN sampling is invalid."""
 
 
+# tokens of each op line, the keyword included; ifeq takes an op after its
+# record id and value
+_OP_TOKENS = {"prep": 5, "clif": 3, "csign": 5, "meas": 4}
+
+
+def _parse_op(tokens):
+    kind = tokens[0]
+    if kind == "ifeq":
+        if len(tokens) < 4:
+            raise ValueError("ifeq takes a record id, a value and an op")
+        return ClassicalControl(tokens[1], int(tokens[2]), _parse_op(tokens[3:]))
+    if kind not in _OP_TOKENS:
+        raise ValueError(f"unknown op {kind!r}")
+    if len(tokens) != _OP_TOKENS[kind]:
+        raise ValueError(f"{kind} takes {_OP_TOKENS[kind] - 1} arguments; "
+                         f"got {len(tokens) - 1}")
+    if kind == "prep":
+        b = np.array([float(x) for x in tokens[2:5]])
+        return Prepare(int(tokens[1]), BlochOp(b))
+    if kind == "clif":
+        return Clifford1(int(tokens[1]), tokens[2])
+    if kind == "csign":
+        return NoisyCsign(int(tokens[1]), int(tokens[2]),
+                          NoiseModel(tokens[3], float(tokens[4])))
+    return Measure(int(tokens[1]), tokens[2], tokens[3])
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format.
 
@@ -149,67 +191,136 @@ def parse_circuit(text: str) -> Circuit:
     csign q1 q2 joint-depol|local-depol|local-dephase param
     meas q X|Y|Z rid
     ifeq rid +1|-1 <op...>
+
+    A malformed line raises ValueError naming the line.
     """
     num_qubits = None
     ops = []
-
-    def parse_op(tokens):
-        kind = tokens[0]
-        if kind == "prep":
-            q = int(tokens[1])
-            b = np.array([float(x) for x in tokens[2:5]])
-            return Prepare(q, BlochOp(b))
-        if kind == "clif":
-            return Clifford1(int(tokens[1]), tokens[2])
-        if kind == "csign":
-            return NoisyCsign(int(tokens[1]), int(tokens[2]),
-                              NoiseModel(tokens[3], float(tokens[4])))
-        if kind == "meas":
-            return Measure(int(tokens[1]), tokens[2], tokens[3])
-        if kind == "ifeq":
-            value = int(tokens[2])
-            return ClassicalControl(tokens[1], value, parse_op(tokens[3:]))
-        raise ValueError(f"unknown circuit line {' '.join(tokens)!r}")
-
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "qubits":
-            num_qubits = int(tokens[1])
-            continue
-        if num_qubits is None:
-            raise ValueError("circuit must declare qubits first")
-        ops.append(parse_op(tokens))
+        try:
+            if tokens[0] == "qubits":
+                if len(tokens) != 2:
+                    raise ValueError("qubits takes 1 argument")
+                num_qubits = int(tokens[1])
+                continue
+            if num_qubits is None:
+                raise ValueError("circuit must declare qubits first")
+            ops.append(_parse_op(tokens))
+        except ValueError as exc:
+            raise ValueError(f"circuit line {lineno} {line!r}: {exc}") from None
     if num_qubits is None:
         raise ValueError("circuit must declare qubits")
     return Circuit(num_qubits, tuple(ops))
 
 
 # ---------------------------------------------------------------------------
-# Certificate cache
+# Gate tables
 # ---------------------------------------------------------------------------
 
 
-def _gate_tables(noise: NoiseModel):
-    """Per vertex pair: cumulative weights and the pair indices they select."""
-    tables = []
-    for iu in range(8):
-        for iv in range(8):
-            A = apply_noise(csign(product(_VERTICES[iu], _VERTICES[iv])), noise)
+@functools.cache
+def _pair_symmetries() -> tuple[np.ndarray, np.ndarray]:
+    """The 2304 local maps A -> g A h^T, g and h among lp's 48 signed
+    setting permutations, which map the product polytope onto itself, and
+    the permutation of the 64 vertex pairs each map induces (row 48 a + b
+    for the map (g_a, g_b)).  Built on first use."""
+    G = lp._signed_permutations()
+    # g (1, s) = (1, M s) on a vertex s, M the lower-right 3 x 3 block of g
+    images = np.einsum("aij,kj->aki", G[:, 1:, 1:], _VERTEX_ARRAY)
+    vperm = ((images < 0) * np.array([4, 2, 1])).sum(axis=2)
+    pair_perm = (8 * vperm[:, None, :, None] + vperm[None, :, None, :]).reshape(48 * 48, 64)
+    G.setflags(write=False)
+    pair_perm.setflags(write=False)
+    return G, pair_perm
+
+
+def _orbit_images(A: np.ndarray) -> np.ndarray:
+    """g A h^T for every map of _pair_symmetries, one row of 16 per map."""
+    G = _pair_symmetries()[0]
+    return np.einsum("aij,jk,blk->abil", G, A, G, optimize=True).reshape(48 * 48, 16)
+
+
+def _gate_weights(noise: NoiseModel) -> np.ndarray:
+    """LHV weights of the gate's output on each of the 64 vertex pairs.
+
+    A pair whose output is an exact image of a solved output takes the
+    solved weights permuted by the map; those are rechecked on the pair's
+    own output at lp.FEASIBILITY_TOL, and a pair that misses is solved
+    itself.  Outputs are compared by value (-0.0 == 0.0).
+    """
+    pair_perm = _pair_symmetries()[1]
+    solved = []     # (orbit images of a solved output, its weights)
+    weights = np.empty((64, 64))
+    for p in range(64):
+        iu, iv = divmod(p, 8)
+        A = apply_noise(csign(product(_VERTICES[iu], _VERTICES[iv])), noise)
+        b = A.coeffs.ravel()
+        for images, w_rep in solved:
+            hit = np.flatnonzero((images == b).all(axis=1))
+            if hit.size:
+                weights[p, pair_perm[hit[0]]] = w_rep
+                cert = LhvCertificate(weights[p], lp.FEASIBILITY_TOL)
+                if verify_certificate(cert, A, tol=lp.FEASIBILITY_TOL):
+                    break
+        else:
             res = cube_separable(A)
             if not res.feasible:
                 raise CircuitNotSimulableError(
                     f"noisy CSIGN ({noise.kind}, {noise.strength}) is not cube-separable "
                     f"on vertex pair ({iu}, {iv})"
                 )
-            w = np.clip(res.certificate.weights, 0.0, None)
-            support = np.nonzero(w > 1e-14)[0]
-            ws = w[support]
-            ws = ws / ws.sum()
-            tables.append((np.cumsum(ws), support))
-    return tables
+            weights[p] = res.certificate.weights
+            solved.append((_orbit_images(A.coeffs), weights[p]))
+    return weights
+
+
+@dataclass(frozen=True)
+class _GateTable:
+    """Row p holds the CDF of pair p's normalized weights over its support
+    (weights > 1e-14), padded with +inf to a power-of-two width with at
+    least one pad; support holds the pair indices the CDF entries select
+    and last the index of the row's last real entry."""
+
+    cdf: np.ndarray         # 64 x width, float
+    support: np.ndarray     # 64 x width, int
+    last: np.ndarray        # 64, int
+
+
+def _lookup_table(weights: np.ndarray) -> _GateTable:
+    """The padded table of a 64 x 64 weight matrix (row = input pair)."""
+    w = np.clip(weights, 0.0, None)
+    keep = w > 1e-14
+    sizes = keep.sum(axis=1)
+    width = 1 << int(sizes.max()).bit_length()
+    cdf = np.full((64, width), np.inf)
+    support = np.zeros((64, width), dtype=np.int64)
+    for p in range(64):
+        idx = np.nonzero(keep[p])[0]
+        ws = w[p, idx]
+        cdf[p, :idx.size] = np.cumsum(ws / ws.sum())
+        support[p, :idx.size] = idx
+    return _GateTable(cdf, support, sizes - 1)
+
+
+def _draw_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next vertex pair of each shot: searchsorted(cdf row, u, side="right")
+    capped at the row's last entry, as one branchless binary search over all
+    shots.  Each row is nondecreasing and ends in +inf, so the search counts
+    the entries <= u, which is what searchsorted returns."""
+    width = table.cdf.shape[1]
+    cdf = table.cdf.ravel()
+    base = pair * width
+    k = np.zeros_like(pair)
+    step = width // 2
+    while step:
+        k += step * (cdf[base + k + (step - 1)] <= u)
+        step //= 2
+    np.minimum(k, table.last[pair], out=k)
+    return table.support.ravel()[base + k]
 
 
 def _collect_noises(circuit: Circuit):
@@ -251,82 +362,94 @@ class SimResult:
 def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     """Sample the circuit's classical record distribution.
 
-    All noisy CSIGNs are verified cube-separable up front (64 LPs per
-    distinct gate); sampling itself never touches the LP.  Identical seeds
-    give identical histograms.  The redraws after measurements come from a
-    stream of their own, so a circuit that never touches a measured qubit
-    again samples exactly as if there were none.  The cost per shot and op
-    does not depend on the number of qubits.
+    All noisy CSIGNs are verified cube-separable up front: per distinct
+    gate, one LP per orbit of its 64 vertex-pair outputs (one in all for
+    the three noise families), every pair's weights rechecked on its own
+    output.  Sampling itself never touches the LP; a CSIGN is one table
+    lookup over all shots.  Identical seeds give identical histograms.  The
+    redraws after measurements come from a stream of their own, so a
+    circuit that never touches a measured qubit again samples exactly as if
+    there were none.  The cost per shot and op does not depend on the
+    number of qubits.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1; got {shots}")
-    tables = {n: _gate_tables(n) for n in _collect_noises(circuit)}
+    tables = {n: _lookup_table(_gate_weights(n)) for n in _collect_noises(circuit)}
     seeds = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
     collapse_rng = np.random.default_rng(seeds.spawn(1)[0])
     rids = circuit.record_ids()
     # unprepared qubits start uniformly random, matching the dense
-    # simulator's maximally mixed initial state
-    state = rng.integers(0, 8, size=(shots, circuit.num_qubits), dtype=np.int64)
+    # simulator's maximally mixed initial state; stored one row per qubit
+    state = rng.integers(0, 8, size=(shots, circuit.num_qubits), dtype=np.int64).T.copy()
     records = {rid: np.zeros(shots, dtype=np.int64) for rid in rids}
 
-    # not recursive: a self-referencing closure would form a reference
-    # cycle holding every shot array until the cyclic collector runs
-    def run_op(op, mask):
+    # rows selects the shots an op acts on: all of them (a slice) or the
+    # indices where its condition holds.  Not recursive: a self-referencing
+    # closure would form a reference cycle holding every shot array until
+    # the cyclic collector runs
+    def run_op(op, rows, size):
         if isinstance(op, Prepare):
-            rows = np.nonzero(mask)[0]
-            u = rng.random((rows.size, 3))
+            u = rng.random((size, 3))
             p_plus = (1.0 + op.state.bloch) / 2.0
             bits = (u >= p_plus).astype(np.int64)  # 1 encodes the -1 outcome
-            state[rows, op.qubit] = bits[:, 0] * 4 + bits[:, 1] * 2 + bits[:, 2]
+            state[op.qubit, rows] = bits[:, 0] * 4 + bits[:, 1] * 2 + bits[:, 2]
         elif isinstance(op, Clifford1):
-            rows = np.nonzero(mask)[0]
-            state[rows, op.qubit] = _CLIFFORD_PERMS[op.gate][state[rows, op.qubit]]
+            state[op.qubit, rows] = _CLIFFORD_PERMS[op.gate][state[op.qubit, rows]]
         elif isinstance(op, NoisyCsign):
-            rows = np.nonzero(mask)[0]
-            pair = state[rows, op.qubit1] * 8 + state[rows, op.qubit2]
-            u = rng.random(rows.size)
-            newpair = np.empty(rows.size, dtype=np.int64)
-            for pv in np.unique(pair):
-                sel = pair == pv
-                cdf, support = tables[op.noise][pv]
-                k = np.searchsorted(cdf, u[sel], side="right")
-                k = np.minimum(k, len(support) - 1)
-                newpair[sel] = support[k]
-            state[rows, op.qubit1] = newpair // 8
-            state[rows, op.qubit2] = newpair % 8
+            pair = state[op.qubit1, rows] * 8 + state[op.qubit2, rows]
+            newpair = _draw_pairs(tables[op.noise], pair, rng.random(size))
+            state[op.qubit1, rows] = newpair >> 3
+            state[op.qubit2, rows] = newpair & 7
         elif isinstance(op, Measure):
-            rows = np.nonzero(mask)[0]
             axis = axis_index(op.axis) - 1
-            vertex = state[rows, op.qubit]
+            vertex = state[op.qubit, rows]
             records[op.record_id][rows] = _VERTEX_ARRAY[vertex, axis]
             kept = 1 << (2 - axis)  # the measured axis's sign bit
-            redraw = collapse_rng.integers(0, 8, size=rows.size, dtype=np.int64)
+            redraw = collapse_rng.integers(0, 8, size=size, dtype=np.int64)
             redraw &= 7 ^ kept
             vertex &= kept
             vertex |= redraw
-            state[rows, op.qubit] = vertex
+            state[op.qubit, rows] = vertex
         else:
             raise TypeError(f"unknown op {op!r}")
 
-    full = np.ones(shots, dtype=bool)
     for op in circuit.ops:
         if isinstance(op, ClassicalControl):
-            run_op(op.op, records[op.record_id] == op.value)
+            rows = np.nonzero(records[op.record_id] == op.value)[0]
+            run_op(op.op, rows, rows.size)
         else:
-            run_op(op, full)
+            run_op(op, slice(None), shots)
+    return SimResult(_histogram([records[rid] for rid in rids], shots), shots, seed)
 
-    symbols = {1: "+", -1: "-", 0: "."}
-    cols = [records[rid] for rid in rids]
-    hist: dict[str, int] = {}
-    if cols:
-        stacked = np.stack(cols, axis=1)
-        keys, counts = np.unique(stacked, axis=0, return_counts=True)
-        for key, cnt in zip(keys, counts):
-            hist["".join(symbols[int(x)] for x in key)] = int(cnt)
-    else:
-        hist[""] = shots
-    return SimResult(dict(sorted(hist.items())), shots, seed)
+
+_SYMBOLS = {1: "+", -1: "-", 0: "."}
+_CODE_SPAN_MAX = 3 ** 38    # one more base-3 digit still fits an int64
+
+
+def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
+    """Counts of the outcome strings of the record columns (+1, -1, or 0
+    where a record was never written), sorted by string.
+
+    Each shot's columns are read as one base-3 integer; past 38 columns the
+    codes seen so far are renumbered 0, 1, ... before the next digit, so
+    any number of columns fits an int64.
+    """
+    if not cols:
+        return {"": shots}
+    code = np.zeros(shots, dtype=np.int64)
+    span = 1                        # every code lies in [0, span)
+    for col in cols:
+        if span > _CODE_SPAN_MAX:
+            _, code = np.unique(code, return_inverse=True)
+            span = int(code.max()) + 1
+        code *= 3
+        code += col % 3
+        span *= 3
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    hist = {"".join(_SYMBOLS[int(col[i])] for col in cols): int(n)
+            for i, n in zip(first, counts)}
+    return dict(sorted(hist.items()))
 
 
 # ---------------------------------------------------------------------------

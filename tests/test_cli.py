@@ -111,6 +111,24 @@ def test_simulate_rejects_bad_shot_count(tmp_path, capsys, shots):
     assert "tvd_vs_dense" not in out
 
 
+@pytest.mark.parametrize("line", ["meas 0 Z", "ifeq a 1", "ifeq a 1 clif 0",
+                                  "csign 0 1 joint-depol"])
+def test_simulate_reports_a_malformed_line(tmp_path, capsys, line):
+    f = tmp_path / "circ.txt"
+    f.write_text(f"qubits 2\nprep 0 1 0 0\nmeas 0 Z a\n{line}\n")
+    code, _ = run_cli(["simulate", "--circuit", str(f), "--shots", "10"])
+    assert code == 1
+    assert f"error: circuit line 4 {line!r}" in capsys.readouterr().err
+
+
+def test_simulate_reports_an_unwritten_record_id(tmp_path, capsys):
+    f = tmp_path / "circ.txt"
+    f.write_text("qubits 1\nprep 0 1 0 0\nifeq z +1 clif 0 X\nmeas 0 Z a\n")
+    code, _ = run_cli(["simulate", "--circuit", str(f), "--shots", "10"])
+    assert code == 1
+    assert "error: ifeq reads record id 'z'" in capsys.readouterr().err
+
+
 def test_compat_xyz():
     code, out = run_cli(["compat", "--povms", "xyz"])
     assert code == 0

@@ -3,15 +3,21 @@ import math
 import time
 import tracemalloc
 
+import re
+
 import numpy as np
 import pytest
 
-from gencube.gates import NoiseModel
+from gencube import lp, simulator
+from gencube.gates import NoiseModel, pipeline
 from gencube.pauli import BlochOp
+from gencube.separability import LhvCertificate, verify_certificate
 from gencube.simulator import (
     Circuit,
     CircuitNotSimulableError,
+    ClassicalControl,
     Clifford1,
+    Measure,
     NoisyCsign,
     Prepare,
     histogram_to_csv,
@@ -41,6 +47,43 @@ def test_parse_rejects_garbage():
         parse_circuit("prep 0 1 0 0")  # qubits line missing
     with pytest.raises(ValueError):
         parse_circuit("qubits 2\nwobble 0")
+
+
+MALFORMED_LINES = [
+    "meas 0 Z",
+    "meas 0 Z a extra",
+    "ifeq a 1",
+    "ifeq a",
+    "ifeq a 1 clif 0",
+    "csign 0 1 joint-depol",
+    "prep 0 1 0",
+    "clif 0",
+    "qubits",
+    "meas zero Z b",
+]
+
+
+@pytest.mark.parametrize("line", MALFORMED_LINES)
+def test_parse_rejects_malformed_line_naming_it(line):
+    text = f"qubits 2\nmeas 0 Z a\n{line}\n"
+    with pytest.raises(ValueError, match=f"circuit line 3 {re.escape(repr(line))}"):
+        parse_circuit(text)
+
+
+def test_ifeq_on_an_unwritten_record_id_rejected():
+    ops = (Prepare(0, BlochOp(np.array([1.0, 0.0, 0.0]))), Measure(0, "Z", "a"),
+           ClassicalControl("b", 1, Clifford1(0, "X")))
+    with pytest.raises(ValueError, match="'b', which no measurement writes"):
+        Circuit(1, ops)
+    text = "qubits 1\nprep 0 1 0 0\nmeas 0 Z a\nifeq b +1 clif 0 X\nmeas 0 X c\n"
+    for simulate in (lambda c: simulate_hn(c, 100, seed=1), simulate_dense):
+        with pytest.raises(ValueError, match="'b', which no measurement writes"):
+            simulate(parse_circuit(text))
+    # a record written later is fine: the op is skipped on both samplers
+    later = "qubits 1\nprep 0 1 0 0\nifeq a +1 clif 0 Z\nmeas 0 X a\n"
+    c = parse_circuit(later)
+    assert simulate_hn(c, 100, seed=1).histogram == {"+": 100}
+    assert simulate_dense(c) == pytest.approx({"+": 1.0})
 
 
 def test_circuit_validation():
@@ -214,3 +257,165 @@ def test_call_retains_no_memory_without_gc(simulate):
         if was_enabled:
             gc.enable()
     assert retained < 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# Gate tables built from the symmetry orbit
+# ---------------------------------------------------------------------------
+
+SEPARABLE_GATES = [
+    NoiseModel("joint-depol", 0.7), NoiseModel("joint-depol", 0.9),
+    NoiseModel("local-depol", 0.62), NoiseModel("local-depol", 0.9),
+    NoiseModel("local-dephase", 0.32), NoiseModel("local-dephase", 0.45),
+]
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    solve = simulator.cube_separable
+
+    def counting(A, *args, **kwargs):
+        calls.append(A)
+        return solve(A, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "cube_separable", counting)
+    return calls
+
+
+def _verified_on_own_instance(weights, noise):
+    vertices = simulator._VERTICES
+    return [verify_certificate(LhvCertificate(weights[8 * iu + iv], lp.FEASIBILITY_TOL),
+                               pipeline(vertices[iu], vertices[iv], 1.0, noise),
+                               tol=lp.FEASIBILITY_TOL)
+            for iu in range(8) for iv in range(8)]
+
+
+@pytest.mark.parametrize("noise", SEPARABLE_GATES, ids=lambda n: f"{n.kind}-{n.strength}")
+def test_gate_table_is_one_lp_and_64_verified_certificates(monkeypatch, noise):
+    calls = _count_lps(monkeypatch)
+    weights = simulator._gate_weights(noise)
+    assert len(calls) == 1
+    assert all(_verified_on_own_instance(weights, noise))
+
+
+def test_one_lp_per_distinct_gate_in_a_circuit(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    c = parse_circuit(SUITE["adaptive_feedforward"] + "csign 1 2 local-depol 0.75\n")
+    simulate_hn(c, 100, seed=1)
+    assert len(calls) == 2
+
+
+def test_image_missing_its_recheck_is_solved_itself(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    monkeypatch.setattr(simulator, "verify_certificate", lambda *a, **k: False)
+    noise = NoiseModel("local-depol", 0.7)
+    weights = simulator._gate_weights(noise)
+    assert len(calls) == 64
+    monkeypatch.undo()
+    assert all(_verified_on_own_instance(weights, noise))
+
+
+def test_non_separable_gate_names_the_first_vertex_pair():
+    with pytest.raises(CircuitNotSimulableError, match=r"vertex pair \(0, 0\)"):
+        simulator._gate_weights(NoiseModel("joint-depol", 0.5))
+
+
+# ---------------------------------------------------------------------------
+# The lookup and the histogram against the per-pair step they replace
+# ---------------------------------------------------------------------------
+
+
+def reference_tables(weights):
+    """Per pair: cumulative normalized weights over the support, support."""
+    tables = []
+    for p in range(64):
+        w = np.clip(weights[p], 0.0, None)
+        support = np.nonzero(w > 1e-14)[0]
+        ws = w[support]
+        ws = ws / ws.sum()
+        tables.append((np.cumsum(ws), support))
+    return tables
+
+
+def reference_csign_step(tables, pair, u):
+    """Per distinct pair: searchsorted on its CDF, capped at its last entry."""
+    newpair = np.empty(pair.size, dtype=np.int64)
+    for pv in np.unique(pair):
+        sel = pair == pv
+        cdf, support = tables[pv]
+        k = np.searchsorted(cdf, u[sel], side="right")
+        k = np.minimum(k, len(support) - 1)
+        newpair[sel] = support[k]
+    return newpair
+
+
+def reference_histogram(cols, shots):
+    symbols = {1: "+", -1: "-", 0: "."}
+    hist = {}
+    if cols:
+        keys, counts = np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
+        for key, cnt in zip(keys, counts):
+            hist["".join(symbols[int(x)] for x in key)] = int(cnt)
+    else:
+        hist[""] = shots
+    return dict(sorted(hist.items()))
+
+
+def _random_weights(rng):
+    """64 rows with supports of 1 to 64 pairs, some entries at or below the
+    1e-14 cut-off and some slightly negative."""
+    W = np.zeros((64, 64))
+    for p in range(64):
+        size = [1, 2, 16, 64][p % 4] if p < 8 else int(rng.integers(1, 65))
+        idx = rng.choice(64, size=size, replace=False)
+        W[p, idx] = rng.random(size)
+        W[p, rng.choice(64, size=3)] = rng.choice([1e-15, 1e-14, -1e-13, 0.0], size=3)
+        if not (W[p] > 1e-14).any():
+            W[p, idx[0]] = 0.5
+    return W
+
+
+@pytest.mark.parametrize("source", ["gate", "random"])
+def test_lookup_matches_per_pair_searchsorted(source):
+    rng = np.random.default_rng(17)
+    if source == "gate":
+        weight_sets = [simulator._gate_weights(n) for n in SEPARABLE_GATES[::2]]
+    else:
+        weight_sets = [_random_weights(rng) for _ in range(4)]
+    for W in weight_sets:
+        ref = reference_tables(W)
+        table = simulator._lookup_table(W)
+        pair = rng.integers(0, 64, size=60_000)
+        u = rng.random(pair.size)
+        # uniforms exactly on CDF entries, and the ends of [0, 1)
+        on_edge = rng.random(pair.size) < 0.3
+        u[on_edge] = [ref[p][0][rng.integers(len(ref[p][0]))] for p in pair[on_edge]]
+        u[:64] = 0.0
+        u[64:128] = np.nextafter(1.0, 0.0)
+        np.testing.assert_array_equal(simulator._draw_pairs(table, pair, u),
+                                      reference_csign_step(ref, pair, u))
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 4, 12, 45])
+def test_histogram_matches_row_unique(ncols):
+    rng = np.random.default_rng(ncols)
+    shots = 30_000
+    cols = []
+    for k in range(ncols):
+        col = rng.choice([1, -1, 0], size=shots, p=[0.45, 0.45, 0.1]).astype(np.int64)
+        if k % 5 == 3:
+            col[:] = 0          # a record no shot wrote
+        cols.append(col)
+    if ncols >= 42:
+        # two shots whose first 42 base-3 digits read 2^64 and 0: a code
+        # that overflowed an int64 would merge them
+        x, digits = 2 ** 64, []
+        for _ in range(42):
+            x, d = divmod(x, 3)
+            digits.append(d)
+        for k, col in enumerate(cols):
+            col[0] = (0, 1, -1)[digits[41 - k]] if k < 42 else 0
+            col[1] = 0
+    got = simulator._histogram(cols, shots)
+    want = reference_histogram(cols, shots)
+    assert list(got.items()) == list(want.items())

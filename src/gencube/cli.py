@@ -191,11 +191,7 @@ def _cmd_simulate(args, out) -> int:
     _tolerance_banner(out)
     with open(args.circuit) as fh:
         circuit = simulator.parse_circuit(fh.read())
-    try:
-        result = simulator.simulate_hn(circuit, args.shots, args.seed)
-    except simulator.CircuitNotSimulableError as exc:
-        print(f"error: {exc}", file=out)
-        return 1
+    result = simulator.simulate_hn(circuit, args.shots, args.seed)
     print(f"rng: {result.rng_name} seed: {result.seed} shots: {result.shots}", file=out)
     out.write(simulator.histogram_to_csv(result.histogram))
     if args.compare_dense:
@@ -281,7 +277,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
-    except (ValueError, OSError, thresholds.ThresholdBracketError) as exc:
+    except (ValueError, OSError, thresholds.ThresholdBracketError,
+            simulator.CircuitNotSimulableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

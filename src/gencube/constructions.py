@@ -336,15 +336,13 @@ def error_per_gate_bounds() -> EpgBounds:
 
     certs = []
     feasible = 0
-    verts = cube_vertices()
-    for u in verts:
-        for v in verts:
-            clean = csign(product(u, v))
-            mixed = PauliCoeffs2Q(0.5 * clean.coeffs + 0.5 * pauli_flip(clean, 0, 3).coeffs)
-            res = cube_separable(mixed)
-            if res.feasible:
-                feasible += 1
-                certs.append(res.certificate)
+    for row in csign(lp.vertex_product_matrix().T):
+        clean = PauliCoeffs2Q(row.reshape(4, 4))
+        mixed = PauliCoeffs2Q(0.5 * clean.coeffs + 0.5 * pauli_flip(clean, 0, 3).coeffs)
+        res = cube_separable(mixed)
+        if res.feasible:
+            feasible += 1
+            certs.append(res.certificate)
     return EpgBounds(lower, 0.5, resid, wsq, feasible, tuple(certs))
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import BlochOp, PauliCoeffs2Q, product
-from .spaces import rescale2
+from .spaces import frame_scale
 
 __all__ = [
     "CSIGN_MAP",
@@ -17,13 +17,13 @@ __all__ = [
     "joint_depol",
     "local_depol",
     "local_dephase",
-    "error_per_gate",
     "csign",
     "apply_noise",
     "noise_scale_matrix",
     "clifford1",
     "pauli_flip",
     "pipeline",
+    "pipeline_rows",
 ]
 
 # CSIGN conjugation on Pauli products, transcribed entry by entry from the
@@ -48,6 +48,12 @@ CSIGN_MAP = {
     (3, 3): (3, 3, 1),
 }
 
+# CSIGN_MAP as a gather on flattened coefficients: output entry 4k+l is input
+# entry _CSIGN_SRC[4k+l] times _CSIGN_SIGN[4k+l]
+_GATHER = np.array(sorted((4 * k + l, 4 * i + j, s) for (i, j), (k, l, s) in CSIGN_MAP.items()))
+_CSIGN_SRC, _CSIGN_SIGN = _GATHER[:, 1], _GATHER[:, 2].astype(float)
+
+
 # Bloch-vector actions (b, c, d) -> ... of the single-qubit Cliffords used
 # in the vertex-transitivity argument.
 CLIFFORD_ACTIONS = {
@@ -63,17 +69,15 @@ CLIFFORD_ACTIONS = {
 class NoiseModel:
     """A noise channel attached to the CSIGN gate.
 
-    kind is one of "joint-depol", "local-depol", "local-dephase",
-    "error-per-gate"; strength is the probability parameter.  The
-    error-per-gate variant carries an adversarial CP map and is handled by
-    the bespoke constructions, not by apply_noise.
+    kind is one of "joint-depol", "local-depol", "local-dephase"; strength
+    is the probability parameter.
     """
 
     kind: str
     strength: float
 
     def __post_init__(self):
-        if self.kind not in ("joint-depol", "local-depol", "local-dephase", "error-per-gate"):
+        if self.kind not in ("joint-depol", "local-depol", "local-dephase"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError("noise strength must lie in [0, 1]")
@@ -94,17 +98,12 @@ def local_dephase(p: float) -> NoiseModel:
     return NoiseModel("local-dephase", p)
 
 
-def error_per_gate(lam: float) -> NoiseModel:
-    return NoiseModel("error-per-gate", lam)
-
-
-def csign(A: PauliCoeffs2Q) -> PauliCoeffs2Q:
-    """Apply the CSIGN gate to a coefficient matrix (linear, involutive)."""
-    src = A.coeffs
-    out = np.empty((4, 4))
-    for (i, j), (k, l, s) in CSIGN_MAP.items():
-        out[k, l] = s * src[i, j]
-    return PauliCoeffs2Q(out)
+def csign(A: PauliCoeffs2Q | np.ndarray) -> PauliCoeffs2Q | np.ndarray:
+    """Apply the CSIGN gate (linear, involutive) to a coefficient matrix, or
+    to each row of an (N, 16) stack of flattened coefficient matrices."""
+    if isinstance(A, PauliCoeffs2Q):
+        return PauliCoeffs2Q(csign(A.coeffs.reshape(1, 16)).reshape(4, 4))
+    return A.take(_CSIGN_SRC, axis=1) * _CSIGN_SIGN
 
 
 def noise_scale_matrix(n: NoiseModel) -> np.ndarray:
@@ -116,11 +115,9 @@ def noise_scale_matrix(n: NoiseModel) -> np.ndarray:
     if n.kind == "local-depol":
         f = np.array([1.0, 1 - n.strength, 1 - n.strength, 1 - n.strength])
         return np.outer(f, f)
-    if n.kind == "local-dephase":
-        t = 1.0 - 2.0 * n.strength
-        f = np.array([1.0, t, t, 1.0])
-        return np.outer(f, f)
-    raise ValueError(f"{n.kind} is not a coefficient-scaling noise model")
+    t = 1.0 - 2.0 * n.strength     # local-dephase
+    f = np.array([1.0, t, t, 1.0])
+    return np.outer(f, f)
 
 
 def apply_noise(A: PauliCoeffs2Q, n: NoiseModel) -> PauliCoeffs2Q:
@@ -148,6 +145,14 @@ def pauli_flip(A: PauliCoeffs2Q, side: int, axis: int) -> PauliCoeffs2Q:
     return PauliCoeffs2Q(c)
 
 
+def pipeline_rows(P: np.ndarray, R: float, n: NoiseModel) -> np.ndarray:
+    """The pipeline on an (N, 16) stack of flattened product inputs: rescale
+    by R, apply CSIGN, apply noise, undo the rescaling, row by row."""
+    return csign(P * frame_scale(R)) * noise_scale_matrix(n).ravel() * frame_scale(1.0 / R)
+
+
 def pipeline(u: BlochOp, v: BlochOp, R: float, n: NoiseModel) -> PauliCoeffs2Q:
-    """Rescale by R, apply CSIGN, apply noise, undo the rescaling."""
-    return rescale2(apply_noise(csign(rescale2(product(u, v), R)), n), 1.0 / R)
+    """Rescale by R, apply CSIGN, apply noise, undo the rescaling: one row of
+    pipeline_rows."""
+    P = product(u, v).coeffs.reshape(1, 16)
+    return PauliCoeffs2Q(pipeline_rows(P, R, n).reshape(4, 4))

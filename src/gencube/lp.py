@@ -26,6 +26,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
+from .pauli import product_rows
+from .spaces import frame_scale
+
 __all__ = [
     "FEASIBILITY_TOL",
     "FACET_REPRESENTATIVES",
@@ -47,30 +50,16 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9      # equality residual defining Feasible
 
 _SIGNS = tuple(itertools.product((1, -1), repeat=3))
-
-
-def _product_column(u, v) -> np.ndarray:
-    a = np.concatenate(([1.0], u))
-    b = np.concatenate(([1.0], v))
-    return np.outer(a, b).ravel()
-
-
-_VMAT_UNIT = np.column_stack(
-    [_product_column(np.array(u, float), np.array(v, float)) for u in _SIGNS for v in _SIGNS]
-)
-
-
-def _frame_scale(R: float) -> np.ndarray:
-    """diag(outer((1,R,R,R), (1,R,R,R))) as a 16-vector."""
-    f = np.array([1.0, R, R, R])
-    return np.outer(f, f).ravel()
+_S = np.array(_SIGNS, dtype=float)
+# 16 x 64: column 8i + j is the product of vertices i and j, kept in C order
+_VMAT_UNIT = np.ascontiguousarray(product_rows(np.repeat(_S, 8, axis=0), np.tile(_S, (8, 1))).T)
 
 
 def vertex_product_matrix(R: float = 1.0) -> np.ndarray:
     """16 x 64 matrix whose columns are products of R-scaled cube vertices."""
     if R == 1.0:
         return _VMAT_UNIT
-    return _VMAT_UNIT * _frame_scale(R)[:, None]
+    return _VMAT_UNIT * frame_scale(R)[:, None]
 
 
 def exact_vertex_columns(R: Fraction = Fraction(1)) -> list[list[Fraction]]:
@@ -145,7 +134,7 @@ def facet_functional(k: int, R: float = 1.0) -> np.ndarray:
     """Row k of the facet table as a functional y on R-frame coefficients:
     y = D^-1 f, so that y . V_j(R) = f . V_j(1) >= 0 on every column."""
     f = facet_table()[k]
-    return f / (1.0 if R == 1.0 else _frame_scale(R))
+    return f / (1.0 if R == 1.0 else frame_scale(R))
 
 
 @functools.cache
@@ -170,17 +159,18 @@ class Decision:
 def facet_values(b: np.ndarray, R: float = 1.0) -> np.ndarray:
     """f . D^-1 b for every facet f: the facet values of b read in the unit
     frame.  The 36 positivity rows are four times the Pauli-pair Born
-    probabilities there."""
+    probabilities there.  An (N, 16) stack b gives an (N, 684) array."""
     F = _facet_arrays()[0]
-    return F @ (b if R == 1.0 else b * (1.0 / _frame_scale(R)))
+    return (F @ (b if R == 1.0 else b * (1.0 / frame_scale(R))).T).T
 
 
 def facet_margins(b: np.ndarray, R: float = 1.0) -> np.ndarray:
-    """The facet values of b normalized per row, y . b / |y|_1 with
-    y = D^-1 f (see facet_functional and decide_membership)."""
+    """The facet values of b normalized per facet, y . b / |y|_1 with
+    y = D^-1 f (see facet_functional and decide_membership); an (N, 16)
+    stack b gives an (N, 684) array."""
     _, absF, inv_norm = _facet_arrays()
     if R != 1.0:
-        inv_norm = 1.0 / (absF @ (1.0 / _frame_scale(R)))
+        inv_norm = 1.0 / (absF @ (1.0 / frame_scale(R)))
     return facet_values(b, R) * inv_norm
 
 

@@ -22,7 +22,9 @@ __all__ = [
     "PauliCoeffs2Q",
     "DenseHermitian",
     "product",
+    "product_rows",
     "to_dense",
+    "dense_rows",
     "from_dense",
     "bloch_to_dense",
     "bloch_from_dense",
@@ -138,15 +140,25 @@ def product(a: BlochOp, b: BlochOp) -> PauliCoeffs2Q:
     """
     if not (a.is_normalized and b.is_normalized):
         raise ValueError("product expects normalized inputs (trace_coeff = 1)")
-    va = np.concatenate(([1.0], a.bloch))
-    vb = np.concatenate(([1.0], b.bloch))
-    return PauliCoeffs2Q(np.outer(va, vb))
+    return PauliCoeffs2Q(product_rows(a.bloch[None], b.bloch[None]).reshape(4, 4))
+
+
+def product_rows(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Flattened coefficient matrices of the normalized products u (x) v for
+    the rows of the (N, 3) Bloch stacks U and V, as an (N, 16) stack."""
+    va, vb = (np.insert(X, 0, 1.0, axis=1) for X in (U, V))
+    return (va[:, :, None] * vb[:, None, :]).reshape(-1, 16)
 
 
 def to_dense(A: PauliCoeffs2Q) -> DenseHermitian:
     """Dense 4x4 operator (1/4) sum_ij A_ij sigma_i (x) sigma_j."""
-    rho = np.tensordot(A.coeffs.ravel(), _PP2, axes=(0, 0)) / 4.0
-    return DenseHermitian(rho)
+    return DenseHermitian(dense_rows(A.coeffs.reshape(1, 16))[0])
+
+
+def dense_rows(B: np.ndarray) -> np.ndarray:
+    """The dense operators of an (N, 16) stack of flattened coefficient
+    matrices, as an (N, 4, 4) complex stack."""
+    return np.tensordot(B, _PP2, axes=(1, 0)) / 4.0
 
 
 def from_dense(rho) -> PauliCoeffs2Q:

@@ -5,9 +5,10 @@ convex hull of the 64 products of cube vertices, decided by its 684
 integer facets (see ``lp``).  Feasible verdicts carry primal certificates
 (convex weights), infeasible ones the violated facet as a separating
 functional.  Quantum separability of two qubits is positivity plus PPT.
-Each criterion has a margin function beside its predicate (cube_margin,
-pauli_margin, quantum_margin); the positivity and quantum predicates hold
-where margin >= -tol, and the threshold engine roots margin + tol.
+Each criterion has a margin beside its predicate, computed row by row over
+a stack of flattened coefficient matrices (cube_margins, pauli_margins,
+quantum_margins); the positivity and quantum predicates hold where
+margin >= -tol, and the threshold engine roots margin + tol.
 The module also carries the appendix catalog of hand-built LHV
 decompositions.
 """
@@ -20,26 +21,21 @@ from fractions import Fraction
 import numpy as np
 
 from . import lp
-from .dense import partial_transpose_qubits
-from .gates import NoiseModel, apply_noise, csign, joint_depol, local_depol, local_dephase
-from .pauli import (
-    BlochOp,
-    PauliCoeffs2Q,
-    product,
-    to_dense,
-)
-from .spaces import cube_vertices
+from .gates import NoiseModel, joint_depol, local_depol, local_dephase, pipeline
+from .pauli import BlochOp, PauliCoeffs2Q, dense_rows
 
 __all__ = [
     "LhvCertificate",
     "BellFunctional",
     "SeparabilityResult",
-    "cube_margin",
+    "cube_margins",
     "cube_decide",
     "cube_separable",
     "pauli_margin",
+    "pauli_margins",
     "positive_for_pauli",
     "quantum_margin",
+    "quantum_margins",
     "quantum_separable_2q",
     "verify_certificate",
     "certificate_to_text",
@@ -47,13 +43,10 @@ __all__ = [
     "Appendix1Item",
     "appendix1_certificates",
     "vertex_pair_index",
-    "VERTEX_PAIRS",
 ]
 
 POSITIVITY_TOL = 1e-9
 
-_VERTICES = cube_vertices()
-VERTEX_PAIRS = tuple((u, v) for u in _VERTICES for v in _VERTICES)
 
 
 def vertex_pair_index(u_signs, v_signs) -> int:
@@ -114,10 +107,11 @@ def _checked(A: PauliCoeffs2Q, R: float = 1.0) -> np.ndarray:
     return A.coeffs.ravel()
 
 
-def cube_margin(A: PauliCoeffs2Q, R: float = 1.0) -> float:
-    """Least normalized facet value of A in the R frame (lp.facet_margins):
-    below -tol A is not cube-separable, at or above 0 it is."""
-    return float(lp.facet_margins(_checked(A, R), R).min())
+def cube_margins(B: np.ndarray, R: float = 1.0) -> np.ndarray:
+    """Least normalized facet value (lp.facet_margins) in the R frame of each
+    row of an (N, 16) stack: below -tol a row is not cube-separable, at or
+    above 0 it is."""
+    return lp.facet_margins(B, R).min(axis=-1)
 
 
 def cube_decide(A: PauliCoeffs2Q, R: float = 1.0,
@@ -183,12 +177,16 @@ def cube_separable(A: PauliCoeffs2Q, R: float = 1.0,
 _POSITIVITY_ROWS = 36
 
 
+def pauli_margins(B: np.ndarray, R: float = 1.0) -> np.ndarray:
+    """Least of the 36 Pauli-pair Born probabilities of each row of an
+    (N, 16) stack, read in the unit frame (Bloch parts divided by R,
+    two-body parts by R^2): a quarter of the least positivity facet value."""
+    return lp.facet_values(B, R)[..., :_POSITIVITY_ROWS].min(axis=-1) / 4.0
+
+
 def pauli_margin(A: PauliCoeffs2Q, R: float = 1.0) -> float:
-    """Least of the 36 Pauli-pair Born probabilities of A, read in the unit
-    frame (Bloch parts divided by R, two-body parts by R^2): a quarter of
-    the least positivity facet value."""
-    b = _checked(A, R)
-    return float(lp.facet_values(b, R)[:_POSITIVITY_ROWS].min()) / 4.0
+    """pauli_margins of the one matrix A."""
+    return float(pauli_margins(_checked(A, R), R))
 
 
 def positive_for_pauli(A: PauliCoeffs2Q, R: float = 1.0,
@@ -197,13 +195,20 @@ def positive_for_pauli(A: PauliCoeffs2Q, R: float = 1.0,
     return pauli_margin(A, R) >= -tol
 
 
+def quantum_margins(B: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of each row's operator of an (N, 16) stack and of its
+    partial transpose on the second qubit: one batched Hermitian eigensolve
+    of the 2N 4 x 4 matrices."""
+    rho = dense_rows(B)
+    n = len(rho)
+    pt = rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
+    low = np.linalg.eigvalsh(np.concatenate((rho, pt)))[:, 0]
+    return np.minimum(low[:n], low[n:])
+
+
 def quantum_margin(A: PauliCoeffs2Q) -> float:
-    """Least eigenvalue of A and of its partial transpose (one batched
-    Hermitian eigensolve of the two 4 x 4 matrices)."""
-    _checked(A)
-    rho = to_dense(A).entries
-    pair = np.stack((rho, partial_transpose_qubits(rho, [1], 2)))
-    return float(np.linalg.eigvalsh(pair)[:, 0].min())
+    """quantum_margins of the one matrix A."""
+    return float(quantum_margins(_checked(A).reshape(1, 16))[0])
 
 
 def quantum_separable_2q(A: PauliCoeffs2Q, tol: float = POSITIVITY_TOL) -> bool:
@@ -328,7 +333,7 @@ def _target_from_weights(w: np.ndarray) -> PauliCoeffs2Q:
 
 def _noisy_allones_output(noise: NoiseModel) -> PauliCoeffs2Q:
     allones = BlochOp(np.ones(3))
-    return apply_noise(csign(product(allones, allones)), noise)
+    return pipeline(allones, allones, 1.0, noise)
 
 
 @dataclass(frozen=True)

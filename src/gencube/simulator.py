@@ -35,8 +35,8 @@ from .dense import (
     permute_qubits,
 )
 from . import lp
-from .gates import NoiseModel, apply_noise, csign
-from .pauli import AXES, PAULIS, BlochOp, axis_index, product
+from .gates import NoiseModel, pipeline_rows
+from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index
 from .separability import LhvCertificate, cube_separable, verify_certificate
 from .spaces import contains, StateSpaceSpec, cube_vertices
 
@@ -253,12 +253,11 @@ def _gate_weights(noise: NoiseModel) -> np.ndarray:
     itself.  Outputs are compared by value (-0.0 == 0.0).
     """
     pair_perm = _pair_symmetries()[1]
+    outputs = pipeline_rows(lp.vertex_product_matrix().T, 1.0, noise)
     solved = []     # (orbit images of a solved output, its weights)
     weights = np.empty((64, 64))
-    for p in range(64):
-        iu, iv = divmod(p, 8)
-        A = apply_noise(csign(product(_VERTICES[iu], _VERTICES[iv])), noise)
-        b = A.coeffs.ravel()
+    for p, b in enumerate(outputs):
+        A = PauliCoeffs2Q(b.reshape(4, 4))
         for images, w_rep in solved:
             hit = np.flatnonzero((images == b).all(axis=1))
             if hit.size:
@@ -271,7 +270,7 @@ def _gate_weights(noise: NoiseModel) -> np.ndarray:
             if not res.feasible:
                 raise CircuitNotSimulableError(
                     f"noisy CSIGN ({noise.kind}, {noise.strength}) is not cube-separable "
-                    f"on vertex pair ({iu}, {iv})"
+                    f"on vertex pair {divmod(p, 8)}"
                 )
             weights[p] = res.certificate.weights
             solved.append((_orbit_images(A.coeffs), weights[p]))

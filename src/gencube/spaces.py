@@ -18,6 +18,7 @@ __all__ = [
     "contains",
     "rescale",
     "rescale2",
+    "frame_scale",
     "noise_to_R",
     "operator_compatible",
     "qubit_xyz_povms",
@@ -78,12 +79,18 @@ def rescale(a: BlochOp, R: float) -> BlochOp:
     return BlochOp(a.bloch * R, a.trace_coeff)
 
 
-def rescale2(A: PauliCoeffs2Q, R: float) -> PauliCoeffs2Q:
-    """Two-sided rescaling: one-body coefficients scale by R, two-body by R^2."""
+def frame_scale(R: float) -> np.ndarray:
+    """The two-sided rescaling as factors on the 16 flattened coefficients:
+    outer((1, R, R, R), (1, R, R, R))."""
     if not R > 0:
         raise ValueError("rescaling factor R must be positive")
     f = np.array([1.0, R, R, R])
-    return PauliCoeffs2Q(A.coeffs * np.outer(f, f))
+    return (f[:, None] * f).ravel()
+
+
+def rescale2(A: PauliCoeffs2Q, R: float) -> PauliCoeffs2Q:
+    """Two-sided rescaling: one-body coefficients scale by R, two-body by R^2."""
+    return PauliCoeffs2Q(A.coeffs * frame_scale(R).reshape(4, 4))
 
 
 def noise_to_R(kind: str, p: float) -> float:

@@ -5,10 +5,12 @@ separable for the chosen state space.  Each criterion has a margin beside
 its predicate in ``separability`` (the least normalized facet value for
 cubes, the least Pauli-pair Born probability, the least eigenvalue of the
 output and of its partial transpose), and the predicate holds where margin
-+ tol >= 0.  A threshold is the root of margin + tol in the noise strength,
-found by Brent's method on the bracket [0, full noise]; the LHV-achievability
-boundaries are roots of the same cube margin in R.  Closed-form positivity
-bounds of the rescaled-cube analysis live here as well.
++ tol >= 0.  The gate pipeline and every margin run row by row over an
+(N, 16) stack, so a threshold is one Brent root of the least margin + tol
+over a stacked batch of inputs, on the bracket [0, full noise]; the
+LHV-achievability boundaries are roots of the same cube margin in R.
+Closed-form positivity bounds of the rescaled-cube analysis live here as
+well.
 """
 from __future__ import annotations
 
@@ -19,10 +21,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import lp, separability
-from .gates import NoiseModel, pipeline
-from .pauli import BlochOp
-from .separability import cube_margin, pauli_margin, quantum_margin
-from .spaces import StateSpaceSpec, cube_vertices
+from .gates import NoiseModel, pipeline_rows
+from .pauli import product_rows
+from .separability import cube_margins, pauli_margins, quantum_margins
+from .spaces import StateSpaceSpec
 
 __all__ = [
     "ROOT_XTOL",
@@ -83,19 +85,14 @@ class DephasingVerdict:
 
 
 def _margin_fn(criterion: str):
-    """The criterion's margin plus its tolerance: >= 0 wherever the
-    predicate holds (for cubes the band verdict is the LP's, but an LP
-    feasible point has margin >= -tol)."""
+    """The criterion's margin plus its tolerance on each row of an (N, 16)
+    stack of outputs: >= 0 wherever the predicate holds (for cubes the band
+    verdict is the LP's, but an LP feasible point has margin >= -tol)."""
     if criterion == "cube-separable":
-        return lambda A: cube_margin(A) + lp.FEASIBILITY_TOL
+        return lambda B: cube_margins(B) + lp.FEASIBILITY_TOL
     if criterion == "quantum-separable":
-        return lambda A: quantum_margin(A) + separability.POSITIVITY_TOL
-    return lambda A: pauli_margin(A) + separability.POSITIVITY_TOL
-
-
-def _noise_upper(noise_family: str) -> float:
-    # total dephasing is p = 1/2; the depolarizing families top out at 1
-    return 0.5 if noise_family == "local-dephase" else 1.0
+        return lambda B: quantum_margins(B) + separability.POSITIVITY_TOL
+    return lambda B: pauli_margins(B) + separability.POSITIVITY_TOL
 
 
 def _root(slack, lo: float, hi: float, holds_at_lo: str, fails_at_hi: str) -> float:
@@ -107,83 +104,67 @@ def _root(slack, lo: float, hi: float, holds_at_lo: str, fails_at_hi: str) -> fl
     return brentq(slack, lo, hi, xtol=ROOT_XTOL)
 
 
-def sphere_grid_inputs(n: int) -> list[tuple[BlochOp, BlochOp, float, float]]:
-    """Pure product inputs with no Y component on a [0, pi/2]^2 angle grid.
+def _angle_pairs(thetas: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Inputs (cos th, 0, sin th) (x) (cos ph, 0, sin ph) for every th in
+    thetas (outer) and ph in phis (inner): Bloch stacks U, V and the angles."""
+    th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    zero = np.zeros_like(th)
+    U = np.column_stack((np.cos(th), zero, np.sin(th)))
+    V = np.column_stack((np.cos(ph), zero, np.sin(ph)))
+    return U, V, th, ph
+
+
+def sphere_grid_inputs(n: int) -> tuple[np.ndarray, ...]:
+    """Pure product inputs with no Y component on an n x n angle grid over
+    [0, pi/2]^2: Bloch stacks U, V (n^2 x 3) and their angles th, ph.
 
     Local Z rotations commute with the noise families and the CSIGN, and
     the remaining reflections fold the angles into the first quadrant, so
     this grid covers all pure product inputs for the sweep.
     """
     angles = np.linspace(0.0, math.pi / 2.0, n)
-    grid = []
-    for th in angles:
-        u = BlochOp(np.array([math.cos(th), 0.0, math.sin(th)]))
-        for ph in angles:
-            v = BlochOp(np.array([math.cos(ph), 0.0, math.sin(ph)]))
-            grid.append((u, v, th, ph))
-    return grid
+    return _angle_pairs(angles, angles)
 
 
-def _grid_max_threshold(q: ThresholdQuery):
-    """Ascending scan over the sphere grid with one refinement pass."""
-    slack_of = _margin_fn(q.criterion)
-    R = q.space.R
-    hi = _noise_upper(q.noise_family)
-
-    def point_threshold(u, v, floor):
-        slack = lambda p: slack_of(pipeline(u, v, R, NoiseModel(q.noise_family, p)))
-        if slack(hi) < 0.0:
-            raise ThresholdBracketError(
-                f"criterion still false at full noise for grid input ({u.bloch},{v.bloch})"
-            )
-        if slack(floor) >= 0.0:
-            return None  # cannot raise the running maximum
-        return brentq(slack, floor, hi, xtol=ROOT_XTOL)
-
-    best, arg = 0.0, (0.0, 0.0)
-    for u, v, th, ph in sphere_grid_inputs(q.grid_n):
-        t = point_threshold(u, v, best)
-        if t is not None and t > best:
-            best, arg = t, (th, ph)
-    # refinement: +-1 original cell around the arg-max at 10x resolution
-    step = (math.pi / 2.0) / max(q.grid_n - 1, 1)
-    fine = np.linspace(-step, step, 21)
-    for dth in fine:
-        th = min(max(arg[0] + dth, 0.0), math.pi / 2.0)
-        u = BlochOp(np.array([math.cos(th), 0.0, math.sin(th)]))
-        for dph in fine:
-            ph = min(max(arg[1] + dph, 0.0), math.pi / 2.0)
-            v = BlochOp(np.array([math.cos(ph), 0.0, math.sin(ph)]))
-            t = point_threshold(u, v, best)
-            if t is not None and t > best:
-                best = t
-    return best
+_ALLONES_ROW = np.ones((1, 16))     # product of the all-ones vertex with itself
 
 
 def min_noise(q: ThresholdQuery) -> float:
     """Minimal noise strength making the criterion hold for the query inputs:
-    the root of the least margin + tol over the inputs.
+    one Brent root of the least margin + tol over a stacked batch of inputs
+    (the all-ones vertex pair, the 64 vertex pairs, or the sphere grid).
 
     Raises ThresholdBracketError when the criterion already holds at zero
     noise or still fails at full noise.
     """
-    if q.input_policy == "sphere-grid":
-        return _grid_max_threshold(q)
     slack_of = _margin_fn(q.criterion)
     R = q.space.R
-    allones = BlochOp(np.ones(3))
+    # total dephasing is p = 1/2; the depolarizing families top out at 1
+    hi = 0.5 if q.noise_family == "local-dephase" else 1.0
+
+    def outputs(P, p):
+        return pipeline_rows(P, R, NoiseModel(q.noise_family, p))
+
+    def root(P):
+        return _root(lambda p: float(np.min(slack_of(outputs(P, p)))), 0.0, hi,
+                     "criterion already holds at zero noise",
+                     "criterion still fails at full noise")
+
     if q.input_policy == "worst-vertex":
-        inputs = [(allones, allones)]
-    else:
-        verts = cube_vertices()
-        inputs = [(u, v) for u in verts for v in verts]
-
-    def slack(p):
-        n = NoiseModel(q.noise_family, p)
-        return min(slack_of(pipeline(u, v, R, n)) for u, v in inputs)
-
-    return _root(slack, 0.0, _noise_upper(q.noise_family),
-                 "criterion already holds at zero noise", "criterion still fails at full noise")
+        return root(_ALLONES_ROW)
+    if q.input_policy == "all-vertices":
+        return root(lp.vertex_product_matrix().T)
+    U, V, th, ph = sphere_grid_inputs(q.grid_n)
+    P = product_rows(U, V)
+    lam = root(P)
+    # refinement: one more root over +-1 grid cell around the input that binds
+    # at the first root, at 10x resolution
+    k = int(np.argmin(slack_of(outputs(P, lam))))
+    step = (math.pi / 2.0) / max(q.grid_n - 1, 1)
+    fine = np.linspace(-step, step, 21)
+    U, V, _, _ = _angle_pairs(np.clip(th[k] + fine, 0.0, math.pi / 2.0),
+                              np.clip(ph[k] + fine, 0.0, math.pi / 2.0))
+    return max(lam, root(product_rows(U, V)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +279,13 @@ def lhv_achievability_boundary(model_family: str) -> float:
     knife edge) is cube-separable where its cube margin + tol is >= 0; the
     boundary is the root of that in R on [0.3, 1].
     """
-    allones = BlochOp(np.ones(3))
     bound_name = _BOUNDARY_BOUND[model_family]
     slack_of = _margin_fn("cube-separable")
 
     def slack(R):
         r = analytic_bound(model_family, "cube", R).value(bound_name) - 1e-8
-        return slack_of(pipeline(allones, allones, R, NoiseModel(model_family, 1.0 - r)))
+        out = pipeline_rows(_ALLONES_ROW, R, NoiseModel(model_family, 1.0 - r))
+        return float(np.min(slack_of(out)))
 
     return _root(slack, 0.3, 1.0, "bound already achievable at R = 0.3",
                  "bound not achievable at R = 1")

@@ -13,8 +13,11 @@ from gencube.gates import (
     local_depol,
     pauli_flip,
     pipeline,
+    pipeline_rows,
 )
-from gencube.pauli import BlochOp, PauliCoeffs2Q, from_dense, product, to_dense
+from gencube.lp import vertex_product_matrix
+from gencube.pauli import BlochOp, PauliCoeffs2Q, from_dense, product, product_rows, to_dense
+from gencube.spaces import cube_vertices, rescale2
 
 CSIGN_DENSE = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
@@ -93,7 +96,7 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel("brownian", 0.5)
     with pytest.raises(ValueError):
-        apply_noise(PauliCoeffs2Q(np.eye(4)), NoiseModel("error-per-gate", 0.5))
+        NoiseModel("error-per-gate", 0.5)
 
 
 def test_clifford_footnote_cycle():
@@ -221,3 +224,40 @@ def test_rescaled_dephasing_matrix():
         [1, t / R, t / R, 1],
     ])
     assert np.max(np.abs(out - expected)) < 1e-12
+
+
+FAMILIES = (joint_depol, local_depol, local_dephase)
+
+
+def _staged_pipeline(u, v, R, n):
+    # the pipeline as its four stages on one matrix: the reference for the rows
+    return rescale2(apply_noise(csign(rescale2(product(u, v), R)), n), 1.0 / R)
+
+
+def test_pipeline_rows_equal_the_one_row_pipeline_bit_for_bit():
+    rng = np.random.default_rng(36)
+    for family in FAMILIES:
+        for R in (1.0, *rng.uniform(0.4, 2.0, 3)):
+            n = family(float(rng.uniform(0.0, 0.5)))
+            U, V = rng.uniform(-1, 1, (40, 3)), rng.uniform(-1, 1, (40, 3))
+            rows = pipeline_rows(product_rows(U, V), R, n)
+            for k in range(40):
+                u, v = BlochOp(U[k]), BlochOp(V[k])
+                one = pipeline(u, v, R, n).coeffs.ravel()
+                assert rows[k].tobytes() == one.tobytes()
+                assert one.tobytes() == _staged_pipeline(u, v, R, n).coeffs.tobytes()
+
+
+def test_pipeline_rows_at_unit_rescaling_is_noisy_csign_of_the_vertex_products():
+    # the HN gate tables read these 64 rows: the R = 1 frame factors are ones
+    for family in FAMILIES:
+        n = family(0.3)
+        rows = pipeline_rows(vertex_product_matrix().T, 1.0, n)
+        for k, (u, v) in enumerate((u, v) for u in cube_vertices() for v in cube_vertices()):
+            ref = apply_noise(csign(product(u, v)), n).coeffs
+            assert rows[k].tobytes() == ref.tobytes()
+
+
+def test_pipeline_rejects_nonpositive_rescaling():
+    with pytest.raises(ValueError, match="must be positive"):
+        pipeline_rows(np.ones((1, 16)), 0.0, joint_depol(0.5))

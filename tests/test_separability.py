@@ -25,6 +25,7 @@ from gencube.separability import (
     pauli_margin,
     positive_for_pauli,
     quantum_margin,
+    quantum_margins,
     quantum_separable_2q,
     verify_certificate,
     vertex_pair_index,
@@ -178,6 +179,15 @@ def test_quantum_margin_is_the_least_eigenvalue_with_its_partial_transpose():
                   eigenvalues_hermitian(to_dense(partial_transpose(A)))[0])
         assert abs(quantum_margin(A) - ref) < 1e-12
         assert quantum_separable_2q(A) == (ref >= -1e-9)
+
+
+def test_stacked_quantum_margins_match_the_one_matrix_margin():
+    rng = np.random.default_rng(9)
+    B = np.column_stack((np.ones(300), rng.uniform(-1, 1, (300, 15))))
+    stacked = quantum_margins(B)
+    assert stacked.shape == (300,)
+    for b, m in zip(B, stacked):
+        assert abs(quantum_margin(PauliCoeffs2Q(b.reshape(4, 4))) - m) < 1e-14
 
 
 def test_cube_separable_with_rescaled_vertices():

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from gencube.gates import joint_depol, local_dephase, pipeline
+from gencube.gates import NoiseModel, joint_depol, local_dephase, pipeline
 from gencube.pauli import BlochOp, eigenvalues_hermitian, partial_transpose, to_dense
+from gencube.separability import POSITIVITY_TOL, quantum_margin
 from gencube.spaces import StateSpaceSpec
 from gencube.thresholds import (
+    ROOT_XTOL,
     ThresholdBracketError,
     ThresholdQuery,
     analytic_bound,
@@ -147,12 +150,60 @@ def test_sphere_grid_reduction_spectra():
 
 
 def test_sphere_grid_inputs_domain():
-    grid = sphere_grid_inputs(5)
-    assert len(grid) == 25
-    for u, v, th, ph in grid:
-        assert 0 <= th <= math.pi / 2 and 0 <= ph <= math.pi / 2
-        assert abs(np.linalg.norm(u.bloch) - 1) < 1e-12
-        assert u.bloch[1] == 0.0
+    U, V, th, ph = sphere_grid_inputs(5)
+    assert U.shape == V.shape == (25, 3) and th.shape == ph.shape == (25,)
+    for u, v, t, f in zip(U, V, th, ph):
+        assert 0 <= t <= math.pi / 2 and 0 <= f <= math.pi / 2
+        assert abs(np.linalg.norm(u) - 1) < 1e-12
+        assert u[1] == 0.0
+        assert np.array_equal(u, [math.cos(t), 0.0, math.sin(t)])
+        assert np.array_equal(v, [math.cos(f), 0.0, math.sin(f)])
+
+
+def _grid_scan_reference(q):
+    """The sphere-grid threshold as a per-point scan: one brentq per grid
+    point that can raise the running maximum, then the same over the 21 x 21
+    refinement cell around the arg-max."""
+    R, hi = q.space.R, (0.5 if q.noise_family == "local-dephase" else 1.0)
+
+    def bloch(t):
+        return BlochOp(np.array([math.cos(t), 0.0, math.sin(t)]))
+
+    def point_threshold(th, ph, floor):
+        u, v = bloch(th), bloch(ph)
+        slack = lambda p: (quantum_margin(pipeline(u, v, R, NoiseModel(q.noise_family, p)))
+                           + POSITIVITY_TOL)
+        if slack(hi) < 0.0:
+            raise ThresholdBracketError("criterion still fails at full noise")
+        if slack(floor) >= 0.0:
+            return None
+        return brentq(slack, floor, hi, xtol=ROOT_XTOL)
+
+    best, arg = 0.0, (0.0, 0.0)
+    angles = np.linspace(0.0, math.pi / 2.0, q.grid_n)
+    for th in angles:
+        for ph in angles:
+            t = point_threshold(th, ph, best)
+            if t is not None and t > best:
+                best, arg = t, (th, ph)
+    step = (math.pi / 2.0) / max(q.grid_n - 1, 1)
+    fine = np.linspace(-step, step, 21)
+    for dth in fine:
+        for dph in fine:
+            t = point_threshold(min(max(arg[0] + dth, 0.0), math.pi / 2.0),
+                                min(max(arg[1] + dph, 0.0), math.pi / 2.0), best)
+            if t is not None and t > best:
+                best = t
+    return best
+
+
+@pytest.mark.parametrize("grid_n", [8, 12])
+@pytest.mark.parametrize("family, R", [("joint-depol", 1.3), ("local-depol", 1.16),
+                                       ("local-dephase", 1.0)])
+def test_sphere_grid_root_equals_the_per_point_scan(family, R, grid_n):
+    q = ThresholdQuery(family, StateSpaceSpec.sphere(R), "quantum-separable",
+                       "sphere-grid", grid_n=grid_n)
+    assert abs(min_noise(q) - _grid_scan_reference(q)) < 1e-12
 
 
 def test_sphere_threshold_unit_rescaling_matches_cube_case():

@@ -11,15 +11,17 @@ the party swap: positivity, CHSH and I3322.  Three routes use it:
   tolerance band; the violated facet is the separating functional;
 * a float residual route on scipy's HiGHS plus a least-squares polish,
   which decides the thin band and supplies primal LHV weights;
-* an exact route: a dense phase-1 simplex with Bland's rule over Fraction
-  arithmetic, whose Farkas dual is recovered by an exact basis solve.  It
-  backs the weights where the polish misses and is the independent oracle
-  in the soundness tests.
+* an exact route: a phase-1 simplex with Bland's rule on one integer
+  tableau with fraction-free (Bareiss) pivoting, whose Farkas dual is read
+  from the reduced-cost row on the artificial columns.  It backs the
+  weights where the polish misses and is the independent oracle in the
+  soundness tests.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +41,7 @@ __all__ = [
     "facet_table",
     "facet_functional",
     "facet_values",
+    "positivity_values",
     "facet_margins",
     "Decision",
     "decide_membership",
@@ -137,12 +140,21 @@ def facet_functional(k: int, R: float = 1.0) -> np.ndarray:
     return f / (1.0 if R == 1.0 else frame_scale(R))
 
 
+# the positivity orbit leads facet_table()
+_POSITIVITY_ROWS = 36
+
+
 @functools.cache
 def _facet_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The facet table in floats, its absolute values, and 1 / |f|_1 per row."""
     F = facet_table().astype(float)
     absF = np.abs(F)
     return F, absF, 1.0 / absF.sum(axis=1)
+
+
+def _unit_frame(b: np.ndarray, R: float) -> np.ndarray:
+    """b read in the unit frame: divided entrywise by frame_scale(R)."""
+    return b if R == 1.0 else b * (1.0 / frame_scale(R))
 
 
 @dataclass(frozen=True)
@@ -161,7 +173,14 @@ def facet_values(b: np.ndarray, R: float = 1.0) -> np.ndarray:
     frame.  The 36 positivity rows are four times the Pauli-pair Born
     probabilities there.  An (N, 16) stack b gives an (N, 684) array."""
     F = _facet_arrays()[0]
-    return (F @ (b if R == 1.0 else b * (1.0 / frame_scale(R))).T).T
+    return (F @ _unit_frame(b, R).T).T
+
+
+def positivity_values(b: np.ndarray, R: float = 1.0) -> np.ndarray:
+    """The 36 positivity columns of facet_values, from those rows
+    of the facet table alone."""
+    F = _facet_arrays()[0][:_POSITIVITY_ROWS]
+    return (F @ _unit_frame(b, R).T).T
 
 
 def facet_margins(b: np.ndarray, R: float = 1.0) -> np.ndarray:
@@ -255,22 +274,13 @@ def solve_membership_float(b: np.ndarray, R: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def _solve_exact_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan solve of a square exact system."""
-    m = len(rhs)
-    A = [rows[i][:] + [rhs[i]] for i in range(m)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if A[r][col] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular basis in exact dual solve")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(m):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * c for a, c in zip(A[r], A[col])]
-    return [A[i][m] for i in range(m)]
+@functools.lru_cache(maxsize=32)
+def _integer_vertex_rows(R: Fraction) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(s, rows): the 16 rows of the R-frame vertex-product matrix times the
+    one integer s that clears all its denominators (s = 1 at R = 1)."""
+    cols = exact_vertex_columns(R)
+    s = math.lcm(*(x.denominator for col in cols for x in col))
+    return s, tuple(tuple(int(col[i] * s) for col in cols) for i in range(16))
 
 
 def solve_membership_exact(b: list[Fraction], R: Fraction = Fraction(1)):
@@ -279,54 +289,74 @@ def solve_membership_exact(b: list[Fraction], R: Fraction = Fraction(1)):
     Returns ("feasible", weights) with exact convex weights, or
     ("infeasible", y) with an exact Farkas functional satisfying
     y . V_j >= 0 for every vertex-product column and y . b < 0.
+
+    The tableau is one integer matrix, pivoted fraction-free (Bareiss,
+    Math. Comp. 22 (1968)): rows i != l become (T_i piv - T_ie T_l) / prev,
+    an exact division, so T is det(B) B^-1 [A | rhs] with det(B) > 0.  The
+    system is s V w' + a = D b with w = s w' / D, D the common denominator
+    of b; scaling every structural column by one positive s keeps Bland's
+    path, so the bases, weights and functional are the Fraction simplex's.
+    The last row holds the phase-1 reduced costs; on an artificial column it
+    reads det(B) (1 - y_k), which gives the Farkas functional.
     """
-    cols = exact_vertex_columns(R)
+    R = Fraction(R)
+    if not R > 0:
+        raise ValueError("R must be positive")
+    if len(b) != 16:
+        raise ValueError("b must have 16 coefficients")
+    b = [Fraction(x) for x in b]
+    s, V = _integer_vertex_rows(R)
+    D = math.lcm(*(x.denominator for x in b))
     m, n = 16, 64
-    flip = [-1 if b[i] < 0 else 1 for i in range(m)]
-    # flipped constraint columns, artificials appended
-    fcols = [[flip[i] * col[i] for i in range(m)] for col in cols]
-    fcols += [[Fraction(1) if i == k else Fraction(0) for i in range(m)] for k in range(m)]
-    T = [[fcols[j][i] for j in range(n + m)] for i in range(m)]
-    rhs = [flip[i] * b[i] for i in range(m)]
-    basis = list(range(n, n + m))
+    flip = [-1 if x < 0 else 1 for x in b]
+    # flipped constraint rows, artificial columns, then the right-hand side
+    T = [[flip[i] * v for v in V[i]] + [int(k == i) for k in range(m)]
+         + [flip[i] * b[i].numerator * (D // b[i].denominator)] for i in range(m)]
     # phase-1 reduced costs: artificials cost 1
-    r = [-sum(T[i][j] for i in range(m)) for j in range(n)] + [Fraction(0)] * m
+    T.append([-sum(c) for c in zip(*T)])
+    T[m][n:n + m] = [0] * m
+    r = T[m]
+    basis = list(range(n, n + m))
     ncols = n + m
+    prev = 1
     for _ in range(20000):
         enter = next((j for j in range(ncols) if r[j] < 0), None)
         if enter is None:
             break
-        leave, best = None, None
+        # ratio test rhs_i / T_ie by cross-multiplication, ties to the
+        # smaller basic index
+        leave = None
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = rhs[i] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = T[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                c = T[i][-1] * T[leave][enter] - T[leave][-1] * a
+                if c < 0 or (c == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise ArithmeticError("phase-1 unbounded (cannot happen)")
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
+        P = T[leave]
+        piv = P[enter]
+        for i in range(m + 1):
+            if i != leave:
                 f = T[i][enter]
-                T[i] = [a - f * c for a, c in zip(T[i], T[leave])]
-                rhs[i] -= f * rhs[leave]
-        f = r[enter]
-        r = [a - f * c for a, c in zip(r, T[leave])]
+                if f:
+                    T[i] = [(x * piv - f * p) // prev for x, p in zip(T[i], P)]
+                elif piv != prev:
+                    T[i] = [x * piv // prev for x in T[i]]
+        r = T[m]
+        prev = piv
         basis[leave] = enter
     else:
         raise ArithmeticError("simplex iteration limit exceeded")
-    artificial_mass = sum(rhs[i] for i in range(m) if basis[i] >= n)
-    if artificial_mass == 0:
+    if sum(T[i][-1] for i in range(m) if basis[i] >= n) == 0:
         w = [Fraction(0)] * n
-        for i, bi in enumerate(basis):
-            if bi < n:
-                w[bi] = rhs[i]
+        for i, j in enumerate(basis):
+            if j < n:
+                w[j] = Fraction(s * T[i][-1], prev * D)
         return "feasible", w
-    # Farkas dual from the final basis: solve B^T y = c_B exactly
-    bt_rows = [[fcols[basis[j]][i] for i in range(m)] for j in range(m)]
-    c_b = [Fraction(1) if basis[j] >= n else Fraction(0) for j in range(m)]
-    y = _solve_exact_linear(bt_rows, c_b)
-    y_final = [-(y[i] * flip[i]) for i in range(m)]
-    return "infeasible", y_final
+    # y = c_B B^-1 on the flipped rows has y_k = 1 - r_(n+k) / det(B); the
+    # functional is -y with the flips undone
+    return "infeasible", [(Fraction(r[n + k], prev) - 1) * flip[k] for k in range(m)]

@@ -173,15 +173,11 @@ def cube_separable(A: PauliCoeffs2Q, R: float = 1.0,
     return SeparabilityResult(True, certificate=_exact_weights(b, R, tol), method="lp-exact")
 
 
-# the positivity orbit leads lp.facet_table()
-_POSITIVITY_ROWS = 36
-
-
 def pauli_margins(B: np.ndarray, R: float = 1.0) -> np.ndarray:
     """Least of the 36 Pauli-pair Born probabilities of each row of an
     (N, 16) stack, read in the unit frame (Bloch parts divided by R,
     two-body parts by R^2): a quarter of the least positivity facet value."""
-    return lp.facet_values(B, R)[..., :_POSITIVITY_ROWS].min(axis=-1) / 4.0
+    return lp.positivity_values(B, R).min(axis=-1) / 4.0
 
 
 def pauli_margin(A: PauliCoeffs2Q, R: float = 1.0) -> float:

@@ -400,3 +400,196 @@ def test_exact_weights_back_a_missed_polish(monkeypatch):
     res = cube_separable(A)
     assert res.feasible and res.method == "lp-exact"
     assert verify_certificate(res.certificate, A)
+
+
+# ---------------------------------------------------------------------------
+# The exact oracle
+# ---------------------------------------------------------------------------
+
+
+def _reference_exact_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan solve of a square exact system."""
+    m = len(rhs)
+    A = [rows[i][:] + [rhs[i]] for i in range(m)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if A[r][col] != 0), None)
+        if piv is None:
+            raise ArithmeticError("singular basis in exact dual solve")
+        A[col], A[piv] = A[piv], A[col]
+        pv = A[col][col]
+        A[col] = [x / pv for x in A[col]]
+        for r in range(m):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [a - f * c for a, c in zip(A[r], A[col])]
+    return [A[i][m] for i in range(m)]
+
+
+def _fraction_simplex_reference(b: list[Fraction], R: Fraction = Fraction(1)):
+    """The Fraction-tableau simplex that lp.solve_membership_exact replaced,
+    kept to pin its outputs: phase-1 simplex with Bland's rule.
+
+    Returns ("feasible", weights) with exact convex weights, or
+    ("infeasible", y) with an exact Farkas functional satisfying
+    y . V_j >= 0 for every vertex-product column and y . b < 0.
+    """
+    cols = lp.exact_vertex_columns(R)
+    m, n = 16, 64
+    flip = [-1 if b[i] < 0 else 1 for i in range(m)]
+    # flipped constraint columns, artificials appended
+    fcols = [[flip[i] * col[i] for i in range(m)] for col in cols]
+    fcols += [[Fraction(1) if i == k else Fraction(0) for i in range(m)] for k in range(m)]
+    T = [[fcols[j][i] for j in range(n + m)] for i in range(m)]
+    rhs = [flip[i] * b[i] for i in range(m)]
+    basis = list(range(n, n + m))
+    # phase-1 reduced costs: artificials cost 1
+    r = [-sum(T[i][j] for i in range(m)) for j in range(n)] + [Fraction(0)] * m
+    ncols = n + m
+    for _ in range(20000):
+        enter = next((j for j in range(ncols) if r[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = rhs[i] / T[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            raise ArithmeticError("phase-1 unbounded (cannot happen)")
+        piv = T[leave][enter]
+        T[leave] = [x / piv for x in T[leave]]
+        rhs[leave] /= piv
+        for i in range(m):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [a - f * c for a, c in zip(T[i], T[leave])]
+                rhs[i] -= f * rhs[leave]
+        f = r[enter]
+        r = [a - f * c for a, c in zip(r, T[leave])]
+        basis[leave] = enter
+    else:
+        raise ArithmeticError("simplex iteration limit exceeded")
+    artificial_mass = sum(rhs[i] for i in range(m) if basis[i] >= n)
+    if artificial_mass == 0:
+        w = [Fraction(0)] * n
+        for i, bi in enumerate(basis):
+            if bi < n:
+                w[bi] = rhs[i]
+        return "feasible", w
+    # Farkas dual from the final basis: solve B^T y = c_B exactly
+    bt_rows = [[fcols[basis[j]][i] for i in range(m)] for j in range(m)]
+    c_b = [Fraction(1) if basis[j] >= n else Fraction(0) for j in range(m)]
+    y = _reference_exact_linear(bt_rows, c_b)
+    y_final = [-(y[i] * flip[i]) for i in range(m)]
+    return "infeasible", y_final
+
+
+def _criterion12_rationals(n, seed=90):
+    """Criterion 12's queries: exact convex mixes of 1..6 vertex products,
+    55 % of them perturbed by 1, 5 or 20 % per coefficient."""
+    import random
+
+    rnd = random.Random(seed)
+    cols = lp.exact_vertex_columns()
+    for _ in range(n):
+        nterm = rnd.randint(1, 6)
+        idx = rnd.sample(range(64), nterm)
+        raw = [Fraction(rnd.randint(1, 100)) for _ in range(nterm)]
+        tot = sum(raw)
+        b = [sum(r / tot * cols[j][i] for r, j in zip(raw, idx)) for i in range(16)]
+        if rnd.random() < 0.55:
+            mag = Fraction(rnd.choice([1, 5, 20]), 100)
+            for i in range(1, 16):
+                b[i] += mag * Fraction(rnd.randint(-1000, 1000), 1000)
+        yield b
+
+
+def _gate_outputs_near_thresholds():
+    """Float CSIGN outputs of the all-ones pair, as exact dyadic rationals,
+    at 2/3 and at each family's R = 1 threshold, offset by +-{5e-9, 1e-8, 1e-6}."""
+    thresholds = {joint_depol: (2 / 3,), local_depol: (2 / 3, 2 - math.sqrt(2)),
+                  local_dephase: (2 / 3, 1 - 1 / math.sqrt(2))}
+    noiseless = csign(product(ALLONES, ALLONES))
+    for family, ps in thresholds.items():
+        for p in ps:
+            for offset in (5e-9, 1e-8, 1e-6):
+                for q in (p - offset, p + offset):
+                    yield [Fraction(x) for x in apply_noise(noiseless, family(q)).coeffs.ravel()]
+
+
+def _rescaled_frame_points():
+    """One rational and one dyadic point per frame R: a perturbed exact mix
+    of R-frame vertex products, and a float mix read exactly."""
+    rng = np.random.default_rng(17)
+    for R in (Fraction(4, 5), Fraction(0.8), Fraction(13, 10)):
+        cols = lp.exact_vertex_columns(R)
+        idx = rng.choice(64, 3, replace=False)
+        b = [(cols[idx[0]][i] + 2 * cols[idx[1]][i] + 3 * cols[idx[2]][i]) / 6 for i in range(16)]
+        b[1:] = [x + Fraction(int(rng.integers(-50, 51)), 1000) for x in b[1:]]
+        yield b, R
+        V = lp.vertex_product_matrix(float(R))
+        x = V[:, rng.choice(64, 4, replace=False)] @ rng.dirichlet(np.ones(4))
+        x[1:] += 0.02 * rng.uniform(-1, 1, 15)
+        yield [Fraction(v) for v in x], R
+
+
+def _pulled_instance():
+    from gencube.separability import _EXACT_PULL
+
+    A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(2 / 3))
+    centre = [Fraction(1)] + [Fraction(0)] * 15
+    return [(1 - _EXACT_PULL) * Fraction(x) + _EXACT_PULL * c
+            for x, c in zip(A.coeffs.ravel(), centre)]
+
+
+def test_integer_tableau_returns_the_fraction_simplex_outputs():
+    queries = [(b, Fraction(1)) for b in _criterion12_rationals(40)]
+    queries += [(b, Fraction(1)) for b in _gate_outputs_near_thresholds()]
+    queries.append((_pulled_instance(), Fraction(1)))
+    queries += list(_rescaled_frame_points())
+    statuses = set()
+    for b, R in queries:
+        out = lp.solve_membership_exact(b, R)
+        assert out == _fraction_simplex_reference(b, R), (b, R)
+        statuses.add(out[0])
+    assert statuses == {"feasible", "infeasible"}
+
+
+@pytest.mark.parametrize("R", [Fraction(0), Fraction(-1, 2)])
+def test_exact_oracle_rejects_a_nonpositive_frame(R):
+    with pytest.raises(ValueError):
+        lp.solve_membership_exact([Fraction(1)] + [Fraction(0)] * 15, R)
+
+
+@pytest.mark.parametrize("size", [15, 17])
+def test_exact_oracle_rejects_a_wrong_length(size):
+    with pytest.raises(ValueError):
+        lp.solve_membership_exact([Fraction(1)] + [Fraction(0)] * (size - 1))
+
+
+def test_facet_table_is_complete_along_random_rays():
+    # from the maximally mixed point c, the exit of the 684-facet H-polytope
+    # along d is c + t* d; a missing facet would leave some exit point outside
+    # the vertex polytope, and the exact simplex would refute it
+    import random
+
+    rnd = random.Random(5)
+    F = lp.facet_table()
+    cols = _integer_columns()
+    c = [Fraction(1)] + [Fraction(0)] * 15
+    for _ in range(200):
+        # an integer direction in the A_00 = 0 plane; t* = min -f.c / f.d
+        d = [0] + [rnd.randint(-1000, 1000) for _ in range(15)]
+        fd = F @ np.array(d)
+        t = min(Fraction(-int(f0), int(x)) for f0, x in zip(F[:, 0], fd) if x < 0)
+        status, w = lp.solve_membership_exact([ci + t * di for ci, di in zip(c, d)])
+        assert status == "feasible"
+        assert all(x >= 0 for x in w) and sum(w) == 1
+        out = [ci + t * (1 + Fraction(1, 2 ** 30)) * di for ci, di in zip(c, d)]
+        status, y = lp.solve_membership_exact(out)
+        assert status == "infeasible"
+        # exact Farkas check on the integer columns: y scaled to integers
+        scale = math.lcm(*(x.denominator for x in y))
+        assert min(np.array([int(x * scale) for x in y], dtype=object) @ cols) >= 0
+        assert sum(yi * bi for yi, bi in zip(y, out)) < 0

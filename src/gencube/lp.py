@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .pauli import product_rows
 from .spaces import frame_scale
@@ -232,6 +231,14 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first solve: scipy.optimize
+    is most of the package's import time, and only the HiGHS route needs it."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def polish_weights(V: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:

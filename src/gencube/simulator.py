@@ -1,5 +1,6 @@
 """Sampling simulator for adaptive circuits whose two-qubit gates are
-cube-separable, plus a dense density-matrix reference for cross-validation.
+cube-separable, plus a dense density-matrix reference for cross-validation,
+which applies each op to its own qubits' tensor axes of rho, at O(4^n).
 
 The sampler stores one cube vertex per qubit per shot.  Preparations sample
 a vertex from the per-axis product rule, each noisy CSIGN samples a vertex
@@ -26,17 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (
+    conjugate_qubit,
+    csign_pair,
     dephase_qubit,
     depolarize_qubit,
-    embed_one,
-    embed_two,
     joint_depolarize_pair,
-    partial_trace,
-    permute_qubits,
+    prepare_qubit,
 )
 from . import lp
 from .gates import NoiseModel, pipeline_rows
-from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index
+from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index, bloch_to_dense
 from .separability import LhvCertificate, cube_separable, verify_certificate
 from .spaces import contains, StateSpaceSpec, cube_vertices
 
@@ -456,21 +456,6 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _dense_noisy_csign(rho, op: NoisyCsign, n):
-    U = embed_two(np.diag([1, 1, 1, -1]).astype(complex), op.qubit1, op.qubit2, n)
-    rho = U @ rho @ U.conj().T
-    nm = op.noise
-    if nm.kind == "joint-depol":
-        return joint_depolarize_pair(rho, op.qubit1, op.qubit2, nm.strength, n)
-    if nm.kind == "local-depol":
-        rho = depolarize_qubit(rho, op.qubit1, nm.strength, n)
-        return depolarize_qubit(rho, op.qubit2, nm.strength, n)
-    if nm.kind == "local-dephase":
-        rho = dephase_qubit(rho, op.qubit1, nm.strength, n)
-        return dephase_qubit(rho, op.qubit2, nm.strength, n)
-    raise ValueError(f"dense simulation does not support {nm.kind}")
-
-
 _CLIFFORD_DENSE = {
     "X": PAULIS[1],
     "Y": PAULIS[2],
@@ -496,10 +481,11 @@ def simulate_dense(circuit: Circuit) -> dict:
 
     dist: dict[str, float] = {}
     # depth first over the measurement branches, + before -, on an explicit
-    # stack: a recursive closure would form a reference cycle
-    stack = [(np.eye(2 ** n, dtype=complex) / (2 ** n), 0, {}, 1.0)]
+    # stack: a recursive closure would form a reference cycle.  A branch
+    # carries its unnormalized state, whose trace is the branch probability
+    stack = [(np.eye(2 ** n, dtype=complex) / (2 ** n), 0, {})]
     while stack:
-        rho, k, record, prob = stack.pop()
+        rho, k, record = stack.pop()
         while k < len(circuit.ops):
             op = circuit.ops[k]
             k += 1
@@ -513,39 +499,31 @@ def simulate_dense(circuit: Circuit) -> dict:
                         "dense simulation requires quantum preparations "
                         f"(|bloch| <= 1); got {op.state.bloch}"
                     )
-                local = np.eye(2, dtype=complex) / 2
-                for i in (1, 2, 3):
-                    local = local + op.state.bloch[i - 1] * PAULIS[i] / 2
-                keep = [q for q in range(n) if q != op.qubit]
-                if n == 1:
-                    rho = local
-                else:
-                    rest = partial_trace(rho, keep, n)
-                    rho = np.kron(local, rest)
-                    order = [op.qubit] + keep
-                    inv = [order.index(q) for q in range(n)]
-                    rho = permute_qubits(rho, inv)
+                rho = prepare_qubit(rho, bloch_to_dense(op.state).entries, op.qubit, n)
             elif isinstance(op, Clifford1):
-                U = embed_one(_CLIFFORD_DENSE[op.gate], op.qubit, n)
-                rho = U @ rho @ U.conj().T
+                rho = conjugate_qubit(rho, _CLIFFORD_DENSE[op.gate], op.qubit, n)
             elif isinstance(op, NoisyCsign):
-                rho = _dense_noisy_csign(rho, op, n)
+                q1, q2, nm = op.qubit1, op.qubit2, op.noise
+                rho = csign_pair(rho, q1, q2, n)
+                if nm.kind == "joint-depol":
+                    rho = joint_depolarize_pair(rho, q1, q2, nm.strength, n)
+                else:
+                    channel = depolarize_qubit if nm.kind == "local-depol" else dephase_qubit
+                    rho = channel(channel(rho, q1, nm.strength, n), q2, nm.strength, n)
             elif isinstance(op, Measure):
-                obs = embed_one(PAULIS[axis_index(op.axis)], op.qubit, n)
+                obs = PAULIS[axis_index(op.axis)]
+                # an outcome of Born weight <= 1e-15 opens no branch
+                floor = 1e-15 * float(np.real(np.trace(rho)))
                 branches = []
                 for outcome in (1, -1):
-                    proj = (np.eye(2 ** n) + outcome * obs) / 2
-                    sub = proj @ rho @ proj
-                    p = float(np.real(np.trace(sub)))
-                    if p > 1e-15:
-                        rec2 = dict(record)
-                        rec2[op.record_id] = outcome
-                        branches.append((sub / p, k, rec2, prob * p))
+                    sub = conjugate_qubit(rho, (np.eye(2) + outcome * obs) / 2, op.qubit, n)
+                    if float(np.real(np.trace(sub))) > floor:
+                        branches.append((sub, k, {**record, op.record_id: outcome}))
                 stack.extend(reversed(branches))
                 break
         else:
             key = "".join({1: "+", -1: "-"}.get(record.get(rid), ".") for rid in rids)
-            dist[key] = dist.get(key, 0.0) + prob
+            dist[key] = dist.get(key, 0.0) + float(np.real(np.trace(rho)))
     return dict(sorted(dist.items()))
 
 

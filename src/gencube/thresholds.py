@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import lp, separability
 from .gates import NoiseModel, pipeline_rows
@@ -97,6 +96,8 @@ def _margin_fn(criterion: str):
 
 def _root(slack, lo: float, hi: float, holds_at_lo: str, fails_at_hi: str) -> float:
     """Root of slack on [lo, hi], which must be < 0 at lo and >= 0 at hi."""
+    from scipy.optimize import brentq  # most of the package's import time
+
     if slack(lo) >= 0.0:
         raise ThresholdBracketError(holds_at_lo)
     if slack(hi) < 0.0:
@@ -229,6 +230,8 @@ def analytic_bound(model_family: str, space_kind: str, R: float) -> AnalyticBoun
 
 def analytic_intersection(model_family: str, lo: float = 0.3, hi: float = 0.95):
     """Root-find the crossing of the two bounds; returns (R, r)."""
+    from scipy.optimize import brentq
+
     fns = _BOUND_SETS[(model_family, "cube")]
     diff = lambda R: fns[0][1](R) - fns[1][1](R)
     R = brentq(diff, lo, hi, xtol=ROOT_XTOL)

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from gencube.cli import main
 
 from circuit_suite import SUITE
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv):
@@ -179,3 +185,13 @@ def test_tolerance_banner_reads_the_constants(monkeypatch):
     monkeypatch.setattr(lp, "FEASIBILITY_TOL", 2e-10)
     monkeypatch.setattr(separability, "POSITIVITY_TOL", 3e-8)
     assert banner() == "tolerances: lp-feasibility=2e-10 positivity=3e-08 root-xtol=1e-05"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the import time; only the HiGHS route and
+    # the Brent roots load it, on first use
+    code = "import sys, gencube.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "import gencube.cli loaded scipy.optimize"

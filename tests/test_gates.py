@@ -1,8 +1,16 @@
+import math
 
 import numpy as np
 import pytest
 
-from gencube.dense import dephase_qubit, depolarize_qubit, joint_depolarize_pair
+from gencube.dense import (
+    conjugate_qubit,
+    csign_pair,
+    dephase_qubit,
+    depolarize_qubit,
+    joint_depolarize_pair,
+    prepare_qubit,
+)
 from gencube.gates import (
     NoiseModel,
     apply_noise,
@@ -16,7 +24,15 @@ from gencube.gates import (
     pipeline_rows,
 )
 from gencube.lp import vertex_product_matrix
-from gencube.pauli import BlochOp, PauliCoeffs2Q, from_dense, product, product_rows, to_dense
+from gencube.pauli import (
+    PAULIS,
+    BlochOp,
+    PauliCoeffs2Q,
+    from_dense,
+    product,
+    product_rows,
+    to_dense,
+)
 from gencube.spaces import cube_vertices, rescale2
 
 CSIGN_DENSE = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -73,6 +89,56 @@ def test_noise_models_against_dense_kraus():
     lhs = to_dense(apply_noise(A, local_dephase(p))).entries
     rhs = dephase_qubit(dephase_qubit(rho, 0, p, 2), 1, p, 2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _lift(ops: dict, n: int) -> np.ndarray:
+    """kron of ops[k] over qubits k = 0..n-1 (identity where absent)."""
+    out = np.eye(1)
+    for k in range(n):
+        out = np.kron(out, ops.get(k, np.eye(2)))
+    return out
+
+
+def _kraus_sum(rho, kraus) -> np.ndarray:
+    return sum(K @ rho @ K.conj().T for K in kraus)
+
+
+@pytest.mark.parametrize("n, q1, q2", [(3, 1, 0), (3, 2, 0), (3, 0, 2),
+                                       (4, 3, 1), (4, 0, 3), (4, 2, 0)])
+def test_dense_ops_on_reversed_and_far_pairs_match_kron_kraus_sums(n, q1, q2):
+    rng = np.random.default_rng(100 * n + 10 * q1 + q2)
+    g = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho)
+    lam, p = 0.37, 0.21
+    I2, Z = PAULIS[0], PAULIS[3]
+
+    joint = [math.sqrt(1.0 - lam) * np.eye(2 ** n)]
+    joint += [math.sqrt(lam) / 4 * _lift({q1: Pi, q2: Pj}, n) for Pi in PAULIS for Pj in PAULIS]
+    assert np.max(np.abs(joint_depolarize_pair(rho, q1, q2, lam, n)
+                         - _kraus_sum(rho, joint))) < 1e-12
+
+    local = [math.sqrt(1.0 - 0.75 * p) * np.eye(2 ** n)]
+    local += [math.sqrt(p) / 2 * _lift({q1: P}, n) for P in PAULIS[1:]]
+    assert np.max(np.abs(depolarize_qubit(rho, q1, p, n) - _kraus_sum(rho, local))) < 1e-12
+
+    dephase = [math.sqrt(1.0 - p) * np.eye(2 ** n), math.sqrt(p) * _lift({q2: Z}, n)]
+    assert np.max(np.abs(dephase_qubit(rho, q2, p, n) - _kraus_sum(rho, dephase))) < 1e-12
+
+    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    U = np.linalg.qr(h)[0]
+    assert np.max(np.abs(conjugate_qubit(rho, U, q2, n)
+                         - _kraus_sum(rho, [_lift({q2: U}, n)]))) < 1e-12
+
+    cz = _lift({q1: np.diag([1.0, 0.0])}, n) + _lift({q1: np.diag([0.0, 1.0]), q2: Z}, n)
+    assert np.max(np.abs(csign_pair(rho, q1, q2, n) - _kraus_sum(rho, [cz]))) < 1e-12
+
+    # preparing sigma = sum_k w_k |v_k><v_k|: Kraus terms sqrt(w_k) |v_k><j|
+    sigma = 0.5 * (I2 + 0.6 * PAULIS[1] - 0.3 * PAULIS[2] + 0.5 * Z)
+    w, v = np.linalg.eigh(sigma)
+    prep = [math.sqrt(w[k]) * _lift({q1: np.outer(v[:, k], I2[j])}, n)
+            for k in range(2) for j in range(2)]
+    assert np.max(np.abs(prepare_qubit(rho, sigma, q1, n) - _kraus_sum(rho, prep))) < 1e-12
 
 
 def test_noise_rule_spot_values():

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from gencube import lp, simulator
+from gencube.dense import partial_trace, permute_qubits
 from gencube.gates import NoiseModel, pipeline
-from gencube.pauli import BlochOp
+from gencube.pauli import PAULIS, BlochOp, axis_index
 from gencube.separability import LhvCertificate, verify_certificate
+from gencube.spaces import StateSpaceSpec, contains
 from gencube.simulator import (
     Circuit,
     CircuitNotSimulableError,
@@ -208,6 +210,195 @@ def test_adaptive_conditioning_matches_dense_branchwise():
         e = {k: v for k, v in exact.items() if k[0] == branch}
         h = {k: v for k, v in hist.items() if k[0] == branch}
         assert tvd(h, e) < 0.03
+
+
+# ---------------------------------------------------------------------------
+# The tensor-axis dense reference against the kron-embedding one it replaced
+# ---------------------------------------------------------------------------
+# _kron_dense_reference is the earlier simulate_dense verbatim: it lifts every
+# gate, Kraus term and projector to 2^n x 2^n with a kron chain and
+# conjugates with two matrix products, O(8^n) per op.
+
+
+def _kron_all(mats) -> np.ndarray:
+    out = np.array([[1.0 + 0j]])
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+def _embed_one(op: np.ndarray, q: int, n: int) -> np.ndarray:
+    return _kron_all([op if k == q else np.eye(2) for k in range(n)])
+
+
+def _embed_two(op4: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
+    big = _kron_all([op4] + [np.eye(2)] * (n - 2))
+    order = [q1, q2] + [k for k in range(n) if k not in (q1, q2)]
+    inv = [order.index(k) for k in range(n)]
+    return permute_qubits(big, inv)
+
+
+def _kron_depolarize_qubit(rho, q, p, n):
+    out = (1.0 - 0.75 * p) * rho
+    for k in (1, 2, 3):
+        P = _embed_one(PAULIS[k], q, n)
+        out = out + 0.25 * p * (P @ rho @ P)
+    return out
+
+
+def _kron_dephase_qubit(rho, q, p, n):
+    Z = _embed_one(PAULIS[3], q, n)
+    return (1.0 - p) * rho + p * (Z @ rho @ Z)
+
+
+def _kron_joint_depolarize_pair(rho, q1, q2, lam, n):
+    out = (1.0 - lam) * rho
+    acc = np.zeros_like(rho)
+    for i in range(4):
+        for j in range(4):
+            P = _embed_one(PAULIS[i], q1, n) @ _embed_one(PAULIS[j], q2, n)
+            acc = acc + P @ rho @ P
+    return out + lam * acc / 16.0
+
+
+def _kron_noisy_csign(rho, op: NoisyCsign, n):
+    U = _embed_two(np.diag([1, 1, 1, -1]).astype(complex), op.qubit1, op.qubit2, n)
+    rho = U @ rho @ U.conj().T
+    nm = op.noise
+    if nm.kind == "joint-depol":
+        return _kron_joint_depolarize_pair(rho, op.qubit1, op.qubit2, nm.strength, n)
+    if nm.kind == "local-depol":
+        rho = _kron_depolarize_qubit(rho, op.qubit1, nm.strength, n)
+        return _kron_depolarize_qubit(rho, op.qubit2, nm.strength, n)
+    rho = _kron_dephase_qubit(rho, op.qubit1, nm.strength, n)
+    return _kron_dephase_qubit(rho, op.qubit2, nm.strength, n)
+
+
+_KRON_CLIFFORDS = {
+    "X": PAULIS[1],
+    "Y": PAULIS[2],
+    "Z": PAULIS[3],
+    "S": np.diag([1.0, 1j]),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
+}
+
+
+def _kron_dense_reference(circuit: Circuit) -> dict:
+    n = circuit.num_qubits
+    rids = circuit.record_ids()
+    sphere = StateSpaceSpec.sphere(1.0)
+
+    dist: dict[str, float] = {}
+    stack = [(np.eye(2 ** n, dtype=complex) / (2 ** n), 0, {}, 1.0)]
+    while stack:
+        rho, k, record, prob = stack.pop()
+        while k < len(circuit.ops):
+            op = circuit.ops[k]
+            k += 1
+            if isinstance(op, ClassicalControl):
+                if record.get(op.record_id) != op.value:
+                    continue
+                op = op.op
+            if isinstance(op, Prepare):
+                if not contains(sphere, op.state):
+                    raise ValueError("dense simulation requires quantum preparations")
+                local = np.eye(2, dtype=complex) / 2
+                for i in (1, 2, 3):
+                    local = local + op.state.bloch[i - 1] * PAULIS[i] / 2
+                keep = [q for q in range(n) if q != op.qubit]
+                if n == 1:
+                    rho = local
+                else:
+                    rest = partial_trace(rho, keep, n)
+                    rho = np.kron(local, rest)
+                    order = [op.qubit] + keep
+                    inv = [order.index(q) for q in range(n)]
+                    rho = permute_qubits(rho, inv)
+            elif isinstance(op, Clifford1):
+                U = _embed_one(_KRON_CLIFFORDS[op.gate], op.qubit, n)
+                rho = U @ rho @ U.conj().T
+            elif isinstance(op, NoisyCsign):
+                rho = _kron_noisy_csign(rho, op, n)
+            elif isinstance(op, Measure):
+                obs = _embed_one(PAULIS[axis_index(op.axis)], op.qubit, n)
+                branches = []
+                for outcome in (1, -1):
+                    proj = (np.eye(2 ** n) + outcome * obs) / 2
+                    sub = proj @ rho @ proj
+                    p = float(np.real(np.trace(sub)))
+                    if p > 1e-15:
+                        rec2 = dict(record)
+                        rec2[op.record_id] = outcome
+                        branches.append((sub / p, k, rec2, prob * p))
+                stack.extend(reversed(branches))
+                break
+        else:
+            key = "".join({1: "+", -1: "-"}.get(record.get(rid), ".") for rid in rids)
+            dist[key] = dist.get(key, 0.0) + prob
+    return dict(sorted(dist.items()))
+
+
+def _random_prep(rng, q: int) -> Prepare:
+    """An axis eigenstate (a Born weight of 0 somewhere downstream) or a
+    random point of the Bloch ball."""
+    if rng.random() < 0.3:
+        b = np.zeros(3)
+        b[rng.integers(3)] = rng.choice((1.0, -1.0))
+    else:
+        b = rng.standard_normal(3)
+        b *= rng.uniform(0.2, 1.0) / np.linalg.norm(b)
+    return Prepare(q, BlochOp(b))
+
+
+def _random_body_op(rng, n: int):
+    kind = rng.integers(3)
+    if kind == 0:
+        q1, q2 = (int(q) for q in rng.choice(n, 2, replace=False))
+        noise = NoiseModel(str(rng.choice(["joint-depol", "local-depol", "local-dephase"])),
+                           float(rng.uniform(0.0, 1.0)))
+        return NoisyCsign(q1, q2, noise)
+    if kind == 1:
+        return Clifford1(int(rng.integers(n)), str(rng.choice(list("XYZSH"))))
+    return _random_prep(rng, int(rng.integers(n)))
+
+
+def _random_reference_circuit(seed: int) -> Circuit:
+    """A 2-6 qubit adaptive circuit.  Every one has a CSIGN on (n-1, 0)
+    (reversed, and non-adjacent from 3 qubits on), a preparation on qubit
+    n // 2 (a middle qubit from 3 qubits on), an X, Y or Z measurement
+    steering an ifeq, and a qubit measured twice."""
+    rng = np.random.default_rng(1000 + seed)
+    n = 2 + seed % 5
+    noise = NoiseModel(str(rng.choice(["joint-depol", "local-depol", "local-dephase"])),
+                       float(rng.uniform(0.0, 1.0)))
+    ops = [_random_prep(rng, q) for q in range(n)]
+    ops += [_random_body_op(rng, n) for _ in range(6)]
+    ops += [NoisyCsign(n - 1, 0, noise), _random_prep(rng, n // 2)]
+    q = int(rng.integers(n))
+    ops.append(Measure(q, str(rng.choice(list("XYZ"))), "a"))
+    ops.append(ClassicalControl("a", int(rng.choice((1, -1))), _random_body_op(rng, n)))
+    ops += [_random_body_op(rng, n) for _ in range(4)]
+    ops.append(Measure(q, str(rng.choice(list("XYZ"))), "b"))
+    ops.append(ClassicalControl("b", int(rng.choice((1, -1))), _random_body_op(rng, n)))
+    ops.append(Measure(int(rng.integers(n)), str(rng.choice(list("XYZ"))), "c"))
+    return Circuit(n, tuple(ops))
+
+
+def _assert_same_distribution(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_dense_matches_the_kron_reference_on_the_suite(name):
+    c = parse_circuit(SUITE[name])
+    _assert_same_distribution(simulate_dense(c), _kron_dense_reference(c))
+
+
+@pytest.mark.parametrize("seed", range(35))
+def test_dense_matches_the_kron_reference_on_random_circuits(seed):
+    c = _random_reference_circuit(seed)
+    _assert_same_distribution(simulate_dense(c), _kron_dense_reference(c))
 
 
 def test_cost_scales_in_shots_not_dimension():

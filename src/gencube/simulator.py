@@ -15,8 +15,10 @@ setting permutations map the product polytope onto itself, so a vertex
 pair whose gate output is the image of an already solved output takes the
 solved weights, permuted by the map's action on the vertex pairs, and
 rechecked on its own output.  For the three noise families one LP per gate
-suffices.  The certificates form one padded CDF table per gate, read for
-all shots of a CSIGN by a single vectorized lookup.
+suffices.  The certificates form one padded CDF table per gate.  A CSIGN
+draws the next pair of all its shots by inverse CDF through a guide table
+of GUIDE_BUCKETS buckets of [0, 1): one read per shot, except for the few
+shots whose bucket holds a CDF entry, which take an exact binary search.
 """
 from __future__ import annotations
 
@@ -277,39 +279,57 @@ def _gate_weights(noise: NoiseModel) -> np.ndarray:
     return weights
 
 
+GUIDE_BUCKETS = 1024    # a power of two, so u * GUIDE_BUCKETS is exact
+
+
 @dataclass(frozen=True)
 class _GateTable:
     """Row p holds the CDF of pair p's normalized weights over its support
     (weights > 1e-14), padded with +inf to a power-of-two width with at
     least one pad; support holds the pair indices the CDF entries select
-    and last the index of the row's last real entry."""
+    and last the index of the row's last real entry.
+
+    guide[b, p] is the next pair of input pair p for every u in the bucket
+    [b / GUIDE_BUCKETS, (b + 1) / GUIDE_BUCKETS), or -1 where an entry of
+    row p lies strictly inside the bucket, so that the draw depends on u
+    beyond its bucket (Chen & Asau's indexed search).
+    The last bucket starts at 1: rounding can put a row's last entry just
+    above 1, and a u read off it still finds a bucket."""
 
     cdf: np.ndarray         # 64 x width, float
     support: np.ndarray     # 64 x width, int
     last: np.ndarray        # 64, int
+    guide: np.ndarray       # (GUIDE_BUCKETS + 1) x 64, int8
 
 
 def _lookup_table(weights: np.ndarray) -> _GateTable:
-    """The padded table of a 64 x 64 weight matrix (row = input pair)."""
+    """The padded table and its guide of a 64 x 64 weight matrix (row =
+    input pair)."""
     w = np.clip(weights, 0.0, None)
     keep = w > 1e-14
     sizes = keep.sum(axis=1)
     width = 1 << int(sizes.max()).bit_length()
     cdf = np.full((64, width), np.inf)
     support = np.zeros((64, width), dtype=np.int64)
+    guide = np.empty((GUIDE_BUCKETS + 1, 64), dtype=np.int8)
+    edges = np.arange(GUIDE_BUCKETS + 2) / GUIDE_BUCKETS
     for p in range(64):
         idx = np.nonzero(keep[p])[0]
         ws = w[p, idx]
         cdf[p, :idx.size] = np.cumsum(ws / ws.sum())
         support[p, :idx.size] = idx
-    return _GateTable(cdf, support, sizes - 1)
+        # per bucket, the entries <= its left edge and those < its right edge
+        k = np.searchsorted(cdf[p], edges[:-1], side="right")
+        below = np.searchsorted(cdf[p], edges[1:], side="left")
+        guide[:, p] = np.where(below == k, support[p, np.minimum(k, idx.size - 1)], -1)
+    return _GateTable(cdf, support, sizes - 1, guide)
 
 
-def _draw_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next vertex pair of each shot: searchsorted(cdf row, u, side="right")
-    capped at the row's last entry, as one branchless binary search over all
-    shots.  Each row is nondecreasing and ends in +inf, so the search counts
-    the entries <= u, which is what searchsorted returns."""
+def _search_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf row, u, side="right") capped at the row's last
+    entry, as one branchless binary search over all shots, mapped to the
+    pair it selects.  Each row is nondecreasing and ends in +inf, so the
+    search counts the entries <= u, which is what searchsorted returns."""
     width = table.cdf.shape[1]
     cdf = table.cdf.ravel()
     base = pair * width
@@ -320,6 +340,24 @@ def _draw_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarra
         step //= 2
     np.minimum(k, table.last[pair], out=k)
     return table.support.ravel()[base + k]
+
+
+def _draw_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next vertex pair of each shot, the pair selected by the capped
+    searchsorted(cdf row, u, side="right").  Most shots read it off the
+    guide entry of their u's bucket; the shots whose bucket holds a CDF
+    entry (-1 in the guide) take the binary search of _search_pairs.
+    The result is int8."""
+    # the guide row of u's bucket, exact since GUIDE_BUCKETS is a power of
+    # two; int32, whose cast from float is far cheaper than int64's
+    key = (u * GUIDE_BUCKETS).astype(np.int32)
+    key <<= 6
+    key += pair
+    out = table.guide.take(key)
+    miss = np.flatnonzero(out < 0)
+    if miss.size:
+        out[miss] = _search_pairs(table, pair[miss], u[miss])
+    return out
 
 
 def _collect_noises(circuit: Circuit):
@@ -364,8 +402,9 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     All noisy CSIGNs are verified cube-separable up front: per distinct
     gate, one LP per orbit of its 64 vertex-pair outputs (one in all for
     the three noise families), every pair's weights rechecked on its own
-    output.  Sampling itself never touches the LP; a CSIGN is one table
-    lookup over all shots.  Identical seeds give identical histograms.  The
+    output.  Sampling itself never touches the LP; a CSIGN is a guide
+    table read over all shots, with a binary search for the few shots the
+    guide leaves open.  Identical seeds give identical histograms.  The
     redraws after measurements come from a stream of their own, so a
     circuit that never touches a measured qubit again samples exactly as if
     there were none.  The cost per shot and op does not depend on the
@@ -373,6 +412,8 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1; got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer; got {seed}")
     tables = {n: _lookup_table(_gate_weights(n)) for n in _collect_noises(circuit)}
     seeds = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
@@ -391,8 +432,11 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
         if isinstance(op, Prepare):
             u = rng.random((size, 3))
             p_plus = (1.0 + op.state.bloch) / 2.0
-            bits = (u >= p_plus).astype(np.int64)  # 1 encodes the -1 outcome
-            state[op.qubit, rows] = bits[:, 0] * 4 + bits[:, 1] * 2 + bits[:, 2]
+            # bit 2 - i is 1 on the -1 outcome of axis i
+            code = (u[:, 0] >= p_plus[0]).view(np.uint8) << 2
+            code |= (u[:, 1] >= p_plus[1]).view(np.uint8) << 1
+            code |= (u[:, 2] >= p_plus[2]).view(np.uint8)
+            state[op.qubit, rows] = code
         elif isinstance(op, Clifford1):
             state[op.qubit, rows] = _CLIFFORD_PERMS[op.gate][state[op.qubit, rows]]
         elif isinstance(op, NoisyCsign):
@@ -423,6 +467,8 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
 
 
 _SYMBOLS = {1: "+", -1: "-", 0: "."}
+# the base-3 digit col + 1 of a record value -1, 0, +1 to its symbol
+_DIGIT_SYMBOLS = str.maketrans("012", "-.+")
 _CODE_SPAN_MAX = 3 ** 38    # one more base-3 digit still fits an int64
 
 
@@ -430,7 +476,9 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
     """Counts of the outcome strings of the record columns (+1, -1, or 0
     where a record was never written), sorted by string.
 
-    Each shot's columns are read as one base-3 integer; past 38 columns the
+    Each shot's columns are read as one base-3 integer.  While 3^columns
+    <= shots, np.bincount counts the codes and each string is read off its
+    code's digits.  Otherwise np.unique counts them; past 38 columns the
     codes seen so far are renumbered 0, 1, ... before the next digit, so
     any number of columns fits an int64.
     """
@@ -443,11 +491,17 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
             _, code = np.unique(code, return_inverse=True)
             span = int(code.max()) + 1
         code *= 3
-        code += col % 3
+        code += col
+        code += 1
         span *= 3
-    _, first, counts = np.unique(code, return_index=True, return_counts=True)
-    hist = {"".join(_SYMBOLS[int(col[i])] for col in cols): int(n)
-            for i, n in zip(first, counts)}
+    if 3 ** len(cols) <= shots:     # no code was renumbered
+        counts = np.bincount(code)
+        hist = {np.base_repr(c, 3).zfill(len(cols)).translate(_DIGIT_SYMBOLS): int(counts[c])
+                for c in np.flatnonzero(counts)}
+    else:
+        _, first, counts = np.unique(code, return_index=True, return_counts=True)
+        hist = {"".join(_SYMBOLS[int(col[i])] for col in cols): int(n)
+                for i, n in zip(first, counts)}
     return dict(sorted(hist.items()))
 
 

@@ -254,6 +254,8 @@ def curve(q: ThresholdQuery, R_min: float, R_max: float, steps: int) -> list[Cur
     """
     if not R_min > 0:
         raise ValueError("R_min must be positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     points = []
     for R in np.linspace(R_min, R_max, steps):
         qi = replace(q, space=StateSpaceSpec(q.space.kind, float(R)))

@@ -56,6 +56,17 @@ def test_curve_writes_csv(tmp_path):
     assert method == "facet"
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_curve_rejects_fewer_than_one_step(tmp_path, capsys, steps):
+    out_file = tmp_path / "curve.csv"
+    code, _ = run_cli(["curve", "--noise", "joint-depol", "--space", "cube",
+                       "--r-min", "0.9", "--r-max", "1.1", "--steps", steps,
+                       "--out", str(out_file)])
+    assert code == 1
+    assert "error: steps must be at least 1" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_verify_subcommands_pass():
     for which in ("appendix1", "appendix2", "bell", "epg-bounds", "orbit", "appendix3"):
         code, out = run_cli(["verify", which])
@@ -114,6 +125,16 @@ def test_simulate_rejects_bad_shot_count(tmp_path, capsys, shots):
                          "--compare-dense"])
     assert code == 1
     assert "error: shots must be at least 1" in capsys.readouterr().err
+    assert "tvd_vs_dense" not in out
+
+
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    f = tmp_path / "circ.txt"
+    f.write_text(SUITE["bell_like_joint"])
+    code, out = run_cli(["simulate", "--circuit", str(f), "--shots", "10",
+                         "--seed", "-1", "--compare-dense"])
+    assert code == 1
+    assert "error: seed must be a non-negative integer; got -1" in capsys.readouterr().err
     assert "tvd_vs_dense" not in out
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import time
 import tracemalloc
@@ -117,6 +118,12 @@ def test_bad_shot_count_rejected_before_the_gate_tables(shots):
         simulate_hn(parse_circuit(text), shots, seed=1)
 
 
+def test_negative_seed_rejected_before_the_gate_tables():
+    text = "qubits 2\nprep 0 1 0 0\nprep 1 0 0 1\ncsign 0 1 joint-depol 0.0\nmeas 0 X a\n"
+    with pytest.raises(ValueError, match="seed must be a non-negative integer; got -1"):
+        simulate_hn(parse_circuit(text), 10, seed=-1)
+
+
 def test_qubit_cap_holds_on_the_dense_path_only():
     n = 120
     lines = [f"qubits {n}"] + [f"prep {q} 0.5 0.1 0.6" for q in range(n)]
@@ -141,6 +148,43 @@ def test_determinism():
     assert h1 == h2
     h3 = simulate_hn(c, 5000, seed=43).histogram
     assert h1 != h3
+
+
+# sha256 of repr(sorted(histogram.items())) of each suite circuit at 20 000
+# shots: any change to a draw, a gate table or the counting shows here
+PINNED_HISTOGRAMS = {
+    ("adaptive_feedforward", 1):
+        "ddfc52ba0c971d9b3572701e3abd48dc32594f4e0318b8f7a3cae6f30ddeab18",
+    ("adaptive_feedforward", 7):
+        "96b0acc39bd34728c998cf2f417af15628d2eb9ce50f2450205491b32c9096a5",
+    ("bell_like_joint", 1):
+        "714fbfa00a5862c2f86be13bd7d9f3e1b881e06d9d0ed2f6c671cdf9c9d3615c",
+    ("bell_like_joint", 7):
+        "caa6b985ee921b68dfdb7f8ecd25f8f47d9d086181a1bb795a5444f8434f9f87",
+    ("dephase_pair", 1):
+        "cd99b3da6f41530a99f7f628eaafd6d0169e4f3c71d3c0f0dac310855654c7eb",
+    ("dephase_pair", 7):
+        "4e2a05310ed9e18dd8026fee4edb34f785343a4edcfe0470f807de632d7e9927",
+    ("local_depol_pair", 1):
+        "4f159fdd0f51cfc393d99d008da9cd9eb59c5978dc938489120b9a329ab86840",
+    ("local_depol_pair", 7):
+        "b9ebccb265dad62b82bb4a498452a9d606bd16eb4aecf88442ee71db3a5e8842",
+    ("remeasure_zx", 1):
+        "3f079ffbabfd15c0cb7eeb9b43792073ed340f1380f75f241ec5f42ceb7ac27e",
+    ("remeasure_zx", 7):
+        "f3fe176589842ed00d1553670264ab4106a0ff5579a315015e9bbfdc98b1c918",
+    ("three_qubit_chain", 1):
+        "b6bd4420bfe07bf203d7cf5285e633b84853d336fab57212bdad346e1d995ad3",
+    ("three_qubit_chain", 7):
+        "8be70dc49276b55808e4915d590fbcc7ee9d739f664e0187fbfab401931459ab",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_HISTOGRAMS))
+def test_histogram_pinned_on_the_suite(name, seed):
+    hist = simulate_hn(parse_circuit(SUITE[name]), 20_000, seed).histogram
+    digest = hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest()
+    assert digest == PINNED_HISTOGRAMS[name, seed]
 
 
 def test_histogram_shape_and_symbols():
@@ -566,28 +610,58 @@ def _random_weights(rng):
     return W
 
 
-@pytest.mark.parametrize("source", ["gate", "random"])
+def _edge_weights():
+    """Rows 0-31 dyadic, 1/2, 1/4, ..., 1/2^k, 1/2^k for k = 1..32, whose
+    CDF entries sit on guide bucket edges up to k = 10 and inside the last
+    bucket beyond; rows 32-63 equal weights over 2-64 pairs, whose rounded
+    last CDF entry lands below, on or above 1."""
+    W = np.zeros((64, 64))
+    for p in range(32):
+        k = p + 1
+        W[p, (7 * np.arange(k + 1) + p) % 64] = [2.0 ** -j for j in range(1, k + 1)] + [2.0 ** -k]
+    for p in range(32, 64):
+        W[p, np.arange(min(64, 2 * (p - 32) + 2))] = 0.1
+    return W
+
+
+@pytest.mark.parametrize("source", ["gate", "random", "edges"])
 def test_lookup_matches_per_pair_searchsorted(source):
     rng = np.random.default_rng(17)
+    M = simulator.GUIDE_BUCKETS
     if source == "gate":
         weight_sets = [simulator._gate_weights(n) for n in SEPARABLE_GATES[::2]]
-    else:
+    elif source == "random":
         weight_sets = [_random_weights(rng) for _ in range(4)]
+    else:
+        weight_sets = [_edge_weights()]
     for W in weight_sets:
         ref = reference_tables(W)
         table = simulator._lookup_table(W)
+        if source == "edges":
+            assert any(cdf[-1] < 1.0 for cdf, _ in ref)
+            assert any(cdf[-1] > 1.0 for cdf, _ in ref)
+            # entries on bucket edges leave every bucket of their row fixed
+            assert (table.guide[:, :10] >= 0).all()
+        assert (table.guide < 0).any()
         pair = rng.integers(0, 64, size=60_000)
         u = rng.random(pair.size)
-        # uniforms exactly on CDF entries, and the ends of [0, 1)
+        # uniforms exactly on CDF entries, on bucket edges and just below
+        # them, and the ends of [0, 1)
         on_edge = rng.random(pair.size) < 0.3
         u[on_edge] = [ref[p][0][rng.integers(len(ref[p][0]))] for p in pair[on_edge]]
+        bucket = rng.integers(0, M, size=pair.size)
+        on_bucket, below_bucket = rng.random((2, pair.size)) < 0.2
+        u[on_bucket] = bucket[on_bucket] / M
+        u[below_bucket] = np.nextafter((bucket[below_bucket] + 1) / M, 0.0)
         u[:64] = 0.0
         u[64:128] = np.nextafter(1.0, 0.0)
-        np.testing.assert_array_equal(simulator._draw_pairs(table, pair, u),
-                                      reference_csign_step(ref, pair, u))
+        got = simulator._draw_pairs(table, pair, u)
+        # some shots fall in an open bucket and take the binary search
+        assert (table.guide.ravel()[(u * M).astype(np.intp) * 64 + pair] < 0).any()
+        np.testing.assert_array_equal(got, reference_csign_step(ref, pair, u))
 
 
-@pytest.mark.parametrize("ncols", [0, 1, 4, 12, 45])
+@pytest.mark.parametrize("ncols", [0, 1, 4, 9, 12, 45])
 def test_histogram_matches_row_unique(ncols):
     rng = np.random.default_rng(ncols)
     shots = 30_000

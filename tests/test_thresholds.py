@@ -102,6 +102,13 @@ def test_curve_and_csv_format():
     assert lines[2].startswith("1,0.666666")
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_curve_rejects_fewer_than_one_step(steps):
+    q = ThresholdQuery("joint-depol", CUBE, "cube-separable")
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        curve(q, 0.9, 1.1, steps)
+
+
 def test_dephasing_impossibility():
     v = dephasing_impossibility(1.2, 0.3)
     assert not v.valid

@@ -25,12 +25,15 @@ __all__ = [
     "product_rows",
     "to_dense",
     "dense_rows",
+    "dense_rows_real",
     "from_dense",
     "bloch_to_dense",
     "bloch_from_dense",
     "born_probability",
     "single_born",
     "partial_transpose",
+    "PT_SIGNS",
+    "ODD_Y",
     "eigenvalues_hermitian",
 ]
 
@@ -43,8 +46,15 @@ PAULIS = (
 
 AXES = {"X": 1, "Y": 2, "Z": 3}
 
-# PP2[4*i+j] = sigma_i (x) sigma_j, used by the dense conversions
+# PP2[4*i+j] = sigma_i (x) sigma_j, used by the dense conversions.  The six
+# products with exactly one sigma_Y (ODD_Y) are imaginary, the other ten real.
 _PP2 = np.array([np.kron(PAULIS[i], PAULIS[j]) for i in range(4) for j in range(4)])
+_PP2_REAL = np.ascontiguousarray(_PP2.real)
+ODD_Y = np.array([(i == 2) != (j == 2) for i in range(4) for j in range(4)])
+
+# Partial transpose on the second particle as a sign on the flattened
+# coefficients: sigma_Y^T = -sigma_Y, so every A_i2 flips.
+PT_SIGNS = np.array([-1.0 if j == 2 else 1.0 for i in range(4) for j in range(4)])
 
 HERMITICITY_TOL = 1e-12
 
@@ -161,6 +171,14 @@ def dense_rows(B: np.ndarray) -> np.ndarray:
     return np.tensordot(B, _PP2, axes=(1, 0)) / 4.0
 
 
+def dense_rows_real(B: np.ndarray) -> np.ndarray:
+    """dense_rows of an (N, 16) stack with no odd-Y coefficient, as an
+    (N, 4, 4) real symmetric stack.  Only the real parts of the Pauli
+    products enter, so an odd-Y coefficient would be dropped: the caller
+    checks that B[:, ODD_Y] is all zero."""
+    return np.tensordot(B, _PP2_REAL, axes=(1, 0)) / 4.0
+
+
 def from_dense(rho) -> PauliCoeffs2Q:
     """Coefficient matrix A_ij = tr(rho sigma_i (x) sigma_j)."""
     m = np.asarray(rho.entries if isinstance(rho, DenseHermitian) else rho, dtype=complex)
@@ -212,9 +230,7 @@ def single_born(a: BlochOp, axis, outcome: int) -> float:
 
 def partial_transpose(A: PauliCoeffs2Q) -> PauliCoeffs2Q:
     """Partial transpose on the second particle: negate the sigma_Y column."""
-    c = np.array(A.coeffs)
-    c[:, 2] *= -1.0
-    return PauliCoeffs2Q(c)
+    return PauliCoeffs2Q(A.coeffs * PT_SIGNS.reshape(4, 4))
 
 
 def eigenvalues_hermitian(rho, tol: float = 1e-10) -> np.ndarray:

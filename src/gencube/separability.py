@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lp
 from .gates import NoiseModel, joint_depol, local_depol, local_dephase, pipeline
-from .pauli import BlochOp, PauliCoeffs2Q, dense_rows
+from .pauli import ODD_Y, PT_SIGNS, BlochOp, PauliCoeffs2Q, dense_rows, dense_rows_real
 
 __all__ = [
     "LhvCertificate",
@@ -193,12 +193,16 @@ def positive_for_pauli(A: PauliCoeffs2Q, R: float = 1.0,
 
 def quantum_margins(B: np.ndarray) -> np.ndarray:
     """Least eigenvalue of each row's operator of an (N, 16) stack and of its
-    partial transpose on the second qubit: one batched Hermitian eigensolve
-    of the 2N 4 x 4 matrices."""
-    rho = dense_rows(B)
-    n = len(rho)
-    pt = rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
-    low = np.linalg.eigvalsh(np.concatenate((rho, pt)))[:, 0]
+    partial transpose on the second qubit: one batched eigensolve of the 2N
+    4 x 4 matrices.  The partial transpose is taken on the coefficients
+    (PT_SIGNS), and both operators come from one dense build of the (2N, 16)
+    stack.  When no row has an odd-Y coefficient, every operator and its
+    partial transpose is real symmetric, and the build and the eigensolve
+    are real; any other stack takes the complex Hermitian route."""
+    n = len(B)
+    pair = np.concatenate((B, B * PT_SIGNS))
+    dense = dense_rows(pair) if B[:, ODD_Y].any() else dense_rows_real(pair)
+    low = np.linalg.eigvalsh(dense)[:, 0]
     return np.minimum(low[:n], low[n:])
 
 

@@ -9,6 +9,10 @@ output and of its partial transpose), and the predicate holds where margin
 (N, 16) stack, so a threshold is one Brent root of the least margin + tol
 over a stacked batch of inputs, on the bracket [0, full noise]; the
 LHV-achievability boundaries are roots of the same cube margin in R.
+The sphere-grid inputs lie in the XZ plane, so the PPT margin there runs
+one real symmetric eigensolve (see ``separability.quantum_margins``), and
+because the CSIGN, the noise and the rescaling are symmetric under
+exchanging the qubits, the grid root runs over half the grid.
 Closed-form positivity bounds of the rescaled-cube analysis live here as
 well.
 """
@@ -66,6 +70,8 @@ class ThresholdQuery:
             raise ValueError(f"unknown input policy {self.input_policy!r}")
         if self.input_policy == "sphere-grid" and self.space.kind != "sphere":
             raise ValueError("sphere-grid inputs require a sphere state space")
+        if self.grid_n < 1:
+            raise ValueError("grid_n must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,11 @@ def min_noise(q: ThresholdQuery) -> float:
     one Brent root of the least margin + tol over a stacked batch of inputs
     (the all-ones vertex pair, the 64 vertex pairs, or the sphere grid).
 
+    The sphere grid is folded by the qubit-exchange symmetry: its first root
+    runs over the th <= ph rows only (n(n+1)/2 of n^2), whose outputs have
+    no odd-Y coefficient and take the real eigensolve of quantum_margins.  The
+    binding input then gets a second root over its 21 x 21 refinement cell.
+
     Raises ThresholdBracketError when the criterion already holds at zero
     noise or still fails at full noise.
     """
@@ -156,7 +167,13 @@ def min_noise(q: ThresholdQuery) -> float:
     if q.input_policy == "all-vertices":
         return root(lp.vertex_product_matrix().T)
     U, V, th, ph = sphere_grid_inputs(q.grid_n)
-    P = product_rows(U, V)
+    # swap fold: the CSIGN, every noise family and frame_scale(R) are
+    # symmetric under exchanging the qubits, so inputs (th, ph) and (ph, th)
+    # give SWAP-conjugate outputs, whose operators and partial transposes
+    # have the same spectra; the first root runs over th <= ph only
+    half = th <= ph
+    th, ph = th[half], ph[half]
+    P = product_rows(U[half], V[half])
     lam = root(P)
     # refinement: one more root over +-1 grid cell around the input that binds
     # at the first root, at 10x resolution

@@ -4,16 +4,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gencube import lp
-from gencube.gates import csign, joint_depol, local_dephase, local_depol, apply_noise, pipeline
+from gencube import lp, separability
+from gencube.gates import (
+    NoiseModel,
+    apply_noise,
+    csign,
+    joint_depol,
+    local_dephase,
+    local_depol,
+    pipeline,
+    pipeline_rows,
+)
 from gencube.pauli import (
+    ODD_Y,
+    PT_SIGNS,
     BlochOp,
     PauliCoeffs2Q,
     born_probability,
+    dense_rows,
     eigenvalues_hermitian,
     from_dense,
     partial_transpose,
     product,
+    product_rows,
     to_dense,
 )
 from gencube.separability import (
@@ -181,13 +194,71 @@ def test_quantum_margin_is_the_least_eigenvalue_with_its_partial_transpose():
         assert quantum_separable_2q(A) == (ref >= -1e-9)
 
 
-def test_stacked_quantum_margins_match_the_one_matrix_margin():
+def _random_stack():
     rng = np.random.default_rng(9)
-    B = np.column_stack((np.ones(300), rng.uniform(-1, 1, (300, 15))))
+    return np.column_stack((np.ones(300), rng.uniform(-1, 1, (300, 15))))
+
+
+def test_stacked_quantum_margins_match_the_one_matrix_margin():
+    B = _random_stack()
     stacked = quantum_margins(B)
     assert stacked.shape == (300,)
     for b, m in zip(B, stacked):
         assert abs(quantum_margin(PauliCoeffs2Q(b.reshape(4, 4))) - m) < 1e-14
+
+
+def _entry_permuted_margins(B):
+    """quantum_margins with the partial transpose taken as an entry
+    permutation of the dense operators: one complex Hermitian eigensolve."""
+    rho = dense_rows(B)
+    n = len(rho)
+    pt = rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
+    low = np.linalg.eigvalsh(np.concatenate((rho, pt)))[:, 0]
+    return np.minimum(low[:n], low[n:])
+
+
+def test_coefficient_partial_transpose_matches_the_entry_permutation():
+    B = _random_stack()
+    n = len(B)
+    rho = dense_rows(B)
+    permuted = rho.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
+    assert np.array_equal(dense_rows(B * PT_SIGNS), permuted)
+    assert np.array_equal(quantum_margins(B), _entry_permuted_margins(B))
+
+
+def _xz_outputs(family, R):
+    """Outputs of XZ-plane product inputs through the noisy CSIGN, at five
+    strengths: a stack with no odd-Y coefficient."""
+    rng = np.random.default_rng(31)
+    th, ph = rng.uniform(0.0, 2.0 * math.pi, (2, 40))
+    U = np.column_stack((np.cos(th), np.zeros(40), np.sin(th)))
+    V = np.column_stack((np.cos(ph), np.zeros(40), np.sin(ph)))
+    P = product_rows(U, V)
+    hi = 0.5 if family == "local-dephase" else 1.0
+    return np.concatenate([pipeline_rows(P, R, NoiseModel(family, p))
+                           for p in np.linspace(0.0, hi, 5)])
+
+
+@pytest.mark.parametrize("R", [0.8, 1.0, 1.3])
+@pytest.mark.parametrize("family", ["joint-depol", "local-depol", "local-dephase"])
+def test_real_route_matches_the_complex_eigensolve(family, R, monkeypatch):
+    B = _xz_outputs(family, R)
+    assert not B[:, ODD_Y].any()
+    ref = _entry_permuted_margins(B)
+    # the stack takes the real route: the complex build is never reached
+    def no_complex(_):
+        raise AssertionError("complex route taken")
+    monkeypatch.setattr(separability, "dense_rows", no_complex)
+    got = quantum_margins(B)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) < 1e-14
+
+
+def test_one_odd_y_coefficient_takes_the_complex_route():
+    B = _random_stack()
+    B[:, ODD_Y] = 0.0
+    B[17, np.flatnonzero(ODD_Y)[3]] = 0.4
+    assert np.array_equal(quantum_margins(B), _entry_permuted_margins(B))
 
 
 def test_cube_separable_with_rescaled_vertices():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from gencube.gates import NoiseModel, joint_depol, local_dephase, pipeline
-from gencube.pauli import BlochOp, eigenvalues_hermitian, partial_transpose, to_dense
-from gencube.separability import POSITIVITY_TOL, quantum_margin
+from gencube.gates import NoiseModel, joint_depol, local_dephase, pipeline, pipeline_rows
+from gencube.pauli import BlochOp, eigenvalues_hermitian, partial_transpose, product_rows, to_dense
+from gencube.separability import POSITIVITY_TOL, quantum_margin, quantum_margins
 from gencube.spaces import StateSpaceSpec
 from gencube.thresholds import (
     ROOT_XTOL,
@@ -211,6 +211,49 @@ def test_sphere_grid_root_equals_the_per_point_scan(family, R, grid_n):
     q = ThresholdQuery(family, StateSpaceSpec.sphere(R), "quantum-separable",
                        "sphere-grid", grid_n=grid_n)
     assert abs(min_noise(q) - _grid_scan_reference(q)) < 1e-12
+
+
+@pytest.mark.parametrize("R", [1.0, 1.16, 1.73])
+@pytest.mark.parametrize("family", ["joint-depol", "local-depol", "local-dephase"])
+def test_sphere_grid_outputs_are_swap_symmetric(family, R):
+    # the swap fold of min_noise: (th, ph) and (ph, th) give the same margin
+    n = 12
+    U, V, _, _ = sphere_grid_inputs(n)
+    mirror = np.arange(n * n).reshape(n, n).T.ravel()   # row of (ph, th)
+    P = product_rows(U, V)
+    hi = 0.5 if family == "local-dephase" else 1.0
+    for p in np.linspace(0.0, hi, 4):
+        m = quantum_margins(pipeline_rows(P, R, NoiseModel(family, p)))
+        assert np.max(np.abs(m - m[mirror])) < 1e-14
+
+
+# captured from the unfolded complex sweep, grid_n = 60
+SPHERE_THRESHOLDS = {
+    ("joint-depol", 1.73): 0.5361930276353888,
+    ("local-depol", 1.16): 0.3941216218884855,
+    ("joint-depol", 1.0): 0.6666666653333333,
+}
+
+
+@pytest.mark.parametrize("family, R", list(SPHERE_THRESHOLDS))
+def test_sphere_thresholds_pinned(family, R):
+    q = ThresholdQuery(family, StateSpaceSpec.sphere(R), "quantum-separable",
+                       "sphere-grid", grid_n=60)
+    assert abs(min_noise(q) - SPHERE_THRESHOLDS[family, R]) < 1e-12
+
+
+@pytest.mark.parametrize("grid_n", [0, -3])
+def test_query_rejects_a_grid_below_one(grid_n):
+    with pytest.raises(ValueError, match="grid_n must be at least 1"):
+        ThresholdQuery("joint-depol", StateSpaceSpec.sphere(1.0), "quantum-separable",
+                       "sphere-grid", grid_n=grid_n)
+
+
+def test_one_point_grid_stays_valid():
+    # the single input (0, 0) is X (x) X; joint depol then binds at 2/3
+    q = ThresholdQuery("joint-depol", StateSpaceSpec.sphere(1.0), "quantum-separable",
+                       "sphere-grid", grid_n=1)
+    assert abs(min_noise(q) - 2 / 3) < 1e-8
 
 
 def test_sphere_threshold_unit_rescaling_matches_cube_case():

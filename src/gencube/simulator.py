@@ -2,23 +2,26 @@
 cube-separable, plus a dense density-matrix reference for cross-validation,
 which applies each op to its own qubits' tensor axes of rho, at O(4^n).
 
-The sampler stores one cube vertex per qubit per shot.  Preparations sample
-a vertex from the per-axis product rule, each noisy CSIGN samples a vertex
-pair from a cached LHV certificate of the gate's action on the current pair,
-Cliffords permute vertices, and a measurement reads a vertex component off
-deterministically and then redraws the other two components uniformly: the
-post-measurement Pauli eigenstate is the centre of a cube face, the uniform
-mixture of its four corners.
+The sampler stores one byte per qubit per shot: the index of a cube vertex,
+whose bits 2, 1, 0 are set on the -1 components along X, Y, Z.
+Preparations sample a vertex from the per-axis product rule, each noisy
+CSIGN samples a vertex pair (index 8 v1 + v2) from a cached LHV certificate
+of the gate's action on the current pair, Cliffords permute vertices, and a
+measurement records 1 - 2 b of the measured axis's bit b and then redraws
+the other two bits uniformly: the post-measurement Pauli eigenstate is the
+centre of a cube face, the uniform mixture of its four corners.
 
 A gate's 64 certificates come from its symmetry orbit: the local signed
 setting permutations map the product polytope onto itself, so a vertex
 pair whose gate output is the image of an already solved output takes the
 solved weights, permuted by the map's action on the vertex pairs, and
-rechecked on its own output.  For the three noise families one LP per gate
-suffices.  The certificates form one padded CDF table per gate.  A CSIGN
-draws the next pair of all its shots by inverse CDF through a guide table
-of GUIDE_BUCKETS buckets of [0, 1): one read per shot, except for the few
-shots whose bucket holds a CDF entry, which take an exact binary search.
+rechecked on its own output.  A solved output's 2304 images are keyed by
+their bytes, so each pair finds its map in one dict lookup.  For the three
+noise families one LP per gate suffices.  The certificates form one padded
+CDF table per gate.  A CSIGN draws the next pair of all its shots by
+inverse CDF through a guide table of GUIDE_BUCKETS buckets of [0, 1): one
+read per shot, except for the few shots whose bucket holds a CDF entry,
+which take an exact binary search.
 """
 from __future__ import annotations
 
@@ -99,6 +102,30 @@ class ClassicalControl:
     op: object  # any non-control op
 
 
+def _check_op(op, n: int, nested: bool = False) -> None:
+    """Raise ValueError unless op is well formed on an n-qubit circuit."""
+    if isinstance(op, Prepare):
+        if not 0 <= op.qubit < n:
+            raise ValueError("qubit index out of range")
+        if not np.all(np.abs(op.state.bloch) <= 1.0):  # NaN fails too
+            raise ValueError(f"preparation outside the unit cube: {op.state.bloch}")
+    elif isinstance(op, Clifford1):
+        if not 0 <= op.qubit < n or op.gate not in ("X", "Y", "Z", "S", "H"):
+            raise ValueError("bad Clifford op")
+    elif isinstance(op, NoisyCsign):
+        if not (0 <= op.qubit1 < n and 0 <= op.qubit2 < n and op.qubit1 != op.qubit2):
+            raise ValueError("bad CSIGN qubits")
+    elif isinstance(op, Measure):
+        if not 0 <= op.qubit < n or op.axis not in AXES:
+            raise ValueError("bad measurement")
+    elif isinstance(op, ClassicalControl):
+        if nested or op.value not in (1, -1):
+            raise ValueError("bad classical control")
+        _check_op(op.op, n, nested=True)
+    else:
+        raise TypeError(f"unknown op {op!r}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     num_qubits: int
@@ -108,36 +135,13 @@ class Circuit:
         if self.num_qubits < 1:
             raise ValueError("a circuit needs at least one qubit")
         for op in self.ops:
-            self._check(op)
+            _check_op(op, self.num_qubits)
         object.__setattr__(self, "ops", tuple(self.ops))
         written = set(self.record_ids())
         for op in self.ops:
             if isinstance(op, ClassicalControl) and op.record_id not in written:
                 raise ValueError(f"ifeq reads record id {op.record_id!r}, "
                                  "which no measurement writes")
-
-    def _check(self, op, nested: bool = False):
-        n = self.num_qubits
-        if isinstance(op, Prepare):
-            if not 0 <= op.qubit < n:
-                raise ValueError("qubit index out of range")
-            if not np.all(np.abs(op.state.bloch) <= 1.0):  # NaN fails too
-                raise ValueError(f"preparation outside the unit cube: {op.state.bloch}")
-        elif isinstance(op, Clifford1):
-            if not 0 <= op.qubit < n or op.gate not in ("X", "Y", "Z", "S", "H"):
-                raise ValueError("bad Clifford op")
-        elif isinstance(op, NoisyCsign):
-            if not (0 <= op.qubit1 < n and 0 <= op.qubit2 < n and op.qubit1 != op.qubit2):
-                raise ValueError("bad CSIGN qubits")
-        elif isinstance(op, Measure):
-            if not 0 <= op.qubit < n or op.axis not in AXES:
-                raise ValueError("bad measurement")
-        elif isinstance(op, ClassicalControl):
-            if nested or op.value not in (1, -1):
-                raise ValueError("bad classical control")
-            self._check(op.op, nested=True)
-        else:
-            raise TypeError(f"unknown op {op!r}")
 
     def record_ids(self) -> list[str]:
         rids = []
@@ -194,7 +198,8 @@ def parse_circuit(text: str) -> Circuit:
     meas q X|Y|Z rid
     ifeq rid +1|-1 <op...>
 
-    A malformed line raises ValueError naming the line.
+    A malformed line, a second qubits line, or an op that does not fit the
+    declared width raises ValueError naming the line.
     """
     num_qubits = None
     ops = []
@@ -205,13 +210,19 @@ def parse_circuit(text: str) -> Circuit:
         tokens = line.split()
         try:
             if tokens[0] == "qubits":
+                if num_qubits is not None:
+                    raise ValueError(f"qubits already declared as {num_qubits}")
                 if len(tokens) != 2:
                     raise ValueError("qubits takes 1 argument")
                 num_qubits = int(tokens[1])
+                if num_qubits < 1:
+                    raise ValueError("a circuit needs at least one qubit")
                 continue
             if num_qubits is None:
                 raise ValueError("circuit must declare qubits first")
-            ops.append(_parse_op(tokens))
+            op = _parse_op(tokens)
+            _check_op(op, num_qubits)
+            ops.append(op)
         except ValueError as exc:
             raise ValueError(f"circuit line {lineno} {line!r}: {exc}") from None
     if num_qubits is None:
@@ -246,24 +257,35 @@ def _orbit_images(A: np.ndarray) -> np.ndarray:
     return np.einsum("aij,jk,blk->abil", G, A, G, optimize=True).reshape(48 * 48, 16)
 
 
+def _first_maps(images: np.ndarray) -> dict[bytes, int]:
+    """The bytes of each image row to the first map that gives it; + 0.0
+    turns -0.0 into 0.0, so that rows equal by value share one key."""
+    rows = images + 0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    # a later map's key is overwritten by an earlier one's
+    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+
+
 def _gate_weights(noise: NoiseModel) -> np.ndarray:
     """LHV weights of the gate's output on each of the 64 vertex pairs.
 
     A pair whose output is an exact image of a solved output takes the
     solved weights permuted by the map; those are rechecked on the pair's
     own output at lp.FEASIBILITY_TOL, and a pair that misses is solved
-    itself.  Outputs are compared by value (-0.0 == 0.0).
+    itself.  Outputs are compared by value (-0.0 == 0.0), one dict lookup
+    per pair in each solved orbit.
     """
     pair_perm = _pair_symmetries()[1]
     outputs = pipeline_rows(lp.vertex_product_matrix().T, 1.0, noise)
-    solved = []     # (orbit images of a solved output, its weights)
+    solved = []     # (first map of each orbit image of a solved output, its weights)
     weights = np.empty((64, 64))
     for p, b in enumerate(outputs):
         A = PauliCoeffs2Q(b.reshape(4, 4))
-        for images, w_rep in solved:
-            hit = np.flatnonzero((images == b).all(axis=1))
-            if hit.size:
-                weights[p, pair_perm[hit[0]]] = w_rep
+        key = (b + 0.0).tobytes()
+        for first_map, w_rep in solved:
+            hit = first_map.get(key)
+            if hit is not None:
+                weights[p, pair_perm[hit]] = w_rep
                 cert = LhvCertificate(weights[p], lp.FEASIBILITY_TOL)
                 if verify_certificate(cert, A, tol=lp.FEASIBILITY_TOL):
                     break
@@ -275,7 +297,7 @@ def _gate_weights(noise: NoiseModel) -> np.ndarray:
                     f"on vertex pair {divmod(p, 8)}"
                 )
             weights[p] = res.certificate.weights
-            solved.append((_orbit_images(A.coeffs), weights[p]))
+            solved.append((_first_maps(_orbit_images(A.coeffs)), weights[p]))
     return weights
 
 
@@ -329,11 +351,12 @@ def _search_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndar
     """searchsorted(cdf row, u, side="right") capped at the row's last
     entry, as one branchless binary search over all shots, mapped to the
     pair it selects.  Each row is nondecreasing and ends in +inf, so the
-    search counts the entries <= u, which is what searchsorted returns."""
+    search counts the entries <= u, which is what searchsorted returns.
+    pair may be uint8: it is widened before pair * width, which would wrap."""
     width = table.cdf.shape[1]
     cdf = table.cdf.ravel()
-    base = pair * width
-    k = np.zeros_like(pair)
+    base = pair.astype(np.intp) * width
+    k = np.zeros(pair.shape, dtype=np.intp)
     step = width // 2
     while step:
         k += step * (cdf[base + k + (step - 1)] <= u)
@@ -378,7 +401,7 @@ def _collect_noises(circuit: Circuit):
 def _clifford_vertex_perm(gate: str) -> np.ndarray:
     from .gates import clifford1
 
-    perm = np.zeros(8, dtype=np.int64)
+    perm = np.zeros(8, dtype=np.uint8)
     for k, v in enumerate(_VERTICES):
         out = clifford1(v, gate).bloch
         perm[k] = sum((1 << (2 - i)) for i in range(3) if out[i] < 0)
@@ -402,13 +425,14 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     All noisy CSIGNs are verified cube-separable up front: per distinct
     gate, one LP per orbit of its 64 vertex-pair outputs (one in all for
     the three noise families), every pair's weights rechecked on its own
-    output.  Sampling itself never touches the LP; a CSIGN is a guide
-    table read over all shots, with a binary search for the few shots the
-    guide leaves open.  Identical seeds give identical histograms.  The
-    redraws after measurements come from a stream of their own, so a
-    circuit that never touches a measured qubit again samples exactly as if
-    there were none.  The cost per shot and op does not depend on the
-    number of qubits.
+    output.  Sampling itself never touches the LP.  The state is one byte
+    per qubit and shot, one row per qubit; a CSIGN is a guide table read
+    over all shots, with a binary search for the few shots the guide leaves
+    open, and a Clifford a table lookup.  Identical seeds give identical
+    histograms.  The redraws after measurements come from a stream of their
+    own, so a circuit that never touches a measured qubit again samples
+    exactly as if there were none.  The cost per shot and op does not
+    depend on the number of qubits.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1; got {shots}")
@@ -420,9 +444,12 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     collapse_rng = np.random.default_rng(seeds.spawn(1)[0])
     rids = circuit.record_ids()
     # unprepared qubits start uniformly random, matching the dense
-    # simulator's maximally mixed initial state; stored one row per qubit
-    state = rng.integers(0, 8, size=(shots, circuit.num_qubits), dtype=np.int64).T.copy()
-    records = {rid: np.zeros(shots, dtype=np.int64) for rid in rids}
+    # simulator's maximally mixed initial state; one byte per qubit and
+    # shot, one row per qubit.  Narrowed first, so that the transposing
+    # copy moves bytes rather than int64s
+    state = rng.integers(0, 8, size=(shots, circuit.num_qubits),
+                         dtype=np.int64).astype(np.uint8).T.copy()
+    records = {rid: np.zeros(shots, dtype=np.int8) for rid in rids}
 
     # rows selects the shots an op acts on: all of them (a slice) or the
     # indices where its condition holds.  Not recursive: a self-referencing
@@ -438,18 +465,20 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
             code |= (u[:, 2] >= p_plus[2]).view(np.uint8)
             state[op.qubit, rows] = code
         elif isinstance(op, Clifford1):
-            state[op.qubit, rows] = _CLIFFORD_PERMS[op.gate][state[op.qubit, rows]]
+            state[op.qubit, rows] = _CLIFFORD_PERMS[op.gate].take(state[op.qubit, rows])
         elif isinstance(op, NoisyCsign):
-            pair = state[op.qubit1, rows] * 8 + state[op.qubit2, rows]
+            pair = state[op.qubit1, rows] << 3
+            pair |= state[op.qubit2, rows]
             newpair = _draw_pairs(tables[op.noise], pair, rng.random(size))
             state[op.qubit1, rows] = newpair >> 3
             state[op.qubit2, rows] = newpair & 7
         elif isinstance(op, Measure):
-            axis = axis_index(op.axis) - 1
+            shift = 3 - axis_index(op.axis)     # of the measured axis's sign bit
             vertex = state[op.qubit, rows]
-            records[op.record_id][rows] = _VERTEX_ARRAY[vertex, axis]
-            kept = 1 << (2 - axis)  # the measured axis's sign bit
-            redraw = collapse_rng.integers(0, 8, size=size, dtype=np.int64)
+            bit = (vertex >> shift) & 1
+            records[op.record_id][rows] = 1 - 2 * bit.view(np.int8)
+            kept = 1 << shift
+            redraw = collapse_rng.integers(0, 8, size=size, dtype=np.int64).astype(np.uint8)
             redraw &= 7 ^ kept
             vertex &= kept
             vertex |= redraw

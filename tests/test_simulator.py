@@ -12,7 +12,7 @@ import pytest
 from gencube import lp, simulator
 from gencube.dense import partial_trace, permute_qubits
 from gencube.gates import NoiseModel, pipeline
-from gencube.pauli import PAULIS, BlochOp, axis_index
+from gencube.pauli import PAULIS, BlochOp, PauliCoeffs2Q, axis_index
 from gencube.separability import LhvCertificate, verify_certificate
 from gencube.spaces import StateSpaceSpec, contains
 from gencube.simulator import (
@@ -30,7 +30,7 @@ from gencube.simulator import (
     tvd,
 )
 
-from circuit_suite import SUITE
+from circuit_suite import SUITE, T
 
 
 def test_parse_circuit():
@@ -63,6 +63,12 @@ MALFORMED_LINES = [
     "clif 0",
     "qubits",
     "meas zero Z b",
+    # well formed, but not on the 2 qubits declared on line 1
+    "qubits 3",
+    "meas 5 Z b",
+    "ifeq a 2 clif 0 X",
+    "prep 0 2 0 0",
+    "csign 0 0 joint-depol 0.8",
 ]
 
 
@@ -185,6 +191,55 @@ def test_histogram_pinned_on_the_suite(name, seed):
     hist = simulate_hn(parse_circuit(SUITE[name]), 20_000, seed).histogram
     digest = hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest()
     assert digest == PINNED_HISTOGRAMS[name, seed]
+
+
+# every op kind on 8 qubits: the five Cliffords, an ifeq on each of prep,
+# clif, csign and meas, the three noise families, an unprepared qubit (7)
+# and a qubit measured twice (4)
+ALL_OPS_CIRCUIT = f"""
+qubits 8
+prep 0 1 0 0
+prep 1 {T} {T} {T}
+prep 2 0 0 1
+prep 3 0.8 0 0.6
+prep 4 0 1 0
+prep 5 -{T} {T} -{T}
+prep 6 0.3 -0.4 0.5
+clif 0 X
+clif 1 Y
+clif 2 Z
+clif 3 S
+clif 4 H
+csign 0 1 joint-depol 0.8
+csign 2 3 local-depol 0.7
+csign 4 5 local-dephase 0.35
+csign 6 7 joint-depol 0.8
+csign 1 2 local-depol 0.7
+meas 0 X m0
+ifeq m0 +1 prep 0 0 0 -1
+ifeq m0 -1 clif 1 H
+ifeq m0 +1 csign 3 4 local-dephase 0.35
+csign 5 6 local-depol 0.7
+meas 2 Z m1
+ifeq m1 -1 meas 3 Y m2
+csign 0 7 joint-depol 0.8
+clif 5 S
+meas 1 X m3
+meas 5 Y m4
+meas 6 Z m5
+meas 7 X m6
+meas 4 Z r0
+meas 4 X r1
+"""
+
+
+def test_histogram_pinned_on_every_op_kind():
+    # digest captured from the sampler with an int64 vertex index per qubit
+    # and shot, before the shot state became one byte: the byte state must
+    # draw the same shots
+    hist = simulate_hn(parse_circuit(ALL_OPS_CIRCUIT), 200_000, 1).histogram
+    digest = hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest()
+    assert digest == "d5ad3fa8f930ca1fcc0fa6b57805601ab6bb8e30429c08b0deb16b6f45e51c79"
 
 
 def test_histogram_shape_and_symbols():
@@ -550,6 +605,51 @@ def test_image_missing_its_recheck_is_solved_itself(monkeypatch):
     assert all(_verified_on_own_instance(weights, noise))
 
 
+def reference_gate_weights(noise):
+    """_gate_weights with a scan of every orbit image for each pair."""
+    pair_perm = simulator._pair_symmetries()[1]
+    outputs = simulator.pipeline_rows(lp.vertex_product_matrix().T, 1.0, noise)
+    solved = []
+    weights = np.empty((64, 64))
+    for p, b in enumerate(outputs):
+        A = PauliCoeffs2Q(b.reshape(4, 4))
+        for images, w_rep in solved:
+            hit = np.flatnonzero((images == b).all(axis=1))
+            if hit.size:
+                weights[p, pair_perm[hit[0]]] = w_rep
+                if verify_certificate(LhvCertificate(weights[p], lp.FEASIBILITY_TOL), A,
+                                      tol=lp.FEASIBILITY_TOL):
+                    break
+        else:
+            weights[p] = simulator.cube_separable(A).certificate.weights
+            solved.append((simulator._orbit_images(A.coeffs), weights[p]))
+    return weights
+
+
+@pytest.mark.parametrize("noise", SEPARABLE_GATES, ids=lambda n: f"{n.kind}-{n.strength}")
+def test_orbit_lookup_matches_the_image_scan(noise):
+    np.testing.assert_array_equal(simulator._gate_weights(noise), reference_gate_weights(noise))
+
+
+def test_orbit_lookup_takes_minus_zero_as_zero(monkeypatch):
+    # joint-depol outputs with their marginals zeroed are still one orbit;
+    # every zero of pairs 1-63 is -0.0, while pair 0's images carry +0.0
+    noise = NoiseModel("joint-depol", 0.8)
+    outputs = simulator.pipeline_rows(lp.vertex_product_matrix().T, 1.0, noise).reshape(64, 4, 4)
+    outputs[:, 0, 1:] = 0.0
+    outputs[:, 1:, 0] = 0.0
+    outputs = outputs.reshape(64, 16)
+    outputs[1:][outputs[1:] == 0.0] = -0.0
+    monkeypatch.setattr(simulator, "pipeline_rows", lambda *args: outputs)
+    images = simulator._orbit_images(outputs[0].reshape(4, 4))
+    hit = np.flatnonzero((images == outputs[1]).all(axis=1))[0]
+    assert (np.signbit(outputs[1]) & ~np.signbit(images[hit])).any()
+    calls = _count_lps(monkeypatch)
+    weights = simulator._gate_weights(noise)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(weights, reference_gate_weights(noise))
+
+
 def test_non_separable_gate_names_the_first_vertex_pair():
     with pytest.raises(CircuitNotSimulableError, match=r"vertex pair \(0, 0\)"):
         simulator._gate_weights(NoiseModel("joint-depol", 0.5))
@@ -632,6 +732,9 @@ def test_lookup_matches_per_pair_searchsorted(source):
         weight_sets = [simulator._gate_weights(n) for n in SEPARABLE_GATES[::2]]
     elif source == "random":
         weight_sets = [_random_weights(rng) for _ in range(4)]
+        # rows of up to 61 pairs give width 64: a uint8 pair * width would
+        # wrap from pair 4 on
+        assert all(simulator._lookup_table(W).cdf.shape[1] == 64 for W in weight_sets)
     else:
         weight_sets = [_edge_weights()]
     for W in weight_sets:
@@ -659,6 +762,8 @@ def test_lookup_matches_per_pair_searchsorted(source):
         # some shots fall in an open bucket and take the binary search
         assert (table.guide.ravel()[(u * M).astype(np.intp) * 64 + pair] < 0).any()
         np.testing.assert_array_equal(got, reference_csign_step(ref, pair, u))
+        # the sampler's pairs are uint8, as its shot state is
+        np.testing.assert_array_equal(simulator._draw_pairs(table, pair.astype(np.uint8), u), got)
 
 
 @pytest.mark.parametrize("ncols", [0, 1, 4, 9, 12, 45])

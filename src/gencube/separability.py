@@ -42,6 +42,7 @@ __all__ = [
     "certificate_from_text",
     "Appendix1Item",
     "appendix1_certificates",
+    "csign_lhv_weights",
     "vertex_pair_index",
 ]
 
@@ -383,9 +384,7 @@ def appendix1_certificates(dephase_p: float | None = None,
     fixed("5b: I/Z columns of ones", _W_ITEM5B)
 
     # item 6: locally dephased CSIGN output
-    t = 1.0 - 2.0 * dephase_p
-    head6 = 1.0 - 2.0 * t - t * t
-    w6 = head6 * _W_CORNERS + t * (_W_ITEM5A + _W_ITEM5B) + t * t * _W_ITEM2_PINNED
+    head6, w6 = _item6(1.0 - 2.0 * dephase_p)
     valid6 = head6 >= -1e-12 and 0.0 <= dephase_p <= 0.5
     items.append(
         Appendix1Item(
@@ -398,9 +397,7 @@ def appendix1_certificates(dephase_p: float | None = None,
     )
 
     # item 7: locally depolarized CSIGN output
-    u = 1.0 - depol_p
-    head7 = 1.0 - 2.0 * u - u * u
-    w7 = head7 * _W_MIXED + (u - u * u) * (_W_ROW_ONES + _W_COL_ONES) + 3.0 * u * u * _W_ITEM4
+    head7, w7 = _item7(1.0 - depol_p)
     valid7 = head7 >= -1e-12
     items.append(
         Appendix1Item(
@@ -412,3 +409,44 @@ def appendix1_certificates(dephase_p: float | None = None,
         )
     )
     return items
+
+
+def _item6(t: float) -> tuple[float, np.ndarray]:
+    """Item 6, the locally dephased all-ones CSIGN output at t = 1 - 2p: its
+    leading coefficient, negative outside the validity inequality, and its
+    weights."""
+    head = 1.0 - 2.0 * t - t * t
+    return head, head * _W_CORNERS + t * (_W_ITEM5A + _W_ITEM5B) + t * t * _W_ITEM2_PINNED
+
+
+def _item7(u: float) -> tuple[float, np.ndarray]:
+    """Item 7, the locally depolarized all-ones CSIGN output at u = 1 - p:
+    its leading coefficient, negative outside the validity inequality, and
+    its weights."""
+    head = 1.0 - 2.0 * u - u * u
+    return head, (head * _W_MIXED + (u - u * u) * (_W_ROW_ONES + _W_COL_ONES)
+                  + 3.0 * u * u * _W_ITEM4)
+
+
+# Z on both qubits flips the x and y signs of both vertices: pair index XOR 0b110110
+_ZZ_PAIRS = np.arange(64) ^ 0b110110
+
+
+def csign_lhv_weights(noise: NoiseModel) -> np.ndarray:
+    """Closed-form weights of the noisy CSIGN output on the all-ones vertex
+    pair over the 64 vertex products, from the appendix: joint depol is
+    t item 4 + (1 - t) I/4 with t = 3(1 - lambda), local depol item 7 and
+    dephasing item 6.  They are convex from each family's cube threshold
+    on (2/3, 2 - sqrt 2 and 1 - 1/sqrt 2) and have a negative weight below it.
+
+    Past p = 1/2 the dephasing scale 1 - 2p is negative, and the output is
+    the image under Z (x) Z of the output at 1 - p, so the weights are item
+    6's at 1 - p moved by that map; they stay convex up to p = 1/sqrt 2.
+    """
+    if noise.kind == "joint-depol":
+        t = 3.0 * (1.0 - noise.strength)
+        return t * _W_ITEM4 + (1.0 - t) * _W_MIXED
+    if noise.kind == "local-depol":
+        return _item7(1.0 - noise.strength)[1]
+    t = 1.0 - 2.0 * noise.strength     # local-dephase
+    return _item6(t)[1] if t >= 0.0 else _item6(-t)[1][_ZZ_PAIRS]

@@ -11,17 +11,18 @@ measurement records 1 - 2 b of the measured axis's bit b and then redraws
 the other two bits uniformly: the post-measurement Pauli eigenstate is the
 centre of a cube face, the uniform mixture of its four corners.
 
-A gate's 64 certificates come from its symmetry orbit: the local signed
-setting permutations map the product polytope onto itself, so a vertex
-pair whose gate output is the image of an already solved output takes the
-solved weights, permuted by the map's action on the vertex pairs, and
-rechecked on its own output.  A solved output's 2304 images are keyed by
-their bytes, so each pair finds its map in one dict lookup.  For the three
-noise families one LP per gate suffices.  The certificates form one padded
-CDF table per gate.  A CSIGN draws the next pair of all its shots by
-inverse CDF through a guide table of GUIDE_BUCKETS buckets of [0, 1): one
-read per shot, except for the few shots whose bucket holds a CDF entry,
-which take an exact binary search.
+A gate's 64 certificates are the appendix's closed-form LHV weights of
+its output on the all-ones vertex pair, moved onto every other pair by a
+local signed setting permutation: these map the product polytope onto
+itself, and all 64 pairs are one orbit.  Each pair's map is found once per
+process.  A gate's verdict is the separability oracle's on its all-ones
+output, and its 64 permuted certificates are rechecked on their own
+outputs in one pass; no LP is solved outside the oracle's tolerance band.
+The certificates form one padded CDF table per gate, one CDF shared by
+all rows.  A CSIGN draws the next pair of all its shots by inverse CDF
+through a guide table of GUIDE_BUCKETS buckets of [0, 1): one read per
+shot, except for the few shots whose bucket holds a CDF entry, which take
+an exact binary search.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .dense import (
 from . import lp
 from .gates import NoiseModel, pipeline_rows
 from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index, bloch_to_dense
-from .separability import LhvCertificate, cube_separable, verify_certificate
+from .separability import csign_lhv_weights, cube_decide
 from .spaces import contains, StateSpaceSpec, cube_vertices
 
 __all__ = [
@@ -134,9 +135,10 @@ class Circuit:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("a circuit needs at least one qubit")
+        # made a tuple first: checking an iterator would use it up
+        object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             _check_op(op, self.num_qubits)
-        object.__setattr__(self, "ops", tuple(self.ops))
         written = set(self.record_ids())
         for op in self.ops:
             if isinstance(op, ClassicalControl) and op.record_id not in written:
@@ -257,48 +259,56 @@ def _orbit_images(A: np.ndarray) -> np.ndarray:
     return np.einsum("aij,jk,blk->abil", G, A, G, optimize=True).reshape(48 * 48, 16)
 
 
-def _first_maps(images: np.ndarray) -> dict[bytes, int]:
-    """The bytes of each image row to the first map that gives it; + 0.0
-    turns -0.0 into 0.0, so that rows equal by value share one key."""
-    rows = images + 0.0
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-    # a later map's key is overwritten by an earlier one's
-    return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+def _vertex_pair_outputs(noise: NoiseModel) -> np.ndarray:
+    """The gate's output on each of the 64 vertex pairs, one row of 16 per
+    pair; row 0 is the all-ones pair."""
+    return pipeline_rows(lp.vertex_product_matrix().T, 1.0, noise)
+
+
+@functools.cache
+def _pair_maps() -> np.ndarray:
+    """Row p: the vertex-pair permutation of the first map of
+    _pair_symmetries whose image of the noiseless CSIGN output on the
+    all-ones pair is the noiseless output on pair p.  It moves weights of
+    pair 0 onto pair p; the gate tables recheck every such row on its own
+    noisy output.  Built on first use."""
+    outputs = _vertex_pair_outputs(NoiseModel("joint-depol", 0.0))
+    images = _orbit_images(outputs[0].reshape(4, 4))
+    first = (images[None, :, :] == outputs[:, None, :]).all(axis=2).argmax(axis=1)
+    maps = _pair_symmetries()[1][first]
+    maps.setflags(write=False)
+    return maps
 
 
 def _gate_weights(noise: NoiseModel) -> np.ndarray:
-    """LHV weights of the gate's output on each of the 64 vertex pairs.
+    """LHV weights w0 of the gate's output on the all-ones vertex pair: the
+    closed-form appendix weights (csign_lhv_weights), clipped at 0.
 
-    A pair whose output is an exact image of a solved output takes the
-    solved weights permuted by the map; those are rechecked on the pair's
-    own output at lp.FEASIBILITY_TOL, and a pair that misses is solved
-    itself.  Outputs are compared by value (-0.0 == 0.0), one dict lookup
-    per pair in each solved orbit.
+    The verdict is cube_decide's on that output, so the gate is accepted
+    exactly where the oracle accepts it, its tolerance band included, where
+    a leading weight can come out slightly negative.  Row p of the 64 x 64
+    weights, w0 moved onto pair p by _pair_maps, is then rechecked on pair
+    p's own output with verify_certificate's three conditions at
+    lp.FEASIBILITY_TOL, all rows at once; a row that fails is refused.
     """
-    pair_perm = _pair_symmetries()[1]
-    outputs = pipeline_rows(lp.vertex_product_matrix().T, 1.0, noise)
-    solved = []     # (first map of each orbit image of a solved output, its weights)
-    weights = np.empty((64, 64))
-    for p, b in enumerate(outputs):
-        A = PauliCoeffs2Q(b.reshape(4, 4))
-        key = (b + 0.0).tobytes()
-        for first_map, w_rep in solved:
-            hit = first_map.get(key)
-            if hit is not None:
-                weights[p, pair_perm[hit]] = w_rep
-                cert = LhvCertificate(weights[p], lp.FEASIBILITY_TOL)
-                if verify_certificate(cert, A, tol=lp.FEASIBILITY_TOL):
-                    break
-        else:
-            res = cube_separable(A)
-            if not res.feasible:
-                raise CircuitNotSimulableError(
-                    f"noisy CSIGN ({noise.kind}, {noise.strength}) is not cube-separable "
-                    f"on vertex pair {divmod(p, 8)}"
-                )
-            weights[p] = res.certificate.weights
-            solved.append((_first_maps(_orbit_images(A.coeffs)), weights[p]))
-    return weights
+    outputs = _vertex_pair_outputs(noise)
+    if not cube_decide(PauliCoeffs2Q(outputs[0].reshape(4, 4))).feasible:
+        raise CircuitNotSimulableError(
+            f"noisy CSIGN ({noise.kind}, {noise.strength}) is not cube-separable "
+            "on vertex pair (0, 0)"
+        )
+    w0 = np.clip(csign_lhv_weights(noise), 0.0, None)
+    weights = np.zeros((64, 64))
+    weights[np.arange(64)[:, None], _pair_maps()] = w0
+    resid = np.abs(weights @ lp.vertex_product_matrix().T - outputs).max(axis=1)
+    bad = ((weights.min(axis=1) < -1e-12) | (np.abs(weights.sum(axis=1) - 1.0) > 1e-9)
+           | (resid > lp.FEASIBILITY_TOL))
+    if bad.any():
+        raise CircuitNotSimulableError(
+            f"noisy CSIGN ({noise.kind}, {noise.strength}): the LHV weights fail "
+            f"their recheck on vertex pair {divmod(int(bad.argmax()), 8)}"
+        )
+    return w0
 
 
 GUIDE_BUCKETS = 1024    # a power of two, so u * GUIDE_BUCKETS is exact
@@ -306,17 +316,19 @@ GUIDE_BUCKETS = 1024    # a power of two, so u * GUIDE_BUCKETS is exact
 
 @dataclass(frozen=True)
 class _GateTable:
-    """Row p holds the CDF of pair p's normalized weights over its support
-    (weights > 1e-14), padded with +inf to a power-of-two width with at
-    least one pad; support holds the pair indices the CDF entries select
-    and last the index of the row's last real entry.
+    """Row p holds the CDF of the input pair p's next pair.  Every row has
+    the same CDF, that of w0's normalized weights over its support (weights
+    > 1e-14, in pair order), padded with +inf to a power-of-two width with
+    at least one pad; support[p] holds the pairs the entries select, w0's
+    support moved onto pair p by its map, and last the index of each row's
+    last real entry.
 
     guide[b, p] is the next pair of input pair p for every u in the bucket
-    [b / GUIDE_BUCKETS, (b + 1) / GUIDE_BUCKETS), or -1 where an entry of
-    row p lies strictly inside the bucket, so that the draw depends on u
-    beyond its bucket (Chen & Asau's indexed search).
-    The last bucket starts at 1: rounding can put a row's last entry just
-    above 1, and a u read off it still finds a bucket."""
+    [b / GUIDE_BUCKETS, (b + 1) / GUIDE_BUCKETS), or -1 where a CDF entry
+    lies strictly inside the bucket, so that the draw depends on u beyond
+    its bucket (Chen & Asau's indexed search).
+    The last bucket starts at 1: rounding can put the last entry just above
+    1, and a u read off it still finds a bucket."""
 
     cdf: np.ndarray         # 64 x width, float
     support: np.ndarray     # 64 x width, int
@@ -324,27 +336,23 @@ class _GateTable:
     guide: np.ndarray       # (GUIDE_BUCKETS + 1) x 64, int8
 
 
-def _lookup_table(weights: np.ndarray) -> _GateTable:
-    """The padded table and its guide of a 64 x 64 weight matrix (row =
-    input pair)."""
-    w = np.clip(weights, 0.0, None)
-    keep = w > 1e-14
-    sizes = keep.sum(axis=1)
-    width = 1 << int(sizes.max()).bit_length()
-    cdf = np.full((64, width), np.inf)
+def _gate_table(w0: np.ndarray, maps: np.ndarray) -> _GateTable:
+    """The padded table and its guide of the weights w0 of pair 0, moved
+    onto each pair p by the pair permutation maps[p]."""
+    support0 = np.flatnonzero(w0 > 1e-14)
+    size = support0.size
+    width = 1 << size.bit_length()
+    cdf0 = np.full(width, np.inf)
+    cdf0[:size] = np.cumsum(w0[support0] / w0[support0].sum())
     support = np.zeros((64, width), dtype=np.int64)
-    guide = np.empty((GUIDE_BUCKETS + 1, 64), dtype=np.int8)
+    support[:, :size] = maps[:, support0]
+    # per bucket, the entries <= its left edge and those < its right edge
     edges = np.arange(GUIDE_BUCKETS + 2) / GUIDE_BUCKETS
-    for p in range(64):
-        idx = np.nonzero(keep[p])[0]
-        ws = w[p, idx]
-        cdf[p, :idx.size] = np.cumsum(ws / ws.sum())
-        support[p, :idx.size] = idx
-        # per bucket, the entries <= its left edge and those < its right edge
-        k = np.searchsorted(cdf[p], edges[:-1], side="right")
-        below = np.searchsorted(cdf[p], edges[1:], side="left")
-        guide[:, p] = np.where(below == k, support[p, np.minimum(k, idx.size - 1)], -1)
-    return _GateTable(cdf, support, sizes - 1, guide)
+    k = np.searchsorted(cdf0, edges[:-1], side="right")
+    below = np.searchsorted(cdf0, edges[1:], side="left")
+    guide = np.where((below == k)[:, None], support[:, np.minimum(k, size - 1)].T, -1)
+    return _GateTable(np.tile(cdf0, (64, 1)), support, np.full(64, size - 1),
+                      guide.astype(np.int8))
 
 
 def _search_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -422,23 +430,24 @@ class SimResult:
 def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     """Sample the circuit's classical record distribution.
 
-    All noisy CSIGNs are verified cube-separable up front: per distinct
-    gate, one LP per orbit of its 64 vertex-pair outputs (one in all for
-    the three noise families), every pair's weights rechecked on its own
-    output.  Sampling itself never touches the LP.  The state is one byte
-    per qubit and shot, one row per qubit; a CSIGN is a guide table read
-    over all shots, with a binary search for the few shots the guide leaves
-    open, and a Clifford a table lookup.  Identical seeds give identical
-    histograms.  The redraws after measurements come from a stream of their
-    own, so a circuit that never touches a measured qubit again samples
-    exactly as if there were none.  The cost per shot and op does not
-    depend on the number of qubits.
+    All noisy CSIGNs are verified cube-separable up front, once per
+    distinct gate: the oracle's verdict on its all-ones output, then the
+    closed-form appendix weights moved onto each of the 64 vertex pairs and
+    rechecked on that pair's own output.  No LP runs outside the oracle's
+    tolerance band.  The state is one byte per qubit and shot, one row per
+    qubit; a CSIGN is a guide table read over all shots, with a binary
+    search for the few shots the guide leaves open, and a Clifford a table
+    lookup.  Identical seeds give identical histograms.  The redraws after
+    measurements come from a stream of their own, so a circuit that never
+    touches a measured qubit again samples exactly as if there were none.
+    The cost per shot and op does not depend on the number of qubits.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1; got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer; got {seed}")
-    tables = {n: _lookup_table(_gate_weights(n)) for n in _collect_noises(circuit)}
+    tables = {n: _gate_table(_gate_weights(n), _pair_maps())
+              for n in _collect_noises(circuit)}
     seeds = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
     collapse_rng = np.random.default_rng(seeds.spawn(1)[0])

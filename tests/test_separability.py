@@ -34,6 +34,7 @@ from gencube.separability import (
     appendix1_certificates,
     certificate_from_text,
     certificate_to_text,
+    csign_lhv_weights,
     cube_separable,
     pauli_margin,
     positive_for_pauli,
@@ -363,6 +364,29 @@ def test_appendix1_certs6_7_track_gate_outputs_over_range():
         item = appendix1_certificates(depol_p=p)[7]
         expected = apply_noise(csign(product(ALLONES, ALLONES)), local_depol(p)).coeffs
         assert np.max(np.abs(item.target.coeffs - expected)) < 1e-15
+
+
+@pytest.mark.parametrize("kind, lo, hi", [
+    ("joint-depol", 2 / 3, 1.0),
+    ("local-depol", 2 - math.sqrt(2.0), 1.0),
+    ("local-dephase", 1 - 1 / math.sqrt(2.0), 1 / math.sqrt(2.0)),
+], ids=["joint-depol", "local-depol", "local-dephase"])
+def test_csign_lhv_weights_are_the_all_ones_output_from_its_threshold_on(kind, lo, hi):
+    for p in np.linspace(lo, hi, 9):
+        noise = NoiseModel(kind, float(p))
+        cert = LhvCertificate(csign_lhv_weights(noise), 1e-12)
+        assert verify_certificate(cert, pipeline(ALLONES, ALLONES, 1.0, noise)), p
+    # just outside the separable range a weight is negative
+    for p in (lo - 1e-3, hi + 1e-3):
+        if 0.0 <= p <= 1.0:
+            assert csign_lhv_weights(NoiseModel(kind, p)).min() < 0.0, p
+
+
+def test_appendix_items_6_and_7_are_csign_lhv_weights():
+    for p6, p7 in ((0.3, 0.6), (0.45, 0.9), (1 - 1 / math.sqrt(2.0), 2 - math.sqrt(2.0))):
+        items = appendix1_certificates(dephase_p=p6, depol_p=p7)
+        assert np.array_equal(items[6].certificate.weights, csign_lhv_weights(local_dephase(p6)))
+        assert np.array_equal(items[7].certificate.weights, csign_lhv_weights(local_depol(p7)))
 
 
 # ---------------------------------------------------------------------------

@@ -260,9 +260,14 @@ def certificate_from_text(text: str) -> LhvCertificate:
             if "tolerance=" in line:
                 tol = float(line.split("tolerance=")[1].split()[0])
             continue
-        ub, vb, wstr = line.split()
-        k = 8 * int(ub, 2) + int(vb, 2)
-        weights[k] = float(wstr)
+        # two fields of three binary digits, each pair at most once
+        fields = line.split()
+        if len(fields) != 3 or any(len(f) != 3 or set(f) - {"0", "1"} for f in fields[:2]):
+            raise ValueError("malformed certificate text")
+        k = 8 * int(fields[0], 2) + int(fields[1], 2)
+        if seen[k]:
+            raise ValueError("malformed certificate text")
+        weights[k] = float(fields[2])
         seen[k] = True
     if tol is None or not seen.all():
         raise ValueError("malformed certificate text")

@@ -18,11 +18,11 @@ itself, and all 64 pairs are one orbit.  Each pair's map is found once per
 process.  A gate's verdict is the separability oracle's on its all-ones
 output, and its 64 permuted certificates are rechecked on their own
 outputs in one pass; no LP is solved outside the oracle's tolerance band.
-The certificates form one padded CDF table per gate, one CDF shared by
-all rows.  A CSIGN draws the next pair of all its shots by inverse CDF
-through a guide table of GUIDE_BUCKETS buckets of [0, 1): one read per
-shot, except for the few shots whose bucket holds a CDF entry, which take
-an exact binary search.
+A gate's table is the CDF of its all-ones weights, one for all 64 input
+pairs, and the pair each entry selects for each input pair.  A CSIGN draws the next pair of
+all its shots by inverse CDF through a guide table of GUIDE_BUCKETS
+buckets of [0, 1): one read per shot, except for the few shots whose
+bucket holds a CDF entry, which search the CDF with np.searchsorted.
 """
 from __future__ import annotations
 
@@ -110,6 +110,9 @@ def _check_op(op, n: int, nested: bool = False) -> None:
             raise ValueError("qubit index out of range")
         if not np.all(np.abs(op.state.bloch) <= 1.0):  # NaN fails too
             raise ValueError(f"preparation outside the unit cube: {op.state.bloch}")
+        if not op.state.is_normalized:
+            raise ValueError("preparation must be normalized (trace_coeff = 1); "
+                             f"got {op.state.trace_coeff}")
     elif isinstance(op, Clifford1):
         if not 0 <= op.qubit < n or op.gate not in ("X", "Y", "Z", "S", "H"):
             raise ValueError("bad Clifford op")
@@ -316,12 +319,10 @@ GUIDE_BUCKETS = 1024    # a power of two, so u * GUIDE_BUCKETS is exact
 
 @dataclass(frozen=True)
 class _GateTable:
-    """Row p holds the CDF of the input pair p's next pair.  Every row has
-    the same CDF, that of w0's normalized weights over its support (weights
-    > 1e-14, in pair order), padded with +inf to a power-of-two width with
-    at least one pad; support[p] holds the pairs the entries select, w0's
-    support moved onto pair p by its map, and last the index of each row's
-    last real entry.
+    """Input pair p's next pair follows w0 moved onto p by its map.  cdf is
+    the CDF of w0's normalized weights over its support (weights > 1e-14, in
+    pair order), one CDF for all 64 input pairs, and moved[p, k] the pair
+    that entry k selects for input pair p.
 
     guide[b, p] is the next pair of input pair p for every u in the bucket
     [b / GUIDE_BUCKETS, (b + 1) / GUIDE_BUCKETS), or -1 where a CDF entry
@@ -330,55 +331,30 @@ class _GateTable:
     The last bucket starts at 1: rounding can put the last entry just above
     1, and a u read off it still finds a bucket."""
 
-    cdf: np.ndarray         # 64 x width, float
-    support: np.ndarray     # 64 x width, int
-    last: np.ndarray        # 64, int
+    cdf: np.ndarray         # size, float
+    moved: np.ndarray       # 64 x size, int8
     guide: np.ndarray       # (GUIDE_BUCKETS + 1) x 64, int8
 
 
 def _gate_table(w0: np.ndarray, maps: np.ndarray) -> _GateTable:
-    """The padded table and its guide of the weights w0 of pair 0, moved
-    onto each pair p by the pair permutation maps[p]."""
+    """The table and its guide of the weights w0 of pair 0, moved onto each
+    pair p by the pair permutation maps[p]."""
     support0 = np.flatnonzero(w0 > 1e-14)
-    size = support0.size
-    width = 1 << size.bit_length()
-    cdf0 = np.full(width, np.inf)
-    cdf0[:size] = np.cumsum(w0[support0] / w0[support0].sum())
-    support = np.zeros((64, width), dtype=np.int64)
-    support[:, :size] = maps[:, support0]
+    cdf = np.cumsum(w0[support0] / w0[support0].sum())
+    moved = maps[:, support0].astype(np.int8)
     # per bucket, the entries <= its left edge and those < its right edge
     edges = np.arange(GUIDE_BUCKETS + 2) / GUIDE_BUCKETS
-    k = np.searchsorted(cdf0, edges[:-1], side="right")
-    below = np.searchsorted(cdf0, edges[1:], side="left")
-    guide = np.where((below == k)[:, None], support[:, np.minimum(k, size - 1)].T, -1)
-    return _GateTable(np.tile(cdf0, (64, 1)), support, np.full(64, size - 1),
-                      guide.astype(np.int8))
-
-
-def _search_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """searchsorted(cdf row, u, side="right") capped at the row's last
-    entry, as one branchless binary search over all shots, mapped to the
-    pair it selects.  Each row is nondecreasing and ends in +inf, so the
-    search counts the entries <= u, which is what searchsorted returns.
-    pair may be uint8: it is widened before pair * width, which would wrap."""
-    width = table.cdf.shape[1]
-    cdf = table.cdf.ravel()
-    base = pair.astype(np.intp) * width
-    k = np.zeros(pair.shape, dtype=np.intp)
-    step = width // 2
-    while step:
-        k += step * (cdf[base + k + (step - 1)] <= u)
-        step //= 2
-    np.minimum(k, table.last[pair], out=k)
-    return table.support.ravel()[base + k]
+    k = np.searchsorted(cdf, edges[:-1], side="right")
+    below = np.searchsorted(cdf, edges[1:], side="left")
+    guide = np.where((below == k)[:, None], moved[:, np.minimum(k, cdf.size - 1)].T, -1)
+    return _GateTable(cdf, moved, guide.astype(np.int8))
 
 
 def _draw_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next vertex pair of each shot, the pair selected by the capped
-    searchsorted(cdf row, u, side="right").  Most shots read it off the
-    guide entry of their u's bucket; the shots whose bucket holds a CDF
-    entry (-1 in the guide) take the binary search of _search_pairs.
-    The result is int8."""
+    """Next vertex pair of each shot, moved[pair, k] for the capped
+    searchsorted(cdf, u, side="right") k.  Most shots read it off the guide
+    entry of their u's bucket; the shots whose bucket holds a CDF entry
+    (-1 in the guide) search the CDF.  The result is int8."""
     # the guide row of u's bucket, exact since GUIDE_BUCKETS is a power of
     # two; int32, whose cast from float is far cheaper than int64's
     key = (u * GUIDE_BUCKETS).astype(np.int32)
@@ -387,7 +363,9 @@ def _draw_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarra
     out = table.guide.take(key)
     miss = np.flatnonzero(out < 0)
     if miss.size:
-        out[miss] = _search_pairs(table, pair[miss], u[miss])
+        k = np.searchsorted(table.cdf, u[miss], side="right")
+        np.minimum(k, table.cdf.size - 1, out=k)
+        out[miss] = table.moved[pair[miss], k]
     return out
 
 
@@ -435,11 +413,12 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     closed-form appendix weights moved onto each of the 64 vertex pairs and
     rechecked on that pair's own output.  No LP runs outside the oracle's
     tolerance band.  The state is one byte per qubit and shot, one row per
-    qubit; a CSIGN is a guide table read over all shots, with a binary
-    search for the few shots the guide leaves open, and a Clifford a table
-    lookup.  Identical seeds give identical histograms.  The redraws after
-    measurements come from a stream of their own, so a circuit that never
-    touches a measured qubit again samples exactly as if there were none.
+    qubit; a CSIGN is a guide table read over all shots, with a
+    searchsorted of the gate's one CDF for the few shots the guide leaves
+    open, and a Clifford a table lookup.  Identical seeds give identical
+    histograms.  The redraws after measurements come from a stream of their
+    own, so a circuit that never touches a measured qubit again samples
+    exactly as if there were none.
     The cost per shot and op does not depend on the number of qubits.
     """
     if shots < 1:

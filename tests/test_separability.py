@@ -157,6 +157,16 @@ def test_certificate_serialization_round_trip():
     assert len([l for l in text.splitlines() if l and not l.startswith("#")]) == 64
 
 
+@pytest.mark.parametrize("line", ["1000 000 0.5", "00 0000 0.5", "000 002 0.5",
+                                  "000 000", "000 000 0.5 0.5", "000 000 0.5\n000 000 0.5"])
+def test_certificate_text_rejects_malformed_bit_fields(line):
+    body = certificate_to_text(cube_separable(BELL).certificate).splitlines()
+    # replace the first weight line, for pair (000, 000)
+    text = "\n".join(body[:2] + [line] + body[3:]) + "\n"
+    with pytest.raises(ValueError, match="malformed certificate text"):
+        certificate_from_text(text)
+
+
 def test_positive_for_pauli_rescaled_frame():
     # membership in the R frame equals plain positivity after unrescaling
     rng = np.random.default_rng(44)

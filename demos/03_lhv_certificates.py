@@ -20,7 +20,7 @@ support = np.nonzero(cert.weights)[0]
 print(f"certificate support: {len(support)} vertex pairs, weight 1/8 each")
 print(f"verifies at 1e-12:   {verify_certificate(cert, target, tol=1e-12)}")
 
-print("\nThe decider on the same state (facet test, then LP weights):")
+print("\nThe decider on the same state (facet test, then Caratheodory-descent weights):")
 res = cube_separable(target)
 print(f"feasible: {res.feasible} via {res.method}")
 print("first lines of the serialized certificate:")

@@ -16,8 +16,6 @@ from . import constructions, lp, separability, simulator, thresholds
 from .pauli import BlochOp
 from .spaces import PovmSet, StateSpaceSpec, operator_compatible, qubit_xyz_povms
 
-USAGE_ERROR = 2
-
 
 def _tolerance_banner(out) -> None:
     print(
@@ -207,14 +205,9 @@ def _load_povms(path: str) -> PovmSet:
     with open(path) as fh:
         data = json.load(fh)
     dim = int(data["dim"])
-    povms = []
-    for p in data["povms"]:
-        elems = []
-        for m in p:
-            arr = np.array([[complex(c[0], c[1]) for c in row] for row in m])
-            elems.append(arr)
-        povms.append(tuple(elems))
-    return PovmSet(tuple(povms), dim)
+    povms = tuple(tuple(np.array([[complex(c[0], c[1]) for c in row] for row in m]) for m in p)
+                  for p in data["povms"])
+    return PovmSet(povms, dim)
 
 
 def _cmd_compat(args, out) -> int:

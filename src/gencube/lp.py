@@ -4,18 +4,19 @@ The 64 products of cube vertices span the local polytope of the Bell
 scenario with three settings and two outcomes per party (Collins & Gisin,
 J. Phys. A 37, 1775 (2004)).  Its H-representation is 684 integer facets,
 three orbits under the signed permutations of each party's settings and
-the party swap: positivity, CHSH and I3322.  Three routes use it:
+the party swap: positivity, CHSH and I3322.  Four routes use it:
 
 * the facet test (``decide_membership``): one product with the facet
   matrix decides every point whose least facet margin is clear of the
   tolerance band; the violated facet is the separating functional;
 * a float residual route on scipy's HiGHS plus a least-squares polish,
-  which decides the thin band and supplies primal LHV weights;
+  which decides the thin band and weights its feasible verdicts;
+* a Carathéodory descent on the facet table (``caratheodory_weights``),
+  which weights every other feasible verdict without an LP;
 * an exact route: a phase-1 simplex with Bland's rule on one integer
   tableau with fraction-free (Bareiss) pivoting, whose Farkas dual is read
-  from the reduced-cost row on the artificial columns.  It backs the
-  weights where the polish misses and is the independent oracle in the
-  soundness tests.
+  from the reduced-cost row on the artificial columns: the independent
+  oracle of the tests, which the package never calls.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ __all__ = [
     "facet_margins",
     "Decision",
     "decide_membership",
+    "caratheodory_weights",
     "FloatLpOutcome",
     "solve_membership_float",
     "solve_membership_exact",
@@ -68,14 +70,7 @@ def exact_vertex_columns(R: Fraction = Fraction(1)) -> list[list[Fraction]]:
     """The same 64 columns with exact rational entries."""
     f = [Fraction(1), R, R, R]
     scale = [f[i] * f[j] for i in range(4) for j in range(4)]
-    cols = []
-    for u in _SIGNS:
-        for v in _SIGNS:
-            a = (Fraction(1), Fraction(u[0]), Fraction(u[1]), Fraction(u[2]))
-            b = (Fraction(1), Fraction(v[0]), Fraction(v[1]), Fraction(v[2]))
-            col = [a[i] * b[j] * scale[4 * i + j] for i in range(4) for j in range(4)]
-            cols.append(col)
-    return cols
+    return [[int(v) * s for v, s in zip(col, scale)] for col in _VMAT_UNIT.T]
 
 
 def rationalize(x: float, max_den: int = 10 ** 6) -> Fraction:
@@ -144,11 +139,12 @@ _POSITIVITY_ROWS = 36
 
 
 @functools.cache
-def _facet_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The facet table in floats, its absolute values, and 1 / |f|_1 per row."""
+def _facet_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The facet table in floats, its absolute values, 1 / |f|_1 per row, and
+    the 684 x 64 integer table f . V_j(1) of every facet on every vertex."""
     F = facet_table().astype(float)
     absF = np.abs(F)
-    return F, absF, 1.0 / absF.sum(axis=1)
+    return F, absF, 1.0 / absF.sum(axis=1), facet_table() @ _VMAT_UNIT.astype(np.int64)
 
 
 def _unit_frame(b: np.ndarray, R: float) -> np.ndarray:
@@ -186,7 +182,7 @@ def facet_margins(b: np.ndarray, R: float = 1.0) -> np.ndarray:
     """The facet values of b normalized per facet, y . b / |y|_1 with
     y = D^-1 f (see facet_functional and decide_membership); an (N, 16)
     stack b gives an (N, 684) array."""
-    _, absF, inv_norm = _facet_arrays()
+    _, absF, inv_norm, _ = _facet_arrays()
     if R != 1.0:
         inv_norm = 1.0 / (absF @ (1.0 / frame_scale(R)))
     return facet_values(b, R) * inv_norm
@@ -201,8 +197,9 @@ def decide_membership(b: np.ndarray, R: float = 1.0,
     * m < -tol: infeasible.  Any convex weights w have |Vw - b|_inf >=
       -y.b / |y|_1 > tol, and f . V_j >= 0 holds exactly on every column;
     * m >= 0, i.e. every facet value >= 0: feasible;
-    * otherwise (the thin band between): feasible iff the HiGHS residual
-      route reaches a residual <= tol.
+    * otherwise (the thin band between): feasible iff HiGHS succeeds under
+      its primal_feasibility_tolerance of 1e-10, which sets the cut, and its
+      weights, polished on their support, then reproduce b within tol.
     """
     margins = facet_margins(b, R)
     k = int(np.argmin(margins))
@@ -213,6 +210,44 @@ def decide_membership(b: np.ndarray, R: float = 1.0,
         return Decision(True, k, margin, "facet")
     out = solve_membership_float(b, R, tol)
     return Decision(out.status == "feasible", k, margin, "lp-float", out.weights)
+
+
+def caratheodory_weights(b: np.ndarray, R: float = 1.0) -> np.ndarray:
+    """Convex weights over the 64 vertex products for a b with no facet value
+    below -1e-12 |f|_1, by Carathéodory's theorem made constructive (Grötschel,
+    Lovász & Schrijver, Geometric Algorithms and Combinatorial Optimization).
+
+    In the unit frame, the vertices with f . V_j = 0 on every active facet
+    (value <= 1e-12 |f|_1 at x) span the face of x.  If they are affinely
+    independent, x is solved on them by least squares.  Otherwise the one with
+    the largest v . x takes weight t / (1 + t) of the mass left, and x moves to
+    the exit x + t (x - v) of the ray from v through x (as in
+    constructions.separable_ball_radius), on a lower face.  At most 16 vertices
+    enter; V(R) = D V(1) carries the weights to the R frame.
+    """
+    F, _, inv_norm, T = _facet_arrays()
+    x, w, mass = _unit_frame(b, R), np.zeros(64), 1.0
+    if np.min(F @ x * inv_norm) < -1e-12:
+        raise ValueError("b lies outside the polytope")
+    for _ in range(16):
+        values = F @ x
+        active = values * inv_norm <= 1e-12
+        cand = np.flatnonzero(~T[active].any(axis=0))
+        if cand.size == 0:
+            raise ArithmeticError("no vertex on the active face: the facet table misses a facet")
+        C = _VMAT_UNIT[:, cand]
+        if np.linalg.matrix_rank(C) == cand.size:
+            w[cand] += mass * np.clip(np.linalg.lstsq(C, x, rcond=None)[0], 0.0, None)
+            return w
+        j = cand[np.argmax(x @ C)]
+        d = x - _VMAT_UNIT[:, j]
+        slopes = F @ d
+        exits = ~active & (slopes < 0.0)
+        t = float(np.min(values[exits] / -slopes[exits]))
+        w[j] += mass * t / (1.0 + t)
+        mass /= 1.0 + t
+        x = x + t * d
+    raise ArithmeticError("descent did not reach a simplex face in 16 steps")
 
 
 # ---------------------------------------------------------------------------

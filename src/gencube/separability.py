@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -96,7 +95,7 @@ class SeparabilityResult:
     feasible: bool
     certificate: LhvCertificate | None = None
     functional: BellFunctional | None = None
-    method: str = "facet"     # "facet" | "lp-float" (band) | "lp-exact"
+    method: str = "facet"     # "facet" | "lp-float" (band): cube_decide's route
 
 
 def _checked(A: PauliCoeffs2Q, R: float = 1.0) -> np.ndarray:
@@ -125,36 +124,15 @@ def cube_decide(A: PauliCoeffs2Q, R: float = 1.0,
     return lp.decide_membership(_checked(A, R), R, tol)
 
 
-# Exact weights for a float instance whose facet values are all >= 0 but
-# which lies outside by a rounding error are taken at the instance pulled
-# this far toward the maximally mixed point; they reproduce it within 2x this.
-_EXACT_PULL = Fraction(1, 2 ** 40)
-
-
-def _exact_weights(b: np.ndarray, R: float, tol: float) -> LhvCertificate:
-    """Convex weights from the exact simplex on the float instance itself."""
-    bx = [Fraction(x) for x in b]
-    status, cert = lp.solve_membership_exact(bx, Fraction(R))
-    if status != "feasible":
-        centre = [Fraction(1)] + [Fraction(0)] * 15
-        pulled = [(1 - _EXACT_PULL) * x + _EXACT_PULL * c for x, c in zip(bx, centre)]
-        status, cert = lp.solve_membership_exact(pulled, Fraction(R))
-        if status != "feasible":
-            raise ArithmeticError("exact route refutes a facet-feasible instance")
-    w, resid = lp.polish_weights(lp.vertex_product_matrix(R), b,
-                                 np.array([float(x) for x in cert]))
-    return LhvCertificate(w, max(tol, resid))
-
-
 def cube_separable(A: PauliCoeffs2Q, R: float = 1.0,
                    tol: float = lp.FEASIBILITY_TOL) -> SeparabilityResult:
     """Decide membership of A in the R-scaled cube-product polytope.
 
     The verdict is cube_decide's.  Infeasible verdicts carry the facet with
     the least margin as their functional (integer-valued at R = 1).
-    Feasible verdicts carry LHV weights from the HiGHS residual route;
-    where its polish misses tol they come from the exact simplex on the
-    float instance asked (method "lp-exact").
+    Feasible band verdicts carry the HiGHS residual route's weights, and
+    every other feasible verdict the Carathéodory descent's on the facet
+    table (lp.caratheodory_weights).
     """
     d = cube_decide(A, R, tol)
     b = A.coeffs.ravel()
@@ -164,14 +142,8 @@ def cube_separable(A: PauliCoeffs2Q, R: float = 1.0,
             False, functional=BellFunctional(y.reshape(4, 4), float(-(y @ b))),
             method=d.route,
         )
-    if d.weights is not None:
-        return SeparabilityResult(True, certificate=LhvCertificate(d.weights, tol),
-                                  method=d.route)
-    out = lp.solve_membership_float(b, R, tol)
-    if out.status == "feasible":
-        return SeparabilityResult(True, certificate=LhvCertificate(out.weights, tol),
-                                  method=d.route)
-    return SeparabilityResult(True, certificate=_exact_weights(b, R, tol), method="lp-exact")
+    w = d.weights if d.weights is not None else lp.caratheodory_weights(b, R)
+    return SeparabilityResult(True, certificate=LhvCertificate(w, tol), method=d.route)
 
 
 def pauli_margins(B: np.ndarray, R: float = 1.0) -> np.ndarray:
@@ -258,7 +230,7 @@ def certificate_from_text(text: str) -> LhvCertificate:
             continue
         if line.startswith("#"):
             if "tolerance=" in line:
-                tol = float(line.split("tolerance=")[1].split()[0])
+                tol = line.split("tolerance=")[1].split()[:1]
             continue
         # two fields of three binary digits, each pair at most once
         fields = line.split()
@@ -269,9 +241,9 @@ def certificate_from_text(text: str) -> LhvCertificate:
             raise ValueError("malformed certificate text")
         weights[k] = float(fields[2])
         seen[k] = True
-    if tol is None or not seen.all():
+    if not tol or not seen.all():
         raise ValueError("malformed certificate text")
-    return LhvCertificate(weights, tol)
+    return LhvCertificate(weights, float(tol[0]))
 
 
 # ---------------------------------------------------------------------------

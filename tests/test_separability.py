@@ -158,7 +158,8 @@ def test_certificate_serialization_round_trip():
 
 
 @pytest.mark.parametrize("line", ["1000 000 0.5", "00 0000 0.5", "000 002 0.5",
-                                  "000 000", "000 000 0.5 0.5", "000 000 0.5\n000 000 0.5"])
+                                  "000 000", "000 000 0.5 0.5", "000 000 0.5\n000 000 0.5",
+                                  "# tolerance="])
 def test_certificate_text_rejects_malformed_bit_fields(line):
     body = certificate_to_text(cube_separable(BELL).certificate).splitlines()
     # replace the first weight line, for pair (000, 000)
@@ -484,27 +485,74 @@ def test_knife_edge_below_two_thirds_is_infeasible(offset):
     assert status == "infeasible"
 
 
-def test_exact_weights_for_a_rounded_boundary_point():
-    # float(1/3) puts the 2/3 joint-depol output outside by a rounding error:
-    # the exact simplex refutes the float instance, and the weights come from
-    # the instance pulled toward the maximally mixed point
-    from gencube.separability import _exact_weights
+def _residual(w, b, R=1.0):
+    """max(|V w - b|_inf, |sum w - 1|)."""
+    return max(np.abs(lp.vertex_product_matrix(R) @ w - b).max(), abs(w.sum() - 1.0))
 
+
+def test_weights_for_a_rounded_boundary_point():
+    # float(1/3) puts the 2/3 joint-depol output outside by a rounding error:
+    # the exact simplex refutes the float instance, its least facet value is
+    # -2.8e-17, and the descent weights it without pulling it anywhere
     A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(2 / 3))
     b = A.coeffs.ravel()
     assert lp.solve_membership_exact([Fraction(x) for x in b])[0] == "infeasible"
-    cert = _exact_weights(b, 1.0, lp.FEASIBILITY_TOL)
-    assert cert.tolerance_used == lp.FEASIBILITY_TOL
-    assert verify_certificate(cert, A)
-
-
-def test_exact_weights_back_a_missed_polish(monkeypatch):
-    A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(0.8))
-    monkeypatch.setattr(lp, "solve_membership_float",
-                        lambda b, R=1.0, tol=lp.FEASIBILITY_TOL: lp.FloatLpOutcome("infeasible"))
     res = cube_separable(A)
-    assert res.feasible and res.method == "lp-exact"
+    assert res.feasible and res.method == "lp-float"
+    assert res.certificate.tolerance_used == lp.FEASIBILITY_TOL
     assert verify_certificate(res.certificate, A)
+    w = lp.caratheodory_weights(b)
+    assert w.min() >= 0.0 and _residual(w, b) <= 1e-12
+
+
+@pytest.mark.parametrize("offset, feasible, margin", [(2e-10, False, -1.5e-10),
+                                                      (1e-10, True, -7.5e-11)])
+def test_band_cut_is_highs_primal_feasibility_tolerance(offset, feasible, margin):
+    # inside the band HiGHS decides first, under primal_feasibility_tolerance
+    # 1e-10, so the cut lies between these margins and not at -tol = -1e-9
+    A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(2 / 3 - offset))
+    d = separability.cube_decide(A)
+    assert d.route == "lp-float" and d.feasible is feasible
+    assert d.margin == pytest.approx(margin, rel=1e-3)
+    res = cube_separable(A)
+    assert res.method == "lp-float" and res.feasible is feasible
+
+
+def _facet_feasible_points():
+    """Convex mixes of 1..20 vertex products at R in {1, 0.8, 1.3}, half of
+    them perturbed, and the 64 vertex-pair outputs of each noise family from
+    its threshold to full noise; only points with every facet value >= 0."""
+    rng = np.random.default_rng(73)
+    for R in (1.0, 0.8, 1.3):
+        V = lp.vertex_product_matrix(R)
+        for _ in range(60):
+            k = int(rng.integers(1, 21))
+            b = V[:, rng.choice(64, k, replace=False)] @ rng.dirichlet(np.ones(k))
+            if rng.random() < 0.5:
+                b[1:] += 0.05 * rng.uniform(-1, 1, 15)
+            yield b, R
+    P = lp.vertex_product_matrix().T
+    for family, lo, hi in (("joint-depol", 2 / 3, 1.0), ("local-depol", 2 - math.sqrt(2), 1.0),
+                           ("local-dephase", 1 - 1 / math.sqrt(2), 1 / math.sqrt(2))):
+        for p in np.linspace(lo, hi, 4):
+            yield from ((b, 1.0) for b in pipeline_rows(P, 1.0, NoiseModel(family, p)))
+
+
+def test_caratheodory_weights_reproduce_facet_feasible_points():
+    checked = {1.0: 0, 0.8: 0, 1.3: 0}
+    for b, R in _facet_feasible_points():
+        if lp.facet_values(b, R).min() < 0.0:
+            continue
+        w = lp.caratheodory_weights(b, R)
+        assert w.min() >= 0.0 and np.count_nonzero(w) <= 16, (b, R)
+        assert _residual(w, b, R) <= 1e-12, (b, R)
+        checked[R] += 1
+    assert min(checked.values()) >= 30 and checked[1.0] >= 600
+
+
+def test_caratheodory_weights_refuse_a_point_outside():
+    with pytest.raises(ValueError, match="outside the polytope"):
+        lp.caratheodory_weights(np.diag([1.0, 1.2, -1.2, 1.2]).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -639,13 +687,14 @@ def _rescaled_frame_points():
         yield [Fraction(v) for v in x], R
 
 
-def _pulled_instance():
-    from gencube.separability import _EXACT_PULL
+# the 2/3 joint-depol output pulled this far toward the maximally mixed point
+_PULL = Fraction(1, 2 ** 40)
 
+
+def _pulled_instance():
     A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(2 / 3))
     centre = [Fraction(1)] + [Fraction(0)] * 15
-    return [(1 - _EXACT_PULL) * Fraction(x) + _EXACT_PULL * c
-            for x, c in zip(A.coeffs.ravel(), centre)]
+    return [(1 - _PULL) * Fraction(x) + _PULL * c for x, c in zip(A.coeffs.ravel(), centre)]
 
 
 def test_integer_tableau_returns_the_fraction_simplex_outputs():

@@ -190,8 +190,7 @@ class Lemma8Report:
         ]
 
 
-def lemma8_report(alpha: float, epsilon: float, lp_vertices: bool = True,
-                  noise: float = 0.0) -> Lemma8Report:
+def lemma8_report(alpha: float, epsilon: float, noise: float = 0.0) -> Lemma8Report:
     """Run every check of the magic-basis channel at the given parameters."""
     cj = build_cj(alpha, epsilon, noise)
     rho = cj.rho.entries
@@ -221,13 +220,11 @@ def lemma8_report(alpha: float, epsilon: float, lp_vertices: bool = True,
     outputs = [((u, v), cj_apply(cj, product(u, v))) for u in verts for v in verts]
     min_born = min(pauli_margin(out) for _, out in outputs)
     feasible, fails = 0, []
-    if lp_vertices:
-        for (u, v), out in outputs:
-            if cube_decide(out).feasible:
-                feasible += 1
-            else:
-                fails.append((tuple(int(x) for x in u.bloch),
-                              tuple(int(x) for x in v.bloch)))
+    for (u, v), out in outputs:
+        if cube_decide(out).feasible:
+            feasible += 1
+        else:
+            fails.append((tuple(int(x) for x in u.bloch), tuple(int(x) for x in v.bloch)))
     return Lemma8Report(
         alpha=alpha, epsilon=epsilon, noise=noise, marginal_deviation=marg_dev,
         vertex_feasible=feasible, infeasible_inputs=tuple(fails),

@@ -82,9 +82,6 @@ class NoiseModel:
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError("noise strength must lie in [0, 1]")
 
-    def with_strength(self, strength: float) -> "NoiseModel":
-        return NoiseModel(self.kind, strength)
-
 
 def joint_depol(lam: float) -> NoiseModel:
     return NoiseModel("joint-depol", lam)

@@ -17,6 +17,10 @@ the party swap: positivity, CHSH and I3322.  Four routes use it:
   tableau with fraction-free (Bareiss) pivoting, whose Farkas dual is read
   from the reduced-cost row on the artificial columns: the independent
   oracle of the tests, which the package never calls.
+
+Every route decides the unit polytope.  A state space rescaled by R scales
+the vertex products by D = frame_scale(R), so its polytope is D P(1), and a
+point b of that frame is asked as D^-1 b (spaces.rescale2(A, 1 / R)).
 """
 from __future__ import annotations
 
@@ -39,7 +43,6 @@ __all__ = [
     "rationalize",
     "facet_orbit",
     "facet_table",
-    "facet_functional",
     "facet_values",
     "positivity_values",
     "facet_margins",
@@ -66,11 +69,9 @@ def vertex_product_matrix(R: float = 1.0) -> np.ndarray:
     return _VMAT_UNIT * frame_scale(R)[:, None]
 
 
-def exact_vertex_columns(R: Fraction = Fraction(1)) -> list[list[Fraction]]:
-    """The same 64 columns with exact rational entries."""
-    f = [Fraction(1), R, R, R]
-    scale = [f[i] * f[j] for i in range(4) for j in range(4)]
-    return [[int(v) * s for v, s in zip(col, scale)] for col in _VMAT_UNIT.T]
+def exact_vertex_columns() -> list[list[Fraction]]:
+    """The 64 unit-frame columns with exact rational entries."""
+    return [[Fraction(int(v)) for v in col] for col in _VMAT_UNIT.T]
 
 
 def rationalize(x: float, max_den: int = 10 ** 6) -> Fraction:
@@ -127,29 +128,16 @@ def facet_table() -> np.ndarray:
     return F
 
 
-def facet_functional(k: int, R: float = 1.0) -> np.ndarray:
-    """Row k of the facet table as a functional y on R-frame coefficients:
-    y = D^-1 f, so that y . V_j(R) = f . V_j(1) >= 0 on every column."""
-    f = facet_table()[k]
-    return f / (1.0 if R == 1.0 else frame_scale(R))
-
-
 # the positivity orbit leads facet_table()
 _POSITIVITY_ROWS = 36
 
 
 @functools.cache
-def _facet_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The facet table in floats, its absolute values, 1 / |f|_1 per row, and
-    the 684 x 64 integer table f . V_j(1) of every facet on every vertex."""
+def _facet_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The facet table in floats, 1 / |f|_1 per row, and the 684 x 64
+    integer table f . V_j of every facet on every vertex."""
     F = facet_table().astype(float)
-    absF = np.abs(F)
-    return F, absF, 1.0 / absF.sum(axis=1), facet_table() @ _VMAT_UNIT.astype(np.int64)
-
-
-def _unit_frame(b: np.ndarray, R: float) -> np.ndarray:
-    """b read in the unit frame: divided entrywise by frame_scale(R)."""
-    return b if R == 1.0 else b * (1.0 / frame_scale(R))
+    return F, 1.0 / np.abs(F).sum(axis=1), facet_table() @ _VMAT_UNIT.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -158,75 +146,70 @@ class Decision:
 
     feasible: bool
     facet: int                  # row of facet_table() with the least margin
-    margin: float               # y . b / |y|_1 on that row, y = D^-1 f
+    margin: float               # f . b / |f|_1 on that row
     route: str                  # "facet" | "lp-float"
     weights: np.ndarray | None = None   # residual-route weights (band, feasible)
+    residual: float | None = None       # polished HiGHS residual (band, when HiGHS gave weights)
 
 
-def facet_values(b: np.ndarray, R: float = 1.0) -> np.ndarray:
-    """f . D^-1 b for every facet f: the facet values of b read in the unit
-    frame.  The 36 positivity rows are four times the Pauli-pair Born
-    probabilities there.  An (N, 16) stack b gives an (N, 684) array."""
-    F = _facet_arrays()[0]
-    return (F @ _unit_frame(b, R).T).T
+def facet_values(b: np.ndarray) -> np.ndarray:
+    """f . b for every facet f.  The 36 positivity rows are four times the
+    Pauli-pair Born probabilities.  An (N, 16) stack b gives an (N, 684)
+    array."""
+    return (_facet_arrays()[0] @ b.T).T
 
 
-def positivity_values(b: np.ndarray, R: float = 1.0) -> np.ndarray:
+def positivity_values(b: np.ndarray) -> np.ndarray:
     """The 36 positivity columns of facet_values, from those rows
     of the facet table alone."""
-    F = _facet_arrays()[0][:_POSITIVITY_ROWS]
-    return (F @ _unit_frame(b, R).T).T
+    return (_facet_arrays()[0][:_POSITIVITY_ROWS] @ b.T).T
 
 
-def facet_margins(b: np.ndarray, R: float = 1.0) -> np.ndarray:
-    """The facet values of b normalized per facet, y . b / |y|_1 with
-    y = D^-1 f (see facet_functional and decide_membership); an (N, 16)
-    stack b gives an (N, 684) array."""
-    _, absF, inv_norm, _ = _facet_arrays()
-    if R != 1.0:
-        inv_norm = 1.0 / (absF @ (1.0 / frame_scale(R)))
-    return facet_values(b, R) * inv_norm
+def facet_margins(b: np.ndarray) -> np.ndarray:
+    """The facet values of b normalized per facet, f . b / |f|_1 (see
+    decide_membership); an (N, 16) stack b gives an (N, 684) array."""
+    return facet_values(b) * _facet_arrays()[1]
 
 
-def decide_membership(b: np.ndarray, R: float = 1.0,
-                      tol: float = FEASIBILITY_TOL) -> Decision:
-    """Decide membership of the coefficient vector b in the R-scaled polytope.
+def decide_membership(b: np.ndarray) -> Decision:
+    """Decide membership of the coefficient vector b in the unit polytope.
 
-    With m the least facet margin y . b / |y|_1, y = D^-1 f (facet_margins):
+    With m the least facet margin f . b / |f|_1 (facet_margins) and tol
+    FEASIBILITY_TOL:
 
     * m < -tol: infeasible.  Any convex weights w have |Vw - b|_inf >=
-      -y.b / |y|_1 > tol, and f . V_j >= 0 holds exactly on every column;
+      -f.b / |f|_1 > tol, and f . V_j >= 0 holds exactly on every column;
     * m >= 0, i.e. every facet value >= 0: feasible;
     * otherwise (the thin band between): feasible iff HiGHS succeeds under
       its primal_feasibility_tolerance of 1e-10, which sets the cut, and its
       weights, polished on their support, then reproduce b within tol.
+      The verdict carries that polished residual whenever HiGHS gave weights.
     """
-    margins = facet_margins(b, R)
+    margins = facet_margins(b)
     k = int(np.argmin(margins))
     margin = float(margins[k])
-    if margin < -tol:
+    if margin < -FEASIBILITY_TOL:
         return Decision(False, k, margin, "facet")
     if margin >= 0.0:
         return Decision(True, k, margin, "facet")
-    out = solve_membership_float(b, R, tol)
-    return Decision(out.status == "feasible", k, margin, "lp-float", out.weights)
+    out = solve_membership_float(b)
+    return Decision(out.status == "feasible", k, margin, "lp-float", out.weights, out.residual)
 
 
-def caratheodory_weights(b: np.ndarray, R: float = 1.0) -> np.ndarray:
+def caratheodory_weights(b: np.ndarray) -> np.ndarray:
     """Convex weights over the 64 vertex products for a b with no facet value
     below -1e-12 |f|_1, by Carathéodory's theorem made constructive (Grötschel,
     Lovász & Schrijver, Geometric Algorithms and Combinatorial Optimization).
 
-    In the unit frame, the vertices with f . V_j = 0 on every active facet
-    (value <= 1e-12 |f|_1 at x) span the face of x.  If they are affinely
-    independent, x is solved on them by least squares.  Otherwise the one with
-    the largest v . x takes weight t / (1 + t) of the mass left, and x moves to
-    the exit x + t (x - v) of the ray from v through x (as in
-    constructions.separable_ball_radius), on a lower face.  At most 16 vertices
-    enter; V(R) = D V(1) carries the weights to the R frame.
+    The vertices with f . V_j = 0 on every active facet (value <= 1e-12 |f|_1
+    at x) span the face of x.  If they are affinely independent, x is solved
+    on them by least squares.  Otherwise the one with the largest v . x takes
+    weight t / (1 + t) of the mass left, and x moves to the exit x + t (x - v)
+    of the ray from v through x (as in constructions.separable_ball_radius),
+    on a lower face.  At most 16 vertices enter.
     """
-    F, _, inv_norm, T = _facet_arrays()
-    x, w, mass = _unit_frame(b, R), np.zeros(64), 1.0
+    F, inv_norm, T = _facet_arrays()
+    x, w, mass = b, np.zeros(64), 1.0
     if np.min(F @ x * inv_norm) < -1e-12:
         raise ValueError("b lies outside the polytope")
     for _ in range(16):
@@ -258,8 +241,8 @@ def caratheodory_weights(b: np.ndarray, R: float = 1.0) -> np.ndarray:
 @dataclass
 class FloatLpOutcome:
     status: str  # "feasible" | "infeasible"
-    weights: np.ndarray | None = None
-    residual: float | None = None
+    weights: np.ndarray | None = None   # feasible outcomes only
+    residual: float | None = None       # whenever HiGHS gave weights
 
 
 _HIGHS_OPTIONS = {
@@ -294,20 +277,20 @@ def polish_weights(V: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndar
     return w, float(np.max(np.abs(V @ w - b)))
 
 
-def solve_membership_float(b: np.ndarray, R: float = 1.0,
-                           tol: float = FEASIBILITY_TOL) -> FloatLpOutcome:
+def solve_membership_float(b: np.ndarray) -> FloatLpOutcome:
     """The residual route: HiGHS primal weights, polished on their support.
 
-    Feasible iff the polished equality residual is <= tol; feasible
-    outcomes carry the weights and their residual.
+    Feasible iff the polished equality residual is <= FEASIBILITY_TOL;
+    feasible outcomes carry the weights, and every outcome for which HiGHS
+    gave weights carries their polished residual.
     """
-    V = vertex_product_matrix(R)
-    res = linprog(np.zeros(64), A_eq=V, b_eq=b, bounds=(0, None), method="highs",
+    res = linprog(np.zeros(64), A_eq=_VMAT_UNIT, b_eq=b, bounds=(0, None), method="highs",
                   options=_HIGHS_OPTIONS)
     if res.status == 0 and res.x is not None:
-        w, resid = polish_weights(V, b, np.clip(res.x, 0.0, None))
-        if resid <= tol:
+        w, resid = polish_weights(_VMAT_UNIT, b, np.clip(res.x, 0.0, None))
+        if resid <= FEASIBILITY_TOL:
             return FloatLpOutcome("feasible", weights=w, residual=resid)
+        return FloatLpOutcome("infeasible", residual=resid)
     return FloatLpOutcome("infeasible")
 
 
@@ -316,16 +299,11 @@ def solve_membership_float(b: np.ndarray, R: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
-def _integer_vertex_rows(R: Fraction) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(s, rows): the 16 rows of the R-frame vertex-product matrix times the
-    one integer s that clears all its denominators (s = 1 at R = 1)."""
-    cols = exact_vertex_columns(R)
-    s = math.lcm(*(x.denominator for col in cols for x in col))
-    return s, tuple(tuple(int(col[i] * s) for col in cols) for i in range(16))
+# the 16 rows of the vertex-product matrix as Python integers
+_VERTEX_ROWS = tuple(tuple(int(v) for v in row) for row in _VMAT_UNIT)
 
 
-def solve_membership_exact(b: list[Fraction], R: Fraction = Fraction(1)):
+def solve_membership_exact(b: list[Fraction]):
     """Exact membership test: phase-1 simplex with Bland's rule.
 
     Returns ("feasible", weights) with exact convex weights, or
@@ -335,19 +313,16 @@ def solve_membership_exact(b: list[Fraction], R: Fraction = Fraction(1)):
     The tableau is one integer matrix, pivoted fraction-free (Bareiss,
     Math. Comp. 22 (1968)): rows i != l become (T_i piv - T_ie T_l) / prev,
     an exact division, so T is det(B) B^-1 [A | rhs] with det(B) > 0.  The
-    system is s V w' + a = D b with w = s w' / D, D the common denominator
-    of b; scaling every structural column by one positive s keeps Bland's
-    path, so the bases, weights and functional are the Fraction simplex's.
+    system is V w' + a = D b with w = w' / D, D the common denominator of b;
+    scaling the right-hand side by one positive D keeps Bland's path, so the
+    bases, weights and functional are the Fraction simplex's.
     The last row holds the phase-1 reduced costs; on an artificial column it
     reads det(B) (1 - y_k), which gives the Farkas functional.
     """
-    R = Fraction(R)
-    if not R > 0:
-        raise ValueError("R must be positive")
     if len(b) != 16:
         raise ValueError("b must have 16 coefficients")
     b = [Fraction(x) for x in b]
-    s, V = _integer_vertex_rows(R)
+    V = _VERTEX_ROWS
     D = math.lcm(*(x.denominator for x in b))
     m, n = 16, 64
     flip = [-1 if x < 0 else 1 for x in b]
@@ -397,7 +372,7 @@ def solve_membership_exact(b: list[Fraction], R: Fraction = Fraction(1)):
         w = [Fraction(0)] * n
         for i, j in enumerate(basis):
             if j < n:
-                w[j] = Fraction(s * T[i][-1], prev * D)
+                w[j] = Fraction(T[i][-1], prev * D)
         return "feasible", w
     # y = c_B B^-1 on the flipped rows has y_k = 1 - r_(n+k) / det(B); the
     # functional is -y with the flips undone

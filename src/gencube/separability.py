@@ -1,14 +1,15 @@
 """Separability deciders and LHV certificates.
 
 Cube-separability of a two-particle coefficient matrix is membership in the
-convex hull of the 64 products of cube vertices, decided by its 684
-integer facets (see ``lp``).  Feasible verdicts carry primal certificates
+convex hull of the 64 products of unit cube vertices, decided by its 684
+integer facets (see ``lp``).  An operator A of the R-scaled space is asked
+in the unit frame, as cube_separable(spaces.rescale2(A, 1 / R)).  Feasible verdicts carry primal certificates
 (convex weights), infeasible ones the violated facet as a separating
 functional.  Quantum separability of two qubits is positivity plus PPT.
 Each criterion has a margin beside its predicate, computed row by row over
 a stack of flattened coefficient matrices (cube_margins, pauli_margins,
 quantum_margins); the positivity and quantum predicates hold where
-margin >= -tol, and the threshold engine roots margin + tol.
+margin >= -POSITIVITY_TOL, and the threshold engine roots margin + tol.
 The module also carries the appendix catalog of hand-built LHV
 decompositions.
 """
@@ -78,8 +79,8 @@ class LhvCertificate:
 class BellFunctional:
     """Dual certificate: B with B.V >= 0 on all vertex products, B.A < 0.
 
-    Verdicts from the facet table carry a facet as B, so B is an integer
-    Bell inequality at R = 1.
+    Verdicts from the facet table carry a facet as B, an integer Bell
+    inequality.
     """
 
     dual: np.ndarray  # 4x4
@@ -98,70 +99,65 @@ class SeparabilityResult:
     method: str = "facet"     # "facet" | "lp-float" (band): cube_decide's route
 
 
-def _checked(A: PauliCoeffs2Q, R: float = 1.0) -> np.ndarray:
-    """The 16 coefficients of A, once A_00 = 1 and R > 0 are checked."""
+def _checked(A: PauliCoeffs2Q) -> np.ndarray:
+    """The 16 coefficients of A, once A_00 = 1 is checked."""
     if not A.is_normalized:
         raise ValueError("separability criteria expect A_00 = 1")
-    if not R > 0:
-        raise ValueError("R must be positive")
     return A.coeffs.ravel()
 
 
-def cube_margins(B: np.ndarray, R: float = 1.0) -> np.ndarray:
-    """Least normalized facet value (lp.facet_margins) in the R frame of each
-    row of an (N, 16) stack: below -tol a row is not cube-separable, at or
-    above 0 it is."""
-    return lp.facet_margins(B, R).min(axis=-1)
+def cube_margins(B: np.ndarray) -> np.ndarray:
+    """Least normalized facet value (lp.facet_margins) of each row of an
+    (N, 16) stack: below -lp.FEASIBILITY_TOL a row is not cube-separable,
+    at or above 0 it is."""
+    return lp.facet_margins(B).min(axis=-1)
 
 
-def cube_decide(A: PauliCoeffs2Q, R: float = 1.0,
-                tol: float = lp.FEASIBILITY_TOL) -> lp.Decision:
-    """Cube-separability verdict of A in the R frame, without certificates.
+def cube_decide(A: PauliCoeffs2Q) -> lp.Decision:
+    """Cube-separability verdict of A, without certificates.
 
     The facet test decides every point clear of the tolerance band; only
     band points run the HiGHS residual route (see lp.decide_membership).
     """
-    return lp.decide_membership(_checked(A, R), R, tol)
+    return lp.decide_membership(_checked(A))
 
 
-def cube_separable(A: PauliCoeffs2Q, R: float = 1.0,
-                   tol: float = lp.FEASIBILITY_TOL) -> SeparabilityResult:
-    """Decide membership of A in the R-scaled cube-product polytope.
+def cube_separable(A: PauliCoeffs2Q) -> SeparabilityResult:
+    """Decide membership of A in the cube-product polytope.
 
-    The verdict is cube_decide's.  Infeasible verdicts carry the facet with
-    the least margin as their functional (integer-valued at R = 1).
-    Feasible band verdicts carry the HiGHS residual route's weights, and
-    every other feasible verdict the Carathéodory descent's on the facet
-    table (lp.caratheodory_weights).
+    The verdict is cube_decide's.  Infeasible verdicts carry the integer
+    facet with the least margin as their functional.  Feasible band
+    verdicts carry the HiGHS residual route's weights, and every other
+    feasible verdict the Carathéodory descent's on the facet table
+    (lp.caratheodory_weights).
     """
-    d = cube_decide(A, R, tol)
+    d = cube_decide(A)
     b = A.coeffs.ravel()
     if not d.feasible:
-        y = lp.facet_functional(d.facet, R)
+        y = lp.facet_table()[d.facet]
         return SeparabilityResult(
             False, functional=BellFunctional(y.reshape(4, 4), float(-(y @ b))),
             method=d.route,
         )
-    w = d.weights if d.weights is not None else lp.caratheodory_weights(b, R)
-    return SeparabilityResult(True, certificate=LhvCertificate(w, tol), method=d.route)
+    w = d.weights if d.weights is not None else lp.caratheodory_weights(b)
+    return SeparabilityResult(True, certificate=LhvCertificate(w, lp.FEASIBILITY_TOL),
+                              method=d.route)
 
 
-def pauli_margins(B: np.ndarray, R: float = 1.0) -> np.ndarray:
+def pauli_margins(B: np.ndarray) -> np.ndarray:
     """Least of the 36 Pauli-pair Born probabilities of each row of an
-    (N, 16) stack, read in the unit frame (Bloch parts divided by R,
-    two-body parts by R^2): a quarter of the least positivity facet value."""
-    return lp.positivity_values(B, R).min(axis=-1) / 4.0
+    (N, 16) stack: a quarter of the least positivity facet value."""
+    return lp.positivity_values(B).min(axis=-1) / 4.0
 
 
-def pauli_margin(A: PauliCoeffs2Q, R: float = 1.0) -> float:
+def pauli_margin(A: PauliCoeffs2Q) -> float:
     """pauli_margins of the one matrix A."""
-    return float(pauli_margins(_checked(A, R), R))
+    return float(pauli_margins(_checked(A)))
 
 
-def positive_for_pauli(A: PauliCoeffs2Q, R: float = 1.0,
-                       tol: float = POSITIVITY_TOL) -> bool:
-    """All 36 Pauli-pair Born probabilities nonnegative, in the R frame."""
-    return pauli_margin(A, R) >= -tol
+def positive_for_pauli(A: PauliCoeffs2Q) -> bool:
+    """All 36 Pauli-pair Born probabilities nonnegative, within POSITIVITY_TOL."""
+    return pauli_margin(A) >= -POSITIVITY_TOL
 
 
 def quantum_margins(B: np.ndarray) -> np.ndarray:
@@ -184,9 +180,9 @@ def quantum_margin(A: PauliCoeffs2Q) -> float:
     return float(quantum_margins(_checked(A).reshape(1, 16))[0])
 
 
-def quantum_separable_2q(A: PauliCoeffs2Q, tol: float = POSITIVITY_TOL) -> bool:
-    """Two-qubit quantum separability: positive and PPT."""
-    return quantum_margin(A) >= -tol
+def quantum_separable_2q(A: PauliCoeffs2Q) -> bool:
+    """Two-qubit quantum separability: positive and PPT, within POSITIVITY_TOL."""
+    return quantum_margin(A) >= -POSITIVITY_TOL
 
 
 def verify_certificate(cert: LhvCertificate, A: PauliCoeffs2Q, R: float = 1.0,

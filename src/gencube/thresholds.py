@@ -146,6 +146,13 @@ def min_noise(q: ThresholdQuery) -> float:
     no odd-Y coefficient and take the real eigensolve of quantum_margins.  The
     binding input then gets a second root over its 21 x 21 refinement cell.
 
+    A cube-separable root sits at margin = -tol, not where the oracle starts
+    to accept: there cube_decide still refuses, since inside the band HiGHS decides
+    under its primal_feasibility_tolerance of 1e-10 (lp.decide_membership).
+    The R = 1 cube thresholds of joint depol, local depol and dephasing lie
+    1.33e-9, 1.41e-9 and 7.1e-10 below their exact values 2/3, 2 - sqrt 2 and
+    1 - 1/sqrt 2.
+
     Raises ThresholdBracketError when the criterion already holds at zero
     noise or still fails at full noise.
     """

@@ -146,7 +146,7 @@ def test_lemma8_report_spec_example_parameters():
 
 
 def test_lemma8_epsilon_zero_outputs_ppt():
-    rep = lemma8_report(0.998, 0.0, lp_vertices=False)
+    rep = lemma8_report(0.998, 0.0)
     assert rep.output_min_pt > -1e-10
 
 

@@ -168,17 +168,6 @@ def test_certificate_text_rejects_malformed_bit_fields(line):
         certificate_from_text(text)
 
 
-def test_positive_for_pauli_rescaled_frame():
-    # membership in the R frame equals plain positivity after unrescaling
-    rng = np.random.default_rng(44)
-    from gencube.spaces import rescale2
-
-    for _ in range(30):
-        A = PauliCoeffs2Q(np.r_[1.0, rng.uniform(-1, 1, 15)].reshape(4, 4))
-        for R in (0.7, 1.4):
-            assert positive_for_pauli(rescale2(A, R), R) == positive_for_pauli(A, 1.0)
-
-
 def test_pauli_margin_is_the_least_born_probability():
     # reference: the 36 Pauli-pair Born probabilities of the unit-frame operator
     rng = np.random.default_rng(21)
@@ -191,9 +180,8 @@ def test_pauli_margin_is_the_least_born_probability():
         base = rescale2(A, 1.0 / R)
         ref = min(born_probability(base, p, s, q, t)
                   for p in (1, 2, 3) for q in (1, 2, 3) for s in (1, -1) for t in (1, -1))
-        assert abs(pauli_margin(A, R) - ref) < 1e-15
-        for tol in (0.0, 1e-9):
-            assert positive_for_pauli(A, R, tol) == (ref >= -tol)
+        assert abs(pauli_margin(base) - ref) < 1e-15
+        assert positive_for_pauli(base) == (ref >= -separability.POSITIVITY_TOL)
 
 
 def test_quantum_margin_is_the_least_eigenvalue_with_its_partial_transpose():
@@ -274,14 +262,15 @@ def test_one_odd_y_coefficient_takes_the_complex_route():
 
 
 def test_cube_separable_with_rescaled_vertices():
+    # an operator of the R-scaled space is asked in the unit frame
     R = 0.8
     u = BlochOp(np.array([R, R, -R]))
     v = BlochOp(np.array([-R, R, R]))
     A = product(u, v)
-    assert cube_separable(A, R=R).feasible
+    assert cube_separable(rescale2(A, 1 / R)).feasible
     # the unscaled corner product is outside the shrunken polytope
     big = product(ALLONES, ALLONES)
-    assert not cube_separable(big, R=R).feasible
+    assert not cube_separable(rescale2(big, 1 / R)).feasible
 
 
 def test_exact_oracle_agreement_small():
@@ -433,44 +422,36 @@ def test_facets_valid_and_tight_on_rank_15_vertex_sets():
 
 
 def _random_queries(rng, n):
-    """Convex mixes of 1..6 vertex products in random frames, perturbed
-    by 0-20 % per coefficient."""
+    """Convex mixes of 1..6 vertex products, perturbed by 0-20 % per
+    coefficient."""
+    V = lp.vertex_product_matrix()
     for _ in range(n):
-        R = float(rng.choice([1.0, 1.0, 0.8, 1.3]))
-        V = lp.vertex_product_matrix(R)
         k = int(rng.integers(1, 7))
         b = V[:, rng.choice(64, k, replace=False)] @ rng.dirichlet(np.ones(k))
         b[1:] += rng.choice([0.01, 0.05, 0.2]) * rng.uniform(-1, 1, 15)
-        yield b, R
+        yield b
 
 
 def test_facet_verdicts_agree_with_highs():
     rng = np.random.default_rng(61)
-    checked = {1.0: 0, "other": 0}
-    for b, R in _random_queries(rng, 1100):
-        d = lp.decide_membership(b, R)
+    checked = 0
+    for b in _random_queries(rng, 1100):
+        d = lp.decide_membership(b)
         if d.route != "facet":
             continue
-        assert d.feasible == (lp.solve_membership_float(b, R).status == "feasible"), (b, R)
-        checked[1.0 if R == 1.0 else "other"] += 1
-    assert sum(checked.values()) >= 1000
-    assert checked[1.0] >= 400 and checked["other"] >= 400
+        assert d.feasible == (lp.solve_membership_float(b).status == "feasible"), b
+        checked += 1
+    assert checked >= 1000
 
 
-def test_infeasible_functional_separates_in_rescaled_frame():
-    for R in (0.8, 1.3):
-        V = lp.vertex_product_matrix(R)
-        # the Bell state's correlations, 1.2 times too strong in the R frame
-        A = PauliCoeffs2Q(np.diag([1.0, 1.2, -1.2, 1.2]) * np.r_[1.0, R * R, R * R, R * R])
-        res = cube_separable(A, R=R)
-        assert not res.feasible and res.method == "facet"
-        y = res.functional.dual.ravel()
-        assert np.min(V.T @ y) >= -1e-12
-        assert y @ A.coeffs.ravel() < 0 and res.functional.violation > 0
-        # in the unit frame the same functional is the integer facet; the
-        # all-plus column V[:, 0] is the frame scale diag(D)
-        facet = lp.facet_table()[lp.decide_membership(A.coeffs.ravel(), R).facet]
-        assert np.allclose(y * V[:, 0], facet, rtol=0, atol=1e-12)
+def test_infeasible_functional_is_the_violated_integer_facet():
+    # the Bell state's correlations, 1.2 times too strong
+    A = PauliCoeffs2Q(np.diag([1.0, 1.2, -1.2, 1.2]))
+    res = cube_separable(A)
+    assert not res.feasible and res.method == "facet"
+    facet = lp.facet_table()[lp.decide_membership(A.coeffs.ravel()).facet]
+    assert np.array_equal(res.functional.dual.ravel(), facet)
+    assert facet @ A.coeffs.ravel() < 0 and res.functional.violation > 0
 
 
 @pytest.mark.parametrize("offset", [5e-9, 1e-8])
@@ -485,9 +466,9 @@ def test_knife_edge_below_two_thirds_is_infeasible(offset):
     assert status == "infeasible"
 
 
-def _residual(w, b, R=1.0):
+def _residual(w, b):
     """max(|V w - b|_inf, |sum w - 1|)."""
-    return max(np.abs(lp.vertex_product_matrix(R) @ w - b).max(), abs(w.sum() - 1.0))
+    return max(np.abs(lp.vertex_product_matrix() @ w - b).max(), abs(w.sum() - 1.0))
 
 
 def test_weights_for_a_rounded_boundary_point():
@@ -505,12 +486,25 @@ def test_weights_for_a_rounded_boundary_point():
     assert w.min() >= 0.0 and _residual(w, b) <= 1e-12
 
 
-@pytest.mark.parametrize("offset, feasible, margin", [(2e-10, False, -1.5e-10),
-                                                      (1e-10, True, -7.5e-11)])
-def test_band_cut_is_highs_primal_feasibility_tolerance(offset, feasible, margin):
+# (noise family, its R = 1 threshold, offset below it, verdict, margin) for
+# the all-ones output; the margins tell the families apart in the test ids
+_BAND_CUTS = [
+    (joint_depol, 2 / 3, 2e-10, False, -1.5e-10),
+    (joint_depol, 2 / 3, 1e-10, True, -7.5e-11),
+    (local_depol, 2 - math.sqrt(2), 2e-10, False, -1.414e-10),
+    (local_depol, 2 - math.sqrt(2), 1e-10, True, -7.071e-11),
+    (local_dephase, 1 - 1 / math.sqrt(2), 1e-10, False, -1.414e-10),
+    (local_dephase, 1 - 1 / math.sqrt(2), 5e-11, True, -7.071e-11),
+]
+
+
+@pytest.mark.parametrize("noise, threshold, offset, feasible, margin", _BAND_CUTS,
+                         ids=[f"{o}-{f}-{m}" for *_, o, f, m in _BAND_CUTS])
+def test_band_cut_is_highs_primal_feasibility_tolerance(noise, threshold, offset,
+                                                         feasible, margin):
     # inside the band HiGHS decides first, under primal_feasibility_tolerance
     # 1e-10, so the cut lies between these margins and not at -tol = -1e-9
-    A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(2 / 3 - offset))
+    A = apply_noise(csign(product(ALLONES, ALLONES)), noise(threshold - offset))
     d = separability.cube_decide(A)
     assert d.route == "lp-float" and d.feasible is feasible
     assert d.margin == pytest.approx(margin, rel=1e-3)
@@ -518,36 +512,44 @@ def test_band_cut_is_highs_primal_feasibility_tolerance(offset, feasible, margin
     assert res.method == "lp-float" and res.feasible is feasible
 
 
+def test_decision_carries_the_band_residual():
+    # the feasible joint-depol band case above, and a facet verdict
+    A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(2 / 3 - 1e-10))
+    d = separability.cube_decide(A)
+    assert d.route == "lp-float" and d.feasible
+    assert d.residual <= lp.FEASIBILITY_TOL
+    d = separability.cube_decide(BELL)
+    assert d.route == "facet" and d.residual is None
+
+
 def _facet_feasible_points():
-    """Convex mixes of 1..20 vertex products at R in {1, 0.8, 1.3}, half of
-    them perturbed, and the 64 vertex-pair outputs of each noise family from
-    its threshold to full noise; only points with every facet value >= 0."""
+    """180 convex mixes of 1..20 vertex products, half of them perturbed,
+    and the 64 vertex-pair outputs of each noise family from its threshold
+    to full noise; only points with every facet value >= 0."""
     rng = np.random.default_rng(73)
-    for R in (1.0, 0.8, 1.3):
-        V = lp.vertex_product_matrix(R)
-        for _ in range(60):
-            k = int(rng.integers(1, 21))
-            b = V[:, rng.choice(64, k, replace=False)] @ rng.dirichlet(np.ones(k))
-            if rng.random() < 0.5:
-                b[1:] += 0.05 * rng.uniform(-1, 1, 15)
-            yield b, R
-    P = lp.vertex_product_matrix().T
+    V = lp.vertex_product_matrix()
+    for _ in range(180):
+        k = int(rng.integers(1, 21))
+        b = V[:, rng.choice(64, k, replace=False)] @ rng.dirichlet(np.ones(k))
+        if rng.random() < 0.5:
+            b[1:] += 0.05 * rng.uniform(-1, 1, 15)
+        yield b
     for family, lo, hi in (("joint-depol", 2 / 3, 1.0), ("local-depol", 2 - math.sqrt(2), 1.0),
                            ("local-dephase", 1 - 1 / math.sqrt(2), 1 / math.sqrt(2))):
         for p in np.linspace(lo, hi, 4):
-            yield from ((b, 1.0) for b in pipeline_rows(P, 1.0, NoiseModel(family, p)))
+            yield from pipeline_rows(V.T, 1.0, NoiseModel(family, p))
 
 
 def test_caratheodory_weights_reproduce_facet_feasible_points():
-    checked = {1.0: 0, 0.8: 0, 1.3: 0}
-    for b, R in _facet_feasible_points():
-        if lp.facet_values(b, R).min() < 0.0:
+    checked = 0
+    for b in _facet_feasible_points():
+        if lp.facet_values(b).min() < 0.0:
             continue
-        w = lp.caratheodory_weights(b, R)
-        assert w.min() >= 0.0 and np.count_nonzero(w) <= 16, (b, R)
-        assert _residual(w, b, R) <= 1e-12, (b, R)
-        checked[R] += 1
-    assert min(checked.values()) >= 30 and checked[1.0] >= 600
+        w = lp.caratheodory_weights(b)
+        assert w.min() >= 0.0 and np.count_nonzero(w) <= 16, b
+        assert _residual(w, b) <= 1e-12, b
+        checked += 1
+    assert checked >= 600
 
 
 def test_caratheodory_weights_refuse_a_point_outside():
@@ -578,7 +580,7 @@ def _reference_exact_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> 
     return [A[i][m] for i in range(m)]
 
 
-def _fraction_simplex_reference(b: list[Fraction], R: Fraction = Fraction(1)):
+def _fraction_simplex_reference(b: list[Fraction]):
     """The Fraction-tableau simplex that lp.solve_membership_exact replaced,
     kept to pin its outputs: phase-1 simplex with Bland's rule.
 
@@ -586,7 +588,7 @@ def _fraction_simplex_reference(b: list[Fraction], R: Fraction = Fraction(1)):
     ("infeasible", y) with an exact Farkas functional satisfying
     y . V_j >= 0 for every vertex-product column and y . b < 0.
     """
-    cols = lp.exact_vertex_columns(R)
+    cols = lp.exact_vertex_columns()
     m, n = 16, 64
     flip = [-1 if b[i] < 0 else 1 for i in range(m)]
     # flipped constraint columns, artificials appended
@@ -671,22 +673,6 @@ def _gate_outputs_near_thresholds():
                     yield [Fraction(x) for x in apply_noise(noiseless, family(q)).coeffs.ravel()]
 
 
-def _rescaled_frame_points():
-    """One rational and one dyadic point per frame R: a perturbed exact mix
-    of R-frame vertex products, and a float mix read exactly."""
-    rng = np.random.default_rng(17)
-    for R in (Fraction(4, 5), Fraction(0.8), Fraction(13, 10)):
-        cols = lp.exact_vertex_columns(R)
-        idx = rng.choice(64, 3, replace=False)
-        b = [(cols[idx[0]][i] + 2 * cols[idx[1]][i] + 3 * cols[idx[2]][i]) / 6 for i in range(16)]
-        b[1:] = [x + Fraction(int(rng.integers(-50, 51)), 1000) for x in b[1:]]
-        yield b, R
-        V = lp.vertex_product_matrix(float(R))
-        x = V[:, rng.choice(64, 4, replace=False)] @ rng.dirichlet(np.ones(4))
-        x[1:] += 0.02 * rng.uniform(-1, 1, 15)
-        yield [Fraction(v) for v in x], R
-
-
 # the 2/3 joint-depol output pulled this far toward the maximally mixed point
 _PULL = Fraction(1, 2 ** 40)
 
@@ -698,22 +684,14 @@ def _pulled_instance():
 
 
 def test_integer_tableau_returns_the_fraction_simplex_outputs():
-    queries = [(b, Fraction(1)) for b in _criterion12_rationals(40)]
-    queries += [(b, Fraction(1)) for b in _gate_outputs_near_thresholds()]
-    queries.append((_pulled_instance(), Fraction(1)))
-    queries += list(_rescaled_frame_points())
+    queries = list(_criterion12_rationals(40)) + list(_gate_outputs_near_thresholds())
+    queries.append(_pulled_instance())
     statuses = set()
-    for b, R in queries:
-        out = lp.solve_membership_exact(b, R)
-        assert out == _fraction_simplex_reference(b, R), (b, R)
+    for b in queries:
+        out = lp.solve_membership_exact(b)
+        assert out == _fraction_simplex_reference(b), b
         statuses.add(out[0])
     assert statuses == {"feasible", "infeasible"}
-
-
-@pytest.mark.parametrize("R", [Fraction(0), Fraction(-1, 2)])
-def test_exact_oracle_rejects_a_nonpositive_frame(R):
-    with pytest.raises(ValueError):
-        lp.solve_membership_exact([Fraction(1)] + [Fraction(0)] * 15, R)
 
 
 @pytest.mark.parametrize("size", [15, 17])

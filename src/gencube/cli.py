@@ -201,12 +201,21 @@ def _cmd_simulate(args, out) -> int:
 
 def _load_povms(path: str) -> PovmSet:
     """POVM file: JSON {"dim": d, "povms": [[element...]]} with complex
-    entries encoded as [re, im] pairs."""
+    entries encoded as [re, im] pairs.  A file of any other shape raises
+    ValueError."""
     with open(path) as fh:
         data = json.load(fh)
-    dim = int(data["dim"])
-    povms = tuple(tuple(np.array([[complex(c[0], c[1]) for c in row] for row in m]) for m in p)
-                  for p in data["povms"])
+    if not isinstance(data, dict) or not {"dim", "povms"} <= data.keys():
+        raise ValueError(f"POVM file {path}: expected an object with keys 'dim' and 'povms'")
+    dim = data["dim"]
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"POVM file {path}: 'dim' must be a positive integer; got {dim!r}")
+    try:
+        povms = tuple(tuple(np.array([[complex(c[0], c[1]) for c in row] for row in m])
+                            for m in p) for p in data["povms"])
+    except (TypeError, IndexError):
+        raise ValueError(f"POVM file {path}: each element must be a matrix of "
+                         "[re, im] pairs") from None
     return PovmSet(povms, dim)
 
 

@@ -5,7 +5,6 @@ the separable ball around non-Pauli product states.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from . import lp
 from .dense import partial_trace, partial_transpose_qubits, permute_qubits
-from .gates import csign, pauli_flip
+from .gates import clifford1, csign, pauli_flip
 from .pauli import (
     PAULIS,
     BlochOp,
@@ -33,7 +32,7 @@ from .separability import (
     pauli_margin,
     vertex_pair_index,
 )
-from .spaces import cube_vertices
+from .spaces import CUBE_SIGNS, cube_vertices
 
 __all__ = [
     "MagicBasis",
@@ -254,8 +253,7 @@ def lemma8_noise_window(rep: Lemma8Report) -> tuple[float, float]:
 
 
 def find_lemma8_params(alphas=(0.998, 0.995, 0.999, 0.99, 0.9995),
-                       epsilons=(1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8),
-                       pt_threshold: float = -1e-8):
+                       epsilons=(1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)):
     """Search the parameter grid for a point passing all Lemma 8 checks.
 
     Each (alpha, eps) is tried noiseless first.  When some vertex outputs
@@ -273,10 +271,10 @@ def find_lemma8_params(alphas=(0.998, 0.995, 0.999, 0.99, 0.9995),
     def consider(rep):
         nonlocal best
         searched.append(rep)
-        full = (rep.all_vertices_feasible and rep.output_min_pt < pt_threshold
+        full = (rep.all_vertices_feasible and rep.output_min_pt < -1e-8
                 and rep.marginal_deviation < 1e-10
                 and rep.cj_min_pt_inout < -1e-9 and rep.cj_min_pt_ab < -1e-9)
-        if rep.output_min_pt < pt_threshold and rep.marginal_deviation < 1e-10:
+        if rep.output_min_pt < -1e-8 and rep.marginal_deviation < 1e-10:
             if best is None or rep.vertex_feasible > best.vertex_feasible:
                 best = rep
         return full
@@ -366,10 +364,7 @@ def bell_cube_certificate(which: str = "phi+") -> tuple[PauliCoeffs2Q, LhvCertif
     target[0, 0] = 1.0
     target[1, 1], target[2, 2], target[3, 3] = sx, sy, sz
     w = np.zeros(64)
-    for signs in itertools.product((1, -1), repeat=3):
-        u = signs
-        v = (sx * signs[0], sy * signs[1], sz * signs[2])
-        w[vertex_pair_index(u, v)] += 1.0 / 8.0
+    w[vertex_pair_index(CUBE_SIGNS, CUBE_SIGNS * (sx, sy, sz))] = 1.0 / 8.0
     return PauliCoeffs2Q(target), LhvCertificate(w, 1e-12)
 
 
@@ -452,8 +447,6 @@ def separable_ball_radius(a: BlochOp, b: BlochOp, n_directions: int = 12,
 
 def vertex_orbit() -> list[tuple[int, int, int]]:
     """The X/Y/S gate cycle that visits all eight cube corners."""
-    from .gates import clifford1
-
     seq = ["X", "Y", "X", "S", "X", "Y", "X"]
     state = BlochOp(np.ones(3))
     orbit = [tuple(int(x) for x in state.bloch)]

@@ -54,15 +54,18 @@ _GATHER = np.array(sorted((4 * k + l, 4 * i + j, s) for (i, j), (k, l, s) in CSI
 _CSIGN_SRC, _CSIGN_SIGN = _GATHER[:, 1], _GATHER[:, 2].astype(float)
 
 
-# Bloch-vector actions (b, c, d) -> ... of the single-qubit Cliffords used
-# in the vertex-transitivity argument.
+# Bloch-vector actions b -> M b of the single-qubit Cliffords used in the
+# vertex-transitivity argument, each M a signed permutation matrix (one of
+# spaces.CUBE_SYMMETRIES).
 CLIFFORD_ACTIONS = {
-    "X": lambda b: np.array([b[0], -b[1], -b[2]]),
-    "Y": lambda b: np.array([-b[0], b[1], -b[2]]),
-    "Z": lambda b: np.array([-b[0], -b[1], b[2]]),
-    "S": lambda b: np.array([-b[1], b[0], b[2]]),
-    "H": lambda b: np.array([b[2], -b[1], b[0]]),
+    "X": np.diag([1, -1, -1]),
+    "Y": np.diag([-1, 1, -1]),
+    "Z": np.diag([-1, -1, 1]),
+    "S": np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+    "H": np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]]),
 }
+for _action in CLIFFORD_ACTIONS.values():
+    _action.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -125,10 +128,10 @@ def apply_noise(A: PauliCoeffs2Q, n: NoiseModel) -> PauliCoeffs2Q:
 def clifford1(a: BlochOp, gate: str) -> BlochOp:
     """Signed permutation of the Bloch components under a 1-qubit Clifford."""
     try:
-        action = CLIFFORD_ACTIONS[gate]
+        M = CLIFFORD_ACTIONS[gate]
     except KeyError:
         raise ValueError(f"unknown Clifford gate {gate!r}") from None
-    return BlochOp(action(a.bloch), a.trace_coeff)
+    return BlochOp(M @ a.bloch, a.trace_coeff)
 
 
 def pauli_flip(A: PauliCoeffs2Q, side: int, axis: int) -> PauliCoeffs2Q:

@@ -4,7 +4,9 @@ The 64 products of cube vertices span the local polytope of the Bell
 scenario with three settings and two outcomes per party (Collins & Gisin,
 J. Phys. A 37, 1775 (2004)).  Its H-representation is 684 integer facets,
 three orbits under the signed permutations of each party's settings and
-the party swap: positivity, CHSH and I3322.  Four routes use it:
+the party swap: positivity, CHSH and I3322.  The signed permutations are
+the cube's symmetries (spaces.CUBE_SYMMETRIES); local_images gives the
+images of a matrix under all 2304 pairs of them.  Four routes use it:
 
 * the facet test (``decide_membership``): one product with the facet
   matrix decides every point whose least facet margin is clear of the
@@ -25,7 +27,6 @@ point b of that frame is asked as D^-1 b (spaces.rescale2(A, 1 / R)).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .pauli import product_rows
-from .spaces import frame_scale
+from .spaces import CUBE_SIGNS, CUBE_SYMMETRIES, frame_scale
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -41,6 +42,7 @@ __all__ = [
     "vertex_product_matrix",
     "exact_vertex_columns",
     "rationalize",
+    "local_images",
     "facet_orbit",
     "facet_table",
     "facet_values",
@@ -56,8 +58,7 @@ __all__ = [
 
 FEASIBILITY_TOL = 1e-9      # equality residual defining Feasible
 
-_SIGNS = tuple(itertools.product((1, -1), repeat=3))
-_S = np.array(_SIGNS, dtype=float)
+_S = CUBE_SIGNS.astype(float)
 # 16 x 64: column 8i + j is the product of vertices i and j, kept in C order
 _VMAT_UNIT = np.ascontiguousarray(product_rows(np.repeat(_S, 8, axis=0), np.tile(_S, (8, 1))).T)
 
@@ -91,27 +92,26 @@ FACET_REPRESENTATIVES = (
 )
 
 
-def _signed_permutations() -> np.ndarray:
-    """The 48 maps of one party's coefficient index that fix the identity
-    and permute the three settings with signs, as 4 x 4 integer matrices."""
-    mats = []
-    for perm in itertools.permutations(range(3)):
-        for signs in _SIGNS:
-            M = np.zeros((4, 4), dtype=np.int64)
-            M[0, 0] = 1
-            for i, (j, s) in enumerate(zip(perm, signs)):
-                M[1 + i, 1 + j] = s
-            mats.append(M)
-    return np.array(mats)
+# The cube's symmetries on one party's coefficient index, 4 x 4 integer
+# matrices g with g (1, s) = (1, M s), M in CUBE_SYMMETRIES
+_LOCAL_MAPS = np.zeros((48, 4, 4), dtype=np.int64)
+_LOCAL_MAPS[:, 0, 0] = 1
+_LOCAL_MAPS[:, 1:, 1:] = CUBE_SYMMETRIES
+
+
+def local_images(A: np.ndarray) -> np.ndarray:
+    """g A h^T for every pair (g, h) of the cube's symmetries acting on
+    each party, which map the product polytope onto itself: row 48 a + b of
+    the 2304 x 16 result is the flattened image under (g_a, g_b)."""
+    return np.einsum("aij,jk,blk->abil", _LOCAL_MAPS, A, _LOCAL_MAPS,
+                     optimize=True).reshape(48 * 48, 16)
 
 
 def facet_orbit(rep) -> np.ndarray:
     """Distinct images of a 4 x 4 facet under the symmetry group of order
     4608 (a signed setting permutation on each party, and the party swap),
     as sorted rows of 16 integers."""
-    G = _signed_permutations()
-    F = np.asarray(rep, dtype=np.int64)
-    images = np.einsum("aij,jk,blk->abil", G, F, G).reshape(-1, 4, 4)
+    images = local_images(np.asarray(rep, dtype=np.int64)).reshape(-1, 4, 4)
     images = np.concatenate([images, images.transpose(0, 2, 1)])
     return np.unique(images.reshape(-1, 16), axis=0)
 

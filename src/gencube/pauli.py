@@ -233,7 +233,7 @@ def partial_transpose(A: PauliCoeffs2Q) -> PauliCoeffs2Q:
     return PauliCoeffs2Q(A.coeffs * PT_SIGNS.reshape(4, 4))
 
 
-def eigenvalues_hermitian(rho, tol: float = 1e-10) -> np.ndarray:
+def eigenvalues_hermitian(rho) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix.
 
     Raises on non-Hermitian input (tolerance 1e-10 on the deviation).
@@ -241,6 +241,6 @@ def eigenvalues_hermitian(rho, tol: float = 1e-10) -> np.ndarray:
     m = np.asarray(rho.entries if isinstance(rho, DenseHermitian) else rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    if np.max(np.abs(m - m.conj().T)) > 1e-10:
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigvalsh(m)

@@ -23,6 +23,7 @@ import numpy as np
 from . import lp
 from .gates import NoiseModel, joint_depol, local_depol, local_dephase, pipeline
 from .pauli import ODD_Y, PT_SIGNS, BlochOp, PauliCoeffs2Q, dense_rows, dense_rows_real
+from .spaces import VERTEX_PERMS, vertex_index
 
 __all__ = [
     "LhvCertificate",
@@ -49,16 +50,11 @@ __all__ = [
 POSITIVITY_TOL = 1e-9
 
 
-
-def vertex_pair_index(u_signs, v_signs) -> int:
-    """Index of a vertex pair in the canonical 64-column order.
-
-    Each vertex maps to 3 bits, one per axis in (x, y, z) order, with
-    bit 0 for +1 and bit 1 for -1.
-    """
-    iu = sum((1 << (2 - k)) for k in range(3) if u_signs[k] < 0)
-    iv = sum((1 << (2 - k)) for k in range(3) if v_signs[k] < 0)
-    return 8 * iu + iv
+def vertex_pair_index(u_signs, v_signs):
+    """Index 8 i + j of a vertex pair in the canonical 64-column order, i
+    and j the spaces.vertex_index of each vertex's signs (arrays for stacks
+    of vertices); raises ValueError on signs that are not a cube vertex."""
+    return 8 * vertex_index(u_signs) + vertex_index(v_signs)
 
 
 @dataclass(frozen=True)
@@ -250,8 +246,8 @@ def certificate_from_text(text: str) -> LhvCertificate:
 def _weights(*pairs) -> np.ndarray:
     """Build a 64-weight vector from (u_signs, v_signs, weight) triples."""
     w = np.zeros(64)
-    for u, v, wt in pairs:
-        w[vertex_pair_index(u, v)] += wt
+    u, v, wt = zip(*pairs)
+    np.add.at(w, vertex_pair_index(u, v), wt)
     return w
 
 
@@ -401,8 +397,10 @@ def _item7(u: float) -> tuple[float, np.ndarray]:
                   + 3.0 * u * u * _W_ITEM4)
 
 
-# Z on both qubits flips the x and y signs of both vertices: pair index XOR 0b110110
-_ZZ_PAIRS = np.arange(64) ^ 0b110110
+# Z on both qubits flips the x and y signs of both vertices: the sign flip
+# diag(-1, -1, 1), row vertex_index((-1, -1, 1)) of VERTEX_PERMS, on each
+_Z_FLIP = VERTEX_PERMS[vertex_index((-1, -1, 1))]
+_ZZ_PAIRS = (8 * _Z_FLIP[:, None] + _Z_FLIP).ravel()
 
 
 def csign_lhv_weights(noise: NoiseModel) -> np.ndarray:

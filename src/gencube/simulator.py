@@ -2,8 +2,8 @@
 cube-separable, plus a dense density-matrix reference for cross-validation,
 which applies each op to its own qubits' tensor axes of rho, at O(4^n).
 
-The sampler stores one byte per qubit per shot: the index of a cube vertex,
-whose bits 2, 1, 0 are set on the -1 components along X, Y, Z.
+The sampler stores one byte per qubit per shot, a cube vertex's index
+(spaces.vertex_index): bits 2, 1, 0 are set on its -1 signs along X, Y, Z.
 Preparations sample a vertex from the per-axis product rule, each noisy
 CSIGN samples a vertex pair (index 8 v1 + v2) from a cached LHV certificate
 of the gate's action on the current pair, Cliffords permute vertices, and a
@@ -41,10 +41,10 @@ from .dense import (
     prepare_qubit,
 )
 from . import lp
-from .gates import NoiseModel, pipeline_rows
+from .gates import CLIFFORD_ACTIONS, NoiseModel, pipeline_rows
 from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index, bloch_to_dense
 from .separability import csign_lhv_weights, cube_decide
-from .spaces import contains, StateSpaceSpec, cube_vertices
+from .spaces import CUBE_SIGNS, VERTEX_PERMS, StateSpaceSpec, contains, vertex_index
 
 __all__ = [
     "DENSE_MAX_QUBITS",
@@ -65,9 +65,6 @@ __all__ = [
 
 RNG_NAME = "PCG64"
 DENSE_MAX_QUBITS = 8        # the dense reference holds a 4^n density matrix
-
-_VERTICES = cube_vertices()
-_VERTEX_ARRAY = np.array([v.bloch for v in _VERTICES])  # 8 x 3, index = sign bits
 
 
 @dataclass(frozen=True)
@@ -240,28 +237,6 @@ def parse_circuit(text: str) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _pair_symmetries() -> tuple[np.ndarray, np.ndarray]:
-    """The 2304 local maps A -> g A h^T, g and h among lp's 48 signed
-    setting permutations, which map the product polytope onto itself, and
-    the permutation of the 64 vertex pairs each map induces (row 48 a + b
-    for the map (g_a, g_b)).  Built on first use."""
-    G = lp._signed_permutations()
-    # g (1, s) = (1, M s) on a vertex s, M the lower-right 3 x 3 block of g
-    images = np.einsum("aij,kj->aki", G[:, 1:, 1:], _VERTEX_ARRAY)
-    vperm = ((images < 0) * np.array([4, 2, 1])).sum(axis=2)
-    pair_perm = (8 * vperm[:, None, :, None] + vperm[None, :, None, :]).reshape(48 * 48, 64)
-    G.setflags(write=False)
-    pair_perm.setflags(write=False)
-    return G, pair_perm
-
-
-def _orbit_images(A: np.ndarray) -> np.ndarray:
-    """g A h^T for every map of _pair_symmetries, one row of 16 per map."""
-    G = _pair_symmetries()[0]
-    return np.einsum("aij,jk,blk->abil", G, A, G, optimize=True).reshape(48 * 48, 16)
-
-
 def _vertex_pair_outputs(noise: NoiseModel) -> np.ndarray:
     """The gate's output on each of the 64 vertex pairs, one row of 16 per
     pair; row 0 is the all-ones pair."""
@@ -270,15 +245,16 @@ def _vertex_pair_outputs(noise: NoiseModel) -> np.ndarray:
 
 @functools.cache
 def _pair_maps() -> np.ndarray:
-    """Row p: the vertex-pair permutation of the first map of
-    _pair_symmetries whose image of the noiseless CSIGN output on the
-    all-ones pair is the noiseless output on pair p.  It moves weights of
-    pair 0 onto pair p; the gate tables recheck every such row on its own
-    noisy output.  Built on first use."""
+    """Row p: the vertex-pair permutation, 8 i + j -> 8 VERTEX_PERMS[a, i] +
+    VERTEX_PERMS[b, j], of the first map (g_a, g_b) of lp.local_images whose
+    image of the noiseless CSIGN output on the all-ones pair is the
+    noiseless output on pair p.  It moves weights of pair 0 onto pair p; the
+    gate tables recheck every such row on its own noisy output."""
     outputs = _vertex_pair_outputs(NoiseModel("joint-depol", 0.0))
-    images = _orbit_images(outputs[0].reshape(4, 4))
+    images = lp.local_images(outputs[0].reshape(4, 4))
     first = (images[None, :, :] == outputs[:, None, :]).all(axis=2).argmax(axis=1)
-    maps = _pair_symmetries()[1][first]
+    a, b = np.divmod(first, 48)
+    maps = (8 * VERTEX_PERMS[a][:, :, None] + VERTEX_PERMS[b][:, None, :]).reshape(64, 64)
     maps.setflags(write=False)
     return maps
 
@@ -383,18 +359,9 @@ def _collect_noises(circuit: Circuit):
     return noises
 
 
-# Clifford action as a permutation of vertex indices
-def _clifford_vertex_perm(gate: str) -> np.ndarray:
-    from .gates import clifford1
-
-    perm = np.zeros(8, dtype=np.uint8)
-    for k, v in enumerate(_VERTICES):
-        out = clifford1(v, gate).bloch
-        perm[k] = sum((1 << (2 - i)) for i in range(3) if out[i] < 0)
-    return perm
-
-
-_CLIFFORD_PERMS = {g: _clifford_vertex_perm(g) for g in ("X", "Y", "Z", "S", "H")}
+# Clifford action as a permutation of vertex indices, one byte each
+_CLIFFORD_PERMS = {g: vertex_index(CUBE_SIGNS @ M.T).astype(np.uint8)
+                   for g, M in CLIFFORD_ACTIONS.items()}
 
 
 @dataclass

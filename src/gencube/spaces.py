@@ -1,5 +1,9 @@
 """Single-particle state spaces: Bloch cubes, rescaled spheres, and the
 operator-compatibility machinery for sets of POVMs.
+
+The module owns the cube: the order of its eight vertices (CUBE_SIGNS,
+vertex_index) and its 48 symmetries, the signed permutations of the three
+axes (CUBE_SYMMETRIES, VERTEX_PERMS).  Every other module reads them here.
 """
 from __future__ import annotations
 
@@ -8,9 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import BlochOp, DenseHermitian, PauliCoeffs2Q
+from .pauli import PAULIS, BlochOp, DenseHermitian, PauliCoeffs2Q
 
 __all__ = [
+    "CUBE_SIGNS",
+    "CUBE_SYMMETRIES",
+    "VERTEX_PERMS",
+    "vertex_index",
     "StateSpaceSpec",
     "PovmSet",
     "CompatibilityResult",
@@ -28,6 +36,34 @@ __all__ = [
 MEMBERSHIP_TOL = 1e-12
 POVM_TOL = 1e-10
 SOLVE_RESIDUAL_TOL = 1e-8
+
+# Vertex k of the cube has sign -1 on axis i (x, y, z) where bit 2 - i of k
+# is set: lexicographic order with +1 before -1.
+CUBE_SIGNS = 1 - 2 * ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1)
+_BIT_WEIGHTS = np.array([4, 2, 1])
+
+
+def vertex_index(signs):
+    """Index of the cube vertex with the given signs, the inverse of
+    CUBE_SIGNS; a stack of sign triples (last axis 3) gives an array.
+    Raises ValueError unless the last axis has length 3 and every entry is
+    +1 or -1."""
+    s = np.asarray(signs, dtype=float)
+    if s.shape[-1:] != (3,) or not (np.abs(s) == 1.0).all():
+        raise ValueError(f"not a cube vertex: {signs!r}")
+    k = (s < 0) @ _BIT_WEIGHTS
+    return int(k) if k.ndim == 0 else k
+
+
+# The cube's 48 symmetries diag(s) P: P over the axis permutations in
+# itertools order (row i of P is e_perm(i)), and for each P, s over the rows
+# of CUBE_SIGNS.  Rows 0-7 are thus the sign flips diag(CUBE_SIGNS[k]).
+_AXIS_PERMS = np.eye(3, dtype=np.int64)[list(itertools.permutations(range(3)))]
+CUBE_SYMMETRIES = (CUBE_SIGNS[None, :, :, None] * _AXIS_PERMS[:, None]).reshape(48, 3, 3)
+# row g: the vertex index of each vertex's image under CUBE_SYMMETRIES[g]
+VERTEX_PERMS = vertex_index(CUBE_SIGNS @ CUBE_SYMMETRIES.transpose(0, 2, 1))
+for _table in (CUBE_SIGNS, CUBE_SYMMETRIES, VERTEX_PERMS):
+    _table.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -53,14 +89,8 @@ class StateSpaceSpec:
 
 
 def cube_vertices() -> tuple[BlochOp, ...]:
-    """The eight cube corners, lexicographic with +1 before -1.
-
-    Vertex k has sign pattern given by the binary digits of k (0 -> +1).
-    """
-    return tuple(
-        BlochOp(np.array(s, dtype=float))
-        for s in itertools.product((1, -1), repeat=3)
-    )
+    """The eight cube corners in vertex order, the rows of CUBE_SIGNS."""
+    return tuple(BlochOp(s.astype(float)) for s in CUBE_SIGNS)
 
 
 def contains(space: StateSpaceSpec, a: BlochOp) -> bool:
@@ -147,8 +177,6 @@ class CompatibilityResult:
 
 def projective_qubit_povm(axis_vector) -> tuple[np.ndarray, np.ndarray]:
     """Two-outcome projective qubit measurement along a unit Bloch vector."""
-    from .pauli import PAULIS
-
     n = np.asarray(axis_vector, dtype=float)
     n = n / np.linalg.norm(n)
     obs = sum(n[k] * PAULIS[k + 1] for k in range(3))

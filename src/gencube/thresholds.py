@@ -252,13 +252,13 @@ def analytic_bound(model_family: str, space_kind: str, R: float) -> AnalyticBoun
     return AnalyticBounds(values, active)
 
 
-def analytic_intersection(model_family: str, lo: float = 0.3, hi: float = 0.95):
-    """Root-find the crossing of the two bounds; returns (R, r)."""
+def analytic_intersection(model_family: str):
+    """Root-find the crossing of the two bounds for R in [0.3, 0.95]; returns (R, r)."""
     from scipy.optimize import brentq
 
     fns = _BOUND_SETS[(model_family, "cube")]
     diff = lambda R: fns[0][1](R) - fns[1][1](R)
-    R = brentq(diff, lo, hi, xtol=ROOT_XTOL)
+    R = brentq(diff, 0.3, 0.95, xtol=ROOT_XTOL)
     return R, fns[0][1](R)
 
 

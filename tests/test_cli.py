@@ -181,6 +181,21 @@ def test_compat_json_file(tmp_path):
     assert "compatible: no" in out
 
 
+@pytest.mark.parametrize("content, problem", [
+    ('{"povms": []}', "expected an object with keys 'dim' and 'povms'"),
+    ('{"dim": 2, "povms": [[[[1]]]]}', "a matrix of [re, im] pairs"),
+    ('{"dim": 0, "povms": []}', "'dim' must be a positive integer; got 0"),
+])
+def test_compat_reports_a_malformed_povm_file(tmp_path, capsys, content, problem):
+    f = tmp_path / "povms.json"
+    f.write_text(content)
+    code, _ = run_cli(["compat", "--povms", str(f)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: POVM file {f}: ")
+    assert problem in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "--noise", "cosmic-ray", "--space", "cube"])

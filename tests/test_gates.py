@@ -12,6 +12,7 @@ from gencube.dense import (
     prepare_qubit,
 )
 from gencube.gates import (
+    CLIFFORD_ACTIONS,
     NoiseModel,
     apply_noise,
     clifford1,
@@ -33,7 +34,7 @@ from gencube.pauli import (
     product_rows,
     to_dense,
 )
-from gencube.spaces import cube_vertices, rescale2
+from gencube.spaces import CUBE_SYMMETRIES, cube_vertices, rescale2
 
 CSIGN_DENSE = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
@@ -186,6 +187,12 @@ def test_clifford_involutions_and_vertex_closure():
     for gate in "XYZSH":
         for v in cube_vertices():
             assert tuple(clifford1(v, gate).bloch) in verts
+
+
+def test_clifford_actions_are_cube_symmetries():
+    members = {g.tobytes() for g in CUBE_SYMMETRIES}
+    for gate, M in CLIFFORD_ACTIONS.items():
+        assert M.dtype == CUBE_SYMMETRIES.dtype and M.tobytes() in members, gate
 
 
 def test_vertex_transitivity():

@@ -44,7 +44,7 @@ from gencube.separability import (
     verify_certificate,
     vertex_pair_index,
 )
-from gencube.spaces import cube_vertices, rescale2
+from gencube.spaces import CUBE_SYMMETRIES, cube_vertices, rescale2, vertex_index
 
 BELL = PauliCoeffs2Q(np.diag([1.0, 1.0, -1.0, 1.0]))
 ALLONES = BlochOp(np.ones(3))
@@ -406,6 +406,45 @@ def test_facet_table_is_three_orbits():
     orbits = [lp.facet_orbit(rep) for _, rep in lp.FACET_REPRESENTATIVES]
     assert [len(o) for o in orbits] == [36, 72, 576]
     assert np.array_equal(F, np.concatenate(orbits))
+
+
+def test_local_images_row_48a_plus_b_is_ga_A_gb_transpose():
+    G = np.zeros((48, 4, 4), dtype=np.int64)
+    G[:, 0, 0] = 1
+    G[:, 1:, 1:] = CUBE_SYMMETRIES
+    A = np.random.default_rng(41).standard_normal((4, 4))
+    images = lp.local_images(A)
+    assert images.shape == (48 * 48, 16)
+    for a in range(48):
+        for b in range(48):
+            np.testing.assert_array_equal(images[48 * a + b], (G[a] @ A @ G[b].T).ravel())
+
+
+def test_vertex_product_columns_follow_the_vertex_order():
+    V = lp.vertex_product_matrix()
+    verts = cube_vertices()
+    for i in range(8):
+        for j in range(8):
+            np.testing.assert_array_equal(V[:, 8 * i + j], product(verts[i], verts[j]).coeffs.ravel())
+
+
+def test_certificate_text_bits_are_vertex_indices():
+    cert = LhvCertificate(np.arange(64) / 2016.0, 1e-12)
+    lines = certificate_to_text(cert).splitlines()[2:]
+    for k, line in enumerate(lines):
+        u_bits, v_bits, _ = line.split()
+        u, v = ([1 - 2 * int(c) for c in bits] for bits in (u_bits, v_bits))
+        assert 8 * vertex_index(u) + vertex_index(v) == k == vertex_pair_index(u, v)
+
+
+@pytest.mark.parametrize("u, v", [((0.5, 1, 1), (1, 1, 1)), ((0, -1, 1), (1, 1, 1, -1))])
+def test_vertex_pair_index_refuses_non_vertices(u, v):
+    with pytest.raises(ValueError, match="not a cube vertex"):
+        vertex_pair_index(u, v)
+
+
+def test_zz_pairs_flip_the_x_and_y_bits_of_both_vertices():
+    np.testing.assert_array_equal(separability._ZZ_PAIRS, np.arange(64) ^ 0b110110)
 
 
 def test_facets_valid_and_tight_on_rank_15_vertex_sets():

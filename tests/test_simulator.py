@@ -18,7 +18,7 @@ from gencube.dense import partial_trace, permute_qubits
 from gencube.gates import NoiseModel, pipeline
 from gencube.pauli import PAULIS, BlochOp, PauliCoeffs2Q, axis_index
 from gencube.separability import LhvCertificate, verify_certificate
-from gencube.spaces import StateSpaceSpec, contains
+from gencube.spaces import VERTEX_PERMS, StateSpaceSpec, contains, cube_vertices
 from gencube.simulator import (
     Circuit,
     CircuitNotSimulableError,
@@ -609,7 +609,7 @@ def _pair_weights(w0):
 
 
 def _verified_on_own_instance(w0, noise):
-    vertices = simulator._VERTICES
+    vertices = cube_vertices()
     weights = _pair_weights(w0)
     return [verify_certificate(LhvCertificate(weights[8 * iu + iv], lp.FEASIBILITY_TOL),
                                pipeline(vertices[iu], vertices[iv], 1.0, noise),
@@ -646,9 +646,10 @@ def reference_gate_weights(noise):
     """The 64 x 64 weights of the gate's table by a scan of the orbit
     images of its own output on pair 0 for each pair: the first map whose
     image is the pair's output moves the closed-form weights onto it."""
-    pair_perm = simulator._pair_symmetries()[1]
+    pair_perm = (8 * VERTEX_PERMS[:, None, :, None]
+                 + VERTEX_PERMS[None, :, None, :]).reshape(48 * 48, 64)
     outputs = simulator._vertex_pair_outputs(noise)
-    images = simulator._orbit_images(outputs[0].reshape(4, 4))
+    images = lp.local_images(outputs[0].reshape(4, 4))
     w0 = np.clip(separability.csign_lhv_weights(noise), 0.0, None)
     weights = np.zeros((64, 64))
     for p, b in enumerate(outputs):

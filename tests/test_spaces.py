@@ -3,6 +3,9 @@ import pytest
 
 from gencube.pauli import BlochOp, single_born
 from gencube.spaces import (
+    CUBE_SIGNS,
+    CUBE_SYMMETRIES,
+    VERTEX_PERMS,
     PovmSet,
     StateSpaceSpec,
     contains,
@@ -14,6 +17,7 @@ from gencube.spaces import (
     rescale,
     rescale2,
     solve_outcome_system,
+    vertex_index,
 )
 
 
@@ -27,6 +31,38 @@ def test_cube_vertices_canonical():
         for axis in "XYZ":
             probs = {single_born(v, axis, o) for o in (1, -1)}
             assert probs == {0.0, 1.0}
+
+
+def test_vertex_index_inverts_cube_signs():
+    np.testing.assert_array_equal(vertex_index(CUBE_SIGNS), np.arange(8))
+    assert [vertex_index(v.bloch) for v in cube_vertices()] == list(range(8))
+    assert all(np.array_equal(v.bloch, s) for v, s in zip(cube_vertices(), CUBE_SIGNS))
+
+
+@pytest.mark.parametrize("signs", [(0.5, 1, 1), (0, -1, 1), (1, 1, 1, -1), (1, 1),
+                                   (1, np.nan, 1), 1])
+def test_vertex_index_refuses_non_vertices(signs):
+    with pytest.raises(ValueError, match="not a cube vertex"):
+        vertex_index(signs)
+
+
+def test_cube_symmetries_are_the_signed_permutation_group():
+    G = CUBE_SYMMETRIES
+    assert G.shape == (48, 3, 3)
+    assert len({g.tobytes() for g in G}) == 48
+    for g in G:
+        np.testing.assert_array_equal(g @ g.T, np.eye(3))
+    members = {g.tobytes() for g in G}
+    assert all((g @ h).tobytes() in members for g in G for h in G)
+    # rows 0-7 are the sign flips in vertex order
+    for k in range(8):
+        np.testing.assert_array_equal(G[k], np.diag(CUBE_SIGNS[k]))
+
+
+def test_vertex_perms_are_the_symmetries_on_vertex_indices():
+    for g, perm in zip(CUBE_SYMMETRIES, VERTEX_PERMS):
+        np.testing.assert_array_equal(perm, vertex_index(CUBE_SIGNS @ g.T))
+        assert sorted(perm) == list(range(8))
 
 
 def test_contains():

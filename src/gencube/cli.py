@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import constructions, lp, separability, simulator, thresholds
-from .pauli import BlochOp
+from .gates import NoiseModel, pipeline
+from .pauli import BlochOp, eigenvalues_hermitian, partial_transpose, to_dense
 from .spaces import PovmSet, StateSpaceSpec, operator_compatible, qubit_xyz_povms
 
 
@@ -94,9 +95,6 @@ def _verify_appendix2(out) -> bool:
 
 
 def _verify_appendix3(out) -> bool:
-    from .gates import NoiseModel, pipeline
-    from .pauli import eigenvalues_hermitian, partial_transpose, to_dense
-
     rng = np.random.default_rng(99)
     ok = True
     for trial in range(5):

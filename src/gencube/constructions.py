@@ -5,6 +5,7 @@ the separable ball around non-Pauli product states.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,24 +16,20 @@ from .dense import partial_trace, partial_transpose_qubits, permute_qubits
 from .gates import clifford1, csign, pauli_flip
 from .pauli import (
     PAULIS,
+    PT_SIGNS,
     BlochOp,
     DenseHermitian,
     PauliCoeffs2Q,
+    bloch_from_dense,
     born_probability,
+    choi_transfer_matrix,
+    dense_rows,
     eigenvalues_hermitian,
-    from_dense,
-    partial_transpose,
     product,
-    to_dense,
+    product_rows,
 )
-from .separability import (
-    LhvCertificate,
-    cube_decide,
-    cube_separable,
-    pauli_margin,
-    vertex_pair_index,
-)
-from .spaces import CUBE_SIGNS, cube_vertices
+from .separability import LhvCertificate, cube_separable, pauli_margins, vertex_pair_index
+from .spaces import CUBE_SIGNS
 
 __all__ = [
     "MagicBasis",
@@ -58,6 +55,7 @@ __all__ = [
 W_MAGIC = (math.sqrt(3.0) + 1.0) / 2.0
 
 _MAX_BALL_RADIUS = 1.0      # cap of separable_ball_radius
+_PROBE_B_BLOCH = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0))  # |0>, |1>, |+>
 
 
 def _magic_kets():
@@ -102,6 +100,12 @@ class CjState:
     epsilon: float
     noise: float = 0.0
 
+    @functools.cached_property
+    def transfer(self) -> np.ndarray:
+        """The channel's 16 x 16 transfer matrix on flattened coefficient
+        matrices (pauli.choi_transfer_matrix of rho)."""
+        return choi_transfer_matrix(self.rho)
+
 
 def build_cj(alpha: float, epsilon: float, noise: float = 0.0) -> CjState:
     """Assemble the two-term magic-basis Choi state, optionally mixed with
@@ -139,21 +143,16 @@ def build_cj(alpha: float, epsilon: float, noise: float = 0.0) -> CjState:
 
 
 def cj_apply(cj: CjState, A: PauliCoeffs2Q) -> PauliCoeffs2Q:
-    """Apply the channel to a two-particle coefficient matrix.
+    """Apply the channel to a two-particle coefficient matrix: one product
+    with its transfer matrix, CjState.transfer.
 
-    Output = 4 tr_in[(rho_in^T (x) I) CJ] with the transpose on the input
-    slots; the convention is pinned by the identity-channel round trip.
+    The channel is rho -> 4 tr_in[(rho^T (x) I) CJ] with the transpose on
+    the input slots; the convention is pinned by the identity-channel round
+    trip.
     """
     if not A.is_normalized:
         raise ValueError("cj_apply expects a normalized input")
-    rho_in = to_dense(A).entries
-    op = np.kron(rho_in.T, np.eye(4))
-    out = 4.0 * partial_trace(op @ cj.rho.entries, [2, 3], 4)
-    return from_dense((out + out.conj().T) / 2)
-
-
-def _min_pt_eig(A: PauliCoeffs2Q) -> float:
-    return float(eigenvalues_hermitian(to_dense(partial_transpose(A)))[0])
+    return PauliCoeffs2Q((cj.transfer @ A.coeffs.ravel()).reshape(4, 4))
 
 
 @dataclass(frozen=True)
@@ -200,33 +199,27 @@ def lemma8_report(alpha: float, epsilon: float, noise: float = 0.0) -> Lemma8Rep
     pt_ab = float(eigenvalues_hermitian(
         partial_transpose_qubits(rho, [0, 2], 4))[0])
 
+    # one stack through the channel: the 64 vertex products (row 0 is the
+    # all-ones pair), then A in (|T>+|Tbar>)/sqrt2 with B in |0>, |1>, |+>
     plus_t = (MAGIC.t_state + MAGIC.t_bar_state) / math.sqrt(2.0)
-    worst_pt = math.inf
-    for ket_b in (np.array([1, 0], complex), np.array([0, 1], complex),
-                  (np.array([1, 1], complex) / math.sqrt(2))):
-        rho_in = np.kron(np.outer(plus_t, plus_t.conj()), np.outer(ket_b, ket_b.conj()))
-        out = cj_apply(cj, from_dense(rho_in))
-        worst_pt = min(worst_pt, _min_pt_eig(out))
+    a_probe = bloch_from_dense(np.outer(plus_t, plus_t.conj())).bloch
+    probes = product_rows(np.tile(a_probe, (3, 1)), np.array(_PROBE_B_BLOCH))
+    outs = np.concatenate((lp.vertex_product_matrix().T, probes)) @ cj.transfer.T
+    vertex_outs, probe_outs = outs[:64], outs[64:]
+    worst_pt = float(np.linalg.eigvalsh(dense_rows(probe_outs * PT_SIGNS))[:, 0].min())
 
     # A2 marginal direction for a generic vertex input
-    allones = BlochOp(np.ones(3))
-    out = cj_apply(cj, product(allones, allones))
-    a2 = out.coeffs[1:, 0]
+    a2 = vertex_outs[0].reshape(4, 4)[1:, 0]
     t_dir = np.ones(3) / math.sqrt(3.0)
     a2_dist = float(np.linalg.norm(a2 - (a2 @ t_dir) * t_dir))
 
-    verts = cube_vertices()
-    outputs = [((u, v), cj_apply(cj, product(u, v))) for u in verts for v in verts]
-    min_born = min(pauli_margin(out) for _, out in outputs)
-    feasible, fails = 0, []
-    for (u, v), out in outputs:
-        if cube_decide(out).feasible:
-            feasible += 1
-        else:
-            fails.append((tuple(int(x) for x in u.bloch), tuple(int(x) for x in v.bloch)))
+    min_born = float(pauli_margins(vertex_outs).min())
+    feasible = np.array([lp.decide_membership(row).feasible for row in vertex_outs])
+    fails = tuple((tuple(CUBE_SIGNS[k // 8].tolist()), tuple(CUBE_SIGNS[k % 8].tolist()))
+                  for k in np.flatnonzero(~feasible))
     return Lemma8Report(
         alpha=alpha, epsilon=epsilon, noise=noise, marginal_deviation=marg_dev,
-        vertex_feasible=feasible, infeasible_inputs=tuple(fails),
+        vertex_feasible=int(feasible.sum()), infeasible_inputs=fails,
         vertex_min_born=min_born, output_min_pt=worst_pt, a2_bloch_distance=a2_dist,
         cj_min_pt_inout=pt_inout, cj_min_pt_ab=pt_ab,
     )

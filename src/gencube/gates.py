@@ -1,17 +1,21 @@
-"""The CSIGN gate as a signed permutation of Pauli coefficients, single-qubit
-Clifford actions on Bloch vectors, and the coefficient-scaling noise models.
+"""The CSIGN gate and the single-qubit Cliffords, each read off its unitary
+as a transfer matrix on Pauli coefficients (pauli.conjugation_matrix), and
+the coefficient-scaling noise models.  The CSIGN's transfer matrix is a
+signed permutation, applied as a gather; each Clifford's Bloch block is a
+signed permutation of the Bloch components.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import BlochOp, PauliCoeffs2Q, product
+from .pauli import PAULIS, BlochOp, PauliCoeffs2Q, conjugation_matrix, product
 from .spaces import frame_scale
 
 __all__ = [
-    "CSIGN_MAP",
+    "CLIFFORD_UNITARIES",
     "CLIFFORD_ACTIONS",
     "NoiseModel",
     "joint_depol",
@@ -26,44 +30,19 @@ __all__ = [
     "pipeline_rows",
 ]
 
-# CSIGN conjugation on Pauli products, transcribed entry by entry from the
-# gate's action on a product input: (i, j) -> (k, l, sign) means the input
-# coefficient A_ij lands on output coefficient A'_kl with the given sign.
-CSIGN_MAP = {
-    (0, 0): (0, 0, 1),
-    (0, 1): (3, 1, 1),
-    (0, 2): (3, 2, 1),
-    (0, 3): (0, 3, 1),
-    (1, 0): (1, 3, 1),
-    (1, 1): (2, 2, 1),
-    (1, 2): (2, 1, -1),
-    (1, 3): (1, 0, 1),
-    (2, 0): (2, 3, 1),
-    (2, 1): (1, 2, -1),
-    (2, 2): (1, 1, 1),
-    (2, 3): (2, 0, 1),
-    (3, 0): (3, 0, 1),
-    (3, 1): (0, 1, 1),
-    (3, 2): (0, 2, 1),
-    (3, 3): (3, 3, 1),
-}
+# The CSIGN's transfer matrix as a gather on flattened coefficients: output
+# entry 4k+l is input entry _CSIGN_SRC[4k+l] times _CSIGN_SIGN[4k+l]
+_CSIGN_T = np.rint(conjugation_matrix(np.diag([1.0, 1.0, 1.0, -1.0])))
+_CSIGN_SRC = np.abs(_CSIGN_T).argmax(axis=1)
+_CSIGN_SIGN = _CSIGN_T[np.arange(16), _CSIGN_SRC]
 
-# CSIGN_MAP as a gather on flattened coefficients: output entry 4k+l is input
-# entry _CSIGN_SRC[4k+l] times _CSIGN_SIGN[4k+l]
-_GATHER = np.array(sorted((4 * k + l, 4 * i + j, s) for (i, j), (k, l, s) in CSIGN_MAP.items()))
-_CSIGN_SRC, _CSIGN_SIGN = _GATHER[:, 1], _GATHER[:, 2].astype(float)
-
-
-# Bloch-vector actions b -> M b of the single-qubit Cliffords used in the
-# vertex-transitivity argument, each M a signed permutation matrix (one of
-# spaces.CUBE_SYMMETRIES).
-CLIFFORD_ACTIONS = {
-    "X": np.diag([1, -1, -1]),
-    "Y": np.diag([-1, 1, -1]),
-    "Z": np.diag([-1, -1, 1]),
-    "S": np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
-    "H": np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]]),
-}
+# The single-qubit Cliffords used in the vertex-transitivity argument
+CLIFFORD_UNITARIES = {"X": PAULIS[1], "Y": PAULIS[2], "Z": PAULIS[3], "S": np.diag([1.0, 1j]),
+                      "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)}
+# Their Bloch-vector actions b -> M b: each transfer matrix's Bloch block,
+# rounded to the signed permutation it is (one of spaces.CUBE_SYMMETRIES)
+CLIFFORD_ACTIONS = {g: np.rint(conjugation_matrix(U)[1:, 1:]).astype(np.int64)
+                    for g, U in CLIFFORD_UNITARIES.items()}
 for _action in CLIFFORD_ACTIONS.values():
     _action.setflags(write=False)
 

@@ -11,6 +11,7 @@ live only in the dense conversions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ __all__ = [
     "PT_SIGNS",
     "ODD_Y",
     "eigenvalues_hermitian",
+    "conjugation_matrix",
+    "choi_transfer_matrix",
 ]
 
 PAULIS = (
@@ -46,8 +49,10 @@ PAULIS = (
 
 AXES = {"X": 1, "Y": 2, "Z": 3}
 
-# PP2[4*i+j] = sigma_i (x) sigma_j, used by the dense conversions.  The six
+# The Pauli bases of one and two qubits: PP2[4*i+j] = sigma_i (x) sigma_j,
+# used by the dense conversions and the transfer matrices.  The six
 # products with exactly one sigma_Y (ODD_Y) are imaginary, the other ten real.
+_P1 = np.array(PAULIS)
 _PP2 = np.array([np.kron(PAULIS[i], PAULIS[j]) for i in range(4) for j in range(4)])
 _PP2_REAL = np.ascontiguousarray(_PP2.real)
 ODD_Y = np.array([(i == 2) != (j == 2) for i in range(4) for j in range(4)])
@@ -86,10 +91,13 @@ class BlochOp:
 
     def __post_init__(self):
         b = np.asarray(self.bloch, dtype=float)
+        tc = float(self.trace_coeff)
         if b.shape != (3,):
             raise ValueError("bloch must be a 3-vector")
+        if not (np.isfinite(b).all() and math.isfinite(tc)):
+            raise ValueError("bloch and trace_coeff must be finite")
         object.__setattr__(self, "bloch", _readonly(b))
-        object.__setattr__(self, "trace_coeff", float(self.trace_coeff))
+        object.__setattr__(self, "trace_coeff", tc)
 
     @property
     def is_normalized(self) -> bool:
@@ -110,6 +118,8 @@ class PauliCoeffs2Q:
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (4, 4):
             raise ValueError("coeffs must be 4x4")
+        if not np.isfinite(c).all():
+            raise ValueError("coeffs must be finite")
         object.__setattr__(self, "coeffs", _readonly(c))
 
     @property
@@ -130,6 +140,8 @@ class DenseHermitian:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValueError("entries are not Hermitian to 1e-12")
         object.__setattr__(self, "entries", _readonly(m))
@@ -244,3 +256,25 @@ def eigenvalues_hermitian(rho) -> np.ndarray:
     if np.max(np.abs(m - m.conj().T)) > 1e-10:
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigvalsh(m)
+
+
+def conjugation_matrix(U) -> np.ndarray:
+    """Transfer matrix T[k, i] = tr(P_k U P_i U^dagger) / d of the conjugation
+    by a one- or two-qubit unitary U, on a Bloch operator's (a, b, c, d) or a
+    flattened coefficient matrix: orthogonal, a signed permutation for a Clifford."""
+    U = np.asarray(U, dtype=complex)
+    if U.shape not in ((2, 2), (4, 4)):
+        raise ValueError("conjugation_matrix expects a 2x2 or 4x4 unitary")
+    basis = _P1 if len(U) == 2 else _PP2
+    return np.real(np.einsum("kab,iba->ki", basis, U @ basis @ U.conj().T)) / len(U)
+
+
+def choi_transfer_matrix(J) -> np.ndarray:
+    """Transfer matrix T[k, i] = tr(J (P_i^T (x) P_k)) of the two-qubit channel
+    rho -> 4 tr_in[(rho^T (x) I) J] with 16 x 16 Choi state J on qubits
+    (in1, in2, out1, out2): a flattened coefficient matrix A maps to T A."""
+    m = np.asarray(J.entries if isinstance(J, DenseHermitian) else J, dtype=complex)
+    if m.shape != (16, 16):
+        raise ValueError("choi_transfer_matrix expects a 16x16 matrix")
+    # m.reshape(4, 4, 4, 4)[a, b, c, d] = <a b| J |c d>, a and c on the inputs
+    return np.real(np.einsum("abcd,iac,kdb->ki", m.reshape(4, 4, 4, 4), _PP2, _PP2, optimize=True))

@@ -27,7 +27,6 @@ bucket holds a CDF entry, which search the CDF with np.searchsorted.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ from .dense import (
     prepare_qubit,
 )
 from . import lp
-from .gates import CLIFFORD_ACTIONS, NoiseModel, pipeline_rows
+from .gates import CLIFFORD_ACTIONS, CLIFFORD_UNITARIES, NoiseModel, pipeline_rows
 from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index, bloch_to_dense
 from .separability import csign_lhv_weights, cube_decide
 from .spaces import CUBE_SIGNS, VERTEX_PERMS, StateSpaceSpec, contains, vertex_index
@@ -494,15 +493,6 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-_CLIFFORD_DENSE = {
-    "X": PAULIS[1],
-    "Y": PAULIS[2],
-    "Z": PAULIS[3],
-    "S": np.diag([1.0, 1j]),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
-}
-
-
 def simulate_dense(circuit: Circuit) -> dict:
     """Exact outcome distribution over classical record strings.
 
@@ -539,7 +529,7 @@ def simulate_dense(circuit: Circuit) -> dict:
                     )
                 rho = prepare_qubit(rho, bloch_to_dense(op.state).entries, op.qubit, n)
             elif isinstance(op, Clifford1):
-                rho = conjugate_qubit(rho, _CLIFFORD_DENSE[op.gate], op.qubit, n)
+                rho = conjugate_qubit(rho, CLIFFORD_UNITARIES[op.gate], op.qubit, n)
             elif isinstance(op, NoisyCsign):
                 q1, q2, nm = op.qubit1, op.qubit2, op.noise
                 rho = csign_pair(rho, q1, q2, n)

@@ -150,7 +150,11 @@ class PovmSet:
     dim: int
 
     def __post_init__(self):
+        if type(self.dim) is not int or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer; got {self.dim!r}")
         povms = tuple(tuple(np.asarray(m, dtype=complex) for m in p) for p in self.povms)
+        if not povms:
+            raise ValueError("a POVM set needs at least one POVM")
         for p in povms:
             total = np.zeros((self.dim, self.dim), dtype=complex)
             for m in p:

@@ -24,11 +24,24 @@ from gencube.pauli import (
     PAULIS,
     BlochOp,
     PauliCoeffs2Q,
+    choi_transfer_matrix,
+    from_dense,
     product,
     to_dense,
 )
 from gencube.separability import verify_certificate
-from gencube.spaces import cube_vertices
+from gencube.spaces import CUBE_SIGNS, cube_vertices
+
+
+def _cj_apply_dense(cj, A: PauliCoeffs2Q) -> PauliCoeffs2Q:
+    """The channel through a 16 x 16 kron and a partial trace: cj_apply as it
+    was computed before the transfer matrix."""
+    if not A.is_normalized:
+        raise ValueError("cj_apply expects a normalized input")
+    rho_in = to_dense(A).entries
+    op = np.kron(rho_in.T, np.eye(4))
+    out = 4.0 * partial_trace(op @ cj.rho.entries, [2, 3], 4)
+    return from_dense((out + out.conj().T) / 2)
 
 
 def test_magic_basis():
@@ -91,6 +104,30 @@ def test_cj_identity_channel_convention():
         A = PauliCoeffs2Q(coeffs)
         out = cj_apply(cj_id, A)
         assert np.max(np.abs(out.coeffs - A.coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+def test_choi_transfer_matrix_matches_the_dense_route(noise):
+    cj = build_cj(0.998, 1e-3, noise)
+    T = choi_transfer_matrix(cj.rho)
+    assert cj.transfer is cj.transfer and np.array_equal(cj.transfer, T)
+    rng = np.random.default_rng(65)
+    for _ in range(20):
+        b = rng.standard_normal(16)
+        b[0] = 1.0
+        A = PauliCoeffs2Q(b.reshape(4, 4))
+        ref = _cj_apply_dense(cj, A).coeffs.ravel()
+        assert np.max(np.abs(T @ b - ref)) < 1e-14
+        assert np.max(np.abs(cj_apply(cj, A).coeffs.ravel() - ref)) < 1e-14
+
+
+def test_lemma8_infeasible_inputs_pinned():
+    # u = +-(1, -1, 1) with every v, in vertex order
+    rep = lemma8_report(0.998, 1e-3)
+    vertices = [tuple(s) for s in CUBE_SIGNS.tolist()]
+    assert rep.infeasible_inputs == tuple((u, v) for u in [(1, -1, 1), (-1, 1, -1)]
+                                          for v in vertices)
+    assert rep.vertex_feasible == 48
 
 
 def test_cj_apply_linear_and_trace_preserving():

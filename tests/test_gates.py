@@ -11,8 +11,10 @@ from gencube.dense import (
     joint_depolarize_pair,
     prepare_qubit,
 )
+from gencube import gates
 from gencube.gates import (
     CLIFFORD_ACTIONS,
+    CLIFFORD_UNITARIES,
     NoiseModel,
     apply_noise,
     clifford1,
@@ -37,6 +39,53 @@ from gencube.pauli import (
 from gencube.spaces import CUBE_SYMMETRIES, cube_vertices, rescale2
 
 CSIGN_DENSE = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+# The CSIGN's action on Pauli products and the Cliffords' Bloch actions,
+# transcribed by hand: (i, j) -> (k, l, sign) means the input coefficient
+# A_ij lands on the output coefficient A'_kl with the given sign.
+CSIGN_MAP_REFERENCE = {
+    (0, 0): (0, 0, 1),
+    (0, 1): (3, 1, 1),
+    (0, 2): (3, 2, 1),
+    (0, 3): (0, 3, 1),
+    (1, 0): (1, 3, 1),
+    (1, 1): (2, 2, 1),
+    (1, 2): (2, 1, -1),
+    (1, 3): (1, 0, 1),
+    (2, 0): (2, 3, 1),
+    (2, 1): (1, 2, -1),
+    (2, 2): (1, 1, 1),
+    (2, 3): (2, 0, 1),
+    (3, 0): (3, 0, 1),
+    (3, 1): (0, 1, 1),
+    (3, 2): (0, 2, 1),
+    (3, 3): (3, 3, 1),
+}
+CLIFFORD_ACTIONS_REFERENCE = {
+    "X": np.diag([1, -1, -1]),
+    "Y": np.diag([-1, 1, -1]),
+    "Z": np.diag([-1, -1, 1]),
+    "S": np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+    "H": np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]]),
+}
+
+
+def test_csign_gather_matches_the_transcribed_map():
+    gather = np.array(sorted((4 * k + l, 4 * i + j, s)
+                             for (i, j), (k, l, s) in CSIGN_MAP_REFERENCE.items()))
+    src, sign = gather[:, 1], gather[:, 2].astype(float)
+    for got, ref in ((gates._CSIGN_SRC, src), (gates._CSIGN_SIGN, sign)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    T = np.zeros((16, 16))
+    T[np.arange(16), src] = sign
+    assert np.array_equal(csign(np.eye(16)).T, T)
+
+
+def test_clifford_actions_match_the_transcribed_matrices():
+    assert list(CLIFFORD_ACTIONS) == list(CLIFFORD_ACTIONS_REFERENCE) == list(CLIFFORD_UNITARIES)
+    for gate, M in CLIFFORD_ACTIONS.items():
+        ref = CLIFFORD_ACTIONS_REFERENCE[gate]
+        assert M.dtype == ref.dtype and np.array_equal(M, ref) and not M.flags.writeable, gate
 
 
 def test_csign_matches_dense_conjugation():

@@ -1,0 +1,78 @@
+"""Each module of the package owns its underscore names: no other module
+imports one or reads one as an attribute, at module level or inside a
+function."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gencube"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _target(node: ast.ImportFrom) -> str | None:
+    """The package module an import reads from, or None for the package
+    itself (``from . import lp``) and for modules outside the package."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and node.module and node.module.startswith("gencube."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def foreign_private_uses(source: str, module: str) -> list[str]:
+    """Every import of another package module's underscore name, and every
+    attribute read of one through a name bound to that module."""
+    tree = ast.parse(source)
+    bound, uses = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            target = _target(node)
+            for alias in node.names:
+                if target is None and (node.level == 1 or node.module == "gencube"):
+                    if alias.name in MODULES:
+                        bound[alias.asname or alias.name] = alias.name
+                    elif _private(alias.name):
+                        uses.append(f"line {node.lineno}: imports gencube.{alias.name}")
+                elif target is not None and target != module and _private(alias.name):
+                    uses.append(f"line {node.lineno}: imports {target}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("gencube.") and alias.asname:
+                    bound[alias.asname] = alias.name.split(".", 1)[1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and bound.get(node.value.id, module) != module and _private(node.attr)):
+            uses.append(f"line {node.lineno}: reads {bound[node.value.id]}.{node.attr}")
+    return uses
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    assert foreign_private_uses(path.read_text(), path.stem) == []
+
+
+def test_the_scan_sees_every_form():
+    source = (
+        "from .pauli import _PP2\n"
+        "from gencube.lp import _S as s\n"
+        "from . import lp, _private_module\n"
+        "import gencube.spaces as sp\n"
+        "def f():\n"
+        "    from .simulator import _pair_maps\n"
+        "    return lp._VMAT_UNIT, sp._BIT_WEIGHTS, lp.facet_table, _PP2.__class__\n"
+    )
+    assert foreign_private_uses(source, "gates") == [
+        "line 1: imports pauli._PP2",
+        "line 2: imports lp._S",
+        "line 3: imports gencube._private_module",
+        "line 6: imports simulator._pair_maps",
+        "line 7: reads lp._VMAT_UNIT",
+        "line 7: reads spaces._BIT_WEIGHTS",
+    ]
+    # a module's own names are its own
+    assert foreign_private_uses("from .pauli import _PP2\n", "pauli") == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from gencube.pauli import (
     PauliCoeffs2Q,
     bloch_to_dense,
     born_probability,
+    choi_transfer_matrix,
+    conjugation_matrix,
     eigenvalues_hermitian,
     from_dense,
     partial_transpose,
@@ -210,3 +214,47 @@ def test_dense_hermitian_validates():
         DenseHermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     d = DenseHermitian(np.eye(4))
     assert d.dim == 4
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: BlochOp(np.array([np.nan, 0.0, 0.0])), "bloch and trace_coeff must be finite"),
+    (lambda: BlochOp(np.array([0.0, np.inf, 0.0])), "bloch and trace_coeff must be finite"),
+    (lambda: BlochOp(np.zeros(3), math.nan), "bloch and trace_coeff must be finite"),
+    (lambda: PauliCoeffs2Q(np.full((4, 4), np.nan)), "coeffs must be finite"),
+    (lambda: PauliCoeffs2Q(np.diag([1.0, -np.inf, 0.0, 0.0])), "coeffs must be finite"),
+    (lambda: DenseHermitian(np.full((2, 2), np.nan)), "entries must be finite"),
+    (lambda: DenseHermitian(np.diag([1.0, np.inf])), "entries must be finite"),
+])
+def test_non_finite_values_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def _random_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_conjugation_matrix_is_orthogonal_and_matches_dense_conjugation(d):
+    rng = np.random.default_rng(70 + d)
+    for _ in range(20):
+        U = _random_unitary(rng, d)
+        T = conjugation_matrix(U)
+        assert np.max(np.abs(T @ T.T - np.eye(d * d))) < 1e-12
+        a = rng.standard_normal(d * d)
+        a[0] = 1.0
+        b = T @ a
+        if d == 2:
+            rho, got = (bloch_to_dense(BlochOp(x[1:], x[0])).entries for x in (a, b))
+        else:
+            rho, got = (to_dense(PauliCoeffs2Q(x.reshape(4, 4))).entries for x in (a, b))
+        assert np.max(np.abs(got - U @ rho @ U.conj().T)) < 1e-12
+
+
+def test_transfer_matrices_reject_other_shapes():
+    with pytest.raises(ValueError, match="2x2 or 4x4"):
+        conjugation_matrix(np.eye(3))
+    with pytest.raises(ValueError, match="16x16"):
+        choi_transfer_matrix(np.eye(4))

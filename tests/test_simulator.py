@@ -131,9 +131,6 @@ def test_off_cube_preparation_rejected():
     # an unnormalized state is no preparation: dense refuses it as well
     with pytest.raises(ValueError, match="preparation must be normalized"):
         Circuit(1, (Prepare(0, BlochOp(np.array([0.0, 0.0, 1.0]), 0.5)), Measure(0, "Z", "a")))
-    with pytest.raises(ValueError, match="preparation must be normalized"):
-        Circuit(1, (ClassicalControl("a", 1, Prepare(0, BlochOp(np.zeros(3), math.nan))),
-                    Measure(0, "Z", "a")))
     # every point of the cube is a valid HN preparation, corners included
     c = parse_circuit("qubits 1\nprep 0 1 -1 1\nmeas 0 Y a\n")
     assert simulate_hn(c, 100, seed=1).histogram == {"-": 100}

@@ -123,6 +123,17 @@ def test_povm_set_validation():
         PovmSet(tuple(bad), dim=2)
 
 
+@pytest.mark.parametrize("dim", [0, -1, 2.0, True, "2"])
+def test_povm_set_refuses_a_dim_that_is_not_a_positive_integer(dim):
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        PovmSet((projective_qubit_povm((0, 0, 1)),), dim)
+
+
+def test_povm_set_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="at least one POVM"):
+        PovmSet((), 2)
+
+
 def test_xyz_compatible_corners_match_cube_vertices():
     res = operator_compatible(qubit_xyz_povms())
     assert res.compatible

@@ -6,15 +6,15 @@ J. Phys. A 37, 1775 (2004)).  Its H-representation is 684 integer facets,
 three orbits under the signed permutations of each party's settings and
 the party swap: positivity, CHSH and I3322.  The signed permutations are
 the cube's symmetries (spaces.CUBE_SYMMETRIES); local_images gives the
-images of a matrix under all 2304 pairs of them.  Four routes use it:
+images of a matrix under all 2304 pairs of them.  Three routes use it:
 
 * the facet test (``decide_membership``): one product with the facet
-  matrix decides every point whose least facet margin is clear of the
-  tolerance band; the violated facet is the separating functional;
-* a float residual route on scipy's HiGHS plus a least-squares polish,
-  which decides the thin band and weights its feasible verdicts;
+  matrix decides every point, feasible iff mixing it with white noise of
+  weight at most FEASIBILITY_TOL puts it in the polytope; a refused point
+  violates its least facet exactly, and that facet is the separating
+  functional;
 * a Carathéodory descent on the facet table (``caratheodory_weights``),
-  which weights every other feasible verdict without an LP;
+  which weights every feasible verdict without an LP;
 * an exact route: a phase-1 simplex with Bland's rule on one integer
   tableau with fraction-free (Bareiss) pivoting, whose Farkas dual is read
   from the reduced-cost row on the artificial columns: the independent
@@ -51,12 +51,10 @@ __all__ = [
     "Decision",
     "decide_membership",
     "caratheodory_weights",
-    "FloatLpOutcome",
-    "solve_membership_float",
     "solve_membership_exact",
 ]
 
-FEASIBILITY_TOL = 1e-9      # equality residual defining Feasible
+FEASIBILITY_TOL = 1e-9      # white-noise weight a feasible point may need; bounds its residual
 
 _S = CUBE_SIGNS.astype(float)
 # 16 x 64: column 8i + j is the product of vertices i and j, kept in C order
@@ -134,10 +132,11 @@ _POSITIVITY_ROWS = 36
 
 @functools.cache
 def _facet_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The facet table in floats, 1 / |f|_1 per row, and the 684 x 64
+    """The facet table in floats, 1 / f_0 per row (f_0 its identity entry,
+    the facet's value at the maximally mixed point e_0), and the 684 x 64
     integer table f . V_j of every facet on every vertex."""
     F = facet_table().astype(float)
-    return F, 1.0 / np.abs(F).sum(axis=1), facet_table() @ _VMAT_UNIT.astype(np.int64)
+    return F, 1.0 / F[:, 0], facet_table() @ _VMAT_UNIT.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -146,10 +145,8 @@ class Decision:
 
     feasible: bool
     facet: int                  # row of facet_table() with the least margin
-    margin: float               # f . b / |f|_1 on that row
-    route: str                  # "facet" | "lp-float"
-    weights: np.ndarray | None = None   # residual-route weights (band, feasible)
-    residual: float | None = None       # polished HiGHS residual (band, when HiGHS gave weights)
+    margin: float               # f . b / f_0 on that row
+    route: str                  # "facet" | "mixed" (feasible with margin < 0)
 
 
 def facet_values(b: np.ndarray) -> np.ndarray:
@@ -166,132 +163,89 @@ def positivity_values(b: np.ndarray) -> np.ndarray:
 
 
 def facet_margins(b: np.ndarray) -> np.ndarray:
-    """The facet values of b normalized per facet, f . b / |f|_1 (see
-    decide_membership); an (N, 16) stack b gives an (N, 684) array."""
+    """The facet values of b normalized per facet, f . b / f_0 (see
+    decide_membership); an (N, 16) stack b gives an (N, 684) array.  The
+    least of them is -mu exactly when (b + mu e_0) / (1 + mu), b mixed with
+    white noise of weight mu / (1 + mu), lies on the polytope's boundary."""
     return facet_values(b) * _facet_arrays()[1]
 
 
 def decide_membership(b: np.ndarray) -> Decision:
     """Decide membership of the coefficient vector b in the unit polytope.
 
-    With m the least facet margin f . b / |f|_1 (facet_margins) and tol
-    FEASIBILITY_TOL:
+    With m the least facet margin f . b / f_0 (facet_margins), b is feasible
+    iff m >= -FEASIBILITY_TOL: iff mixing b with white noise of weight at
+    most tol makes it cube-separable.  The rule reads the facet values
+    alone, which the cube's symmetries and the party swap permute, so every
+    image of b gets the same verdict.
 
-    * m < -tol: infeasible.  Any convex weights w have |Vw - b|_inf >=
-      -f.b / |f|_1 > tol, and f . V_j >= 0 holds exactly on every column;
-    * m >= 0, i.e. every facet value >= 0: feasible;
-    * otherwise (the thin band between): feasible iff HiGHS succeeds under
-      its primal_feasibility_tolerance of 1e-10, which sets the cut, and its
-      weights, polished on their support, then reproduce b within tol.
-      The verdict carries that polished residual whenever HiGHS gave weights.
+    * m < -tol: infeasible, exactly: f . b < -tol f_0 < 0 on the facet, and
+      f . V_j >= 0 holds exactly on every column;
+    * m >= 0: feasible, route "facet";
+    * -tol <= m < 0: feasible, route "mixed".  caratheodory_weights weights
+      the mix x = (b - m e_0) / (1 - m), which lies in the polytope, and
+      |x - b|_inf <= -m <= tol, so the weights reproduce b within tol.
     """
     margins = facet_margins(b)
     k = int(np.argmin(margins))
     margin = float(margins[k])
-    if margin < -FEASIBILITY_TOL:
-        return Decision(False, k, margin, "facet")
-    if margin >= 0.0:
-        return Decision(True, k, margin, "facet")
-    out = solve_membership_float(b)
-    return Decision(out.status == "feasible", k, margin, "lp-float", out.weights, out.residual)
+    feasible = margin >= -FEASIBILITY_TOL
+    return Decision(feasible, k, margin, "mixed" if feasible and margin < 0.0 else "facet")
 
 
 def caratheodory_weights(b: np.ndarray) -> np.ndarray:
-    """Convex weights over the 64 vertex products for a b with no facet value
-    below -1e-12 |f|_1, by Carathéodory's theorem made constructive (Grötschel,
-    Lovász & Schrijver, Geometric Algorithms and Combinatorial Optimization).
+    """Convex weights over the 64 vertex products for a b that
+    decide_membership accepts, by Carathéodory's theorem made constructive
+    (Grötschel, Lovász & Schrijver, Geometric Algorithms and Combinatorial
+    Optimization).  A b with least margin m < 0 is replaced by its mix
+    x = (b - m e_0) / (1 - m), on which every facet value is >= 0.
 
-    The vertices with f . V_j = 0 on every active facet (value <= 1e-12 |f|_1
-    at x) span the face of x.  If they are affinely independent, x is solved
-    on them by least squares.  Otherwise the one with the largest v . x takes
-    weight t / (1 + t) of the mass left, and x moves to the exit x + t (x - v)
-    of the ray from v through x (as in constructions.separable_ball_radius),
-    on a lower face.  At most 16 vertices enter.
+    The descent keeps the vertices of a face that holds x, all 64 at the
+    start.  While they are affinely dependent, the one with the largest
+    v . x takes weight t / (1 + t) of the mass left, and x moves to the exit
+    x + t (x - v) of the ray from v through x (as in
+    constructions.separable_ball_radius), over the facets that do not hold
+    v; every vertex off a facet the step reaches (ratio equal to t) is
+    dropped.  The face left is a proper face of the last, so there are at
+    most 15 steps and at most 16 vertices enter.  An affinely independent
+    set is solved by least squares; when no facet exits, x is v and the
+    mass left goes to v.
     """
-    F, inv_norm, T = _facet_arrays()
-    x, w, mass = b, np.zeros(64), 1.0
-    if np.min(F @ x * inv_norm) < -1e-12:
+    F, _, T = _facet_arrays()
+    m = float(facet_margins(b).min())
+    if m < -FEASIBILITY_TOL:
         raise ValueError("b lies outside the polytope")
-    for _ in range(16):
-        values = F @ x
-        active = values * inv_norm <= 1e-12
-        cand = np.flatnonzero(~T[active].any(axis=0))
-        if cand.size == 0:
-            raise ArithmeticError("no vertex on the active face: the facet table misses a facet")
+    x = b if m >= 0.0 else (b - m * np.eye(16)[0]) / (1.0 - m)
+    w, mass = np.zeros(64), 1.0
+    cand = np.arange(64)
+    while True:
         C = _VMAT_UNIT[:, cand]
-        if np.linalg.matrix_rank(C) == cand.size:
+        if cand.size <= 16 and np.linalg.matrix_rank(C) == cand.size:
             w[cand] += mass * np.clip(np.linalg.lstsq(C, x, rcond=None)[0], 0.0, None)
             return w
         j = cand[np.argmax(x @ C)]
-        d = x - _VMAT_UNIT[:, j]
-        slopes = F @ d
-        exits = ~active & (slopes < 0.0)
-        t = float(np.min(values[exits] / -slopes[exits]))
+        # rounding can leave x a few ulps outside a facet it lies on
+        values = np.maximum(F @ x, 0.0)
+        exits = values < T[:, j]
+        if not exits.any():
+            w[j] += mass
+            return w
+        ratios = values[exits] / (T[exits, j] - values[exits])
+        t = float(ratios.min())
+        reached = np.flatnonzero(exits)[ratios == t]
+        cand = cand[~T[np.ix_(reached, cand)].any(axis=0)]
         w[j] += mass * t / (1.0 + t)
         mass /= 1.0 + t
-        x = x + t * d
-    raise ArithmeticError("descent did not reach a simplex face in 16 steps")
-
-
-# ---------------------------------------------------------------------------
-# Float residual route
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FloatLpOutcome:
-    status: str  # "feasible" | "infeasible"
-    weights: np.ndarray | None = None   # feasible outcomes only
-    residual: float | None = None       # whenever HiGHS gave weights
-
-
-_HIGHS_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+        x = x + t * (x - _VMAT_UNIT[:, j])
 
 
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first solve: scipy.optimize
-    is most of the package's import time, and only the HiGHS route needs it."""
+    """scipy.optimize.linprog, imported on the first call.  No package code
+    calls it: the benchmark's tracer (bench/spans.py) wraps it by this name,
+    and goes with it once the benchmark reads the package's own counters."""
     from scipy.optimize import linprog as highs
 
     return highs(*args, **kwargs)
-
-
-def polish_weights(V: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Refine a near-feasible weight vector on its support.
-
-    Solves the equality system restricted to the active columns by least
-    squares and clips stray negatives; returns (weights, max residual).
-    """
-    support = np.nonzero(w > 1e-11)[0]
-    if support.size:
-        x, *_ = np.linalg.lstsq(V[:, support], b, rcond=None)
-        if np.min(x) > -1e-10:
-            w2 = np.zeros(64)
-            w2[support] = np.clip(x, 0.0, None)
-            r2 = float(np.max(np.abs(V @ w2 - b)))
-            if r2 < float(np.max(np.abs(V @ w - b))):
-                return w2, r2
-    return w, float(np.max(np.abs(V @ w - b)))
-
-
-def solve_membership_float(b: np.ndarray) -> FloatLpOutcome:
-    """The residual route: HiGHS primal weights, polished on their support.
-
-    Feasible iff the polished equality residual is <= FEASIBILITY_TOL;
-    feasible outcomes carry the weights, and every outcome for which HiGHS
-    gave weights carries their polished residual.
-    """
-    res = linprog(np.zeros(64), A_eq=_VMAT_UNIT, b_eq=b, bounds=(0, None), method="highs",
-                  options=_HIGHS_OPTIONS)
-    if res.status == 0 and res.x is not None:
-        w, resid = polish_weights(_VMAT_UNIT, b, np.clip(res.x, 0.0, None))
-        if resid <= FEASIBILITY_TOL:
-            return FloatLpOutcome("feasible", weights=w, residual=resid)
-        return FloatLpOutcome("infeasible", residual=resid)
-    return FloatLpOutcome("infeasible")
 
 
 # ---------------------------------------------------------------------------

@@ -191,9 +191,15 @@ def dense_rows_real(B: np.ndarray) -> np.ndarray:
     return np.tensordot(B, _PP2_REAL, axes=(1, 0)) / 4.0
 
 
+def _hermitian_entries(rho) -> np.ndarray:
+    """The entries of rho, refused as DenseHermitian refuses them: unless
+    square, finite and Hermitian to HERMITICITY_TOL."""
+    return (rho if isinstance(rho, DenseHermitian) else DenseHermitian(rho)).entries
+
+
 def from_dense(rho) -> PauliCoeffs2Q:
-    """Coefficient matrix A_ij = tr(rho sigma_i (x) sigma_j)."""
-    m = np.asarray(rho.entries if isinstance(rho, DenseHermitian) else rho, dtype=complex)
+    """Coefficient matrix A_ij = tr(rho sigma_i (x) sigma_j) of a Hermitian rho."""
+    m = _hermitian_entries(rho)
     if m.shape != (4, 4):
         raise ValueError("from_dense expects a 4x4 matrix")
     coeffs = np.real(np.einsum("kab,ba->k", _PP2, m)).reshape(4, 4)
@@ -209,8 +215,8 @@ def bloch_to_dense(a: BlochOp) -> DenseHermitian:
 
 
 def bloch_from_dense(rho) -> BlochOp:
-    """Inverse of bloch_to_dense."""
-    m = np.asarray(rho.entries if isinstance(rho, DenseHermitian) else rho, dtype=complex)
+    """Inverse of bloch_to_dense, for a Hermitian rho."""
+    m = _hermitian_entries(rho)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
     tc = np.real(np.trace(m))

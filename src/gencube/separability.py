@@ -8,8 +8,9 @@ in the unit frame, as cube_separable(spaces.rescale2(A, 1 / R)).  Feasible verdi
 functional.  Quantum separability of two qubits is positivity plus PPT.
 Each criterion has a margin beside its predicate, computed row by row over
 a stack of flattened coefficient matrices (cube_margins, pauli_margins,
-quantum_margins); the positivity and quantum predicates hold where
-margin >= -POSITIVITY_TOL, and the threshold engine roots margin + tol.
+quantum_margins); each predicate holds where margin >= -tol
+(lp.FEASIBILITY_TOL for cubes, POSITIVITY_TOL otherwise), and the threshold
+engine roots margin + tol.
 The module also carries the appendix catalog of hand-built LHV
 decompositions.
 """
@@ -92,7 +93,7 @@ class SeparabilityResult:
     feasible: bool
     certificate: LhvCertificate | None = None
     functional: BellFunctional | None = None
-    method: str = "facet"     # "facet" | "lp-float" (band): cube_decide's route
+    method: str = "facet"     # "facet" | "mixed": cube_decide's route
 
 
 def _checked(A: PauliCoeffs2Q) -> np.ndarray:
@@ -103,17 +104,18 @@ def _checked(A: PauliCoeffs2Q) -> np.ndarray:
 
 
 def cube_margins(B: np.ndarray) -> np.ndarray:
-    """Least normalized facet value (lp.facet_margins) of each row of an
-    (N, 16) stack: below -lp.FEASIBILITY_TOL a row is not cube-separable,
-    at or above 0 it is."""
+    """Least normalized facet value f . b / f_0 (lp.facet_margins) of each
+    row of an (N, 16) stack: a row is cube-separable, within white noise of
+    weight lp.FEASIBILITY_TOL, exactly where it is >= -lp.FEASIBILITY_TOL
+    (lp.decide_membership)."""
     return lp.facet_margins(B).min(axis=-1)
 
 
 def cube_decide(A: PauliCoeffs2Q) -> lp.Decision:
     """Cube-separability verdict of A, without certificates.
 
-    The facet test decides every point clear of the tolerance band; only
-    band points run the HiGHS residual route (see lp.decide_membership).
+    One product with the facet table decides every point: feasible iff its
+    least margin is >= -lp.FEASIBILITY_TOL (see lp.decide_membership).
     """
     return lp.decide_membership(_checked(A))
 
@@ -122,10 +124,9 @@ def cube_separable(A: PauliCoeffs2Q) -> SeparabilityResult:
     """Decide membership of A in the cube-product polytope.
 
     The verdict is cube_decide's.  Infeasible verdicts carry the integer
-    facet with the least margin as their functional.  Feasible band
-    verdicts carry the HiGHS residual route's weights, and every other
-    feasible verdict the Carathéodory descent's on the facet table
-    (lp.caratheodory_weights).
+    facet with the least margin as their functional.  Every feasible
+    verdict carries the Carathéodory descent's weights on the facet table
+    (lp.caratheodory_weights), which reproduce A within lp.FEASIBILITY_TOL.
     """
     d = cube_decide(A)
     b = A.coeffs.ravel()
@@ -135,7 +136,7 @@ def cube_separable(A: PauliCoeffs2Q) -> SeparabilityResult:
             False, functional=BellFunctional(y.reshape(4, 4), float(-(y @ b))),
             method=d.route,
         )
-    w = d.weights if d.weights is not None else lp.caratheodory_weights(b)
+    w = lp.caratheodory_weights(b)
     return SeparabilityResult(True, certificate=LhvCertificate(w, lp.FEASIBILITY_TOL),
                               method=d.route)
 

@@ -17,7 +17,7 @@ local signed setting permutation: these map the product polytope onto
 itself, and all 64 pairs are one orbit.  Each pair's map is found once per
 process.  A gate's verdict is the separability oracle's on its all-ones
 output, and its 64 permuted certificates are rechecked on their own
-outputs in one pass; no LP is solved outside the oracle's tolerance band.
+outputs in one pass; no LP is solved.
 A gate's table is the CDF of its all-ones weights, one for all 64 input
 pairs, and the pair each entry selects for each input pair.  A CSIGN draws the next pair of
 all its shots by inverse CDF through a guide table of GUIDE_BUCKETS
@@ -262,9 +262,11 @@ def _gate_weights(noise: NoiseModel) -> np.ndarray:
     """LHV weights w0 of the gate's output on the all-ones vertex pair: the
     closed-form appendix weights (csign_lhv_weights), clipped at 0.
 
-    The verdict is cube_decide's on that output, so the gate is accepted
-    exactly where the oracle accepts it, its tolerance band included, where
-    a leading weight can come out slightly negative.  Row p of the 64 x 64
+    The verdict is cube_decide's on that output.  The oracle's rule reads
+    only facet values, which the symmetries moving pair 0 onto the others
+    permute, so the gate is accepted exactly where the oracle accepts each
+    of its 64 pair outputs, margins in [-tol, 0) included, where a leading
+    weight can come out slightly negative.  Row p of the 64 x 64
     weights, w0 moved onto pair p by _pair_maps, is then rechecked on pair
     p's own output with verify_certificate's three conditions at
     lp.FEASIBILITY_TOL, all rows at once; a row that fails is refused.
@@ -377,11 +379,10 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     All noisy CSIGNs are verified cube-separable up front, once per
     distinct gate: the oracle's verdict on its all-ones output, then the
     closed-form appendix weights moved onto each of the 64 vertex pairs and
-    rechecked on that pair's own output.  No LP runs outside the oracle's
-    tolerance band.  The state is one byte per qubit and shot, one row per
-    qubit; a CSIGN is a guide table read over all shots, with a
-    searchsorted of the gate's one CDF for the few shots the guide leaves
-    open, and a Clifford a table lookup.  Identical seeds give identical
+    rechecked on that pair's own output.  No LP runs.  The state is one
+    byte per qubit and shot, one row per qubit; a CSIGN is a guide table
+    read over all shots, with a searchsorted of the gate's one CDF for the
+    few shots the guide leaves open, and a Clifford a table lookup.  Identical seeds give identical
     histograms.  The redraws after measurements come from a stream of their
     own, so a circuit that never touches a measured qubit again samples
     exactly as if there were none.

@@ -79,7 +79,6 @@ class CurvePoint:
     R: float
     lambda_star: float
     achieved_by: str
-    certificate_ref: object = None
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,7 @@ class DephasingVerdict:
 
 def _margin_fn(criterion: str):
     """The criterion's margin plus its tolerance on each row of an (N, 16)
-    stack of outputs: >= 0 wherever the predicate holds (for cubes the band
-    verdict is the LP's, but an LP feasible point has margin >= -tol)."""
+    stack of outputs: >= 0 exactly where the predicate holds."""
     if criterion == "cube-separable":
         return lambda B: cube_margins(B) + lp.FEASIBILITY_TOL
     if criterion == "quantum-separable":
@@ -146,11 +144,11 @@ def min_noise(q: ThresholdQuery) -> float:
     no odd-Y coefficient and take the real eigensolve of quantum_margins.  The
     binding input then gets a second root over its 21 x 21 refinement cell.
 
-    A cube-separable root sits at margin = -tol, not where the oracle starts
-    to accept: there cube_decide still refuses, since inside the band HiGHS decides
-    under its primal_feasibility_tolerance of 1e-10 (lp.decide_membership).
-    The R = 1 cube thresholds of joint depol, local depol and dephasing lie
-    1.33e-9, 1.41e-9 and 7.1e-10 below their exact values 2/3, 2 - sqrt 2 and
+    A cube-separable root sits at margin = -tol, which is where cube_decide
+    starts to accept (lp.decide_membership): the output mixed with white
+    noise of weight tol / (1 + tol) lies on the polytope's boundary.  The R = 1 cube
+    thresholds of joint depol, local depol and dephasing lie 3.3e-10,
+    3.5e-10 and 1.8e-10 below their exact values 2/3, 2 - sqrt 2 and
     1 - 1/sqrt 2.
 
     Raises ThresholdBracketError when the criterion already holds at zero

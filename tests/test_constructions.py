@@ -32,6 +32,8 @@ from gencube.pauli import (
 from gencube.separability import verify_certificate
 from gencube.spaces import CUBE_SIGNS, cube_vertices
 
+from highs_reference import highs_feasible
+
 
 def _cj_apply_dense(cj, A: PauliCoeffs2Q) -> PauliCoeffs2Q:
     """The channel through a 16 x 16 kron and a partial trace: cj_apply as it
@@ -298,14 +300,14 @@ def test_separable_ball_radius():
     (np.array([0.9, 0.2, -0.7]), np.array([-0.1, 0.8, 0.5]), 5),
 ])
 def test_separable_ball_radius_lies_on_the_boundary(a, b, seed):
-    # one direction: the radius is that ray's exit, checked on the HiGHS route
+    # one direction: the radius is that ray's exit, checked by HiGHS
     r = separable_ball_radius(BlochOp(a), BlochOp(b), n_directions=1, seed=seed)
     assert 0.0 < r < 1.0
     d = np.random.default_rng(seed).standard_normal(15)
     d = np.concatenate(([0.0], d / np.linalg.norm(d)))
     centre = product(BlochOp(a), BlochOp(b)).coeffs.ravel()
-    assert lp.solve_membership_float(centre + r * (1 - 1e-6) * d).status == "feasible"
-    assert lp.solve_membership_float(centre + r * (1 + 1e-6) * d).status == "infeasible"
+    assert highs_feasible(centre + r * (1 - 1e-6) * d)
+    assert not highs_feasible(centre + r * (1 + 1e-6) * d)
 
 
 def test_vertex_orbit_visits_all():

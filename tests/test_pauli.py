@@ -8,6 +8,7 @@ from gencube.pauli import (
     BlochOp,
     DenseHermitian,
     PauliCoeffs2Q,
+    bloch_from_dense,
     bloch_to_dense,
     born_probability,
     choi_transfer_matrix,
@@ -90,6 +91,17 @@ def test_from_dense_is_trace_pairing():
 def test_from_dense_rejects_wrong_dim():
     with pytest.raises(ValueError):
         from_dense(np.eye(2))
+
+
+@pytest.mark.parametrize("convert, m", [
+    (bloch_from_dense, np.array([[0.0, 1.0], [0.0, 0.0]])),
+    (from_dense, np.triu(np.ones((4, 4)))),
+    (from_dense, np.eye(4) + 1e-11 * np.eye(4, k=1)),
+])
+def test_from_dense_refuses_non_hermitian_input(convert, m):
+    # the coefficients would be those of the Hermitian part alone
+    with pytest.raises(ValueError, match="not Hermitian"):
+        convert(m)
 
 
 def test_born_probability_appendix_vertex_choice():

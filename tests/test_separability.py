@@ -46,6 +46,8 @@ from gencube.separability import (
 )
 from gencube.spaces import CUBE_SYMMETRIES, cube_vertices, rescale2, vertex_index
 
+from highs_reference import highs_feasible
+
 BELL = PauliCoeffs2Q(np.diag([1.0, 1.0, -1.0, 1.0]))
 ALLONES = BlochOp(np.ones(3))
 
@@ -478,7 +480,7 @@ def test_facet_verdicts_agree_with_highs():
         d = lp.decide_membership(b)
         if d.route != "facet":
             continue
-        assert d.feasible == (lp.solve_membership_float(b).status == "feasible"), b
+        assert d.feasible == highs_feasible(b), b
         checked += 1
     assert checked >= 1000
 
@@ -512,13 +514,13 @@ def _residual(w, b):
 
 def test_weights_for_a_rounded_boundary_point():
     # float(1/3) puts the 2/3 joint-depol output outside by a rounding error:
-    # the exact simplex refutes the float instance, its least facet value is
-    # -2.8e-17, and the descent weights it without pulling it anywhere
+    # the exact simplex refutes the float instance, its least margin is
+    # -1.1e-16, and the descent weights its mix with that much white noise
     A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(2 / 3))
     b = A.coeffs.ravel()
     assert lp.solve_membership_exact([Fraction(x) for x in b])[0] == "infeasible"
     res = cube_separable(A)
-    assert res.feasible and res.method == "lp-float"
+    assert res.feasible and res.method == "mixed"
     assert res.certificate.tolerance_used == lp.FEASIBILITY_TOL
     assert verify_certificate(res.certificate, A)
     w = lp.caratheodory_weights(b)
@@ -526,39 +528,99 @@ def test_weights_for_a_rounded_boundary_point():
 
 
 # (noise family, its R = 1 threshold, offset below it, verdict, margin) for
-# the all-ones output; the margins tell the families apart in the test ids
+# the all-ones output, on either side of the cut m = -tol; the least facet
+# is a positivity row (f_0 = 1) in all three families
 _BAND_CUTS = [
-    (joint_depol, 2 / 3, 2e-10, False, -1.5e-10),
-    (joint_depol, 2 / 3, 1e-10, True, -7.5e-11),
-    (local_depol, 2 - math.sqrt(2), 2e-10, False, -1.414e-10),
-    (local_depol, 2 - math.sqrt(2), 1e-10, True, -7.071e-11),
-    (local_dephase, 1 - 1 / math.sqrt(2), 1e-10, False, -1.414e-10),
-    (local_dephase, 1 - 1 / math.sqrt(2), 5e-11, True, -7.071e-11),
+    (joint_depol, 2 / 3, 3.4e-10, False, -1.02e-9),
+    (joint_depol, 2 / 3, 3.3e-10, True, -9.9e-10),
+    (local_depol, 2 - math.sqrt(2), 3.6e-10, False, -1.018e-9),
+    (local_depol, 2 - math.sqrt(2), 3.5e-10, True, -9.899e-10),
+    (local_dephase, 1 - 1 / math.sqrt(2), 1.8e-10, False, -1.018e-9),
+    (local_dephase, 1 - 1 / math.sqrt(2), 1.75e-10, True, -9.899e-10),
 ]
 
 
 @pytest.mark.parametrize("noise, threshold, offset, feasible, margin", _BAND_CUTS,
                          ids=[f"{o}-{f}-{m}" for *_, o, f, m in _BAND_CUTS])
-def test_band_cut_is_highs_primal_feasibility_tolerance(noise, threshold, offset,
-                                                         feasible, margin):
-    # inside the band HiGHS decides first, under primal_feasibility_tolerance
-    # 1e-10, so the cut lies between these margins and not at -tol = -1e-9
+def test_band_cut_is_the_white_noise_tolerance(noise, threshold, offset, feasible, margin):
+    # feasible iff the least margin f . b / f_0 is >= -tol: an accepted point
+    # is weighted within tol, a refused one is infeasible in exact arithmetic
     A = apply_noise(csign(product(ALLONES, ALLONES)), noise(threshold - offset))
     d = separability.cube_decide(A)
-    assert d.route == "lp-float" and d.feasible is feasible
+    assert d.feasible is feasible and d.route == ("mixed" if feasible else "facet")
     assert d.margin == pytest.approx(margin, rel=1e-3)
     res = cube_separable(A)
-    assert res.method == "lp-float" and res.feasible is feasible
+    assert res.feasible is feasible and res.method == d.route
+    if feasible:
+        assert verify_certificate(res.certificate, A)
+    else:
+        exact = lp.solve_membership_exact([Fraction(x) for x in A.coeffs.ravel()])
+        assert exact[0] == "infeasible"
 
 
-def test_decision_carries_the_band_residual():
-    # the feasible joint-depol band case above, and a facet verdict
-    A = apply_noise(csign(product(ALLONES, ALLONES)), joint_depol(2 / 3 - 1e-10))
-    d = separability.cube_decide(A)
-    assert d.route == "lp-float" and d.feasible
-    assert d.residual <= lp.FEASIBILITY_TOL
-    d = separability.cube_decide(BELL)
-    assert d.route == "facet" and d.residual is None
+# the R = 1 cube thresholds of the three families, and dephasing's upper
+# edge, approached from the refused side (threshold - side * offset)
+_EDGES = [("joint-depol", 2 / 3, 1), ("local-depol", 2 - math.sqrt(2), 1),
+          ("local-dephase", 1 - 1 / math.sqrt(2), 1), ("local-dephase", 1 / math.sqrt(2), -1)]
+
+
+@pytest.mark.parametrize("kind, threshold, side", _EDGES,
+                         ids=["joint-depol", "local-depol", "local-dephase",
+                              "local-dephase-upper"])
+def test_vertex_pair_outputs_share_one_verdict_near_the_threshold(kind, threshold, side):
+    # the 64 vertex-pair outputs are images of each other under the cube's
+    # symmetries: one verdict and one route at every strength of a 5e-12 grid
+    V = lp.vertex_product_matrix().T
+    for offset in np.arange(401) * 5e-12:
+        outputs = pipeline_rows(V, 1.0, NoiseModel(kind, threshold - side * offset))
+        verdicts = {(d.feasible, d.route) for d in map(lp.decide_membership, outputs)}
+        assert len(verdicts) == 1, (offset, verdicts)
+
+
+def _near_cut_points(rng, n):
+    """Points whose least margin is drawn uniformly from [-2 tol, 0): a convex
+    mix of 1..20 vertex products moved along a random direction until its
+    least margin first reaches the draw."""
+    V = lp.vertex_product_matrix()
+    F = lp.facet_table().astype(float)
+    for _ in range(n):
+        k = int(rng.integers(1, 21))
+        b = V[:, rng.choice(64, k, replace=False)] @ rng.dirichlet(np.ones(k))
+        d = np.concatenate(([0.0], rng.standard_normal(15)))
+        target = -2 * lp.FEASIBILITY_TOL * rng.random()
+        fb, fd = F @ b, F @ d
+        down = fd < 0
+        yield b + np.min((target * F[down, 0] - fb[down]) / fd[down]) * d
+
+
+def test_one_verdict_on_all_images_near_the_cut():
+    # the cube's 2304 local symmetries and the party swap permute the facet
+    # values, so all 4608 images of a point get its verdict and route
+    routes = set()
+    for b in _near_cut_points(np.random.default_rng(5), 12):
+        assert -2.1 * lp.FEASIBILITY_TOL <= lp.decide_membership(b).margin < 0.0
+        images = lp.local_images(b.reshape(4, 4))
+        images = np.concatenate([images, images.reshape(-1, 4, 4).transpose(0, 2, 1)
+                                 .reshape(-1, 16)])
+        verdicts = {(d.feasible, d.route) for d in map(lp.decide_membership, images)}
+        assert len(verdicts) == 1, verdicts
+        routes |= verdicts
+    assert routes == {(True, "mixed"), (False, "facet")}
+
+
+def test_verdicts_near_the_cut_are_certified():
+    # accepted: the weights reproduce b within tol; refused: exactly infeasible
+    refused = 0
+    for b in _near_cut_points(np.random.default_rng(7), 300):
+        A = PauliCoeffs2Q(b.reshape(4, 4))
+        res = cube_separable(A)
+        if res.feasible:
+            assert res.method == "mixed"
+            assert verify_certificate(res.certificate, A, tol=lp.FEASIBILITY_TOL), b
+        elif refused < 5:
+            assert lp.solve_membership_exact([Fraction(x) for x in b])[0] == "infeasible"
+            refused += 1
+    assert refused == 5
 
 
 def _facet_feasible_points():
@@ -589,6 +651,24 @@ def test_caratheodory_weights_reproduce_facet_feasible_points():
         assert _residual(w, b) <= 1e-12, b
         checked += 1
     assert checked >= 600
+
+
+def test_caratheodory_weights_near_low_dimensional_faces():
+    # points just inside faces spanned by 1..9 vertex products, pulled toward
+    # the centre e_0 by s = 1e-13 .. 1e-5, where the facet values are of the
+    # size of a rounding error
+    rng = np.random.default_rng(11)
+    V = lp.vertex_product_matrix()
+    e0 = np.eye(16)[0]
+    for _ in range(2000):
+        k = int(rng.integers(1, 10))
+        cols = rng.choice(64, k, replace=False)
+        u = rng.uniform(0, 1, k)
+        s = 10 ** rng.uniform(-13, -5)
+        b = (1 - s) * V[:, cols] @ (u / u.sum()) + s * e0
+        w = lp.caratheodory_weights(b)
+        assert w.min() >= 0.0 and np.count_nonzero(w) <= 16, b
+        assert _residual(w, b) <= 1e-12, b
 
 
 def test_caratheodory_weights_refuse_a_point_outside():

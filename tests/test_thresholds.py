@@ -5,8 +5,15 @@ import pytest
 from scipy.optimize import brentq
 
 from gencube.gates import NoiseModel, joint_depol, local_dephase, pipeline, pipeline_rows
-from gencube.pauli import BlochOp, eigenvalues_hermitian, partial_transpose, product_rows, to_dense
-from gencube.separability import POSITIVITY_TOL, quantum_margin, quantum_margins
+from gencube.pauli import (
+    BlochOp,
+    PauliCoeffs2Q,
+    eigenvalues_hermitian,
+    partial_transpose,
+    product_rows,
+    to_dense,
+)
+from gencube.separability import POSITIVITY_TOL, cube_decide, quantum_margin, quantum_margins
 from gencube.spaces import StateSpaceSpec
 from gencube.thresholds import (
     ROOT_XTOL,
@@ -43,6 +50,23 @@ def test_cube_thresholds_are_margin_roots(family, R, closed_form):
     # the root of margin + tol sits within tol / slope of the exact facet root
     q = ThresholdQuery(family, StateSpaceSpec.cube(R), "cube-separable")
     assert abs(min_noise(q) - closed_form) < 5e-9
+
+
+@pytest.mark.parametrize("family, R", [
+    ("joint-depol", 0.7), ("joint-depol", 1.0), ("joint-depol", 1.3),
+    ("local-depol", 0.7), ("local-depol", 1.0), ("local-depol", 1.3),
+    ("local-dephase", 1.0),
+])
+def test_cube_root_is_where_the_oracle_starts_to_accept(family, R):
+    # min_noise roots the least margin + tol, the oracle's own cut
+    lam = min_noise(ThresholdQuery(family, StateSpaceSpec.cube(R), "cube-separable"))
+
+    def verdict(p):
+        row = pipeline_rows(np.ones((1, 16)), R, NoiseModel(family, p))
+        return cube_decide(PauliCoeffs2Q(row.reshape(4, 4))).feasible
+
+    assert not verdict(lam - 1e-11)
+    assert verdict(lam + 1e-11)
 
 
 def test_partial_dephasing_on_rescaled_cube_needs_total_noise():

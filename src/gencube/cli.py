@@ -134,17 +134,8 @@ def _verify_lemma8(out) -> bool:
     if rep is None:
         return _report(out, "lemma8 parameter search", False, "no candidate met PT/marginal checks")
     ok = True
-    ok &= _report(out, "CJ marginal is I/4", rep.marginal_deviation < 1e-10,
-                  f"dev {rep.marginal_deviation:.2e}")
-    ok &= _report(out, "output non-PPT for (|T>+|Tbar>)/sqrt2 input",
-                  rep.output_min_pt < -1e-8, f"min PT {rep.output_min_pt:.2e}")
-    ok &= _report(out, "CJ non-PPT across input:output split", rep.cj_min_pt_inout < -1e-9,
-                  f"{rep.cj_min_pt_inout:.2e}")
-    ok &= _report(out, "CJ non-PPT across A:B split", rep.cj_min_pt_ab < -1e-9,
-                  f"{rep.cj_min_pt_ab:.2e}")
-    ok &= _report(out, "all 64 vertex outputs cube-separable", rep.all_vertices_feasible,
-                  f"{rep.vertex_feasible}/64 at alpha={rep.alpha}, eps={rep.epsilon}, "
-                  f"noise={rep.noise:.3e}")
+    for label, passed, detail in rep.checks():
+        ok &= _report(out, label, passed, detail)
     return ok
 
 

@@ -93,12 +93,6 @@ class CjState:
     """16x16 Choi state on qubits ordered (A1, B1, A2, B2); inputs first."""
 
     rho: DenseHermitian
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    epsilon: float
-    noise: float = 0.0
 
     @functools.cached_property
     def transfer(self) -> np.ndarray:
@@ -139,7 +133,7 @@ def build_cj(alpha: float, epsilon: float, noise: float = 0.0) -> CjState:
     rho = permute_qubits(mix, [0, 3, 1, 2])
     if noise:
         rho = (1.0 - noise) * rho + noise * np.eye(16) / 16.0
-    return CjState(DenseHermitian(rho), alpha, beta, gamma, delta, epsilon, noise)
+    return CjState(DenseHermitian(rho))
 
 
 def cj_apply(cj: CjState, A: PauliCoeffs2Q) -> PauliCoeffs2Q:
@@ -172,6 +166,24 @@ class Lemma8Report:
     @property
     def all_vertices_feasible(self) -> bool:
         return self.vertex_feasible == 64
+
+    def checks(self) -> tuple:
+        """The Lemma 8 criteria as (label, passed, detail) rows: the
+        marginal and output-entanglement requirements first, then the Choi
+        state's two PT splits and the 64 vertex outputs."""
+        return (
+            ("CJ marginal is I/4", self.marginal_deviation < 1e-10,
+             f"dev {self.marginal_deviation:.2e}"),
+            ("output non-PPT for (|T>+|Tbar>)/sqrt2 input", self.output_min_pt < -1e-8,
+             f"min PT {self.output_min_pt:.2e}"),
+            ("CJ non-PPT across input:output split", self.cj_min_pt_inout < -1e-9,
+             f"{self.cj_min_pt_inout:.2e}"),
+            ("CJ non-PPT across A:B split", self.cj_min_pt_ab < -1e-9,
+             f"{self.cj_min_pt_ab:.2e}"),
+            ("all 64 vertex outputs cube-separable", self.all_vertices_feasible,
+             f"{self.vertex_feasible}/64 at alpha={self.alpha}, eps={self.epsilon}, "
+             f"noise={self.noise:.3e}"),
+        )
 
     def as_lines(self) -> list[str]:
         return [
@@ -264,13 +276,12 @@ def find_lemma8_params(alphas=(0.998, 0.995, 0.999, 0.99, 0.9995),
     def consider(rep):
         nonlocal best
         searched.append(rep)
-        full = (rep.all_vertices_feasible and rep.output_min_pt < -1e-8
-                and rep.marginal_deviation < 1e-10
-                and rep.cj_min_pt_inout < -1e-9 and rep.cj_min_pt_ab < -1e-9)
-        if rep.output_min_pt < -1e-8 and rep.marginal_deviation < 1e-10:
+        passed = [ok for _, ok, _ in rep.checks()]
+        marginal_ok, entangling_ok = passed[:2]
+        if marginal_ok and entangling_ok:
             if best is None or rep.vertex_feasible > best.vertex_feasible:
                 best = rep
-        return full
+        return all(passed)
 
     for alpha in alphas:
         for eps in epsilons:
@@ -373,13 +384,6 @@ class Appendix2Report:
     over_unit_violations: int
     unit_ball_trials: int
     unit_ball_violations: int
-
-    def as_lines(self) -> list[str]:
-        return [
-            f"stated_vertex_probability: {self.stated_probability!r}",
-            f"over_unit_violations: {self.over_unit_violations}/{self.over_unit_trials}",
-            f"unit_ball_violations: {self.unit_ball_violations}/{self.unit_ball_trials}",
-        ]
 
 
 def appendix2_checks(n_samples: int = 1000, seed: int = 2024) -> Appendix2Report:

@@ -252,16 +252,9 @@ def partial_transpose(A: PauliCoeffs2Q) -> PauliCoeffs2Q:
 
 
 def eigenvalues_hermitian(rho) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
-
-    Raises on non-Hermitian input (tolerance 1e-10 on the deviation).
-    """
-    m = np.asarray(rho.entries if isinstance(rho, DenseHermitian) else rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(m)
+    """Ascending eigenvalues of a Hermitian matrix, refused as DenseHermitian
+    refuses it."""
+    return np.linalg.eigvalsh(_hermitian_entries(rho))
 
 
 def conjugation_matrix(U) -> np.ndarray:

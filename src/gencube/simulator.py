@@ -145,17 +145,13 @@ class Circuit:
                                  "which no measurement writes")
 
     def record_ids(self) -> list[str]:
-        rids = []
+        return sorted({op.record_id for op in _unwrapped(self.ops) if isinstance(op, Measure)})
 
-        def visit(op):
-            if isinstance(op, Measure) and op.record_id not in rids:
-                rids.append(op.record_id)
-            elif isinstance(op, ClassicalControl):
-                visit(op.op)
 
-        for op in self.ops:
-            visit(op)
-        return sorted(rids)
+def _unwrapped(ops):
+    """Each op, a classical control replaced by the op it controls."""
+    for op in ops:
+        yield op.op if isinstance(op, ClassicalControl) else op
 
 
 class CircuitNotSimulableError(RuntimeError):
@@ -346,20 +342,6 @@ def _draw_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarra
     return out
 
 
-def _collect_noises(circuit: Circuit):
-    noises = []
-
-    def visit(op):
-        if isinstance(op, NoisyCsign) and op.noise not in noises:
-            noises.append(op.noise)
-        elif isinstance(op, ClassicalControl):
-            visit(op.op)
-
-    for op in circuit.ops:
-        visit(op)
-    return noises
-
-
 # Clifford action as a permutation of vertex indices, one byte each
 _CLIFFORD_PERMS = {g: vertex_index(CUBE_SIGNS @ M.T).astype(np.uint8)
                    for g, M in CLIFFORD_ACTIONS.items()}
@@ -392,8 +374,9 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
         raise ValueError(f"shots must be at least 1; got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer; got {seed}")
-    tables = {n: _gate_table(_gate_weights(n), _pair_maps())
-              for n in _collect_noises(circuit)}
+    noises = dict.fromkeys(op.noise for op in _unwrapped(circuit.ops)
+                           if isinstance(op, NoisyCsign))
+    tables = {n: _gate_table(_gate_weights(n), _pair_maps()) for n in noises}
     seeds = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
     collapse_rng = np.random.default_rng(seeds.spawn(1)[0])

@@ -195,46 +195,30 @@ def qubit_xyz_povms() -> PovmSet:
     )
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    """Real basis of d x d Hermitian matrices (d^2 elements)."""
-    basis = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1
-        basis.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = 1
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = -1j
-            e[j, i] = 1j
-            basis.append(e)
-    return basis
+def solve_outcome_systems(povms: PovmSet):
+    """Least-squares solve, for every combination of one designated outcome
+    per POVM, for a trace-one operator that assigns probability one to each
+    designated outcome and zero to the rest.
 
+    Since tr(m X) = m^T . X entrywise, all combinations share one complex
+    system over the d x d entries of X: a row per outcome and the trace row,
+    a target column per combination.  For Hermitian elements and real
+    targets the minimum-norm solution is Hermitian, and it is the trace-one
+    solution closest to I/d.
 
-def solve_outcome_system(povms: PovmSet, designated: tuple[int, ...]):
-    """Least-squares solve for a trace-one Hermitian operator that assigns
-    probability one to each designated outcome and zero to the rest.
-
-    Returns (operator, relative residual).
+    Returns (combinations in itertools.product order, operators (C, d, d),
+    relative residuals (C,)).
     """
     d = povms.dim
-    basis = _hermitian_basis(d)
-    rows, targets = [], []
-    for p, pick in zip(povms.povms, designated):
-        for k, m in enumerate(p):
-            rows.append([np.real(np.trace(m @ b)) for b in basis])
-            targets.append(1.0 if k == pick else 0.0)
-    rows.append([np.real(np.trace(b)) for b in basis])
-    targets.append(1.0)
-    M = np.array(rows)
-    t = np.array(targets)
-    x, *_ = np.linalg.lstsq(M, t, rcond=None)
-    resid = np.linalg.norm(M @ x - t) / max(1.0, np.linalg.norm(t))
-    op = sum(xi * bi for xi, bi in zip(x, basis))
-    return op, resid
+    combos = list(itertools.product(*(range(len(p)) for p in povms.povms)))
+    M = np.array([m.T.ravel() for p in povms.povms for m in p] + [np.eye(d).ravel()])
+    offsets = np.cumsum([0] + [len(p) for p in povms.povms[:-1]])
+    T = np.zeros((len(M), len(combos)))
+    T[offsets + np.array(combos), np.arange(len(combos))[:, None]] = 1.0
+    T[-1] = 1.0
+    X, *_ = np.linalg.lstsq(M, T, rcond=None)
+    resid = np.linalg.norm(M @ X - T, axis=0) / np.maximum(1.0, np.linalg.norm(T, axis=0))
+    return combos, X.T.reshape(-1, d, d), resid
 
 
 def operator_compatible(povms: PovmSet) -> CompatibilityResult:
@@ -242,9 +226,11 @@ def operator_compatible(povms: PovmSet) -> CompatibilityResult:
 
     A counting bound rejects immediately when the total number of outcomes
     exceeds d^2 + N - 1; otherwise every combination of one designated
-    outcome per POVM must admit a trace-one Hermitian solution (relative
-    residual < 1e-8).  Compatible results carry the solutions (the
-    generalized corner operators).
+    outcome per POVM must admit a trace-one solution (relative residual
+    < 1e-8).  The solutions come from one least-squares system over the
+    matrix entries for all combinations (solve_outcome_systems), and each
+    is the trace-one solution closest to I/d.  Compatible results carry
+    them (the generalized corner operators).
     """
     d, N = povms.dim, len(povms.povms)
     if povms.outcome_count > d * d + N - 1:
@@ -252,12 +238,12 @@ def operator_compatible(povms: PovmSet) -> CompatibilityResult:
             False,
             reason=f"outcome count {povms.outcome_count} exceeds d^2+N-1 = {d*d + N - 1}",
         )
-    corners = []
-    for combo in itertools.product(*(range(len(p)) for p in povms.povms)):
-        op, resid = solve_outcome_system(povms, combo)
-        if resid >= SOLVE_RESIDUAL_TOL:
-            return CompatibilityResult(
-                False, reason=f"outcome combination {combo} unreachable (residual {resid:.2e})"
-            )
-        corners.append(DenseHermitian((op + op.conj().T) / 2))
-    return CompatibilityResult(True, corners=tuple(corners))
+    combos, ops, resid = solve_outcome_systems(povms)
+    bad = np.flatnonzero(resid >= SOLVE_RESIDUAL_TOL)
+    if bad.size:
+        k = bad[0]
+        return CompatibilityResult(
+            False, reason=f"outcome combination {combos[k]} unreachable (residual {resid[k]:.2e})"
+        )
+    return CompatibilityResult(True, corners=tuple(DenseHermitian((op + op.conj().T) / 2)
+                                                   for op in ops))

@@ -228,13 +228,13 @@ def _bound_tdb2(R: float) -> float:
 
 
 _BOUND_SETS = {
-    ("local-depol", "cube"): (("xy", _bound_xy), ("xz", _bound_xz)),
-    ("joint-depol", "cube"): (("tdb1", _bound_tdb1), ("tdb2", _bound_tdb2)),
+    "local-depol": (("xy", _bound_xy), ("xz", _bound_xz)),
+    "joint-depol": (("tdb1", _bound_tdb1), ("tdb2", _bound_tdb2)),
 }
 
 
-def analytic_bound(model_family: str, space_kind: str, R: float) -> AnalyticBounds:
-    """Evaluate the closed-form positivity bounds at rescaling R.
+def analytic_bound(model_family: str, R: float) -> AnalyticBounds:
+    """Evaluate the family's closed-form positivity bounds on Cube(R).
 
     Bounds cap the residual coefficient scale r (noise = 1 - r); the active
     bound is the minimum.
@@ -242,9 +242,9 @@ def analytic_bound(model_family: str, space_kind: str, R: float) -> AnalyticBoun
     if not R > 0:
         raise ValueError("R must be positive")
     try:
-        fns = _BOUND_SETS[(model_family, space_kind)]
+        fns = _BOUND_SETS[model_family]
     except KeyError:
-        raise ValueError(f"no closed-form bounds for {model_family} on {space_kind}") from None
+        raise ValueError(f"no closed-form bounds for {model_family}") from None
     values = tuple((name, fn(R)) for name, fn in fns)
     active = min(values, key=lambda nv: nv[1])[0]
     return AnalyticBounds(values, active)
@@ -254,7 +254,7 @@ def analytic_intersection(model_family: str):
     """Root-find the crossing of the two bounds for R in [0.3, 0.95]; returns (R, r)."""
     from scipy.optimize import brentq
 
-    fns = _BOUND_SETS[(model_family, "cube")]
+    fns = _BOUND_SETS[model_family]
     diff = lambda R: fns[0][1](R) - fns[1][1](R)
     R = brentq(diff, 0.3, 0.95, xtol=ROOT_XTOL)
     return R, fns[0][1](R)
@@ -302,15 +302,16 @@ def lhv_achievability_boundary(model_family: str) -> float:
     """Smallest R at which the family's leading analytic bound (xy for
     local, tdb1 for joint depolarization) is LHV-achievable.
 
-    The state sitting on the bound (nudged inward by 1e-8 to stay off the
-    knife edge) is cube-separable where its cube margin + tol is >= 0; the
-    boundary is the root of that in R on [0.3, 1].
+    The state sitting on the bound is cube-separable where its cube margin
+    + tol is >= 0; the boundary is the root of that in R on [0.3, 1].  The
+    bound's own positivity facet reads 0 there, so the slack at R = 1 is
+    tol > 0 and the root is bracketed.
     """
     bound_name = _BOUNDARY_BOUND[model_family]
     slack_of = _margin_fn("cube-separable")
 
     def slack(R):
-        r = analytic_bound(model_family, "cube", R).value(bound_name) - 1e-8
+        r = analytic_bound(model_family, R).value(bound_name)
         out = pipeline_rows(_ALLONES_ROW, R, NoiseModel(model_family, 1.0 - r))
         return float(np.min(slack_of(out)))
 

@@ -3,12 +3,13 @@
 Criterion 7 needs the white-noise term of the magic-basis channel (see the
 README section "Criterion 7: why the magic channel carries white noise"):
 the noiseless channel's output on the two cube corners conjugate-aligned
-with the T axis carries a Born probability of -eps/3, so on its own it is
-LP-feasible on all 64 corners at tolerance 1e-9 only for eps <= 3e-9, while
-the required PT eigenvalue < -1e-8 needs eps >= 8.1e-9.  Mixing the Choi
-state with weight p of I/16 maps every Born probability and every output PT
-eigenvalue x to (1-p) x + p/4; since eps/3 < 1.24 eps, some p lifts the
-former above 0 while the latter stays below it.
+with the T axis carries a Born probability of -eps/3, a positivity facet
+value of -4 eps/3, so on its own it is cube-separable on all 64 corners at
+tolerance 1e-9 only for eps <= 7.5e-10, while the required PT eigenvalue
+< -1e-8 needs eps >= 8.1e-9.  Mixing the Choi state with weight p of I/16
+maps every Born probability and every output PT eigenvalue x to
+(1-p) x + p/4; since eps/3 < 1.24 eps, some p lifts the former above 0
+while the latter stays below it.
 """
 import math
 import random
@@ -107,7 +108,7 @@ def test_criterion_04_rescaled_cubes_local_depol():
     inter_ok = abs((1 - r_int) - 0.392919) < 1e-4 and abs((1 - R_int) - 0.479927) < 1e-4
 
     R_star = lhv_achievability_boundary("local-depol")
-    r_star = analytic_bound("local-depol", "cube", R_star).value("xy")
+    r_star = analytic_bound("local-depol", R_star).value("xy")
     boundary_ok = abs(R_star - 0.5449335) < 1e-3 and abs((1 - r_star) - 0.4060953) < 1e-3
 
     t3 = min_noise(ThresholdQuery("local-depol", StateSpaceSpec.cube(1 / math.sqrt(3)),
@@ -128,14 +129,15 @@ def test_criterion_05_rescaled_cubes_joint_depol():
                 and abs(r_int - math.sqrt(3) / (2 + math.sqrt(3))) < 1e-6)
 
     R_star = lhv_achievability_boundary("joint-depol")
-    lam_star = 1 - analytic_bound("joint-depol", "cube", R_star).value("tdb1")
+    lam_star = 1 - analytic_bound("joint-depol", R_star).value("tdb1")
     boundary_ok = (abs(R_star - 1 / math.sqrt(2)) < 1e-3
                    and abs(lam_star - (1 - 1 / (math.sqrt(2) + 1))) < 1e-4)
 
     allones = BlochOp(np.ones(3))
     at_intersection = pipeline(allones, allones, R_int, joint_depol(1 - r_int))
     infeasible_ok = not cube_separable(at_intersection).feasible
-    check("criterion 5: rescaled-cube joint depol: intersection, boundary, LP-infeasible point",
+    check("criterion 5: rescaled-cube joint depol: intersection, boundary, "
+          "non-cube-separable point",
           inter_ok and boundary_ok and infeasible_ok,
           f"R_int={R_int:.7f}, r_int={r_int:.7f}, R*={R_star:.5f}, lam*={lam_star:.6f}")
 
@@ -160,7 +162,7 @@ def test_criterion_06_rescaled_sphere():
 
 def test_criterion_07_lemma8_search():
     # Noiseless, the Born probability -eps/3 on the conjugate-axis vertices
-    # makes "all 64 LP-feasible at 1e-9" and "min PT < -1e-8" disjoint in
+    # makes "all 64 cube-separable at 1e-9" and "min PT < -1e-8" disjoint in
     # eps; the search's white-noise retry is what meets both.
     best, searched = find_lemma8_params(
         alphas=(0.999, 0.998, 0.995, 0.99),

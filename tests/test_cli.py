@@ -181,6 +181,18 @@ def test_compat_json_file(tmp_path):
     assert "compatible: no" in out
 
 
+def test_compat_json_file_compatible(tmp_path):
+    # X and Z projectors: [re, im] pairs of (I + X)/2, (I - X)/2, (I + Z)/2, (I - Z)/2
+    half, zero = [0.5, 0.0], [0.0, 0.0]
+    x_proj = [[[half, half], [half, half]], [[half, [-0.5, 0.0]], [[-0.5, 0.0], half]]]
+    z_proj = [[[[1.0, 0.0], zero], [zero, zero]], [[zero, zero], [zero, [1.0, 0.0]]]]
+    f = tmp_path / "xz.json"
+    f.write_text(json.dumps({"dim": 2, "povms": [x_proj, z_proj]}))
+    code, out = run_cli(["compat", "--povms", str(f)])
+    assert code == 0
+    assert "compatible: yes (4 corner operators)" in out
+
+
 @pytest.mark.parametrize("content, problem", [
     ('{"povms": []}', "expected an object with keys 'dim' and 'povms'"),
     ('{"dim": 2, "povms": [[[[1]]]]}', "a matrix of [re, im] pairs"),
@@ -224,8 +236,8 @@ def test_tolerance_banner_reads_the_constants(monkeypatch):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the import time; only the HiGHS route and
-    # the Brent roots load it, on first use
+    # scipy.optimize is most of the import time; only the Brent roots load
+    # it, on first use
     code = "import sys, gencube.cli; sys.exit('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -97,7 +97,7 @@ def test_cj_identity_channel_convention():
     from gencube.constructions import CjState
     from gencube.pauli import DenseHermitian
 
-    cj_id = CjState(DenseHermitian(np.outer(vec, vec.conj())), 1, 0, 1, 0, 0)
+    cj_id = CjState(DenseHermitian(np.outer(vec, vec.conj())))
     rng = np.random.default_rng(61)
     for _ in range(10):
         A = PauliCoeffs2Q(rng.standard_normal((4, 4)))
@@ -219,7 +219,7 @@ def test_lemma8_noise_window_derivation():
     assert rep.vertex_feasible == 64
     assert rep.output_min_pt < -1e-8
     assert rep.marginal_deviation < 1e-10
-    # the pass is exact, not an artefact of the float LP tolerance
+    # the pass is exact, not an artefact of the facet rule's tolerance
     cj = build_cj(alpha, eps, mid)
     for u in aligned:
         for v in cube_vertices():
@@ -228,12 +228,8 @@ def test_lemma8_noise_window_derivation():
             assert status == "feasible", (u, v.bloch)
 
 
-def test_error_per_gate_bounds(monkeypatch):
-    # all 64 verdicts are facet verdicts, whose weights need no LP
-    def refuse(*args, **kwargs):
-        raise AssertionError("HiGHS ran outside the band")
-
-    monkeypatch.setattr(lp, "linprog", refuse)
+def test_error_per_gate_bounds():
+    # that no LP runs is checked by test_simulate_leaves_scipy_optimize_unloaded
     rep = error_per_gate_bounds()
     assert rep.lower == 0.2
     assert rep.upper == 0.5

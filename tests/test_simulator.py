@@ -582,19 +582,16 @@ SEPARABLE_GATES = [
 ]
 
 
-def _count_lps(monkeypatch):
-    """Record every cube_separable call and every HiGHS solve."""
+def _count_cube_separable_calls(monkeypatch):
+    """Record every cube_separable call."""
     calls = []
+    fn = separability.cube_separable
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
+    def wrapped(*args, **kwargs):
+        calls.append("cube_separable")
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(separability, "cube_separable",
-                        counting("cube_separable", separability.cube_separable))
-    monkeypatch.setattr(lp, "linprog", counting("linprog", lp.linprog))
+    monkeypatch.setattr(separability, "cube_separable", wrapped)
     return calls
 
 
@@ -616,15 +613,16 @@ def _verified_on_own_instance(w0, noise):
 
 @pytest.mark.parametrize("noise", SEPARABLE_GATES, ids=lambda n: f"{n.kind}-{n.strength}")
 def test_gate_weights_run_no_lp_and_verify_on_all_64_pairs(monkeypatch, noise):
-    # the closed-form weights need no LP at all outside the tolerance band
-    calls = _count_lps(monkeypatch)
+    # the closed-form weights need no membership query; that they need no LP
+    # is checked by test_simulate_leaves_scipy_optimize_unloaded
+    calls = _count_cube_separable_calls(monkeypatch)
     w0 = simulator._gate_weights(noise)
     assert calls == []
     assert all(_verified_on_own_instance(w0, noise))
 
 
 def test_no_lp_for_any_gate_in_a_circuit(monkeypatch):
-    calls = _count_lps(monkeypatch)
+    calls = _count_cube_separable_calls(monkeypatch)
     c = parse_circuit(SUITE["adaptive_feedforward"] + "csign 1 2 local-depol 0.75\n")
     simulate_hn(c, 100, seed=1)
     assert calls == []
@@ -704,18 +702,24 @@ def test_dephasing_past_one_half_is_accepted_as_before():
 
 
 def test_simulate_leaves_scipy_optimize_unloaded():
-    # every suite gate lies clear of the tolerance band: neither the verdict
-    # nor the table needs HiGHS
+    # every verdict is a facet verdict and every weight closed-form or the
+    # descent's, so neither the suite's circuits, nor the gate weights of
+    # every SEPARABLE_GATES model, nor the error-per-gate bounds run an LP
+    gates = ", ".join(f"NoiseModel({n.kind!r}, {n.strength!r})" for n in SEPARABLE_GATES)
     code = ("import sys\n"
-            "from gencube.simulator import parse_circuit, simulate_hn\n"
+            "from gencube import constructions, simulator\n"
+            "from gencube.gates import NoiseModel\n"
             "from circuit_suite import SUITE\n"
             "for text in SUITE.values():\n"
-            "    simulate_hn(parse_circuit(text), 1000, seed=1)\n"
+            "    simulator.simulate_hn(simulator.parse_circuit(text), 1000, seed=1)\n"
+            f"for noise in ({gates},):\n"
+            "    simulator._gate_weights(noise)\n"
+            "constructions.error_per_gate_bounds()\n"
             "sys.exit('scipy.optimize' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr or "simulate_hn loaded scipy.optimize"
+    assert proc.returncode == 0, proc.stderr or "an LP-free path loaded scipy.optimize"
 
 
 # ---------------------------------------------------------------------------

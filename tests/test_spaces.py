@@ -16,7 +16,7 @@ from gencube.spaces import (
     qubit_xyz_povms,
     rescale,
     rescale2,
-    solve_outcome_system,
+    solve_outcome_systems,
     vertex_index,
 )
 
@@ -173,10 +173,9 @@ def test_counting_prefilter():
     assert not res.compatible
     assert "exceeds" in res.reason
     # oracle: the outcome systems really are unreachable (lstsq residual)
-    worst = max(
-        solve_outcome_system(four, combo)[1]
-        for combo in [(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 1)]
-    )
+    combos, _, resid = solve_outcome_systems(four)
+    worst = max(resid[combos.index(combo)]
+                for combo in [(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 1)])
     assert worst > 1e-8
 
 
@@ -205,3 +204,21 @@ def test_three_rotated_qubit_measurements_compatible():
     res = operator_compatible(povms)
     assert res.compatible
     assert len(res.corners) == 8
+
+
+def test_corners_are_the_trace_one_solutions_closest_to_the_maximally_mixed_state():
+    # two random qubit axes leave the Bloch vector free along n1 x n2; the
+    # trace-one solution closest to I/2 has no component there
+    rng = np.random.default_rng(24)
+    n1, n2 = (a / np.linalg.norm(a) for a in rng.standard_normal((2, 3)))
+    res = operator_compatible(PovmSet((projective_qubit_povm(n1),
+                                       projective_qubit_povm(n2)), dim=2))
+    assert res.compatible
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]]))
+    signs = [(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
+    for (s1, s2), c in zip(signs, res.corners):
+        bloch = np.array([np.real(np.trace(c.entries @ p)) for p in paulis])
+        assert abs(np.real(np.trace(c.entries)) - 1.0) < 1e-12
+        assert abs(bloch @ n1 - s1) < 1e-12 and abs(bloch @ n2 - s2) < 1e-12
+        assert abs(bloch @ np.cross(n1, n2)) < 1e-12

@@ -24,6 +24,7 @@ from gencube.thresholds import (
     curve,
     curve_to_csv,
     dephasing_impossibility,
+    lhv_achievability_boundary,
     min_noise,
     sphere_grid_inputs,
 )
@@ -88,18 +89,18 @@ def test_min_noise_bracket_errors(monkeypatch):
 
 
 def test_analytic_bounds_at_unit_rescaling():
-    ab = analytic_bound("local-depol", "cube", 1.0)
+    ab = analytic_bound("local-depol", 1.0)
     assert ab.active == "xy"
     assert abs(ab.active_value - (math.sqrt(2) - 1)) < 1e-12
-    jb = analytic_bound("joint-depol", "cube", 1.0)
+    jb = analytic_bound("joint-depol", 1.0)
     assert jb.active == "tdb1"
     assert abs(jb.active_value - 1 / 3) < 1e-12
     with pytest.raises(ValueError):
-        analytic_bound("local-dephase", "cube", 1.0)
+        analytic_bound("local-dephase", 1.0)
 
 
 def test_analytic_bounds_monotone_xy():
-    vals = [analytic_bound("local-depol", "cube", R).value("xy") for R in np.linspace(0.3, 2.0, 30)]
+    vals = [analytic_bound("local-depol", R).value("xy") for R in np.linspace(0.3, 2.0, 30)]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -110,6 +111,12 @@ def test_analytic_intersections():
     Rj, rj = analytic_intersection("joint-depol")
     assert abs(Rj - 1 / math.sqrt(3)) < 1e-6
     assert abs(rj - math.sqrt(3) / (2 + math.sqrt(3))) < 1e-6
+
+
+def test_joint_boundary_is_one_over_sqrt2():
+    # the root for the state on the tdb1 bound lies within the cube rule's
+    # tolerance of the closed form
+    assert abs(lhv_achievability_boundary("joint-depol") - 1 / math.sqrt(2)) < 1e-9
 
 
 def test_curve_and_csv_format():
@@ -301,7 +308,7 @@ def test_lp_threshold_never_below_analytic_bound():
         for R in (0.6, 0.8, 1.0, 1.2):
             q = ThresholdQuery(family, StateSpaceSpec.cube(R), "cube-separable")
             lam = min_noise(q)
-            r_bound = analytic_bound(family, "cube", R).active_value
+            r_bound = analytic_bound(family, R).active_value
             assert lam >= (1 - min(r_bound, 1.0)) - 1e-5
 
 
@@ -310,7 +317,7 @@ def test_pauli_positive_threshold_matches_analytic_bound():
         for R in (0.8, 1.0, 1.3):
             q = ThresholdQuery(family, StateSpaceSpec.cube(R), "pauli-positive")
             lam = min_noise(q)
-            r_bound = analytic_bound(family, "cube", R).active_value
+            r_bound = analytic_bound(family, R).active_value
             assert abs(lam - (1 - min(r_bound, 1.0))) < 1e-6
 
 

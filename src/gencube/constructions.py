@@ -108,12 +108,16 @@ def build_cj(alpha: float, epsilon: float, noise: float = 0.0) -> CjState:
     The amplitudes are real nonnegative with beta, gamma fixed by
     normalization and delta by the trace-preservation constraint
     (1/2+eps) alpha^2 + (1/2-eps) delta^2 = 1/2; parameters that push
-    delta^2 outside [0, 1] are rejected.  The noise term is itself trace
+    delta^2 outside [0, 1] are rejected.  The mixture weights 1/2 +- eps
+    must be nonnegative and 1/2 - eps divides the constraint, so eps must
+    lie in [-1/2, 1/2).  The noise term is itself trace
     preserving, so the input marginal stays I/4; on outputs it acts as
     out -> (1 - noise) out + noise I/4.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+    if not -0.5 <= epsilon < 0.5:
+        raise ValueError("epsilon must lie in [-1/2, 1/2)")
     if not 0.0 <= noise <= 1.0:
         raise ValueError("noise must lie in [0, 1]")
     d2 = (0.5 - (0.5 + epsilon) * alpha * alpha) / (0.5 - epsilon)

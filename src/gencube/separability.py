@@ -39,6 +39,7 @@ __all__ = [
     "quantum_margin",
     "quantum_margins",
     "quantum_separable_2q",
+    "certificates_hold",
     "verify_certificate",
     "certificate_to_text",
     "certificate_from_text",
@@ -182,21 +183,24 @@ def quantum_separable_2q(A: PauliCoeffs2Q) -> bool:
     return quantum_margin(A) >= -POSITIVITY_TOL
 
 
+def certificates_hold(W: np.ndarray, targets: np.ndarray, tol: float,
+                      R: float = 1.0) -> np.ndarray:
+    """Row k: whether weights W[k] over the 64 vertex products certify the
+    flattened coefficient row targets[k]: weights >= -1e-12 that sum to one
+    within 1e-9 and rebuild the row within tol."""
+    resid = np.abs(W @ lp.vertex_product_matrix(R).T - targets).max(axis=1)
+    return (W.min(axis=1) >= -1e-12) & (np.abs(W.sum(axis=1) - 1.0) <= 1e-9) & (resid <= tol)
+
+
 def verify_certificate(cert: LhvCertificate, A: PauliCoeffs2Q, R: float = 1.0,
                        tol: float | None = None) -> bool:
     """Independent recheck of a primal certificate.
 
     Recomputes the convex combination directly from the vertex products
-    (no LP involved) and demands nonnegative weights summing to one.
+    (no LP involved), with the conditions of certificates_hold.
     """
     tol = cert.tolerance_used if tol is None else tol
-    w = cert.weights
-    if np.min(w) < -1e-12:
-        return False
-    if abs(float(np.sum(w)) - 1.0) > 1e-9:
-        return False
-    recon = lp.vertex_product_matrix(R) @ w
-    return bool(np.max(np.abs(recon - A.coeffs.ravel())) <= tol)
+    return bool(certificates_hold(cert.weights[None], A.coeffs.reshape(1, 16), tol, R)[0])
 
 
 def certificate_to_text(cert: LhvCertificate) -> str:

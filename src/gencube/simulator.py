@@ -1,6 +1,7 @@
 """Sampling simulator for adaptive circuits whose two-qubit gates are
 cube-separable, plus a dense density-matrix reference for cross-validation,
-which applies each op to its own qubits' tensor axes of rho, at O(4^n).
+which applies each op's Kraus superoperator to its own qubits' tensor axes
+of rho, at O(4^n).
 
 The sampler stores one byte per qubit per shot, a cube vertex's index
 (spaces.vertex_index): bits 2, 1, 0 are set on its -1 signs along X, Y, Z.
@@ -31,18 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import (
-    conjugate_qubit,
-    csign_pair,
-    dephase_qubit,
-    depolarize_qubit,
-    joint_depolarize_pair,
-    prepare_qubit,
-)
+from .dense import apply_channel, superop
 from . import lp
 from .gates import CLIFFORD_ACTIONS, CLIFFORD_UNITARIES, NoiseModel, pipeline_rows
 from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index, bloch_to_dense
-from .separability import csign_lhv_weights, cube_decide
+from .separability import certificates_hold, csign_lhv_weights, cube_decide
 from .spaces import CUBE_SIGNS, VERTEX_PERMS, StateSpaceSpec, contains, vertex_index
 
 __all__ = [
@@ -264,8 +258,8 @@ def _gate_weights(noise: NoiseModel) -> np.ndarray:
     of its 64 pair outputs, margins in [-tol, 0) included, where a leading
     weight can come out slightly negative.  Row p of the 64 x 64
     weights, w0 moved onto pair p by _pair_maps, is then rechecked on pair
-    p's own output with verify_certificate's three conditions at
-    lp.FEASIBILITY_TOL, all rows at once; a row that fails is refused.
+    p's own output by certificates_hold at lp.FEASIBILITY_TOL, all rows at
+    once; a row that fails is refused.
     """
     outputs = _vertex_pair_outputs(noise)
     if not cube_decide(PauliCoeffs2Q(outputs[0].reshape(4, 4))).feasible:
@@ -276,9 +270,7 @@ def _gate_weights(noise: NoiseModel) -> np.ndarray:
     w0 = np.clip(csign_lhv_weights(noise), 0.0, None)
     weights = np.zeros((64, 64))
     weights[np.arange(64)[:, None], _pair_maps()] = w0
-    resid = np.abs(weights @ lp.vertex_product_matrix().T - outputs).max(axis=1)
-    bad = ((weights.min(axis=1) < -1e-12) | (np.abs(weights.sum(axis=1) - 1.0) > 1e-9)
-           | (resid > lp.FEASIBILITY_TOL))
+    bad = ~certificates_hold(weights, outputs, lp.FEASIBILITY_TOL)
     if bad.any():
         raise CircuitNotSimulableError(
             f"noisy CSIGN ({noise.kind}, {noise.strength}): the LHV weights fail "
@@ -477,12 +469,37 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
+def _noise_kraus(noise: NoiseModel) -> np.ndarray:
+    """Kraus operators of a CSIGN's noise on its qubit pair, stacked.  Each
+    noise model is a Pauli channel,
+    rho -> sum_ij q_ij (P_i (x) P_j) rho (P_i (x) P_j), with Kraus
+    operators sqrt(q_ij) P_i (x) P_j (zero where q_ij is)."""
+    p = noise.strength
+    if noise.kind == "joint-depol":
+        # (1 - p) rho + p I/4 (x) tr rho: every pair but I (x) I at p/16
+        q = np.full(16, p / 16.0)
+        q[0] = 1.0 - 15.0 * p / 16.0
+    else:
+        # the same one-qubit Pauli channel on each qubit
+        a = ([1.0 - 0.75 * p] + [p / 4.0] * 3 if noise.kind == "local-depol"
+             else [1.0 - p, 0.0, 0.0, p])
+        q = np.outer(a, a).ravel()
+    pairs = np.einsum("aij,bkl->abikjl", PAULIS, PAULIS).reshape(16, 4, 4)
+    return np.sqrt(q)[:, None, None] * pairs
+
+
+def _noisy_csign_superop(noise: NoiseModel) -> np.ndarray:
+    """Superoperator of the CSIGN diag(1, 1, 1, -1) followed by its noise."""
+    return superop(_noise_kraus(noise) @ np.diag([1.0, 1.0, 1.0, -1.0]))
+
+
 def simulate_dense(circuit: Circuit) -> dict:
     """Exact outcome distribution over classical record strings.
 
     Preparations must be quantum (inside the Bloch sphere); measurements
     collapse the state and fork the branch tree with exact Born weights.
-    Circuits of more than DENSE_MAX_QUBITS qubits are refused.
+    Every op is one apply_channel of its Kraus superoperator on its own
+    qubits.  Circuits of more than DENSE_MAX_QUBITS qubits are refused.
     """
     n = circuit.num_qubits
     if n > DENSE_MAX_QUBITS:
@@ -490,6 +507,8 @@ def simulate_dense(circuit: Circuit) -> dict:
                          f"got {n}")
     rids = circuit.record_ids()
     sphere = StateSpaceSpec.sphere(1.0)
+    cliffords = {g: superop([U]) for g, U in CLIFFORD_UNITARIES.items()}
+    csigns: dict[NoiseModel, np.ndarray] = {}   # one superoperator per distinct noise
 
     dist: dict[str, float] = {}
     # depth first over the measurement branches, + before -, on an explicit
@@ -511,30 +530,29 @@ def simulate_dense(circuit: Circuit) -> dict:
                         "dense simulation requires quantum preparations "
                         f"(|bloch| <= 1); got {op.state.bloch}"
                     )
-                rho = prepare_qubit(rho, bloch_to_dense(op.state).entries, op.qubit, n)
+                # trace out the qubit and put the prepared state in its place
+                S = np.multiply.outer(bloch_to_dense(op.state).entries, np.eye(2))
+                rho = apply_channel(rho, S, (op.qubit,), n)
             elif isinstance(op, Clifford1):
-                rho = conjugate_qubit(rho, CLIFFORD_UNITARIES[op.gate], op.qubit, n)
+                rho = apply_channel(rho, cliffords[op.gate], (op.qubit,), n)
             elif isinstance(op, NoisyCsign):
-                q1, q2, nm = op.qubit1, op.qubit2, op.noise
-                rho = csign_pair(rho, q1, q2, n)
-                if nm.kind == "joint-depol":
-                    rho = joint_depolarize_pair(rho, q1, q2, nm.strength, n)
-                else:
-                    channel = depolarize_qubit if nm.kind == "local-depol" else dephase_qubit
-                    rho = channel(channel(rho, q1, nm.strength, n), q2, nm.strength, n)
+                if op.noise not in csigns:
+                    csigns[op.noise] = _noisy_csign_superop(op.noise)
+                rho = apply_channel(rho, csigns[op.noise], (op.qubit1, op.qubit2), n)
             elif isinstance(op, Measure):
                 obs = PAULIS[axis_index(op.axis)]
                 # an outcome of Born weight <= 1e-15 opens no branch
                 floor = 1e-15 * float(np.real(np.trace(rho)))
                 branches = []
                 for outcome in (1, -1):
-                    sub = conjugate_qubit(rho, (np.eye(2) + outcome * obs) / 2, op.qubit, n)
+                    S = superop([(np.eye(2) + outcome * obs) / 2])
+                    sub = apply_channel(rho, S, (op.qubit,), n)
                     if float(np.real(np.trace(sub))) > floor:
                         branches.append((sub, k, {**record, op.record_id: outcome}))
                 stack.extend(reversed(branches))
                 break
         else:
-            key = "".join({1: "+", -1: "-"}.get(record.get(rid), ".") for rid in rids)
+            key = "".join(_SYMBOLS[record.get(rid, 0)] for rid in rids)
             dist[key] = dist.get(key, 0.0) + float(np.real(np.trace(rho)))
     return dict(sorted(dist.items()))
 

@@ -233,6 +233,13 @@ _BOUND_SETS = {
 }
 
 
+def _bound_set(model_family: str):
+    try:
+        return _BOUND_SETS[model_family]
+    except KeyError:
+        raise ValueError(f"no closed-form bounds for {model_family}") from None
+
+
 def analytic_bound(model_family: str, R: float) -> AnalyticBounds:
     """Evaluate the family's closed-form positivity bounds on Cube(R).
 
@@ -241,10 +248,7 @@ def analytic_bound(model_family: str, R: float) -> AnalyticBounds:
     """
     if not R > 0:
         raise ValueError("R must be positive")
-    try:
-        fns = _BOUND_SETS[model_family]
-    except KeyError:
-        raise ValueError(f"no closed-form bounds for {model_family}") from None
+    fns = _bound_set(model_family)
     values = tuple((name, fn(R)) for name, fn in fns)
     active = min(values, key=lambda nv: nv[1])[0]
     return AnalyticBounds(values, active)
@@ -252,9 +256,9 @@ def analytic_bound(model_family: str, R: float) -> AnalyticBounds:
 
 def analytic_intersection(model_family: str):
     """Root-find the crossing of the two bounds for R in [0.3, 0.95]; returns (R, r)."""
+    fns = _bound_set(model_family)
     from scipy.optimize import brentq
 
-    fns = _BOUND_SETS[model_family]
     diff = lambda R: fns[0][1](R) - fns[1][1](R)
     R = brentq(diff, 0.3, 0.95, xtol=ROOT_XTOL)
     return R, fns[0][1](R)

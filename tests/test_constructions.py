@@ -87,6 +87,14 @@ def test_build_cj_rejects_invalid_delta():
         build_cj(0.5, 0.4)  # delta^2 > 1
 
 
+@pytest.mark.parametrize("alpha, epsilon", [(0.6, 0.5), (0.6, 0.9), (1.0, -0.7)])
+def test_build_cj_rejects_epsilon_outside_its_range(alpha, epsilon):
+    # a weight 1/2 +- eps below 0 would give a Choi "state" with a negative
+    # eigenvalue, and eps = 1/2 divides by zero
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[-1/2, 1/2\)"):
+        build_cj(alpha, epsilon)
+
+
 def test_cj_identity_channel_convention():
     # CJ of the identity channel reproduces the input exactly
     vec = np.zeros(16, dtype=complex)

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gencube.dense import (
-    conjugate_qubit,
-    csign_pair,
-    dephase_qubit,
-    depolarize_qubit,
-    joint_depolarize_pair,
-    prepare_qubit,
-)
+from gencube.dense import apply_channel, superop
 from gencube import gates
 from gencube.gates import (
     CLIFFORD_ACTIONS,
@@ -36,9 +29,11 @@ from gencube.pauli import (
     product_rows,
     to_dense,
 )
+from gencube.simulator import _noise_kraus, _noisy_csign_superop
 from gencube.spaces import CUBE_SYMMETRIES, cube_vertices, rescale2
 
 CSIGN_DENSE = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+FAMILIES = (joint_depol, local_depol, local_dephase)
 
 # The CSIGN's action on Pauli products and the Cliffords' Bloch actions,
 # transcribed by hand: (i, j) -> (k, l, sign) means the input coefficient
@@ -120,25 +115,19 @@ def test_csign_identity_and_involution():
 
 
 def test_noise_models_against_dense_kraus():
+    # the dense reference's noisy-CSIGN superoperator against the Pauli side,
+    # dephasing also past 1/2
     rng = np.random.default_rng(33)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = (g @ g.conj().T)
-    rho /= np.trace(rho)
-    A = from_dense(rho)
-
-    lam = 0.37
-    lhs = to_dense(apply_noise(A, joint_depol(lam))).entries
-    rhs = joint_depolarize_pair(rho, 0, 1, lam, 2)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    p = 0.21
-    lhs = to_dense(apply_noise(A, local_depol(p))).entries
-    rhs = depolarize_qubit(depolarize_qubit(rho, 0, p, 2), 1, p, 2)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    lhs = to_dense(apply_noise(A, local_dephase(p))).entries
-    rhs = dephase_qubit(dephase_qubit(rho, 0, p, 2), 1, p, 2)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    cases = [(f, p) for f in FAMILIES for p in (0.0, 0.21, 0.37, 1.0)] + [(local_dephase, 0.7)]
+    for family, p in cases:
+        S = _noisy_csign_superop(family(p))
+        for _ in range(10):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho)
+            lhs = to_dense(apply_noise(csign(from_dense(rho)), family(p))).entries
+            rhs = apply_channel(rho, S, (0, 1), 2)
+            assert np.max(np.abs(lhs - rhs)) < 1e-12, (family.__name__, p)
 
 
 def _lift(ops: dict, n: int) -> np.ndarray:
@@ -163,32 +152,35 @@ def test_dense_ops_on_reversed_and_far_pairs_match_kron_kraus_sums(n, q1, q2):
     lam, p = 0.37, 0.21
     I2, Z = PAULIS[0], PAULIS[3]
 
+    def check(S, qubits, kraus):
+        assert np.max(np.abs(apply_channel(rho, S, qubits, n) - _kraus_sum(rho, kraus))) < 1e-12
+
     joint = [math.sqrt(1.0 - lam) * np.eye(2 ** n)]
     joint += [math.sqrt(lam) / 4 * _lift({q1: Pi, q2: Pj}, n) for Pi in PAULIS for Pj in PAULIS]
-    assert np.max(np.abs(joint_depolarize_pair(rho, q1, q2, lam, n)
-                         - _kraus_sum(rho, joint))) < 1e-12
+    check(superop(_noise_kraus(joint_depol(lam))), (q1, q2), joint)
 
-    local = [math.sqrt(1.0 - 0.75 * p) * np.eye(2 ** n)]
-    local += [math.sqrt(p) / 2 * _lift({q1: P}, n) for P in PAULIS[1:]]
-    assert np.max(np.abs(depolarize_qubit(rho, q1, p, n) - _kraus_sum(rho, local))) < 1e-12
+    def on_both(local):
+        return [_lift({q1: A}, n) @ _lift({q2: B}, n) for A in local for B in local]
 
-    dephase = [math.sqrt(1.0 - p) * np.eye(2 ** n), math.sqrt(p) * _lift({q2: Z}, n)]
-    assert np.max(np.abs(dephase_qubit(rho, q2, p, n) - _kraus_sum(rho, dephase))) < 1e-12
+    local = [math.sqrt(1.0 - 0.75 * p) * I2] + [math.sqrt(p) / 2 * P for P in PAULIS[1:]]
+    check(superop(_noise_kraus(local_depol(p))), (q1, q2), on_both(local))
+
+    dephase = [math.sqrt(1.0 - p) * I2, math.sqrt(p) * Z]
+    check(superop(_noise_kraus(local_dephase(p))), (q1, q2), on_both(dephase))
+
+    cz = _lift({q1: np.diag([1.0, 0.0])}, n) + _lift({q1: np.diag([0.0, 1.0]), q2: Z}, n)
+    check(_noisy_csign_superop(joint_depol(0.0)), (q1, q2), [cz])
 
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     U = np.linalg.qr(h)[0]
-    assert np.max(np.abs(conjugate_qubit(rho, U, q2, n)
-                         - _kraus_sum(rho, [_lift({q2: U}, n)]))) < 1e-12
-
-    cz = _lift({q1: np.diag([1.0, 0.0])}, n) + _lift({q1: np.diag([0.0, 1.0]), q2: Z}, n)
-    assert np.max(np.abs(csign_pair(rho, q1, q2, n) - _kraus_sum(rho, [cz]))) < 1e-12
+    check(superop([U]), (q2,), [_lift({q2: U}, n)])
 
     # preparing sigma = sum_k w_k |v_k><v_k|: Kraus terms sqrt(w_k) |v_k><j|
     sigma = 0.5 * (I2 + 0.6 * PAULIS[1] - 0.3 * PAULIS[2] + 0.5 * Z)
     w, v = np.linalg.eigh(sigma)
     prep = [math.sqrt(w[k]) * _lift({q1: np.outer(v[:, k], I2[j])}, n)
             for k in range(2) for j in range(2)]
-    assert np.max(np.abs(prepare_qubit(rho, sigma, q1, n) - _kraus_sum(rho, prep))) < 1e-12
+    check(np.multiply.outer(sigma, np.eye(2)), (q1,), prep)
 
 
 def test_noise_rule_spot_values():
@@ -346,9 +338,6 @@ def test_rescaled_dephasing_matrix():
         [1, t / R, t / R, 1],
     ])
     assert np.max(np.abs(out - expected)) < 1e-12
-
-
-FAMILIES = (joint_depol, local_depol, local_dephase)
 
 
 def _staged_pipeline(u, v, R, n):

@@ -113,6 +113,12 @@ def test_analytic_intersections():
     assert abs(rj - math.sqrt(3) / (2 + math.sqrt(3))) < 1e-6
 
 
+def test_analytic_intersection_refuses_a_family_without_bounds():
+    # the same ValueError as analytic_bound, not a bare KeyError
+    with pytest.raises(ValueError, match="no closed-form bounds for local-dephase"):
+        analytic_intersection("local-dephase")
+
+
 def test_joint_boundary_is_one_over_sqrt2():
     # the root for the state on the tdb1 bound lies within the cube rule's
     # tolerance of the closed form

@@ -6,11 +6,11 @@ integer facets (see ``lp``).  An operator A of the R-scaled space is asked
 in the unit frame, as cube_separable(spaces.rescale2(A, 1 / R)).  Feasible verdicts carry primal certificates
 (convex weights), infeasible ones the violated facet as a separating
 functional.  Quantum separability of two qubits is positivity plus PPT.
-Each criterion has a margin beside its predicate, computed row by row over
-a stack of flattened coefficient matrices (cube_margins, pauli_margins,
-quantum_margins); each predicate holds where margin >= -tol
-(lp.FEASIBILITY_TOL for cubes, POSITIVITY_TOL otherwise), and the threshold
-engine roots margin + tol.
+CRITERIA pairs each criterion with its margin, computed row by row over a
+stack of flattened coefficient matrices (cube_margins, pauli_margins,
+quantum_margins), and the tolerance it is held to (lp.FEASIBILITY_TOL for
+cubes, POSITIVITY_TOL otherwise); slack is margin + tol, >= 0 exactly where
+the criterion holds.  Every predicate and the threshold engine read slack.
 The module also carries the appendix catalog of hand-built LHV
 decompositions.
 """
@@ -31,14 +31,13 @@ __all__ = [
     "BellFunctional",
     "SeparabilityResult",
     "cube_margins",
-    "cube_decide",
     "cube_separable",
-    "pauli_margin",
     "pauli_margins",
     "positive_for_pauli",
-    "quantum_margin",
     "quantum_margins",
     "quantum_separable_2q",
+    "CRITERIA",
+    "slack",
     "certificates_hold",
     "verify_certificate",
     "certificate_to_text",
@@ -94,7 +93,7 @@ class SeparabilityResult:
     feasible: bool
     certificate: LhvCertificate | None = None
     functional: BellFunctional | None = None
-    method: str = "facet"     # "facet" | "mixed": cube_decide's route
+    method: str = "facet"     # "facet" | "mixed": lp.decide_membership's route
 
 
 def _checked(A: PauliCoeffs2Q) -> np.ndarray:
@@ -112,25 +111,17 @@ def cube_margins(B: np.ndarray) -> np.ndarray:
     return lp.facet_margins(B).min(axis=-1)
 
 
-def cube_decide(A: PauliCoeffs2Q) -> lp.Decision:
-    """Cube-separability verdict of A, without certificates.
-
-    One product with the facet table decides every point: feasible iff its
-    least margin is >= -lp.FEASIBILITY_TOL (see lp.decide_membership).
-    """
-    return lp.decide_membership(_checked(A))
-
-
 def cube_separable(A: PauliCoeffs2Q) -> SeparabilityResult:
     """Decide membership of A in the cube-product polytope.
 
-    The verdict is cube_decide's.  Infeasible verdicts carry the integer
+    The verdict is lp.decide_membership's: feasible iff the least facet
+    margin is >= -lp.FEASIBILITY_TOL.  Infeasible verdicts carry the integer
     facet with the least margin as their functional.  Every feasible
     verdict carries the Carathéodory descent's weights on the facet table
     (lp.caratheodory_weights), which reproduce A within lp.FEASIBILITY_TOL.
     """
-    d = cube_decide(A)
-    b = A.coeffs.ravel()
+    b = _checked(A)
+    d = lp.decide_membership(b)
     if not d.feasible:
         y = lp.facet_table()[d.facet]
         return SeparabilityResult(
@@ -148,16 +139,6 @@ def pauli_margins(B: np.ndarray) -> np.ndarray:
     return lp.positivity_values(B).min(axis=-1) / 4.0
 
 
-def pauli_margin(A: PauliCoeffs2Q) -> float:
-    """pauli_margins of the one matrix A."""
-    return float(pauli_margins(_checked(A)))
-
-
-def positive_for_pauli(A: PauliCoeffs2Q) -> bool:
-    """All 36 Pauli-pair Born probabilities nonnegative, within POSITIVITY_TOL."""
-    return pauli_margin(A) >= -POSITIVITY_TOL
-
-
 def quantum_margins(B: np.ndarray) -> np.ndarray:
     """Least eigenvalue of each row's operator of an (N, 16) stack and of its
     partial transpose on the second qubit: one batched eigensolve of the 2N
@@ -173,14 +154,29 @@ def quantum_margins(B: np.ndarray) -> np.ndarray:
     return np.minimum(low[:n], low[n:])
 
 
-def quantum_margin(A: PauliCoeffs2Q) -> float:
-    """quantum_margins of the one matrix A."""
-    return float(quantum_margins(_checked(A).reshape(1, 16))[0])
+# each criterion's stacked margin and the tolerance it is held to
+CRITERIA = {
+    "cube-separable": (cube_margins, lp.FEASIBILITY_TOL),
+    "quantum-separable": (quantum_margins, POSITIVITY_TOL),
+    "pauli-positive": (pauli_margins, POSITIVITY_TOL),
+}
+
+
+def slack(criterion: str, B: np.ndarray) -> np.ndarray:
+    """The criterion's margin plus its tolerance on each row of an (N, 16)
+    stack: >= 0 exactly where the criterion holds."""
+    margins, tol = CRITERIA[criterion]
+    return margins(B) + tol
+
+
+def positive_for_pauli(A: PauliCoeffs2Q) -> bool:
+    """All 36 Pauli-pair Born probabilities nonnegative, within POSITIVITY_TOL."""
+    return bool(slack("pauli-positive", _checked(A)[None])[0] >= 0.0)
 
 
 def quantum_separable_2q(A: PauliCoeffs2Q) -> bool:
     """Two-qubit quantum separability: positive and PPT, within POSITIVITY_TOL."""
-    return quantum_margin(A) >= -POSITIVITY_TOL
+    return bool(slack("quantum-separable", _checked(A)[None])[0] >= 0.0)
 
 
 def certificates_hold(W: np.ndarray, targets: np.ndarray, tol: float,

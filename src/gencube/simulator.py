@@ -35,8 +35,8 @@ import numpy as np
 from .dense import apply_channel, superop
 from . import lp
 from .gates import CLIFFORD_ACTIONS, CLIFFORD_UNITARIES, NoiseModel, pipeline_rows
-from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index, bloch_to_dense
-from .separability import certificates_hold, csign_lhv_weights, cube_decide
+from .pauli import AXES, PAULIS, BlochOp, axis_index, bloch_to_dense
+from .separability import certificates_hold, csign_lhv_weights, slack
 from .spaces import CUBE_SIGNS, VERTEX_PERMS, StateSpaceSpec, contains, vertex_index
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
 
 RNG_NAME = "PCG64"
 DENSE_MAX_QUBITS = 8        # the dense reference holds a 4^n density matrix
+_DRAW_BLOCK = 4096          # shots per block of the initial-state draw
 
 
 @dataclass(frozen=True)
@@ -252,17 +253,18 @@ def _gate_weights(noise: NoiseModel) -> np.ndarray:
     """LHV weights w0 of the gate's output on the all-ones vertex pair: the
     closed-form appendix weights (csign_lhv_weights), clipped at 0.
 
-    The verdict is cube_decide's on that output.  The oracle's rule reads
-    only facet values, which the symmetries moving pair 0 onto the others
-    permute, so the gate is accepted exactly where the oracle accepts each
-    of its 64 pair outputs, margins in [-tol, 0) included, where a leading
-    weight can come out slightly negative.  Row p of the 64 x 64
+    The verdict is the cube slack's on that output, the rule of
+    lp.decide_membership.  The rule reads only facet values, which the
+    symmetries moving pair 0 onto the others permute, so the gate is
+    accepted exactly where the oracle accepts each of its 64 pair outputs,
+    margins in [-tol, 0) included, where a leading weight can come out
+    slightly negative.  Row p of the 64 x 64
     weights, w0 moved onto pair p by _pair_maps, is then rechecked on pair
     p's own output by certificates_hold at lp.FEASIBILITY_TOL, all rows at
     once; a row that fails is refused.
     """
     outputs = _vertex_pair_outputs(noise)
-    if not cube_decide(PauliCoeffs2Q(outputs[0].reshape(4, 4))).feasible:
+    if not slack("cube-separable", outputs[:1])[0] >= 0.0:
         raise CircuitNotSimulableError(
             f"noisy CSIGN ({noise.kind}, {noise.strength}) is not cube-separable "
             "on vertex pair (0, 0)"
@@ -375,10 +377,14 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     rids = circuit.record_ids()
     # unprepared qubits start uniformly random, matching the dense
     # simulator's maximally mixed initial state; one byte per qubit and
-    # shot, one row per qubit.  Narrowed first, so that the transposing
-    # copy moves bytes rather than int64s
-    state = rng.integers(0, 8, size=(shots, circuit.num_qubits),
-                         dtype=np.int64).astype(np.uint8).T.copy()
+    # shot, one row per qubit.  Drawn in blocks of shots, the stream of one
+    # (shots, n) draw, so that no int64 array of every shot is ever held;
+    # each block is narrowed first, so that the transposing copy moves bytes
+    state = np.empty((circuit.num_qubits, shots), dtype=np.uint8)
+    for start in range(0, shots, _DRAW_BLOCK):
+        block = min(_DRAW_BLOCK, shots - start)
+        state[:, start:start + block] = rng.integers(
+            0, 8, size=(block, circuit.num_qubits), dtype=np.int64).astype(np.uint8).T
     records = {rid: np.zeros(shots, dtype=np.int8) for rid in rids}
 
     # rows selects the shots an op acts on: all of them (a slice) or the

@@ -142,8 +142,8 @@ def noise_to_R(kind: str, p: float) -> float:
 class PovmSet:
     """A list of POVMs on a d-dimensional system.
 
-    Each POVM is a tuple of positive operators summing to the identity
-    (both checked to 1e-10).
+    Each POVM is a tuple of finite positive operators summing to the
+    identity (both checked to 1e-10).
     """
 
     povms: tuple
@@ -155,11 +155,13 @@ class PovmSet:
         povms = tuple(tuple(np.asarray(m, dtype=complex) for m in p) for p in self.povms)
         if not povms:
             raise ValueError("a POVM set needs at least one POVM")
-        for p in povms:
+        for i, p in enumerate(povms):
             total = np.zeros((self.dim, self.dim), dtype=complex)
-            for m in p:
+            for j, m in enumerate(p):
                 if m.shape != (self.dim, self.dim):
                     raise ValueError("POVM element dimension mismatch")
+                if not np.isfinite(m).all():
+                    raise ValueError(f"element {j} of POVM {i} has a non-finite entry")
                 if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) < -POVM_TOL:
                     raise ValueError("POVM element not positive")
                 total += m
@@ -180,9 +182,13 @@ class CompatibilityResult:
 
 
 def projective_qubit_povm(axis_vector) -> tuple[np.ndarray, np.ndarray]:
-    """Two-outcome projective qubit measurement along a unit Bloch vector."""
+    """Two-outcome projective qubit measurement along a Bloch vector,
+    normalized first; a zero or non-finite vector is refused."""
     n = np.asarray(axis_vector, dtype=float)
-    n = n / np.linalg.norm(n)
+    norm = np.linalg.norm(n)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"measurement axis must be a nonzero finite vector; got {n}")
+    n = n / norm
     obs = sum(n[k] * PAULIS[k + 1] for k in range(3))
     return ((np.eye(2) + obs) / 2, (np.eye(2) - obs) / 2)
 

@@ -1,14 +1,14 @@
 """Root engine for noise thresholds, tradeoff curves and LHV boundaries.
 
 Thresholds are the minimal noise strengths at which a noisy CSIGN becomes
-separable for the chosen state space.  Each criterion has a margin beside
-its predicate in ``separability`` (the least normalized facet value for
-cubes, the least Pauli-pair Born probability, the least eigenvalue of the
-output and of its partial transpose), and the predicate holds where margin
-+ tol >= 0.  The gate pipeline and every margin run row by row over an
-(N, 16) stack, so a threshold is one Brent root of the least margin + tol
-over a stacked batch of inputs, on the bracket [0, full noise]; the
-LHV-achievability boundaries are roots of the same cube margin in R.
+separable for the chosen state space.  Each criterion's slack in
+``separability`` (its margin plus its tolerance: the least normalized facet
+value for cubes, the least Pauli-pair Born probability, the least
+eigenvalue of the output and of its partial transpose) is >= 0 exactly
+where it holds.  The gate pipeline and every slack run row by row over an
+(N, 16) stack, so a threshold is one Brent root of the least slack over a
+stacked batch of inputs, on the bracket [0, full noise]; the
+LHV-achievability boundaries are roots of the same cube slack in R.
 The sphere-grid inputs lie in the XZ plane, so the PPT margin there runs
 one real symmetric eigensolve (see ``separability.quantum_margins``), and
 because the CSIGN, the noise and the rescaling are symmetric under
@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import lp, separability
+from . import lp
 from .gates import NoiseModel, pipeline_rows
 from .pauli import product_rows
-from .separability import cube_margins, pauli_margins, quantum_margins
+from .separability import CRITERIA, slack
 from .spaces import StateSpaceSpec
 
 __all__ = [
@@ -64,7 +64,7 @@ class ThresholdQuery:
     grid_n: int = 60
 
     def __post_init__(self):
-        if self.criterion not in ("cube-separable", "quantum-separable", "pauli-positive"):
+        if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
         if self.input_policy not in ("worst-vertex", "all-vertices", "sphere-grid"):
             raise ValueError(f"unknown input policy {self.input_policy!r}")
@@ -88,25 +88,15 @@ class DephasingVerdict:
     outcome: str | None = None
 
 
-def _margin_fn(criterion: str):
-    """The criterion's margin plus its tolerance on each row of an (N, 16)
-    stack of outputs: >= 0 exactly where the predicate holds."""
-    if criterion == "cube-separable":
-        return lambda B: cube_margins(B) + lp.FEASIBILITY_TOL
-    if criterion == "quantum-separable":
-        return lambda B: quantum_margins(B) + separability.POSITIVITY_TOL
-    return lambda B: pauli_margins(B) + separability.POSITIVITY_TOL
-
-
-def _root(slack, lo: float, hi: float, holds_at_lo: str, fails_at_hi: str) -> float:
-    """Root of slack on [lo, hi], which must be < 0 at lo and >= 0 at hi."""
+def _root(f, lo: float, hi: float, holds_at_lo: str, fails_at_hi: str) -> float:
+    """Root of f on [lo, hi], which must be < 0 at lo and >= 0 at hi."""
     from scipy.optimize import brentq  # most of the package's import time
 
-    if slack(lo) >= 0.0:
+    if f(lo) >= 0.0:
         raise ThresholdBracketError(holds_at_lo)
-    if slack(hi) < 0.0:
+    if f(hi) < 0.0:
         raise ThresholdBracketError(fails_at_hi)
-    return brentq(slack, lo, hi, xtol=ROOT_XTOL)
+    return brentq(f, lo, hi, xtol=ROOT_XTOL)
 
 
 def _angle_pairs(thetas: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -136,16 +126,17 @@ _ALLONES_ROW = np.ones((1, 16))     # product of the all-ones vertex with itself
 
 def min_noise(q: ThresholdQuery) -> float:
     """Minimal noise strength making the criterion hold for the query inputs:
-    one Brent root of the least margin + tol over a stacked batch of inputs
-    (the all-ones vertex pair, the 64 vertex pairs, or the sphere grid).
+    one Brent root of the criterion's least slack over a stacked batch of
+    inputs (the all-ones vertex pair, the 64 vertex pairs, or the sphere
+    grid).
 
     The sphere grid is folded by the qubit-exchange symmetry: its first root
     runs over the th <= ph rows only (n(n+1)/2 of n^2), whose outputs have
     no odd-Y coefficient and take the real eigensolve of quantum_margins.  The
     binding input then gets a second root over its 21 x 21 refinement cell.
 
-    A cube-separable root sits at margin = -tol, which is where cube_decide
-    starts to accept (lp.decide_membership): the output mixed with white
+    A cube-separable root sits at margin = -tol, which is where
+    lp.decide_membership starts to accept: the output mixed with white
     noise of weight tol / (1 + tol) lies on the polytope's boundary.  The R = 1 cube
     thresholds of joint depol, local depol and dephasing lie 3.3e-10,
     3.5e-10 and 1.8e-10 below their exact values 2/3, 2 - sqrt 2 and
@@ -154,7 +145,6 @@ def min_noise(q: ThresholdQuery) -> float:
     Raises ThresholdBracketError when the criterion already holds at zero
     noise or still fails at full noise.
     """
-    slack_of = _margin_fn(q.criterion)
     R = q.space.R
     # total dephasing is p = 1/2; the depolarizing families top out at 1
     hi = 0.5 if q.noise_family == "local-dephase" else 1.0
@@ -163,7 +153,7 @@ def min_noise(q: ThresholdQuery) -> float:
         return pipeline_rows(P, R, NoiseModel(q.noise_family, p))
 
     def root(P):
-        return _root(lambda p: float(np.min(slack_of(outputs(P, p)))), 0.0, hi,
+        return _root(lambda p: float(np.min(slack(q.criterion, outputs(P, p)))), 0.0, hi,
                      "criterion already holds at zero noise",
                      "criterion still fails at full noise")
 
@@ -182,7 +172,7 @@ def min_noise(q: ThresholdQuery) -> float:
     lam = root(P)
     # refinement: one more root over +-1 grid cell around the input that binds
     # at the first root, at 10x resolution
-    k = int(np.argmin(slack_of(outputs(P, lam))))
+    k = int(np.argmin(slack(q.criterion, outputs(P, lam))))
     step = (math.pi / 2.0) / max(q.grid_n - 1, 1)
     fine = np.linspace(-step, step, 21)
     U, V, _, _ = _angle_pairs(np.clip(th[k] + fine, 0.0, math.pi / 2.0),
@@ -306,20 +296,19 @@ def lhv_achievability_boundary(model_family: str) -> float:
     """Smallest R at which the family's leading analytic bound (xy for
     local, tdb1 for joint depolarization) is LHV-achievable.
 
-    The state sitting on the bound is cube-separable where its cube margin
-    + tol is >= 0; the boundary is the root of that in R on [0.3, 1].  The
+    The state sitting on the bound is cube-separable where its cube slack
+    is >= 0; the boundary is the root of that in R on [0.3, 1].  The
     bound's own positivity facet reads 0 there, so the slack at R = 1 is
     tol > 0 and the root is bracketed.
     """
     bound_name = _BOUNDARY_BOUND[model_family]
-    slack_of = _margin_fn("cube-separable")
 
-    def slack(R):
+    def bound_slack(R):
         r = analytic_bound(model_family, R).value(bound_name)
         out = pipeline_rows(_ALLONES_ROW, R, NoiseModel(model_family, 1.0 - r))
-        return float(np.min(slack_of(out)))
+        return float(np.min(slack("cube-separable", out)))
 
-    return _root(slack, 0.3, 1.0, "bound already achievable at R = 0.3",
+    return _root(bound_slack, 0.3, 1.0, "bound already achievable at R = 0.3",
                  "bound not achievable at R = 1")
 
 

@@ -208,6 +208,17 @@ def test_compat_reports_a_malformed_povm_file(tmp_path, capsys, content, problem
     assert problem in err
 
 
+def test_compat_refuses_a_non_finite_povm_entry(tmp_path, capsys):
+    # JSON's NaN reaches PovmSet, which refuses it before any SVD runs
+    f = tmp_path / "povms.json"
+    f.write_text('{"dim": 2, "povms": [[[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]], '
+                 '[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]]}')
+    code, _ = run_cli(["compat", "--povms", str(f)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: element 0 of POVM 0 has a non-finite "
+                                       "entry\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "--noise", "cosmic-ray", "--space", "cube"])

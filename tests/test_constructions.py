@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gencube import lp
+from gencube import constructions, lp
 from gencube.constructions import (
     MAGIC,
     W_MAGIC,
@@ -20,6 +20,7 @@ from gencube.constructions import (
     vertex_orbit,
 )
 from gencube.dense import partial_trace
+from gencube.gates import csign, pauli_flip
 from gencube.pauli import (
     PAULIS,
     BlochOp,
@@ -244,7 +245,25 @@ def test_error_per_gate_bounds():
     assert rep.w_identity_residual < 1e-12
     assert abs(rep.w_square_identity - 2.0) < 1e-12
     assert rep.upper_feasible_count == 64
-    assert len(rep.upper_certificates) == 64
+
+
+def test_error_per_gate_upper_bound_counts_the_one_arm_mix(monkeypatch):
+    # the stack the cube slack counts is, row by row, the clean output mixed
+    # half and half with its image under Z on the first arm
+    stacks = []
+    slack = constructions.slack
+    monkeypatch.setattr(constructions, "slack",
+                        lambda c, B: stacks.append((c, B.copy())) or slack(c, B))
+    error_per_gate_bounds()
+    [(criterion, dephased)] = stacks
+    assert criterion == "cube-separable"
+    clean = csign(lp.vertex_product_matrix().T)
+    assert dephased.shape == clean.shape == (64, 16)
+    for row, c in zip(dephased, clean):
+        A = PauliCoeffs2Q(c.reshape(4, 4))
+        mix = 0.5 * A.coeffs + 0.5 * pauli_flip(A, 0, 3).coeffs
+        assert np.array_equal(row, mix.ravel())
+        assert np.array_equal(lp.facet_values(row), lp.facet_values(mix.ravel()))
 
 
 def test_bell_cube_certificates():
@@ -312,6 +331,32 @@ def test_separable_ball_radius_lies_on_the_boundary(a, b, seed):
     centre = product(BlochOp(a), BlochOp(b)).coeffs.ravel()
     assert highs_feasible(centre + r * (1 - 1e-6) * d)
     assert not highs_feasible(centre + r * (1 + 1e-6) * d)
+
+
+def _ball_radius_by_direction(a, b, n_directions, seed):
+    """separable_ball_radius as a loop over the directions, one draw and
+    one facet product each."""
+    values = lp.facet_values(product(a, b).coeffs.ravel())
+    rng = np.random.default_rng(seed)
+    radius = 1.0
+    for _ in range(n_directions):
+        d = rng.standard_normal(15)
+        slopes = lp.facet_values(np.concatenate(([0.0], d / np.linalg.norm(d))))
+        approach = slopes < 0.0
+        if approach.any():
+            radius = min(radius, float(np.min(values[approach] / -slopes[approach])))
+    return radius
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_separable_ball_radius_matches_the_loop_over_directions(seed):
+    # the stacked facet product sums in another order: a few ulps apart
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        a, b = (BlochOp(v) for v in rng.uniform(-0.6, 0.6, (2, 3)))
+        for n in (1, 12, 40):
+            ref = _ball_radius_by_direction(a, b, n, seed)
+            assert separable_ball_radius(a, b, n, seed) == pytest.approx(ref, rel=1e-14)
 
 
 def test_vertex_orbit_visits_all():

@@ -30,17 +30,18 @@ from gencube.pauli import (
     to_dense,
 )
 from gencube.separability import (
+    CRITERIA,
     LhvCertificate,
     appendix1_certificates,
     certificate_from_text,
     certificate_to_text,
     csign_lhv_weights,
     cube_separable,
-    pauli_margin,
+    pauli_margins,
     positive_for_pauli,
-    quantum_margin,
     quantum_margins,
     quantum_separable_2q,
+    slack,
     verify_certificate,
     vertex_pair_index,
 )
@@ -182,7 +183,7 @@ def test_pauli_margin_is_the_least_born_probability():
         base = rescale2(A, 1.0 / R)
         ref = min(born_probability(base, p, s, q, t)
                   for p in (1, 2, 3) for q in (1, 2, 3) for s in (1, -1) for t in (1, -1))
-        assert abs(pauli_margin(base) - ref) < 1e-15
+        assert abs(pauli_margins(base.coeffs.reshape(1, 16))[0] - ref) < 1e-15
         assert positive_for_pauli(base) == (ref >= -separability.POSITIVITY_TOL)
 
 
@@ -192,7 +193,7 @@ def test_quantum_margin_is_the_least_eigenvalue_with_its_partial_transpose():
         A = PauliCoeffs2Q(np.r_[1.0, rng.uniform(-1, 1, 15)].reshape(4, 4))
         ref = min(eigenvalues_hermitian(to_dense(A))[0],
                   eigenvalues_hermitian(to_dense(partial_transpose(A)))[0])
-        assert abs(quantum_margin(A) - ref) < 1e-12
+        assert abs(quantum_margins(A.coeffs.reshape(1, 16))[0] - ref) < 1e-12
         assert quantum_separable_2q(A) == (ref >= -1e-9)
 
 
@@ -206,7 +207,7 @@ def test_stacked_quantum_margins_match_the_one_matrix_margin():
     stacked = quantum_margins(B)
     assert stacked.shape == (300,)
     for b, m in zip(B, stacked):
-        assert abs(quantum_margin(PauliCoeffs2Q(b.reshape(4, 4))) - m) < 1e-14
+        assert abs(quantum_margins(b.reshape(1, 16))[0] - m) < 1e-14
 
 
 def _entry_permuted_margins(B):
@@ -546,7 +547,7 @@ def test_band_cut_is_the_white_noise_tolerance(noise, threshold, offset, feasibl
     # feasible iff the least margin f . b / f_0 is >= -tol: an accepted point
     # is weighted within tol, a refused one is infeasible in exact arithmetic
     A = apply_noise(csign(product(ALLONES, ALLONES)), noise(threshold - offset))
-    d = separability.cube_decide(A)
+    d = lp.decide_membership(A.coeffs.ravel())
     assert d.feasible is feasible and d.route == ("mixed" if feasible else "facet")
     assert d.margin == pytest.approx(margin, rel=1e-3)
     res = cube_separable(A)
@@ -844,3 +845,39 @@ def test_facet_table_is_complete_along_random_rays():
         scale = math.lcm(*(x.denominator for x in y))
         assert min(np.array([int(x * scale) for x in y], dtype=object) @ cols) >= 0
         assert sum(yi * bi for yi, bi in zip(y, out)) < 0
+
+
+def test_stacked_cube_slack_is_each_rows_oracle_verdict():
+    assert CRITERIA["cube-separable"][1] == lp.FEASIBILITY_TOL
+    B = np.array(list(_near_cut_points(np.random.default_rng(17), 300)))
+    holds = slack("cube-separable", B) >= 0.0
+    assert 0 < holds.sum() < len(B)
+    assert holds.tolist() == [lp.decide_membership(b).feasible for b in B]
+
+
+def _rows_near_the_positivity_cut(margins, rng, n):
+    """n random normalized rows mixed with white noise until their margin is
+    drawn uniformly from [-2 tol, 0).  Mixing with weight w of I/4 maps every
+    Born probability and every eigenvalue m to (1 - w) m + w / 4."""
+    B = np.column_stack((np.ones(n), rng.uniform(-1, 1, (n, 15))))
+    m = margins(B)
+    target = -2 * separability.POSITIVITY_TOL * rng.random(n)
+    assert (m < target).all()
+    w = ((target - m) / (0.25 - m))[:, None]
+    B = (1 - w) * B + w * np.eye(16)[0]
+    B[:, 0] = 1.0
+    return B
+
+
+@pytest.mark.parametrize("criterion, holds_for", [
+    ("pauli-positive", positive_for_pauli),
+    ("quantum-separable", quantum_separable_2q),
+])
+def test_stacked_slack_is_each_rows_verdict(criterion, holds_for):
+    margins, tol = CRITERIA[criterion]
+    assert tol == separability.POSITIVITY_TOL
+    B = _rows_near_the_positivity_cut(margins, np.random.default_rng(23), 300)
+    assert (margins(B) >= -2.1 * tol).all() and (margins(B) < 0.0).all()
+    holds = slack(criterion, B) >= 0.0
+    assert 0 < holds.sum() < len(B)
+    assert holds.tolist() == [holds_for(PauliCoeffs2Q(b.reshape(4, 4))) for b in B]

@@ -16,7 +16,7 @@ import pytest
 from gencube import lp, separability, simulator
 from gencube.dense import partial_trace, permute_qubits
 from gencube.gates import NoiseModel, pipeline
-from gencube.pauli import PAULIS, BlochOp, PauliCoeffs2Q, axis_index
+from gencube.pauli import PAULIS, BlochOp, axis_index
 from gencube.separability import LhvCertificate, verify_certificate
 from gencube.spaces import VERTEX_PERMS, StateSpaceSpec, contains, cube_vertices
 from gencube.simulator import (
@@ -571,6 +571,37 @@ def test_call_retains_no_memory_without_gc(simulate):
     assert retained < 1_000_000
 
 
+def test_initial_state_is_one_draw_of_the_stream():
+    # the blocked draw is the stream of one (shots, n) draw, and the
+    # preparation after it reads the stream from where that draw ends
+    shots, seed = 10_001, 4     # three blocks, the last one partial
+    c = parse_circuit("qubits 3\nprep 2 0 0 0.2\nmeas 0 Z a\nmeas 1 X b\nmeas 2 Z c\n")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    start = rng.integers(0, 8, size=(shots, 3), dtype=np.int64)
+    prep = rng.random((shots, 3))[:, 2] >= 0.6
+    records = np.column_stack((start[:, 0] & 1, start[:, 1] >> 2 & 1, prep)).astype(int)
+    keys, counts = np.unique(records, axis=0, return_counts=True)
+    expected = {"".join("+-"[b] for b in key): int(n) for key, n in zip(keys, counts)}
+    assert simulate_hn(c, shots, seed).histogram == expected
+
+
+def test_initial_state_draw_peak_memory_tracks_the_byte_state():
+    # 100 qubits x 10^6 shots: the state is 100 MB of bytes; one int64 draw
+    # of every shot would add 800 MB
+    code = ("import resource\n"
+            "from gencube import simulator\n"
+            "c = simulator.parse_circuit('qubits 100\\nmeas 99 Z a\\n')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "simulator.simulate_hn(c, 10 ** 6, seed=1)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) / 1024)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 300, f"peak RSS grew by {proc.stdout.strip()} MB"
+
+
 # ---------------------------------------------------------------------------
 # Gate tables built from the symmetry orbit
 # ---------------------------------------------------------------------------
@@ -683,7 +714,7 @@ def test_accept_set_at_the_band_is_the_oracle_verdict(kind, threshold, side):
     for offset in BAND_OFFSETS:
         noise = NoiseModel(kind, threshold + side * offset)
         outputs = simulator._vertex_pair_outputs(noise)
-        verdict = separability.cube_decide(PauliCoeffs2Q(outputs[0].reshape(4, 4))).feasible
+        verdict = lp.decide_membership(outputs[0]).feasible
         try:
             w0 = simulator._gate_weights(noise)
         except CircuitNotSimulableError:

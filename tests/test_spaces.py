@@ -129,6 +129,25 @@ def test_povm_set_refuses_a_dim_that_is_not_a_positive_integer(dim):
         PovmSet((projective_qubit_povm((0, 0, 1)),), dim)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_povm_set_refuses_a_non_finite_element(bad):
+    # NaN fails no comparison, so it would pass the positivity and sum checks
+    z = projective_qubit_povm((0, 0, 1))
+    with pytest.raises(ValueError, match="element 0 of POVM 1 has a non-finite entry"):
+        PovmSet((z, (np.diag([bad, 1.0]), np.diag([1.0, 0.0]))), dim=2)
+
+
+@pytest.mark.parametrize("axis", [(0, 0, 0), (np.nan, 0, 1), (np.inf, 0, 0)])
+def test_projective_povm_refuses_an_axis_without_a_direction(axis):
+    with pytest.raises(ValueError, match="measurement axis must be a nonzero finite vector"):
+        projective_qubit_povm(axis)
+
+
+def test_projective_povm_normalizes_its_axis():
+    assert all(np.array_equal(a, b) for a, b in zip(projective_qubit_povm((0, 0, 2)),
+                                                    projective_qubit_povm((0, 0, 1))))
+
+
 def test_povm_set_refuses_an_empty_list():
     with pytest.raises(ValueError, match="at least one POVM"):
         PovmSet((), 2)

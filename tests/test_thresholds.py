@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from gencube import lp
 from gencube.gates import NoiseModel, joint_depol, local_dephase, pipeline, pipeline_rows
 from gencube.pauli import (
     BlochOp,
-    PauliCoeffs2Q,
     eigenvalues_hermitian,
     partial_transpose,
     product_rows,
     to_dense,
 )
-from gencube.separability import POSITIVITY_TOL, cube_decide, quantum_margin, quantum_margins
+from gencube.separability import CRITERIA, POSITIVITY_TOL, quantum_margins
 from gencube.spaces import StateSpaceSpec
 from gencube.thresholds import (
     ROOT_XTOL,
@@ -64,7 +64,7 @@ def test_cube_root_is_where_the_oracle_starts_to_accept(family, R):
 
     def verdict(p):
         row = pipeline_rows(np.ones((1, 16)), R, NoiseModel(family, p))
-        return cube_decide(PauliCoeffs2Q(row.reshape(4, 4))).feasible
+        return lp.decide_membership(row[0]).feasible
 
     assert not verdict(lam - 1e-11)
     assert verdict(lam + 1e-11)
@@ -80,10 +80,10 @@ def test_min_noise_bracket_errors(monkeypatch):
     import gencube.thresholds as th
 
     q = ThresholdQuery("joint-depol", CUBE, "cube-separable")
-    monkeypatch.setattr(th, "_margin_fn", lambda c: (lambda A: 1.0))
+    monkeypatch.setattr(th, "slack", lambda c, B: np.ones(len(B)))
     with pytest.raises(ThresholdBracketError, match="already holds"):
         min_noise(q)
-    monkeypatch.setattr(th, "_margin_fn", lambda c: (lambda A: -1.0))
+    monkeypatch.setattr(th, "slack", lambda c, B: -np.ones(len(B)))
     with pytest.raises(ThresholdBracketError, match="still fails"):
         min_noise(q)
 
@@ -97,6 +97,13 @@ def test_analytic_bounds_at_unit_rescaling():
     assert abs(jb.active_value - 1 / 3) < 1e-12
     with pytest.raises(ValueError):
         analytic_bound("local-dephase", 1.0)
+
+
+def test_query_criteria_are_the_separability_table():
+    for criterion in CRITERIA:
+        assert ThresholdQuery("joint-depol", CUBE, criterion).criterion == criterion
+    with pytest.raises(ValueError, match="unknown criterion 'cube'"):
+        ThresholdQuery("joint-depol", CUBE, "cube")
 
 
 def test_analytic_bounds_monotone_xy():
@@ -215,8 +222,9 @@ def _grid_scan_reference(q):
 
     def point_threshold(th, ph, floor):
         u, v = bloch(th), bloch(ph)
-        slack = lambda p: (quantum_margin(pipeline(u, v, R, NoiseModel(q.noise_family, p)))
-                           + POSITIVITY_TOL)
+        slack = lambda p: (quantum_margins(
+            pipeline(u, v, R, NoiseModel(q.noise_family, p)).coeffs.reshape(1, 16))[0]
+            + POSITIVITY_TOL)
         if slack(hi) < 0.0:
             raise ThresholdBracketError("criterion still fails at full noise")
         if slack(floor) >= 0.0:

@@ -431,43 +431,39 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     return SimResult(_histogram([records[rid] for rid in rids], shots), shots, seed)
 
 
-_SYMBOLS = {1: "+", -1: "-", 0: "."}
-# the base-3 digit col + 1 of a record value -1, 0, +1 to its symbol
-_DIGIT_SYMBOLS = str.maketrans("012", "-.+")
-_CODE_SPAN_MAX = 3 ** 38    # one more base-3 digit still fits an int64
+# record value v -> character v + 1 of an outcome string: "." where a
+# record was never written
+_RECORD_CHARS = "-.+"
+_DIGIT_CHARS = str.maketrans("012", _RECORD_CHARS)     # base-3 digit v + 1
+_RECORD_BYTES = np.frombuffer(_RECORD_CHARS.encode(), dtype=np.uint8)
 
 
 def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
     """Counts of the outcome strings of the record columns (+1, -1, or 0
     where a record was never written), sorted by string.
 
-    Each shot's columns are read as one base-3 integer.  While 3^columns
-    <= shots, np.bincount counts the codes and each string is read off its
-    code's digits.  Otherwise np.unique counts them; past 38 columns the
-    codes seen so far are renumbered 0, 1, ... before the next digit, so
-    any number of columns fits an int64.
+    While 3^columns <= shots, each shot's columns are read as one base-3
+    integer, np.bincount counts the codes and each string is read off its
+    code's digits.  Otherwise each shot's string is built at once as a row
+    of symbol bytes, and one np.unique of the rows, viewed as byte strings,
+    counts them in string order.  Either way the cost grows with shots x
+    columns, not with distinct outcomes x columns.
     """
     if not cols:
         return {"": shots}
-    code = np.zeros(shots, dtype=np.int64)
-    span = 1                        # every code lies in [0, span)
-    for col in cols:
-        if span > _CODE_SPAN_MAX:
-            _, code = np.unique(code, return_inverse=True)
-            span = int(code.max()) + 1
-        code *= 3
-        code += col
-        code += 1
-        span *= 3
-    if 3 ** len(cols) <= shots:     # no code was renumbered
+    if 3 ** len(cols) <= shots:
+        code = np.zeros(shots, dtype=np.int64)
+        for col in cols:
+            code *= 3
+            code += col
+            code += 1
         counts = np.bincount(code)
-        hist = {np.base_repr(c, 3).zfill(len(cols)).translate(_DIGIT_SYMBOLS): int(counts[c])
+        hist = {np.base_repr(c, 3).zfill(len(cols)).translate(_DIGIT_CHARS): int(counts[c])
                 for c in np.flatnonzero(counts)}
-    else:
-        _, first, counts = np.unique(code, return_index=True, return_counts=True)
-        hist = {"".join(_SYMBOLS[int(col[i])] for col in cols): int(n)
-                for i, n in zip(first, counts)}
-    return dict(sorted(hist.items()))
+        return dict(sorted(hist.items()))
+    rows = _RECORD_BYTES[np.stack(cols, axis=1) + 1]
+    keys, counts = np.unique(rows.view(f"S{len(cols)}").ravel(), return_counts=True)
+    return {key.decode(): n for key, n in zip(keys.tolist(), counts.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +554,7 @@ def simulate_dense(circuit: Circuit) -> dict:
                 stack.extend(reversed(branches))
                 break
         else:
-            key = "".join(_SYMBOLS[record.get(rid, 0)] for rid in rids)
+            key = "".join(_RECORD_CHARS[record.get(rid, 0) + 1] for rid in rids)
             dist[key] = dist.get(key, 0.0) + float(np.real(np.trace(rho)))
     return dict(sorted(dist.items()))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PAULIS, BlochOp, DenseHermitian, PauliCoeffs2Q
+from .pauli import HERMITICITY_TOL, PAULIS, BlochOp, DenseHermitian, PauliCoeffs2Q
 
 __all__ = [
     "CUBE_SIGNS",
@@ -142,8 +142,8 @@ def noise_to_R(kind: str, p: float) -> float:
 class PovmSet:
     """A list of POVMs on a d-dimensional system.
 
-    Each POVM is a tuple of finite positive operators summing to the
-    identity (both checked to 1e-10).
+    Each POVM is a tuple of finite operators, Hermitian to HERMITICITY_TOL,
+    positive and summing to the identity (both checked to 1e-10).
     """
 
     povms: tuple
@@ -162,7 +162,10 @@ class PovmSet:
                     raise ValueError("POVM element dimension mismatch")
                 if not np.isfinite(m).all():
                     raise ValueError(f"element {j} of POVM {i} has a non-finite entry")
-                if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) < -POVM_TOL:
+                if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+                    raise ValueError(f"element {j} of POVM {i} is not Hermitian "
+                                     f"to {HERMITICITY_TOL:g}")
+                if np.min(np.linalg.eigvalsh(m)) < -POVM_TOL:
                     raise ValueError("POVM element not positive")
                 total += m
             if np.max(np.abs(total - np.eye(self.dim))) > POVM_TOL:

@@ -247,10 +247,8 @@ def analytic_bound(model_family: str, R: float) -> AnalyticBounds:
 def analytic_intersection(model_family: str):
     """Root-find the crossing of the two bounds for R in [0.3, 0.95]; returns (R, r)."""
     fns = _bound_set(model_family)
-    from scipy.optimize import brentq
-
-    diff = lambda R: fns[0][1](R) - fns[1][1](R)
-    R = brentq(diff, 0.3, 0.95, xtol=ROOT_XTOL)
+    R = _root(lambda R: fns[1][1](R) - fns[0][1](R), 0.3, 0.95,
+              "bounds already crossed at R = 0.3", "bounds not crossed by R = 0.95")
     return R, fns[0][1](R)
 
 

@@ -219,6 +219,19 @@ def test_compat_refuses_a_non_finite_povm_entry(tmp_path, capsys):
                                        "entry\n")
 
 
+def test_compat_refuses_a_non_hermitian_povm_element(tmp_path, capsys):
+    # [[0.5, 1], [0, 0.5]] and [[0.5, -1], [0, 0.5]] sum to I, and their
+    # Hermitian parts are positive
+    f = tmp_path / "povms.json"
+    f.write_text('{"dim": 2, "povms": [[[[[0.5, 0], [1, 0]], [[0, 0], [0.5, 0]]], '
+                 '[[[0.5, 0], [-1, 0]], [[0, 0], [0.5, 0]]]]]}')
+    code, out = run_cli(["compat", "--povms", str(f)])
+    assert code == 1
+    assert "compatible" not in out
+    assert capsys.readouterr().err == ("error: element 0 of POVM 0 is not Hermitian "
+                                       "to 1e-12\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "--noise", "cosmic-ray", "--space", "cube"])

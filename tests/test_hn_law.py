@@ -1,0 +1,142 @@
+"""The HN sampler's exact output law (hn_law) against the dense reference,
+and sampled histograms against that law."""
+import math
+
+import numpy as np
+import pytest
+
+from gencube.gates import NoiseModel
+from gencube.pauli import BlochOp
+from gencube.simulator import (
+    Circuit,
+    ClassicalControl,
+    Clifford1,
+    Measure,
+    NoisyCsign,
+    Prepare,
+    parse_circuit,
+    simulate_dense,
+    simulate_hn,
+    tvd,
+)
+
+from circuit_suite import SUITE
+from hn_law import hn_law
+
+# cube-separable strengths, 0.01 inside each family's range: from 2/3,
+# 2 - sqrt(2) and 1 - 1/sqrt(2) up; dephasing at p and 1 - p differ by a Z,
+# so its range ends at 1/sqrt(2)
+SEPARABLE_RANGES = {
+    "joint-depol": (2 / 3 + 0.01, 1.0),
+    "local-depol": (2 - math.sqrt(2) + 0.01, 1.0),
+    "local-dephase": (1 - 1 / math.sqrt(2) + 0.01, 1 / math.sqrt(2) - 0.01),
+}
+
+
+def _assert_law_matches(law: dict, dist: dict) -> None:
+    assert abs(sum(law.values()) - 1.0) <= 1e-12
+    keys = set(law) | set(dist)
+    assert max(abs(law.get(k, 0.0) - dist.get(k, 0.0)) for k in keys) <= 1e-12
+
+
+def _random_prep(rng, q: int) -> Prepare:
+    """An axis eigenstate, a cube direction on the sphere, or a point of the
+    Bloch ball."""
+    r = rng.random()
+    if r < 0.25:
+        b = np.zeros(3)
+        b[rng.integers(3)] = rng.choice((1.0, -1.0))
+    elif r < 0.5:
+        b = rng.choice((1.0, -1.0), size=3) / math.sqrt(3.0)
+    else:
+        b = rng.standard_normal(3)
+        b *= rng.uniform(0.2, 1.0) / np.linalg.norm(b)
+    return Prepare(q, BlochOp(b))
+
+
+def _random_op(rng, n: int, noises: list):
+    kind = rng.integers(4)
+    if kind <= 1:
+        q1, q2 = (int(q) for q in rng.choice(n, 2, replace=False))
+        return NoisyCsign(q1, q2, noises[int(rng.integers(len(noises)))])
+    if kind == 2:
+        return Clifford1(int(rng.integers(n)), str(rng.choice(list("XYZSH"))))
+    return _random_prep(rng, int(rng.integers(n)))
+
+
+def _random_separable_circuit(seed: int) -> Circuit:
+    """A 2-6 qubit adaptive circuit with one cube-separable CSIGN of each
+    family; some qubits are left unprepared.  Record a steers an ifeq and is
+    measured again on the same qubit as b; an ifeq on b measures c, which
+    stays unwritten on the other branch, and d may overwrite a."""
+    rng = np.random.default_rng(2000 + seed)
+    n = 2 + seed % 5
+    noises = [NoiseModel(kind, float(rng.uniform(*lo_hi)))
+              for kind, lo_hi in SEPARABLE_RANGES.items()]
+    ops = [_random_prep(rng, q) for q in range(n) if rng.random() < 0.75]
+    ops += [_random_op(rng, n, noises) for _ in range(6)]
+    q = int(rng.integers(n))
+    ops.append(Measure(q, str(rng.choice(list("XYZ"))), "a"))
+    ops.append(ClassicalControl("a", int(rng.choice((1, -1))), _random_op(rng, n, noises)))
+    ops += [_random_op(rng, n, noises) for _ in range(3)]
+    ops.append(Measure(q, str(rng.choice(list("XYZ"))), "b"))
+    ops.append(ClassicalControl("b", int(rng.choice((1, -1))),
+                                Measure(int(rng.integers(n)), str(rng.choice(list("XYZ"))), "c")))
+    ops += [_random_op(rng, n, noises) for _ in range(3)]
+    ops.append(Measure(int(rng.integers(n)), str(rng.choice(list("XYZ"))),
+                       str(rng.choice(["a", "d"]))))
+    return Circuit(n, tuple(ops))
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_hn_law_equals_dense_on_the_suite(name):
+    c = parse_circuit(SUITE[name])
+    _assert_law_matches(hn_law(c), simulate_dense(c))
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_hn_law_equals_dense_on_random_circuits(seed):
+    c = _random_separable_circuit(seed)
+    _assert_law_matches(hn_law(c), simulate_dense(c))
+
+
+def test_random_circuits_cover_every_case():
+    circuits = [_random_separable_circuit(seed) for seed in range(32)]
+    assert {c.num_qubits for c in circuits} == {2, 3, 4, 5, 6}
+    laws = [hn_law(c) for c in circuits[:10]]
+    # an unwritten record, a record overwritten, and an unprepared qubit
+    assert any("." in k for law in laws for k in law)
+    assert any(len(c.record_ids()) == 3 for c in circuits)
+    assert any(len({op.qubit for op in c.ops if isinstance(op, Prepare)}) < c.num_qubits
+               for c in circuits)
+
+
+def test_sampled_histogram_fits_the_law_beyond_the_sphere():
+    # cube vertices and a cube point outside the Bloch sphere, which the dense
+    # reference refuses, and a qubit measured three times; the bench's bound
+    # 3 sqrt(K / shots) fails a correct sampler with probability below
+    # exp(-13 K)
+    text = """
+qubits 3
+prep 0 1 1 1
+prep 1 -1 1 -1
+prep 2 0.9 -0.9 0.5
+csign 0 1 joint-depol 0.7
+csign 1 2 local-dephase 0.4
+meas 0 Y a
+ifeq a -1 clif 1 H
+csign 2 0 local-depol 0.65
+meas 1 X b
+meas 1 X e
+meas 1 Z f
+meas 2 Z c
+meas 0 X d
+"""
+    c = parse_circuit(text)
+    with pytest.raises(ValueError, match="quantum preparations"):
+        simulate_dense(c)
+    law = hn_law(c)
+    shots = 200_000
+    hist = simulate_hn(c, shots, seed=4).histogram
+    assert set(hist) <= set(law)
+    assert tvd(hist, law) <= 3.0 * math.sqrt(len(law) / shots)

@@ -263,6 +263,46 @@ def test_histogram_pinned_on_every_op_kind():
     assert digest == "48654c43caaf596e9a3b2d6cb3c4201b4f657b173587cca6df29956097a8f182"
 
 
+# 12 measured records on 3 qubits, one of them written only where a0 reads
+# -1, so 3^12 > 20 000 shots and the histogram counts byte strings
+WIDE_RECORDS_CIRCUIT = """
+qubits 3
+prep 0 1 0 0
+prep 1 0 0 1
+prep 2 0.6 0 0.8
+csign 0 1 joint-depol 0.8
+meas 0 X a0
+meas 1 Z a1
+ifeq a0 -1 meas 2 Y a2
+csign 1 2 local-depol 0.7
+clif 0 H
+meas 0 Z a3
+csign 2 0 local-dephase 0.4
+meas 2 X a4
+meas 1 X a5
+prep 1 0 1 0
+csign 0 1 joint-depol 0.8
+meas 0 Y a6
+meas 1 Y a7
+ifeq a6 +1 clif 2 S
+meas 2 Y a8
+meas 2 Z a9
+meas 0 X b0
+meas 1 Z b1
+"""
+
+
+def test_histogram_pinned_on_many_records():
+    # digest captured before the byte-string count replaced the renumbered
+    # base-3 codes
+    c = parse_circuit(WIDE_RECORDS_CIRCUIT)
+    assert 3 ** len(c.record_ids()) > 20_000
+    hist = simulate_hn(c, 20_000, 3).histogram
+    assert any("." in key for key in hist)
+    digest = hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest()
+    assert digest == "07e0b6eb9afe5b753b698413194a7b33745a2c7cb9b8cff7464a60861cc1829c"
+
+
 def test_histogram_shape_and_symbols():
     c = parse_circuit(SUITE["bell_like_joint"])
     res = simulate_hn(c, 2000, seed=7)
@@ -870,10 +910,13 @@ def test_lookup_matches_per_pair_searchsorted(source):
         assert any((t.guide < 0).any() for t in tables)
 
 
-@pytest.mark.parametrize("ncols", [0, 1, 4, 9, 12, 45])
-def test_histogram_matches_row_unique(ncols):
+# the bincount branch counts while 3^ncols <= shots; 3^9 and 3^9 - 1 shots
+# sit on either side of the switch
+@pytest.mark.parametrize("ncols, shots", [
+    pytest.param(n, 30_000, id=str(n)) for n in (0, 1, 4, 9, 12, 45)
+] + [pytest.param(9, 3 ** 9, id="9-at-3^9"), pytest.param(9, 3 ** 9 - 1, id="9-below-3^9")])
+def test_histogram_matches_row_unique(ncols, shots):
     rng = np.random.default_rng(ncols)
-    shots = 30_000
     cols = []
     for k in range(ncols):
         col = rng.choice([1, -1, 0], size=shots, p=[0.45, 0.45, 0.1]).astype(np.int64)
@@ -881,8 +924,8 @@ def test_histogram_matches_row_unique(ncols):
             col[:] = 0          # a record no shot wrote
         cols.append(col)
     if ncols >= 42:
-        # two shots whose first 42 base-3 digits read 2^64 and 0: a code
-        # that overflowed an int64 would merge them
+        # two shots whose first 42 base-3 digits read 2^64 and 0: a count of
+        # the rows as base-3 codes in an int64 would wrap and merge them
         x, digits = 2 ** 64, []
         for _ in range(42):
             x, d = divmod(x, 3)

@@ -137,6 +137,19 @@ def test_povm_set_refuses_a_non_finite_element(bad):
         PovmSet((z, (np.diag([bad, 1.0]), np.diag([1.0, 0.0]))), dim=2)
 
 
+def test_povm_set_refuses_a_non_hermitian_element():
+    # the Hermitian parts are I/2 +- X/2, a projective POVM, so a check of
+    # the Hermitian part alone passes this pair
+    a = np.array([[0.5, 1.0], [0.0, 0.5]])
+    b = np.array([[0.5, -1.0], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="element 0 of POVM 1 is not Hermitian to 1e-12"):
+        PovmSet((projective_qubit_povm((0, 0, 1)), (a, b)), dim=2)
+    # within HERMITICITY_TOL of Hermitian still passes
+    c = np.array([[0.5, 0.5 + 5e-13], [0.5, 0.5]])
+    d = np.array([[0.5, -0.5 - 5e-13], [-0.5, 0.5]])
+    assert PovmSet(((c, d),), dim=2).outcome_count == 2
+
+
 @pytest.mark.parametrize("axis", [(0, 0, 0), (np.nan, 0, 1), (np.inf, 0, 0)])
 def test_projective_povm_refuses_an_axis_without_a_direction(axis):
     with pytest.raises(ValueError, match="measurement axis must be a nonzero finite vector"):

@@ -120,6 +120,12 @@ def test_analytic_intersections():
     assert abs(rj - math.sqrt(3) / (2 + math.sqrt(3))) < 1e-6
 
 
+def test_analytic_intersections_are_pinned():
+    # the crossings as Brent finds them through _root, to the last bit
+    assert analytic_intersection("local-depol")[0] == 0.520072913415584
+    assert analytic_intersection("joint-depol")[0] == 0.5773502691896217
+
+
 def test_analytic_intersection_refuses_a_family_without_bounds():
     # the same ValueError as analytic_bound, not a bare KeyError
     with pytest.raises(ValueError, match="no closed-form bounds for local-dephase"):

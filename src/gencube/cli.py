@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import constructions, lp, separability, simulator, thresholds
-from .gates import NoiseModel, pipeline
+from .gates import NOISE_FAMILIES, NoiseModel, pipeline
 from .pauli import BlochOp, eigenvalues_hermitian, partial_transpose, to_dense
 from .spaces import PovmSet, StateSpaceSpec, operator_compatible, qubit_xyz_povms
 
@@ -69,9 +69,7 @@ def _verify_appendix1(out) -> bool:
     ok_all = True
     results = {}
     for item in items:
-        good = item.valid and separability.verify_certificate(
-            item.certificate, item.target, 1.0, 1e-12
-        )
+        good = item.valid and separability.verify_certificate(item.certificate, item.target)
         key = item.name.split(":")[0].rstrip("ab")
         results.setdefault(key, True)
         results[key] &= good
@@ -124,7 +122,7 @@ def _verify_bell(out) -> bool:
     ok = True
     for which in ("phi+", "phi-", "psi+", "psi-"):
         target, cert = constructions.bell_cube_certificate(which)
-        good = separability.verify_certificate(cert, target, 1.0, 1e-12)
+        good = separability.verify_certificate(cert, target)
         ok &= _report(out, f"Bell {which} cube certificate", good)
     return ok
 
@@ -227,17 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    noise_choices = ("joint-depol", "local-depol", "local-dephase")
-
     p = sub.add_parser("threshold", help="minimal noise for separability at one R")
-    p.add_argument("--noise", required=True, choices=noise_choices)
+    p.add_argument("--noise", required=True, choices=NOISE_FAMILIES)
     p.add_argument("--space", required=True, choices=("cube", "sphere"))
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--precision", type=int, default=6)
     p.set_defaults(fn=_cmd_threshold)
 
     p = sub.add_parser("curve", help="threshold as a function of R (CSV)")
-    p.add_argument("--noise", required=True, choices=noise_choices)
+    p.add_argument("--noise", required=True, choices=NOISE_FAMILIES)
     p.add_argument("--space", required=True, choices=("cube", "sphere"))
     p.add_argument("--r-min", dest="r_min", type=float, required=True)
     p.add_argument("--r-max", dest="r_max", type=float, required=True)

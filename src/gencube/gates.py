@@ -17,6 +17,7 @@ from .spaces import frame_scale
 __all__ = [
     "CLIFFORD_UNITARIES",
     "CLIFFORD_ACTIONS",
+    "NOISE_FAMILIES",
     "NoiseModel",
     "joint_depol",
     "local_depol",
@@ -47,19 +48,21 @@ for _action in CLIFFORD_ACTIONS.values():
     _action.setflags(write=False)
 
 
+NOISE_FAMILIES = ("joint-depol", "local-depol", "local-dephase")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """A noise channel attached to the CSIGN gate.
 
-    kind is one of "joint-depol", "local-depol", "local-dephase"; strength
-    is the probability parameter.
+    kind is one of NOISE_FAMILIES; strength is the probability parameter.
     """
 
     kind: str
     strength: float
 
     def __post_init__(self):
-        if self.kind not in ("joint-depol", "local-depol", "local-dephase"):
+        if self.kind not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError("noise strength must lie in [0, 1]")

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .pauli import product_rows
-from .spaces import CUBE_SIGNS, CUBE_SYMMETRIES, frame_scale
+from .spaces import CUBE_SIGNS, CUBE_SYMMETRIES
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -61,11 +61,9 @@ _S = CUBE_SIGNS.astype(float)
 _VMAT_UNIT = np.ascontiguousarray(product_rows(np.repeat(_S, 8, axis=0), np.tile(_S, (8, 1))).T)
 
 
-def vertex_product_matrix(R: float = 1.0) -> np.ndarray:
-    """16 x 64 matrix whose columns are products of R-scaled cube vertices."""
-    if R == 1.0:
-        return _VMAT_UNIT
-    return _VMAT_UNIT * frame_scale(R)[:, None]
+def vertex_product_matrix() -> np.ndarray:
+    """16 x 64 matrix whose columns are the products of unit cube vertices."""
+    return _VMAT_UNIT
 
 
 def exact_vertex_columns() -> list[list[Fraction]]:

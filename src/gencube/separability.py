@@ -24,7 +24,7 @@ import numpy as np
 from . import lp
 from .gates import NoiseModel, joint_depol, local_depol, local_dephase, pipeline
 from .pauli import ODD_Y, PT_SIGNS, BlochOp, PauliCoeffs2Q, dense_rows, dense_rows_real
-from .spaces import VERTEX_PERMS, vertex_index
+from .spaces import VERTEX_PERMS, frame_scale, vertex_index
 
 __all__ = [
     "LhvCertificate",
@@ -179,12 +179,11 @@ def quantum_separable_2q(A: PauliCoeffs2Q) -> bool:
     return bool(slack("quantum-separable", _checked(A)[None])[0] >= 0.0)
 
 
-def certificates_hold(W: np.ndarray, targets: np.ndarray, tol: float,
-                      R: float = 1.0) -> np.ndarray:
-    """Row k: whether weights W[k] over the 64 vertex products certify the
-    flattened coefficient row targets[k]: weights >= -1e-12 that sum to one
-    within 1e-9 and rebuild the row within tol."""
-    resid = np.abs(W @ lp.vertex_product_matrix(R).T - targets).max(axis=1)
+def certificates_hold(W: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
+    """Row k: whether weights W[k] over the 64 unit vertex products certify
+    the flattened unit-frame coefficient row targets[k]: weights >= -1e-12
+    that sum to one within 1e-9 and rebuild the row within tol."""
+    resid = np.abs(W @ lp.vertex_product_matrix().T - targets).max(axis=1)
     return (W.min(axis=1) >= -1e-12) & (np.abs(W.sum(axis=1) - 1.0) <= 1e-9) & (resid <= tol)
 
 
@@ -193,10 +192,14 @@ def verify_certificate(cert: LhvCertificate, A: PauliCoeffs2Q, R: float = 1.0,
     """Independent recheck of a primal certificate.
 
     Recomputes the convex combination directly from the vertex products
-    (no LP involved), with the conditions of certificates_hold.
+    (no LP involved), with the conditions of certificates_hold, in the unit
+    frame: an operator A of the R-scaled space is checked as
+    A / frame_scale(R), which at R = 1 is A itself.  tol defaults to the
+    certificate's own tolerance_used.
     """
     tol = cert.tolerance_used if tol is None else tol
-    return bool(certificates_hold(cert.weights[None], A.coeffs.reshape(1, 16), tol, R)[0])
+    b = A.coeffs.reshape(1, 16) / frame_scale(R)
+    return bool(certificates_hold(cert.weights[None], b, tol)[0])
 
 
 def certificate_to_text(cert: LhvCertificate) -> str:
@@ -298,8 +301,16 @@ _W_ROW_ONES = _weights(((1, 1, 1), (1, 1, 1), 0.5), ((-1, -1, -1), (1, 1, 1), 0.
 _W_COL_ONES = _weights(((1, 1, 1), (1, 1, 1), 0.5), ((1, 1, 1), (-1, -1, -1), 0.5))
 
 
-def _target_from_weights(w: np.ndarray) -> PauliCoeffs2Q:
-    return PauliCoeffs2Q((lp.vertex_product_matrix() @ w).reshape(4, 4))
+# items 1-5b: each target is the one its weights rebuild, except item 4's,
+# which is the noisy all-ones CSIGN output under the noise given
+_FIXED_ITEMS = (
+    ("1: interior all-ones block", _W_ITEM1, None),
+    ("2: XX=YY=1, XY=YX=-1 block", _W_ITEM2, None),
+    ("3: XY=YX=-1 block", _W_ITEM3, None),
+    ("4: joint-depolarized CSIGN output at lambda=2/3", _W_ITEM4, joint_depol(2.0 / 3.0)),
+    ("5a: I/Z rows of ones", _W_ITEM5A, None),
+    ("5b: I/Z columns of ones", _W_ITEM5B, None),
+)
 
 
 def _noisy_allones_output(noise: NoiseModel) -> PauliCoeffs2Q:
@@ -318,84 +329,61 @@ class Appendix1Item:
 
 def appendix1_certificates(dephase_p: float | None = None,
                            depol_p: float | None = None) -> list[Appendix1Item]:
-    """The seven appendix LHV decompositions, expanded to 64-vertex weights.
+    """The seven appendix LHV decompositions, expanded to 64-vertex weights,
+    each with the target it certifies and tolerance 1e-12.
 
-    Items 6 and 7 are parameterized by the dephasing / local-depolarizing
-    probability; outside their validity inequality the decomposition
-    acquires a negative weight and is returned flagged invalid rather than
-    raising.  Defaults sit exactly at the two thresholds.
+    Items 1-5b are _FIXED_ITEMS.  Items 6 and 7 are the locally dephased
+    and locally depolarized all-ones CSIGN outputs, at t = 1 - 2p and
+    t = 1 - p; their weights are led by 1 - 2t - t^2.  Where that head is
+    below -1e-12, or p leaves the item's range ([0, 1/2] for item 6), a
+    weight is negative and the item is returned flagged invalid, with the
+    reason, rather than raising.  Defaults sit exactly at the two
+    thresholds.
     """
     if dephase_p is None:
         dephase_p = 1.0 - 1.0 / math.sqrt(2.0)
     if depol_p is None:
         depol_p = 2.0 - math.sqrt(2.0)
 
-    items: list[Appendix1Item] = []
-
-    def fixed(name, w):
-        items.append(
-            Appendix1Item(name, _target_from_weights(w), LhvCertificate(w, 1e-12), True)
-        )
-
-    fixed("1: interior all-ones block", _W_ITEM1)
-    fixed("2: XX=YY=1, XY=YX=-1 block", _W_ITEM2)
-    fixed("3: XY=YX=-1 block", _W_ITEM3)
-
-    items.append(
-        Appendix1Item(
-            "4: joint-depolarized CSIGN output at lambda=2/3",
-            _noisy_allones_output(joint_depol(2.0 / 3.0)),
-            LhvCertificate(_W_ITEM4, 1e-12),
-            True,
-        )
-    )
-
-    fixed("5a: I/Z rows of ones", _W_ITEM5A)
-    fixed("5b: I/Z columns of ones", _W_ITEM5B)
-
-    # item 6: locally dephased CSIGN output
-    head6, w6 = _item6(1.0 - 2.0 * dephase_p)
-    valid6 = head6 >= -1e-12 and 0.0 <= dephase_p <= 0.5
-    items.append(
-        Appendix1Item(
-            f"6: locally dephased CSIGN output at p={dephase_p:.6f}",
-            _noisy_allones_output(local_dephase(dephase_p)),
-            LhvCertificate(w6, 1e-12),
-            valid6,
-            None if valid6 else f"requires 1-2(1-2p)-(1-2p)^2 >= 0; got {head6:.3e}",
-        )
-    )
-
-    # item 7: locally depolarized CSIGN output
-    head7, w7 = _item7(1.0 - depol_p)
-    valid7 = head7 >= -1e-12
-    items.append(
-        Appendix1Item(
-            f"7: locally depolarized CSIGN output at p={depol_p:.6f}",
-            _noisy_allones_output(local_depol(depol_p)),
-            LhvCertificate(w7, 1e-12),
-            valid7,
-            None if valid7 else f"requires 1-2(1-p)-(1-p)^2 >= 0; got {head7:.3e}",
-        )
-    )
+    items = [Appendix1Item(name, _noisy_allones_output(noise) if noise is not None else
+                           PauliCoeffs2Q((lp.vertex_product_matrix() @ w).reshape(4, 4)),
+                           LhvCertificate(w, 1e-12), True)
+             for name, w, noise in _FIXED_ITEMS]
+    for name, noise, weights, t, law, (lo, hi) in (
+        ("6: locally dephased", local_dephase(dephase_p), _item6, 1.0 - 2.0 * dephase_p,
+         "1-2p", (0.0, 0.5)),
+        ("7: locally depolarized", local_depol(depol_p), _item7, 1.0 - depol_p,
+         "1-p", (0.0, 1.0)),
+    ):
+        p, head = noise.strength, _head(t)
+        valid = head >= -1e-12 and lo <= p <= hi
+        items.append(Appendix1Item(
+            f"{name} CSIGN output at p={p:.6f}",
+            _noisy_allones_output(noise),
+            LhvCertificate(weights(t), 1e-12),
+            valid,
+            None if valid else f"requires 1-2({law})-({law})^2 >= 0; got {head:.3e}",
+        ))
     return items
 
 
-def _item6(t: float) -> tuple[float, np.ndarray]:
-    """Item 6, the locally dephased all-ones CSIGN output at t = 1 - 2p: its
-    leading coefficient, negative outside the validity inequality, and its
-    weights."""
-    head = 1.0 - 2.0 * t - t * t
-    return head, head * _W_CORNERS + t * (_W_ITEM5A + _W_ITEM5B) + t * t * _W_ITEM2_PINNED
+def _head(t: float) -> float:
+    """The leading coefficient 1 - 2t - t^2 of items 6 and 7: where it is
+    negative, so is a weight."""
+    return 1.0 - 2.0 * t - t * t
 
 
-def _item7(u: float) -> tuple[float, np.ndarray]:
-    """Item 7, the locally depolarized all-ones CSIGN output at u = 1 - p:
-    its leading coefficient, negative outside the validity inequality, and
-    its weights."""
-    head = 1.0 - 2.0 * u - u * u
-    return head, (head * _W_MIXED + (u - u * u) * (_W_ROW_ONES + _W_COL_ONES)
-                  + 3.0 * u * u * _W_ITEM4)
+def _item6(t: float) -> np.ndarray:
+    """Weights of item 6, the locally dephased all-ones CSIGN output at
+    t = 1 - 2p."""
+    return _head(t) * _W_CORNERS + t * (_W_ITEM5A + _W_ITEM5B) + t * t * _W_ITEM2_PINNED
+
+
+def _item7(u: float) -> np.ndarray:
+    """Weights of item 7, the locally depolarized all-ones CSIGN output at
+    u = 1 - p."""
+    return (_head(u) * _W_MIXED + (u - u * u) * (_W_ROW_ONES + _W_COL_ONES)
+            + 3.0 * u * u * _W_ITEM4)
 
 
 # Z on both qubits flips the x and y signs of both vertices: the sign flip
@@ -419,6 +407,6 @@ def csign_lhv_weights(noise: NoiseModel) -> np.ndarray:
         t = 3.0 * (1.0 - noise.strength)
         return t * _W_ITEM4 + (1.0 - t) * _W_MIXED
     if noise.kind == "local-depol":
-        return _item7(1.0 - noise.strength)[1]
+        return _item7(1.0 - noise.strength)
     t = 1.0 - 2.0 * noise.strength     # local-dephase
-    return _item6(t)[1] if t >= 0.0 else _item6(-t)[1][_ZZ_PAIRS]
+    return _item6(t) if t >= 0.0 else _item6(-t)[_ZZ_PAIRS]

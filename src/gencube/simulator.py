@@ -444,9 +444,10 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
 
     While 3^columns <= shots, each shot's columns are read as one base-3
     integer, np.bincount counts the codes and each string is read off its
-    code's digits.  Otherwise each shot's string is built at once as a row
-    of symbol bytes, and one np.unique of the rows, viewed as byte strings,
-    counts them in string order.  Either way the cost grows with shots x
+    code's digits.  Otherwise each shot's string is one row of a (shots,
+    columns) array of symbol bytes, filled column by column; its rows,
+    viewed as byte strings, are sorted in place and counted from the starts
+    of their runs, in string order.  Either way the cost grows with shots x
     columns, not with distinct outcomes x columns.
     """
     if not cols:
@@ -461,9 +462,14 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
         hist = {np.base_repr(c, 3).zfill(len(cols)).translate(_DIGIT_CHARS): int(counts[c])
                 for c in np.flatnonzero(counts)}
         return dict(sorted(hist.items()))
-    rows = _RECORD_BYTES[np.stack(cols, axis=1) + 1]
-    keys, counts = np.unique(rows.view(f"S{len(cols)}").ravel(), return_counts=True)
-    return {key.decode(): n for key, n in zip(keys.tolist(), counts.tolist())}
+    rows = np.empty((shots, len(cols)), dtype=np.uint8)
+    for j, col in enumerate(cols):
+        np.take(_RECORD_BYTES, col + 1, out=rows[:, j])
+    keys = rows.view(f"S{len(cols)}").ravel()
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    counts = np.diff(starts, append=shots)
+    return {keys[i].decode(): n for i, n in zip(starts.tolist(), counts.tolist())}
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ __all__ = [
     "CUBE_SYMMETRIES",
     "VERTEX_PERMS",
     "vertex_index",
+    "check_R",
     "StateSpaceSpec",
     "PovmSet",
     "CompatibilityResult",
@@ -66,6 +67,12 @@ for _table in (CUBE_SIGNS, CUBE_SYMMETRIES, VERTEX_PERMS):
     _table.setflags(write=False)
 
 
+def check_R(R: float, name: str = "rescaling factor R") -> None:
+    """The domain of a rescaling factor: R must be positive and finite."""
+    if not 0.0 < R < np.inf:
+        raise ValueError(f"{name} must be positive and finite; got {R}")
+
+
 @dataclass(frozen=True)
 class StateSpaceSpec:
     """Which single-particle state space is in force: Cube(R) or Sphere(R)."""
@@ -76,8 +83,7 @@ class StateSpaceSpec:
     def __post_init__(self):
         if self.kind not in ("cube", "sphere"):
             raise ValueError(f"unknown state space kind {self.kind!r}")
-        if not self.R > 0:
-            raise ValueError("rescaling factor R must be positive")
+        check_R(self.R)
 
     @classmethod
     def cube(cls, R: float = 1.0) -> "StateSpaceSpec":
@@ -104,16 +110,14 @@ def contains(space: StateSpaceSpec, a: BlochOp) -> bool:
 
 def rescale(a: BlochOp, R: float) -> BlochOp:
     """Multiply the Bloch (traceless) part by R; invertible for R > 0."""
-    if not R > 0:
-        raise ValueError("rescaling factor R must be positive")
+    check_R(R)
     return BlochOp(a.bloch * R, a.trace_coeff)
 
 
 def frame_scale(R: float) -> np.ndarray:
     """The two-sided rescaling as factors on the 16 flattened coefficients:
     outer((1, R, R, R), (1, R, R, R))."""
-    if not R > 0:
-        raise ValueError("rescaling factor R must be positive")
+    check_R(R)
     f = np.array([1.0, R, R, R])
     return (f[:, None] * f).ravel()
 

@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lp
-from .gates import NoiseModel, pipeline_rows
+from .gates import NOISE_FAMILIES, NoiseModel, pipeline_rows
 from .pauli import product_rows
 from .separability import CRITERIA, slack
-from .spaces import StateSpaceSpec
+from .spaces import StateSpaceSpec, check_R
 
 __all__ = [
     "ROOT_XTOL",
@@ -57,13 +57,15 @@ class ThresholdBracketError(RuntimeError):
 class ThresholdQuery:
     """A threshold question: which noise family, space, criterion, inputs."""
 
-    noise_family: str        # "joint-depol" | "local-depol" | "local-dephase"
+    noise_family: str        # one of gates.NOISE_FAMILIES
     space: StateSpaceSpec
     criterion: str           # "cube-separable" | "quantum-separable" | "pauli-positive"
     input_policy: str = "worst-vertex"  # | "all-vertices" | "sphere-grid"
     grid_n: int = 60
 
     def __post_init__(self):
+        if self.noise_family not in NOISE_FAMILIES:
+            raise ValueError(f"unknown noise family {self.noise_family!r}")
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
         if self.input_policy not in ("worst-vertex", "all-vertices", "sphere-grid"):
@@ -217,6 +219,8 @@ def _bound_tdb2(R: float) -> float:
     return math.inf if d <= 0 else 1.0 / d
 
 
+# each family's bounds; the first is the one lhv_achievability_boundary
+# puts the state on
 _BOUND_SETS = {
     "local-depol": (("xy", _bound_xy), ("xz", _bound_xz)),
     "joint-depol": (("tdb1", _bound_tdb1), ("tdb2", _bound_tdb2)),
@@ -236,8 +240,7 @@ def analytic_bound(model_family: str, R: float) -> AnalyticBounds:
     Bounds cap the residual coefficient scale r (noise = 1 - r); the active
     bound is the minimum.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
+    check_R(R)
     fns = _bound_set(model_family)
     values = tuple((name, fn(R)) for name, fn in fns)
     active = min(values, key=lambda nv: nv[1])[0]
@@ -266,8 +269,8 @@ def curve(q: ThresholdQuery, R_min: float, R_max: float, steps: int) -> list[Cur
 
     Bracket failures at individual R values are recorded as NaN gaps.
     """
-    if not R_min > 0:
-        raise ValueError("R_min must be positive")
+    check_R(R_min, "R_min")
+    check_R(R_max, "R_max")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     points = []
@@ -287,23 +290,20 @@ def curve_to_csv(points: list[CurvePoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_BOUNDARY_BOUND = {"local-depol": "xy", "joint-depol": "tdb1"}
-
-
 def lhv_achievability_boundary(model_family: str) -> float:
-    """Smallest R at which the family's leading analytic bound (xy for
-    local, tdb1 for joint depolarization) is LHV-achievable.
+    """Smallest R at which the family's leading analytic bound (the first
+    of its _BOUND_SETS row: xy for local, tdb1 for joint depolarization) is
+    LHV-achievable.
 
     The state sitting on the bound is cube-separable where its cube slack
     is >= 0; the boundary is the root of that in R on [0.3, 1].  The
     bound's own positivity facet reads 0 there, so the slack at R = 1 is
     tol > 0 and the root is bracketed.
     """
-    bound_name = _BOUNDARY_BOUND[model_family]
+    bound = _bound_set(model_family)[0][1]
 
     def bound_slack(R):
-        r = analytic_bound(model_family, R).value(bound_name)
-        out = pipeline_rows(_ALLONES_ROW, R, NoiseModel(model_family, 1.0 - r))
+        out = pipeline_rows(_ALLONES_ROW, R, NoiseModel(model_family, 1.0 - bound(R)))
         return float(np.min(slack("cube-separable", out)))
 
     return _root(bound_slack, 0.3, 1.0, "bound already achievable at R = 0.3",
@@ -317,8 +317,7 @@ def dephasing_impossibility(R: float, p: float) -> DephasingVerdict:
     (1-2p)(1/R - R)/4 as a Z(x)X outcome pair (cubes) or an eigenvalue pair
     (spheres); one of them is negative whenever R != 1 and p != 1/2.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
+    check_R(R)
     if not 0.0 <= p <= 0.5:
         raise ValueError("dephasing probability must lie in [0, 1/2]")
     a = (1.0 - 2.0 * p) * (R - 1.0 / R) / 4.0

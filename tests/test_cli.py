@@ -67,6 +67,21 @@ def test_curve_rejects_fewer_than_one_step(tmp_path, capsys, steps):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["threshold", "--noise", "joint-depol", "--space", "cube", "--R", "inf"],
+     "error: rescaling factor R must be positive and finite; got inf"),
+    (["threshold", "--noise", "joint-depol", "--space", "sphere", "--R", "inf"],
+     "error: rescaling factor R must be positive and finite; got inf"),
+    (["curve", "--noise", "joint-depol", "--space", "cube", "--r-min", "0.5",
+      "--r-max", "inf", "--steps", "3"],
+     "error: R_max must be positive and finite; got inf"),
+], ids=["cube", "sphere", "curve"])
+def test_an_infinite_R_is_refused(capsys, argv, refusal):
+    code, _ = run_cli(argv)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [refusal]
+
+
 def test_verify_subcommands_pass():
     for which in ("appendix1", "appendix2", "bell", "epg-bounds", "orbit", "appendix3"):
         code, out = run_cli(["verify", which])

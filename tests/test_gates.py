@@ -8,6 +8,7 @@ from gencube import gates
 from gencube.gates import (
     CLIFFORD_ACTIONS,
     CLIFFORD_UNITARIES,
+    NOISE_FAMILIES,
     NoiseModel,
     apply_noise,
     clifford1,
@@ -205,6 +206,18 @@ def test_noise_model_validation():
         NoiseModel("brownian", 0.5)
     with pytest.raises(ValueError):
         NoiseModel("error-per-gate", 0.5)
+
+
+def test_noise_families_are_what_the_model_and_the_cli_accept():
+    from gencube.cli import build_parser
+
+    parser = build_parser()
+    for kind in NOISE_FAMILIES:
+        assert NoiseModel(kind, 0.5).kind == kind
+        args = parser.parse_args(["threshold", "--noise", kind, "--space", "cube"])
+        assert args.noise == kind
+    with pytest.raises(SystemExit):
+        parser.parse_args(["threshold", "--noise", "brownian", "--space", "cube"])
 
 
 def test_clifford_footnote_cycle():

@@ -76,3 +76,74 @@ def test_the_scan_sees_every_form():
     ]
     # a module's own names are its own
     assert foreign_private_uses("from .pauli import _PP2\n", "pauli") == []
+
+
+# The dense reference is the independent check of the HN sampler: it reads
+# no name of the coefficient or sampler side
+DENSE_FUNCTIONS = ("simulate_dense", "_noise_kraus", "_noisy_csign_superop")
+SAMPLER_SIDE = {"noise_scale_matrix", "conjugation_matrix", "csign", "CLIFFORD_ACTIONS",
+                "_CLIFFORD_PERMS", "_pair_maps", "csign_lhv_weights", "slack",
+                "certificates_hold", "lp"}
+SAMPLER_PREFIXES = ("pipeline", "_gate_")
+
+
+def package_imports(source: str) -> list[str]:
+    """Every import of the package or of one of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "gencube"):
+            found.append(f"line {node.lineno}: from {'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] == "gencube"]
+    return found
+
+
+def sampler_names(source: str, functions) -> list[str]:
+    """Every name or attribute of the sampler side read in the bodies of the
+    given top-level functions."""
+    found = []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in functions:
+            for node in ast.walk(fn):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name in SAMPLER_SIDE or (name or "").startswith(SAMPLER_PREFIXES):
+                    found.append(f"{fn.name}, line {node.lineno}: {name}")
+    return found
+
+
+def test_dense_module_imports_nothing_from_the_package():
+    assert package_imports((PACKAGE / "dense.py").read_text()) == []
+
+
+def test_dense_reference_reads_nothing_of_the_sampler_side():
+    source = (PACKAGE / "simulator.py").read_text()
+    defined = {fn.name for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
+    assert set(DENSE_FUNCTIONS) <= defined
+    assert sampler_names(source, DENSE_FUNCTIONS) == []
+
+
+def test_the_dense_scans_see_every_form():
+    assert package_imports("import numpy as np\nfrom .pauli import PAULIS\n"
+                           "from . import lp\nimport gencube.gates\n"
+                           "from gencube import simulator\n") == [
+        "line 2: from .pauli", "line 3: from .", "line 4: import gencube.gates",
+        "line 5: from gencube",
+    ]
+    source = (
+        "def simulate_dense(c):\n"
+        "    csigns = {}\n"
+        "    return lp.vertex_product_matrix(), pipeline_rows(c), gates.CLIFFORD_ACTIONS\n"
+        "def _noise_kraus(n):\n"
+        "    return _gate_table(slack)\n"
+        "def other():\n"
+        "    return csign\n"
+    )
+    # csigns is not csign, and other() is not a dense function
+    assert sorted(sampler_names(source, DENSE_FUNCTIONS)) == [
+        "_noise_kraus, line 5: _gate_table", "_noise_kraus, line 5: slack",
+        "simulate_dense, line 3: CLIFFORD_ACTIONS", "simulate_dense, line 3: lp",
+        "simulate_dense, line 3: pipeline_rows",
+    ]

@@ -71,6 +71,20 @@ def test_vertex_product_has_unit_weight_certificate():
     assert verify_certificate(LhvCertificate(w, 1e-12), A, tol=1e-12)
 
 
+def test_certificate_of_a_rescaled_operator_is_checked_in_the_unit_frame():
+    # the vertex product of the R-scaled space, A rescaled by R, carries A's
+    # weights when asked at R, and only then
+    u = BlochOp(np.array([1.0, -1.0, 1.0]))
+    v = BlochOp(np.array([-1.0, -1.0, 1.0]))
+    w = np.zeros(64)
+    w[vertex_pair_index(u.bloch, v.bloch)] = 1.0
+    cert = LhvCertificate(w, 1e-12)
+    scaled = rescale2(product(u, v), 1.3)
+    assert verify_certificate(cert, scaled, 1.3)
+    assert not verify_certificate(cert, scaled)
+    assert not verify_certificate(cert, product(u, v), 1.3)
+
+
 def test_noiseless_csign_output_infeasible_with_functional():
     A = csign(product(ALLONES, ALLONES))
     assert not positive_for_pauli(A)

@@ -10,6 +10,7 @@ from gencube.spaces import (
     StateSpaceSpec,
     contains,
     cube_vertices,
+    frame_scale,
     noise_to_R,
     operator_compatible,
     projective_qubit_povm,
@@ -80,6 +81,15 @@ def test_space_spec_validation():
         StateSpaceSpec.cube(0.0)
     with pytest.raises(ValueError):
         StateSpaceSpec("octahedron", 1.0)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, np.inf, -np.inf, np.nan])
+def test_every_reader_of_R_refuses_it_outside_the_positive_finite_reals(R):
+    a = BlochOp(np.array([1.0, 0.0, 0.0]))
+    for refuse in (lambda: StateSpaceSpec.cube(R), lambda: StateSpaceSpec.sphere(R),
+                   lambda: frame_scale(R), lambda: rescale(a, R)):
+        with pytest.raises(ValueError, match="rescaling factor R must be positive and finite"):
+            refuse()
 
 
 def test_rescale():

@@ -132,6 +132,36 @@ def test_analytic_intersection_refuses_a_family_without_bounds():
         analytic_intersection("local-dephase")
 
 
+def test_boundary_refuses_a_family_without_bounds():
+    # the same ValueError as analytic_bound, not a bare KeyError
+    with pytest.raises(ValueError, match="no closed-form bounds for local-dephase"):
+        lhv_achievability_boundary("local-dephase")
+
+
+def test_boundaries_are_pinned():
+    # the roots on each family's first bound, to the last bit
+    assert lhv_achievability_boundary("local-depol") == 0.544933386189242
+    assert lhv_achievability_boundary("joint-depol") == 0.707106780582994
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
+def test_threshold_readers_of_R_refuse_it_outside_the_positive_finite_reals(R):
+    with pytest.raises(ValueError, match="R must be positive and finite"):
+        analytic_bound("local-depol", R)
+    with pytest.raises(ValueError, match="R must be positive and finite"):
+        dephasing_impossibility(R, 0.1)
+    q = ThresholdQuery("joint-depol", CUBE, "cube-separable")
+    with pytest.raises(ValueError, match="R_min must be positive and finite"):
+        curve(q, R, 1.0, 3)
+    with pytest.raises(ValueError, match="R_max must be positive and finite"):
+        curve(q, 0.5, R, 3)
+
+
+def test_query_refuses_an_unknown_noise_family():
+    with pytest.raises(ValueError, match="unknown noise family 'bogus'"):
+        ThresholdQuery("bogus", CUBE, "cube-separable")
+
+
 def test_joint_boundary_is_one_over_sqrt2():
     # the root for the state on the tdb1 bound lies within the cube rule's
     # tolerance of the closed form

@@ -7,14 +7,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import constructions, lp, separability, simulator, thresholds
-from .gates import NOISE_FAMILIES, NoiseModel, pipeline
-from .pauli import BlochOp, eigenvalues_hermitian, partial_transpose, to_dense
+from .gates import NOISE_FAMILIES
 from .spaces import PovmSet, StateSpaceSpec, operator_compatible, qubit_xyz_povms
 
 
@@ -58,118 +56,26 @@ def _cmd_curve(args, out) -> int:
     return 0
 
 
-def _report(out, name: str, ok: bool, detail: str = "") -> bool:
-    status = "PASS" if ok else "FAIL"
-    print(f"[{status}] {name}{(' ' + detail) if detail else ''}", file=out)
-    return ok
-
-
-def _verify_appendix1(out) -> bool:
-    items = separability.appendix1_certificates()
-    ok_all = True
-    results = {}
-    for item in items:
-        good = item.valid and separability.verify_certificate(item.certificate, item.target)
-        key = item.name.split(":")[0].rstrip("ab")
-        results.setdefault(key, True)
-        results[key] &= good
-    for key in sorted(results, key=int):
-        ok_all &= _report(out, f"appendix certificate {key}", results[key])
-    return ok_all
-
-
-def _verify_appendix2(out) -> bool:
-    rep = constructions.appendix2_checks()
-    ok = True
-    ok &= _report(out, "stated vertex probability equals -1/2",
-                  rep.stated_probability == -0.5, f"got {rep.stated_probability!r}")
-    ok &= _report(out, "witnesses found for all over-unit vectors",
-                  rep.over_unit_violations == rep.over_unit_trials,
-                  f"{rep.over_unit_violations}/{rep.over_unit_trials}")
-    ok &= _report(out, "no witnesses for unit-ball vectors",
-                  rep.unit_ball_violations == 0,
-                  f"{rep.unit_ball_violations}/{rep.unit_ball_trials}")
-    return ok
-
-
-def _verify_appendix3(out) -> bool:
-    rng = np.random.default_rng(99)
-    ok = True
-    for trial in range(5):
-        th, ph = rng.uniform(0, math.pi / 2, 2)
-        R = rng.uniform(0.8, 1.6)
-        noise = NoiseModel("joint-depol", rng.uniform(0.1, 0.9))
-
-        def out_at(theta, phi):
-            u = BlochOp(np.array([math.cos(theta), 0.0, math.sin(theta)]))
-            v = BlochOp(np.array([math.cos(phi), 0.0, math.sin(phi)]))
-            return pipeline(u, v, R, noise)
-
-        a = out_at(th, ph)
-        b = out_at(th + math.pi, ph)
-        spec_match = np.allclose(
-            eigenvalues_hermitian(to_dense(a)), eigenvalues_hermitian(to_dense(b)), atol=1e-10
-        ) and np.allclose(
-            eigenvalues_hermitian(to_dense(partial_transpose(a))),
-            eigenvalues_hermitian(to_dense(partial_transpose(b))),
-            atol=1e-10,
-        )
-        ok &= _report(out, f"theta -> theta+pi spectrum invariance (trial {trial})", spec_match)
-    return ok
-
-
-def _verify_bell(out) -> bool:
-    ok = True
-    for which in ("phi+", "phi-", "psi+", "psi-"):
-        target, cert = constructions.bell_cube_certificate(which)
-        good = separability.verify_certificate(cert, target)
-        ok &= _report(out, f"Bell {which} cube certificate", good)
-    return ok
-
-
-def _verify_lemma8(out) -> bool:
-    rep, _ = constructions.find_lemma8_params()
-    if rep is None:
-        return _report(out, "lemma8 parameter search", False, "no candidate met PT/marginal checks")
-    ok = True
-    for label, passed, detail in rep.checks():
-        ok &= _report(out, label, passed, detail)
-    return ok
-
-
-def _verify_epg(out) -> bool:
-    rep = constructions.error_per_gate_bounds()
-    ok = True
-    ok &= _report(out, "lower bound equals 1/5 exactly", rep.lower == 0.2)
-    ok &= _report(out, "magic identity residual < 1e-12", rep.w_identity_residual < 1e-12,
-                  f"{rep.w_identity_residual:.2e}")
-    ok &= _report(out, "w^2+(w-1)^2 = 2", abs(rep.w_square_identity - 2.0) < 1e-12)
-    ok &= _report(out, "50% one-arm dephasing feasible on all 64 vertices",
-                  rep.upper_feasible_count == 64, f"{rep.upper_feasible_count}/64")
-    return ok
-
-
-def _verify_orbit(out) -> bool:
-    orbit = constructions.vertex_orbit()
-    distinct = len(set(orbit)) == 8 and len(orbit) == 8
-    return _report(out, "X/Y/S cycle visits all 8 vertices", distinct, f"{orbit}")
-
-
+# each bundle's (label, passed, detail) rows, stated beside the quantities
+# they check
 _VERIFIERS = {
-    "appendix1": _verify_appendix1,
-    "appendix2": _verify_appendix2,
-    "appendix3": _verify_appendix3,
-    "bell": _verify_bell,
-    "lemma8": _verify_lemma8,
-    "epg-bounds": _verify_epg,
-    "orbit": _verify_orbit,
+    "appendix1": separability.appendix1_checks,
+    "appendix2": lambda: constructions.appendix2_checks().checks(),
+    "appendix3": constructions.appendix3_checks,
+    "bell": constructions.bell_checks,
+    "lemma8": constructions.lemma8_checks,
+    "epg-bounds": lambda: constructions.error_per_gate_bounds().checks(),
+    "orbit": constructions.orbit_checks,
 }
 
 
 def _cmd_verify(args, out) -> int:
     _tolerance_banner(out)
-    ok = _VERIFIERS[args.which](out)
-    return 0 if ok else 1
+    rows = _VERIFIERS[args.which]()
+    for label, passed, detail in rows:
+        print(f"[{'PASS' if passed else 'FAIL'}] {label}{' ' + detail if detail else ''}",
+              file=out)
+    return 0 if all(passed for _, passed, _ in rows) else 1
 
 
 def _cmd_simulate(args, out) -> int:

@@ -1,7 +1,9 @@
 """Bespoke constructions: the magic-basis Choi-Jamiolkowski channel, the
 error-per-gate bounds, the Bell-state certificate, the impossibility
-arguments for state spaces beyond the Bloch sphere, and a numeric probe of
-the separable ball around non-Pauli product states.
+arguments for state spaces beyond the Bloch sphere, and the exact radius of
+the separable ball around non-Pauli product states.  Each verification
+bundle states its pass criteria here, beside the quantities it checks, as
+(label, passed, detail) rows: a report's checks() or a *_checks() function.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import lp
 from .dense import partial_trace, partial_transpose_qubits, permute_qubits
-from .gates import clifford1, csign
+from .gates import NoiseModel, clifford1, csign, pipeline_rows
 from .pauli import (
     PAULIS,
     PT_SIGNS,
@@ -28,7 +30,8 @@ from .pauli import (
     product,
     product_rows,
 )
-from .separability import LhvCertificate, pauli_margins, slack, vertex_pair_index
+from .separability import (LhvCertificate, pauli_margins, slack, verify_certificate,
+                           vertex_pair_index)
 from .spaces import CUBE_SIGNS
 
 __all__ = [
@@ -42,14 +45,18 @@ __all__ = [
     "lemma8_report",
     "lemma8_noise_window",
     "find_lemma8_params",
+    "lemma8_checks",
     "EpgBounds",
     "error_per_gate_bounds",
     "bell_cube_certificate",
+    "bell_checks",
     "BELL_CONSTRAINTS",
     "Appendix2Report",
     "appendix2_checks",
+    "appendix3_checks",
     "separable_ball_radius",
     "vertex_orbit",
+    "orbit_checks",
 ]
 
 W_MAGIC = (math.sqrt(3.0) + 1.0) / 2.0
@@ -305,6 +312,16 @@ def find_lemma8_params(alphas=(0.998, 0.995, 0.999, 0.99, 0.9995),
     return best, searched
 
 
+def lemma8_checks() -> tuple:
+    """The rows of the report find_lemma8_params returns on its default
+    grid, or one failing row when no candidate met the PT and marginal
+    checks."""
+    rep, _ = find_lemma8_params()
+    if rep is None:
+        return (("lemma8 parameter search", False, "no candidate met PT/marginal checks"),)
+    return rep.checks()
+
+
 # ---------------------------------------------------------------------------
 # Error-per-gate bounds
 # ---------------------------------------------------------------------------
@@ -317,6 +334,17 @@ class EpgBounds:
     w_identity_residual: float
     w_square_identity: float            # w^2 + (w-1)^2 (should be 2)
     upper_feasible_count: int           # of 64 vertex inputs
+
+    def checks(self) -> tuple:
+        """Both bounds' criteria as (label, passed, detail) rows."""
+        return (
+            ("lower bound equals 1/5 exactly", self.lower == 0.2, ""),
+            ("magic identity residual < 1e-12", self.w_identity_residual < 1e-12,
+             f"{self.w_identity_residual:.2e}"),
+            ("w^2+(w-1)^2 = 2", abs(self.w_square_identity - 2.0) < 1e-12, ""),
+            ("50% one-arm dephasing feasible on all 64 vertices",
+             self.upper_feasible_count == 64, f"{self.upper_feasible_count}/64"),
+        )
 
 
 def error_per_gate_bounds() -> EpgBounds:
@@ -371,6 +399,16 @@ def bell_cube_certificate(which: str = "phi+") -> tuple[PauliCoeffs2Q, LhvCertif
     return PauliCoeffs2Q(target), LhvCertificate(w, 1e-12)
 
 
+def bell_checks() -> tuple:
+    """Each Bell state's certificate, rechecked on its target, as a
+    (label, passed, detail) row."""
+    rows = []
+    for which in BELL_CONSTRAINTS:
+        target, cert = bell_cube_certificate(which)
+        rows.append((f"Bell {which} cube certificate", verify_certificate(cert, target), ""))
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # Impossibility arguments (state spaces beyond the Bloch sphere)
 # ---------------------------------------------------------------------------
@@ -383,6 +421,18 @@ class Appendix2Report:
     over_unit_violations: int
     unit_ball_trials: int
     unit_ball_violations: int
+
+    def checks(self) -> tuple:
+        """Both arguments' criteria as (label, passed, detail) rows."""
+        return (
+            ("stated vertex probability equals -1/2", self.stated_probability == -0.5,
+             f"got {self.stated_probability!r}"),
+            ("witnesses found for all over-unit vectors",
+             self.over_unit_violations == self.over_unit_trials,
+             f"{self.over_unit_violations}/{self.over_unit_trials}"),
+            ("no witnesses for unit-ball vectors", self.unit_ball_violations == 0,
+             f"{self.unit_ball_violations}/{self.unit_ball_trials}"),
+        )
 
 
 def appendix2_checks(n_samples: int = 1000, seed: int = 2024) -> Appendix2Report:
@@ -411,30 +461,47 @@ def appendix2_checks(n_samples: int = 1000, seed: int = 2024) -> Appendix2Report
     return Appendix2Report(stated, n_samples, over_viol, n_samples, inside_viol)
 
 
+def appendix3_checks() -> tuple:
+    """Appendix 3's symmetry as (label, passed, detail) rows, one per
+    seeded trial (angles, R and a joint-depolarizing strength): turning the
+    first input of the noisy CSIGN by pi in the x-z plane, theta ->
+    theta + pi, leaves the spectra of its output and of the output's
+    partial transpose unchanged (atol 1e-10)."""
+    rng = np.random.default_rng(99)
+    rows = []
+    for trial in range(5):
+        th, ph = rng.uniform(0, math.pi / 2, 2)
+        R = rng.uniform(0.8, 1.6)
+        noise = NoiseModel("joint-depol", rng.uniform(0.1, 0.9))
+        # first inputs at theta and theta + pi, second at phi, all in the x-z plane
+        xz = np.array([[math.cos(t), 0.0, math.sin(t)] for t in (th, th + math.pi, ph, ph)])
+        outs = pipeline_rows(product_rows(xz[:2], xz[2:]), R, noise)
+        spec = np.linalg.eigvalsh(dense_rows(np.concatenate((outs, outs * PT_SIGNS))))
+        rows.append((f"theta -> theta+pi spectrum invariance (trial {trial})",
+                     np.allclose(spec[0::2], spec[1::2], atol=1e-10), ""))
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
-# Separable ball probe (numeric stand-in for the ball-existence lemma)
+# Separable ball (the ball-existence lemma)
 # ---------------------------------------------------------------------------
 
 
-def separable_ball_radius(a: BlochOp, b: BlochOp, n_directions: int = 12,
-                          seed: int = 7) -> float:
-    """Largest perturbation (min over random directions, capped at 1)
-    keeping the product of two states cube-separable.
+def separable_ball_radius(a: BlochOp, b: BlochOp) -> float:
+    """Radius, capped at 1, of the largest ball in the 15-dimensional
+    non-identity coefficient space around the product of two states that
+    stays cube-separable.
 
-    Directions are random unit vectors in the 15-dimensional non-identity
-    coefficient space.  Facet values are linear along a ray c + s d, so the
-    ray leaves the polytope at the least -f.c / f.d over the facets it
-    approaches (f.d < 0).  Centers on a cube face report radius 0.
+    A perturbation d leaves the identity coefficient alone, so facet f
+    holds on the whole ball of radius r around c iff f.c >= r |f_1:|, f_1:
+    being f without its identity entry.  The radius is the least
+    f.c / |f_1:| over the 684 facets, reached along -f_1: of the least.
+    Centers outside the polytope, or on its boundary like the cube-face
+    states, report 0.
     """
     values = lp.facet_values(product(a, b).coeffs.ravel())
-    if values.min() < 0.0:
-        return 0.0  # the center itself lies outside
-    D = np.random.default_rng(seed).standard_normal((n_directions, 15))
-    D /= np.linalg.norm(D, axis=1, keepdims=True)
-    slopes = lp.facet_values(np.column_stack((np.zeros(n_directions), D)))
-    approach = slopes < 0.0
-    exits = np.broadcast_to(values, slopes.shape)[approach] / -slopes[approach]
-    return float(exits.min(initial=_MAX_BALL_RADIUS))
+    norms = np.linalg.norm(lp.facet_table()[:, 1:], axis=1)
+    return float(np.clip((values / norms).min(), 0.0, _MAX_BALL_RADIUS))
 
 
 def vertex_orbit() -> list[tuple[int, int, int]]:
@@ -446,3 +513,10 @@ def vertex_orbit() -> list[tuple[int, int, int]]:
         state = clifford1(state, g)
         orbit.append(tuple(int(x) for x in state.bloch))
     return orbit
+
+
+def orbit_checks() -> tuple:
+    """The vertex orbit's criterion as one (label, passed, detail) row."""
+    orbit = vertex_orbit()
+    return (("X/Y/S cycle visits all 8 vertices", len(set(orbit)) == len(orbit) == 8,
+             f"{orbit}"),)

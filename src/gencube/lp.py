@@ -59,10 +59,11 @@ FEASIBILITY_TOL = 1e-9      # white-noise weight a feasible point may need; boun
 _S = CUBE_SIGNS.astype(float)
 # 16 x 64: column 8i + j is the product of vertices i and j, kept in C order
 _VMAT_UNIT = np.ascontiguousarray(product_rows(np.repeat(_S, 8, axis=0), np.tile(_S, (8, 1))).T)
+_VMAT_UNIT.setflags(write=False)
 
 
 def vertex_product_matrix() -> np.ndarray:
-    """16 x 64 matrix whose columns are the products of unit cube vertices."""
+    """16 x 64 read-only matrix whose columns are the products of unit cube vertices."""
     return _VMAT_UNIT
 
 
@@ -201,9 +202,8 @@ def caratheodory_weights(b: np.ndarray) -> np.ndarray:
     The descent keeps the vertices of a face that holds x, all 64 at the
     start.  While they are affinely dependent, the one with the largest
     v . x takes weight t / (1 + t) of the mass left, and x moves to the exit
-    x + t (x - v) of the ray from v through x (as in
-    constructions.separable_ball_radius), over the facets that do not hold
-    v; every vertex off a facet the step reaches (ratio equal to t) is
+    x + t (x - v) of the ray from v through x, over the facets that do not
+    hold v; every vertex off a facet the step reaches (ratio equal to t) is
     dropped.  The face left is a proper face of the last, so there are at
     most 15 steps and at most 16 vertices enter.  An affinely independent
     set is solved by least squares; when no facet exits, x is v and the

@@ -227,15 +227,15 @@ def bloch_from_dense(rho) -> BlochOp:
 def born_probability(A: PauliCoeffs2Q, p_axis, s: int, q_axis, t: int) -> float:
     """Probability of outcomes (s, t) when measuring Pauli p (x) q.
 
-    Returns (1/4)(A_00 + s A_p0 + t A_0q + s t A_pq); may be negative for
-    operators outside the valid state set (callers check).
+    Returns the float (1/4)(A_00 + s A_p0 + t A_0q + s t A_pq); may be
+    negative for operators outside the valid state set (callers check).
     """
     p = axis_index(p_axis)
     q = axis_index(q_axis)
     if s not in (1, -1) or t not in (1, -1):
         raise ValueError("outcomes must be +1 or -1")
     c = A.coeffs
-    return 0.25 * (c[0, 0] + s * c[p, 0] + t * c[0, q] + s * t * c[p, q])
+    return float(0.25 * (c[0, 0] + s * c[p, 0] + t * c[0, q] + s * t * c[p, q]))
 
 
 def single_born(a: BlochOp, axis, outcome: int) -> float:
@@ -243,7 +243,7 @@ def single_born(a: BlochOp, axis, outcome: int) -> float:
     k = axis_index(axis)
     if outcome not in (1, -1):
         raise ValueError("outcome must be +1 or -1")
-    return (a.trace_coeff + outcome * a.bloch[k - 1]) / 2.0
+    return float((a.trace_coeff + outcome * a.bloch[k - 1]) / 2.0)
 
 
 def partial_transpose(A: PauliCoeffs2Q) -> PauliCoeffs2Q:

@@ -44,6 +44,7 @@ __all__ = [
     "certificate_from_text",
     "Appendix1Item",
     "appendix1_certificates",
+    "appendix1_checks",
     "csign_lhv_weights",
     "vertex_pair_index",
 ]
@@ -365,6 +366,18 @@ def appendix1_certificates(dephase_p: float | None = None,
             None if valid else f"requires 1-2({law})-({law})^2 >= 0; got {head:.3e}",
         ))
     return items
+
+
+def appendix1_checks() -> tuple:
+    """The appendix decompositions at their defaults as (label, passed,
+    detail) rows, one per item number (5a and 5b share row 5): each item
+    valid, its certificate rebuilding its target."""
+    held = {}
+    for item in appendix1_certificates():
+        key = item.name.split(":")[0].rstrip("ab")
+        held[key] = held.get(key, True) and item.valid and verify_certificate(
+            item.certificate, item.target)
+    return tuple((f"appendix certificate {key}", ok, "") for key, ok in held.items())
 
 
 def _head(t: float) -> float:

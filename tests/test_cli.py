@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gencube.cli import main
+from gencube import cli
+from gencube.cli import build_parser, main
 
 from circuit_suite import SUITE
 
@@ -94,6 +96,52 @@ def test_verify_appendix1_has_seven_lines():
     code, out = run_cli(["verify", "appendix1"])
     assert code == 0
     assert sum(1 for line in out.splitlines() if line.startswith("[PASS]")) == 7
+
+
+# every bundle's row labels, in order; the details are free
+VERIFY_LABELS = {
+    "appendix1": [f"appendix certificate {k}" for k in range(1, 8)],
+    "appendix2": ["stated vertex probability equals -1/2",
+                  "witnesses found for all over-unit vectors",
+                  "no witnesses for unit-ball vectors"],
+    "appendix3": [f"theta -> theta+pi spectrum invariance (trial {k})" for k in range(5)],
+    "bell": [f"Bell {w} cube certificate" for w in ("phi+", "phi-", "psi+", "psi-")],
+    "lemma8": ["CJ marginal is I/4", "output non-PPT for (|T>+|Tbar>)/sqrt2 input",
+               "CJ non-PPT across input:output split", "CJ non-PPT across A:B split",
+               "all 64 vertex outputs cube-separable"],
+    "epg-bounds": ["lower bound equals 1/5 exactly", "magic identity residual < 1e-12",
+                   "w^2+(w-1)^2 = 2", "50% one-arm dephasing feasible on all 64 vertices"],
+    "orbit": ["X/Y/S cycle visits all 8 vertices"],
+}
+
+
+def test_verify_choices_are_the_bundles():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    [which] = [a for a in sub.choices["verify"]._actions if a.dest == "which"]
+    assert list(which.choices) == sorted(cli._VERIFIERS) == sorted(VERIFY_LABELS)
+
+
+@pytest.mark.parametrize("which", sorted(VERIFY_LABELS))
+def test_verify_prints_each_label_once_in_order(which):
+    code, out = run_cli(["verify", which])
+    lines = out.splitlines()
+    assert code == 0 and lines[0].startswith("tolerances:")
+    assert len(lines) == 1 + len(VERIFY_LABELS[which])
+    for line, label in zip(lines[1:], VERIFY_LABELS[which]):
+        assert line == f"[PASS] {label}" or line.startswith(f"[PASS] {label} "), line
+
+
+def test_verify_appendix2_prints_the_probability_as_a_float():
+    _, out = run_cli(["verify", "appendix2"])
+    assert "[PASS] stated vertex probability equals -1/2 got -0.5" in out.splitlines()
+
+
+def test_verify_exits_1_on_a_failing_row(monkeypatch):
+    monkeypatch.setitem(cli._VERIFIERS, "orbit",
+                        lambda: (("first", True, ""), ("second", False, "why"), ("third", True, "")))
+    code, out = run_cli(["verify", "orbit"])
+    assert code == 1
+    assert out.splitlines()[1:] == ["[PASS] first", "[FAIL] second why", "[PASS] third"]
 
 
 def test_verify_lemma8_reports_known_red():

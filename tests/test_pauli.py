@@ -113,6 +113,13 @@ def test_born_probability_appendix_vertex_choice():
     assert born_probability(out, "X", 1, "X", -1) == -0.5
 
 
+def test_born_probabilities_are_python_floats():
+    # a numpy scalar would print as np.float64(...) in reports
+    out = product(BlochOp(np.array([1.0, 1.0, 1.0])), BlochOp(np.array([1.0, 1.0, -1.0])))
+    assert type(born_probability(out, "X", 1, "X", -1)) is float
+    assert type(single_born(BlochOp(np.array([0.6, 0.0, 0.8])), "Z", -1)) is float
+
+
 def test_born_probability_maximally_mixed():
     z = BlochOp(np.zeros(3))
     A = product(z, z)

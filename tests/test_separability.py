@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -333,6 +334,18 @@ def test_appendix1_all_verify():
         assert verify_certificate(item.certificate, item.target, tol=1e-12), item.name
 
 
+def test_appendix1_rows_join_5a_and_5b(monkeypatch):
+    rows = separability.appendix1_checks()
+    assert [label for label, _, _ in rows] == [f"appendix certificate {k}" for k in range(1, 8)]
+    assert all(passed is True and detail == "" for _, passed, detail in rows)
+    # an invalid 5b fails row 5 alone
+    items = appendix1_certificates()
+    items[5] = dataclasses.replace(items[5], valid=False)
+    monkeypatch.setattr(separability, "appendix1_certificates", lambda: items)
+    assert [passed for _, passed, _ in separability.appendix1_checks()] == [
+        True, True, True, True, False, True, True]
+
+
 def test_appendix1_item1_matches_display():
     items = appendix1_certificates()
     target = items[0].target.coeffs
@@ -443,6 +456,14 @@ def test_vertex_product_columns_follow_the_vertex_order():
     for i in range(8):
         for j in range(8):
             np.testing.assert_array_equal(V[:, 8 * i + j], product(verts[i], verts[j]).coeffs.ravel())
+
+
+def test_vertex_product_matrix_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        lp.vertex_product_matrix()[1:] *= 0.5
+    A = PauliCoeffs2Q(np.diag([1.0, 1.0, -1.0, 1.0]))      # phi+
+    res = cube_separable(A)
+    assert res.feasible and verify_certificate(res.certificate, A)
 
 
 def test_certificate_text_bits_are_vertex_indices():

@@ -23,6 +23,7 @@ from .pauli import (
     DenseHermitian,
     PauliCoeffs2Q,
     bloch_from_dense,
+    bloch_to_dense,
     born_probability,
     choi_transfer_matrix,
     dense_rows,
@@ -439,9 +440,11 @@ def appendix2_checks(n_samples: int = 1000, seed: int = 2024) -> Appendix2Report
     """Reproduce both impossibility arguments numerically.
 
     (i) the clean gate on the stated vertex pair yields probability -1/2;
-    (ii) for Bloch vectors v outside the unit ball, the direction
-    V = -v/|v| witnesses 1 + v.V < 0, while no unit-ball vector admits a
-    witness.
+    (ii) every Bloch vector v outside the unit ball has a direction V with
+    Born probability (1 + v.V)/2 < 0, while no unit-ball vector has one.
+    The least Born probability over all directions is the least eigenvalue
+    of v's dense operator, counted below 0 outside the ball and below
+    -1e-12 inside it.
     """
     u = BlochOp(np.array([1.0, 1.0, 1.0]))          # (x, y, z)
     v = BlochOp(np.array([1.0, 1.0, -1.0]))         # (A, B, C) with C = -1
@@ -454,10 +457,14 @@ def appendix2_checks(n_samples: int = 1000, seed: int = 2024) -> Appendix2Report
         w = rng.standard_normal((n, 3))
         return w / np.linalg.norm(w, axis=1, keepdims=True)
 
+    def least_born(vectors):
+        return np.array([eigenvalues_hermitian(bloch_to_dense(BlochOp(v)))[0]
+                         for v in vectors])
+
     over = random_unit(n_samples) * (1.0 + rng.uniform(0.001, 1.0, (n_samples, 1)))
-    over_viol = int(np.sum(1.0 - np.linalg.norm(over, axis=1) < 0))
+    over_viol = int(np.sum(least_born(over) < 0))
     inside = random_unit(n_samples) * rng.uniform(0.0, 1.0, (n_samples, 1))
-    inside_viol = int(np.sum(1.0 - np.linalg.norm(inside, axis=1) < -1e-12))
+    inside_viol = int(np.sum(least_born(inside) < -1e-12))
     return Appendix2Report(stated, n_samples, over_viol, n_samples, inside_viol)
 
 

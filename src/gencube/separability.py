@@ -24,7 +24,7 @@ import numpy as np
 from . import lp
 from .gates import NoiseModel, joint_depol, local_depol, local_dephase, pipeline
 from .pauli import ODD_Y, PT_SIGNS, BlochOp, PauliCoeffs2Q, dense_rows, dense_rows_real
-from .spaces import VERTEX_PERMS, frame_scale, vertex_index
+from .spaces import frame_scale, vertex_index
 
 __all__ = [
     "LhvCertificate",
@@ -45,7 +45,6 @@ __all__ = [
     "Appendix1Item",
     "appendix1_certificates",
     "appendix1_checks",
-    "csign_lhv_weights",
     "vertex_pair_index",
 ]
 
@@ -398,28 +397,3 @@ def _item7(u: float) -> np.ndarray:
     return (_head(u) * _W_MIXED + (u - u * u) * (_W_ROW_ONES + _W_COL_ONES)
             + 3.0 * u * u * _W_ITEM4)
 
-
-# Z on both qubits flips the x and y signs of both vertices: the sign flip
-# diag(-1, -1, 1), row vertex_index((-1, -1, 1)) of VERTEX_PERMS, on each
-_Z_FLIP = VERTEX_PERMS[vertex_index((-1, -1, 1))]
-_ZZ_PAIRS = (8 * _Z_FLIP[:, None] + _Z_FLIP).ravel()
-
-
-def csign_lhv_weights(noise: NoiseModel) -> np.ndarray:
-    """Closed-form weights of the noisy CSIGN output on the all-ones vertex
-    pair over the 64 vertex products, from the appendix: joint depol is
-    t item 4 + (1 - t) I/4 with t = 3(1 - lambda), local depol item 7 and
-    dephasing item 6.  They are convex from each family's cube threshold
-    on (2/3, 2 - sqrt 2 and 1 - 1/sqrt 2) and have a negative weight below it.
-
-    Past p = 1/2 the dephasing scale 1 - 2p is negative, and the output is
-    the image under Z (x) Z of the output at 1 - p, so the weights are item
-    6's at 1 - p moved by that map; they stay convex up to p = 1/sqrt 2.
-    """
-    if noise.kind == "joint-depol":
-        t = 3.0 * (1.0 - noise.strength)
-        return t * _W_ITEM4 + (1.0 - t) * _W_MIXED
-    if noise.kind == "local-depol":
-        return _item7(1.0 - noise.strength)
-    t = 1.0 - 2.0 * noise.strength     # local-dephase
-    return _item6(t) if t >= 0.0 else _item6(-t)[_ZZ_PAIRS]

@@ -12,13 +12,13 @@ measurement records 1 - 2 b of the measured axis's bit b and then redraws
 the other two bits uniformly: the post-measurement Pauli eigenstate is the
 centre of a cube face, the uniform mixture of its four corners.
 
-A gate's 64 certificates are the appendix's closed-form LHV weights of
-its output on the all-ones vertex pair, moved onto every other pair by a
-local signed setting permutation: these map the product polytope onto
-itself, and all 64 pairs are one orbit.  Each pair's map is found once per
-process.  A gate's verdict is the separability oracle's on its all-ones
-output, and its 64 permuted certificates are rechecked on their own
-outputs in one pass; no LP is solved.
+A gate's verdict and its 64 certificates come from one query of the
+separability oracle, on the gate's output on the all-ones vertex pair: the
+certificate's weights, the Carathéodory descent's, are moved onto every
+other pair by a local signed setting permutation.  These map the product
+polytope onto itself, and all 64 pairs are one orbit.  Each pair's map is
+found once per process, and the 64 moved certificates are rechecked on
+their own outputs in one pass; no LP is solved.
 A gate's table is the CDF of its all-ones weights, one for all 64 input
 pairs, and the pair each entry selects for each input pair.  A CSIGN draws the next pair of
 all its shots by inverse CDF through a guide table of GUIDE_BUCKETS
@@ -35,8 +35,8 @@ import numpy as np
 from .dense import apply_channel, superop
 from . import lp
 from .gates import CLIFFORD_ACTIONS, CLIFFORD_UNITARIES, NoiseModel, pipeline_rows
-from .pauli import AXES, PAULIS, BlochOp, axis_index, bloch_to_dense
-from .separability import certificates_hold, csign_lhv_weights, slack
+from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index, bloch_to_dense
+from .separability import certificates_hold, cube_separable
 from .spaces import CUBE_SIGNS, VERTEX_PERMS, StateSpaceSpec, contains, vertex_index
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
 
 RNG_NAME = "PCG64"
 DENSE_MAX_QUBITS = 8        # the dense reference holds a 4^n density matrix
-_DRAW_BLOCK = 4096          # shots per block of the initial-state draw
 
 
 @dataclass(frozen=True)
@@ -251,25 +250,24 @@ def _pair_maps() -> np.ndarray:
 
 def _gate_weights(noise: NoiseModel) -> np.ndarray:
     """LHV weights w0 of the gate's output on the all-ones vertex pair: the
-    closed-form appendix weights (csign_lhv_weights), clipped at 0.
+    certificate of separability.cube_separable's verdict on that output.
 
-    The verdict is the cube slack's on that output, the rule of
-    lp.decide_membership.  The rule reads only facet values, which the
-    symmetries moving pair 0 onto the others permute, so the gate is
-    accepted exactly where the oracle accepts each of its 64 pair outputs,
-    margins in [-tol, 0) included, where a leading weight can come out
-    slightly negative.  Row p of the 64 x 64
-    weights, w0 moved onto pair p by _pair_maps, is then rechecked on pair
-    p's own output by certificates_hold at lp.FEASIBILITY_TOL, all rows at
-    once; a row that fails is refused.
+    The verdict reads only facet values, which the symmetries moving pair 0
+    onto the others permute, so the gate is accepted exactly where the
+    oracle accepts each of its 64 pair outputs, margins in [-tol, 0)
+    included.  Row p of the 64 x 64 weights, w0 moved onto pair p by
+    _pair_maps, is then rechecked on pair p's own output by
+    certificates_hold at lp.FEASIBILITY_TOL, all rows at once; a row that
+    fails is refused.
     """
     outputs = _vertex_pair_outputs(noise)
-    if not slack("cube-separable", outputs[:1])[0] >= 0.0:
+    verdict = cube_separable(PauliCoeffs2Q(outputs[0].reshape(4, 4)))
+    if not verdict.feasible:
         raise CircuitNotSimulableError(
             f"noisy CSIGN ({noise.kind}, {noise.strength}) is not cube-separable "
             "on vertex pair (0, 0)"
         )
-    w0 = np.clip(csign_lhv_weights(noise), 0.0, None)
+    w0 = verdict.certificate.weights
     weights = np.zeros((64, 64))
     weights[np.arange(64)[:, None], _pair_maps()] = w0
     bad = ~certificates_hold(weights, outputs, lp.FEASIBILITY_TOL)
@@ -353,15 +351,16 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     """Sample the circuit's classical record distribution.
 
     All noisy CSIGNs are verified cube-separable up front, once per
-    distinct gate: the oracle's verdict on its all-ones output, then the
-    closed-form appendix weights moved onto each of the 64 vertex pairs and
-    rechecked on that pair's own output.  No LP runs.  The state is one
-    byte per qubit and shot, one row per qubit; a CSIGN is a guide table
-    read over all shots, with a searchsorted of the gate's one CDF for the
-    few shots the guide leaves open, and a Clifford a table lookup.  Identical seeds give identical
-    histograms.  The redraws after measurements come from a stream of their
-    own, so a circuit that never touches a measured qubit again samples
-    exactly as if there were none.
+    distinct gate: one cube_separable query on its all-ones output, whose
+    certificate is moved onto each of the 64 vertex pairs and rechecked on
+    that pair's own output.  No LP runs.  The state is one byte per qubit
+    and shot, one row per qubit, and starts as one (qubits, shots) byte
+    draw; a CSIGN is a guide table read over all shots, with a searchsorted
+    of the gate's one CDF for the few shots the guide leaves open, and a
+    Clifford a table lookup.  Identical seeds give identical histograms.
+    The redraws after measurements come from a stream of their own, so a
+    circuit that never touches a measured qubit again samples exactly as if
+    there were none.
     The cost per shot and op does not depend on the number of qubits.
     """
     if shots < 1:
@@ -377,14 +376,8 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     rids = circuit.record_ids()
     # unprepared qubits start uniformly random, matching the dense
     # simulator's maximally mixed initial state; one byte per qubit and
-    # shot, one row per qubit.  Drawn in blocks of shots, the stream of one
-    # (shots, n) draw, so that no int64 array of every shot is ever held;
-    # each block is narrowed first, so that the transposing copy moves bytes
-    state = np.empty((circuit.num_qubits, shots), dtype=np.uint8)
-    for start in range(0, shots, _DRAW_BLOCK):
-        block = min(_DRAW_BLOCK, shots - start)
-        state[:, start:start + block] = rng.integers(
-            0, 8, size=(block, circuit.num_qubits), dtype=np.int64).astype(np.uint8).T
+    # shot, one row per qubit
+    state = rng.integers(0, 8, size=(circuit.num_qubits, shots), dtype=np.uint8)
     records = {rid: np.zeros(shots, dtype=np.int8) for rid in rids}
 
     # rows selects the shots an op acts on: all of them (a slice) or the
@@ -414,7 +407,7 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
             bit = (vertex >> shift) & 1
             records[op.record_id][rows] = 1 - 2 * bit.view(np.int8)
             kept = 1 << shift
-            redraw = collapse_rng.integers(0, 8, size=size, dtype=np.int64).astype(np.uint8)
+            redraw = collapse_rng.integers(0, 8, size=size, dtype=np.uint8)
             redraw &= 7 ^ kept
             vertex &= kept
             vertex |= redraw

@@ -319,6 +319,17 @@ def test_appendix2_rows_fail_with_their_field():
     assert rows[2][2] == "1/10"
 
 
+def test_appendix2_over_unit_row_fails_under_a_halved_born_rule(monkeypatch):
+    # with the Bloch part halved, every over-unit vector drawn (|v| < 2) has
+    # nonnegative probabilities in every direction, so the row must fail
+    born = constructions.bloch_to_dense
+    monkeypatch.setattr(constructions, "bloch_to_dense",
+                        lambda a: born(BlochOp(a.bloch / 2.0, a.trace_coeff)))
+    rows = appendix2_checks(n_samples=100, seed=5).checks()
+    assert [passed for _, passed, _ in rows] == [True, False, True]
+    assert rows[1][2] == "0/100"
+
+
 @pytest.mark.parametrize("rows", [
     constructions.appendix3_checks, constructions.bell_checks, constructions.orbit_checks,
     lambda: error_per_gate_bounds().checks(), lambda: appendix2_checks().checks(),

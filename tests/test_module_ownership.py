@@ -82,7 +82,7 @@ def test_the_scan_sees_every_form():
 # no name of the coefficient or sampler side
 DENSE_FUNCTIONS = ("simulate_dense", "_noise_kraus", "_noisy_csign_superop")
 SAMPLER_SIDE = {"noise_scale_matrix", "conjugation_matrix", "csign", "CLIFFORD_ACTIONS",
-                "_CLIFFORD_PERMS", "_pair_maps", "csign_lhv_weights", "slack",
+                "_CLIFFORD_PERMS", "_pair_maps", "cube_separable", "slack",
                 "certificates_hold", "lp"}
 SAMPLER_PREFIXES = ("pipeline", "_gate_")
 

@@ -36,7 +36,6 @@ from gencube.separability import (
     appendix1_certificates,
     certificate_from_text,
     certificate_to_text,
-    csign_lhv_weights,
     cube_separable,
     pauli_margins,
     positive_for_pauli,
@@ -396,27 +395,26 @@ def test_appendix1_certs6_7_track_gate_outputs_over_range():
         assert np.max(np.abs(item.target.coeffs - expected)) < 1e-15
 
 
-@pytest.mark.parametrize("kind, lo, hi", [
-    ("joint-depol", 2 / 3, 1.0),
-    ("local-depol", 2 - math.sqrt(2.0), 1.0),
-    ("local-dephase", 1 - 1 / math.sqrt(2.0), 1 / math.sqrt(2.0)),
-], ids=["joint-depol", "local-depol", "local-dephase"])
-def test_csign_lhv_weights_are_the_all_ones_output_from_its_threshold_on(kind, lo, hi):
+# item 6 is defined for p in [0, 1/2], where the dephasing scale 1 - 2p is
+# nonnegative: past 1/2 it is flagged invalid, though the output stays
+# cube-separable up to 1/sqrt 2
+@pytest.mark.parametrize("item, arg, kind, lo, hi, top", [
+    (6, "dephase_p", "local-dephase", 1 - 1 / math.sqrt(2.0), 1 / math.sqrt(2.0), 0.5),
+    (7, "depol_p", "local-depol", 2 - math.sqrt(2.0), 1.0, 1.0),
+], ids=["local-dephase", "local-depol"])
+def test_appendix_items_6_and_7_hold_from_their_threshold_on(item, arg, kind, lo, hi, top):
     for p in np.linspace(lo, hi, 9):
-        noise = NoiseModel(kind, float(p))
-        cert = LhvCertificate(csign_lhv_weights(noise), 1e-12)
-        assert verify_certificate(cert, pipeline(ALLONES, ALLONES, 1.0, noise)), p
-    # just outside the separable range a weight is negative
+        got = appendix1_certificates(**{arg: float(p)})[item]
+        output = pipeline(ALLONES, ALLONES, 1.0, NoiseModel(kind, float(p)))
+        assert got.valid == (p <= top), p
+        assert verify_certificate(got.certificate, output) == (p <= top), p
+    # just outside the separable range the item is invalid and a weight is
+    # negative
     for p in (lo - 1e-3, hi + 1e-3):
         if 0.0 <= p <= 1.0:
-            assert csign_lhv_weights(NoiseModel(kind, p)).min() < 0.0, p
-
-
-def test_appendix_items_6_and_7_are_csign_lhv_weights():
-    for p6, p7 in ((0.3, 0.6), (0.45, 0.9), (1 - 1 / math.sqrt(2.0), 2 - math.sqrt(2.0))):
-        items = appendix1_certificates(dephase_p=p6, depol_p=p7)
-        assert np.array_equal(items[6].certificate.weights, csign_lhv_weights(local_dephase(p6)))
-        assert np.array_equal(items[7].certificate.weights, csign_lhv_weights(local_depol(p7)))
+            got = appendix1_certificates(**{arg: p})[item]
+            assert not got.valid and got.validity_reason is not None, p
+            assert got.certificate.weights.min() < 0.0, p
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +477,6 @@ def test_certificate_text_bits_are_vertex_indices():
 def test_vertex_pair_index_refuses_non_vertices(u, v):
     with pytest.raises(ValueError, match="not a cube vertex"):
         vertex_pair_index(u, v)
-
-
-def test_zz_pairs_flip_the_x_and_y_bits_of_both_vertices():
-    np.testing.assert_array_equal(separability._ZZ_PAIRS, np.arange(64) ^ 0b110110)
 
 
 def test_facets_valid_and_tight_on_rank_15_vertex_sets():

@@ -16,7 +16,7 @@ import pytest
 from gencube import lp, separability, simulator
 from gencube.dense import partial_trace, permute_qubits
 from gencube.gates import NoiseModel, pipeline
-from gencube.pauli import PAULIS, BlochOp, axis_index
+from gencube.pauli import PAULIS, BlochOp, PauliCoeffs2Q, axis_index
 from gencube.separability import LhvCertificate, verify_certificate
 from gencube.spaces import VERTEX_PERMS, StateSpaceSpec, contains, cube_vertices
 from gencube.simulator import (
@@ -178,33 +178,33 @@ def test_determinism():
 
 # sha256 of repr(sorted(histogram.items())) of each suite circuit at 20 000
 # shots: any change to a draw, a gate table or the counting shows here.
-# Captured from the closed-form gate tables after test_hn_matches_dense
-# and criterion 10 passed on them; remeasure_zx has no CSIGN
+# Captured from the descent's gate tables and the (qubits, shots) byte
+# draw, after tests/test_hn_law.py passed on them; remeasure_zx has no CSIGN
 PINNED_HISTOGRAMS = {
     ("adaptive_feedforward", 1):
-        "0047b2f8a951085992c9ac05a30ae5a55c265b6984a1e7f31132275f294b5909",
+        "0bbe02ef2f940a2c58dc5d83233bd7baef3e1e1e8949087f9a07e6bd21836abe",
     ("adaptive_feedforward", 7):
-        "6881e68b226838db6990e964a746908c0f5cabf50a4ac31d720ad3cf7207d1b4",
+        "419b3f471f1cb1f3699efc71ddc806babaa785e01db2014f2c804274a9c9f007",
     ("bell_like_joint", 1):
-        "6c3aeba95c13f2b094ddaa7d84f39ff4257135573ac5c2b7e4c40594ab8096c5",
+        "eb8e4b584b0bb819460f25185afef4495ecba5e54d916cabc33616cc2c5b09bd",
     ("bell_like_joint", 7):
-        "a16e2938e21f6d7bf3737092d54b1b015042beb2111f7e410a71f7117afcf006",
+        "f450bb08b2f9d063214b54b26fb0a16fda58b635ac38eb6c13b056619d26af3f",
     ("dephase_pair", 1):
-        "2b0391502a0824e5ca4290db273d24c73257e3374297f07664a98b7ab623d5a5",
+        "94bbead55e91a6f5e10e5e728693c09f1f522e45e0bba2a1b2efab962cd11adf",
     ("dephase_pair", 7):
-        "ec2aaf3b425325a227acf98d1e45ecdce67e75b7c01b082bede803b742c06947",
+        "fa73a00cfe2dc82fbc81071e2627e403a4feff800fbd91d0625e4c461e47bb85",
     ("local_depol_pair", 1):
-        "c7245d399a81aafc1d468d60155a6c5b3a3fbfbe22df48a8239d09fff1aabdc4",
+        "47e46d1777dc0cf231191ad68a903f16656c6abe1e194a7d9c611bb4c51840c6",
     ("local_depol_pair", 7):
-        "5834bdd69222f5cf13e27ad43490e69ca47897f6506e624612e753886f6368b5",
+        "e6359affb91addaa68763a4ac9a5cc5ac167ceff9bec2427491686c1588ddd45",
     ("remeasure_zx", 1):
-        "3f079ffbabfd15c0cb7eeb9b43792073ed340f1380f75f241ec5f42ceb7ac27e",
+        "a6105feb74248bce5760a2d0316709e16a2a9b4629f795a13b69120f16e85c3e",
     ("remeasure_zx", 7):
-        "f3fe176589842ed00d1553670264ab4106a0ff5579a315015e9bbfdc98b1c918",
+        "0da7ada8d22399b30435e181cf892338dffc6f7250f8612dfcfce8efaefb789a",
     ("three_qubit_chain", 1):
-        "566b9c1a2d565fdc3780f648ff0ae2443ddbc4737100fe9606ffca13b52d4bef",
+        "e93b54074b1415663e4164bcefa7cd2d90c2a3b955a8a070c9f1751bf705035d",
     ("three_qubit_chain", 7):
-        "1d2bbbcfbccd315fee04168cb2025d9e4ec253490efd3ea257544c2036b12652",
+        "9933b8905f79b822d7d4ba18ec15ff0cfffc864e0cdc0602f2ee4f0d6ecb4a77",
 }
 
 
@@ -256,11 +256,11 @@ meas 4 X r1
 
 
 def test_histogram_pinned_on_every_op_kind():
-    # digest captured from the closed-form gate tables, after their
-    # histogram of this circuit matched the dense reference's distribution
+    # digest captured from the descent's gate tables, after
+    # tests/test_hn_law.py passed on them
     hist = simulate_hn(parse_circuit(ALL_OPS_CIRCUIT), 200_000, 1).histogram
     digest = hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest()
-    assert digest == "48654c43caaf596e9a3b2d6cb3c4201b4f657b173587cca6df29956097a8f182"
+    assert digest == "11408585accfc9ae84a48a15004bffa4ef123c478bc786c2d6737d387f7d7d29"
 
 
 # 12 measured records on 3 qubits, one of them written only where a0 reads
@@ -293,14 +293,14 @@ meas 1 Z b1
 
 
 def test_histogram_pinned_on_many_records():
-    # digest captured before the byte-string count replaced the renumbered
-    # base-3 codes
+    # digest captured from the descent's gate tables, after
+    # tests/test_hn_law.py passed on them
     c = parse_circuit(WIDE_RECORDS_CIRCUIT)
     assert 3 ** len(c.record_ids()) > 20_000
     hist = simulate_hn(c, 20_000, 3).histogram
     assert any("." in key for key in hist)
     digest = hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest()
-    assert digest == "07e0b6eb9afe5b753b698413194a7b33745a2c7cb9b8cff7464a60861cc1829c"
+    assert digest == "93d5e0eae410f2acda6fee557ba2ea65b5197d90635b37434884f160becb972c"
 
 
 def test_histogram_shape_and_symbols():
@@ -612,14 +612,14 @@ def test_call_retains_no_memory_without_gc(simulate):
 
 
 def test_initial_state_is_one_draw_of_the_stream():
-    # the blocked draw is the stream of one (shots, n) draw, and the
-    # preparation after it reads the stream from where that draw ends
-    shots, seed = 10_001, 4     # three blocks, the last one partial
+    # the initial state is one (n, shots) byte draw, and the preparation
+    # after it reads the stream from where that draw ends
+    shots, seed = 10_001, 4
     c = parse_circuit("qubits 3\nprep 2 0 0 0.2\nmeas 0 Z a\nmeas 1 X b\nmeas 2 Z c\n")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    start = rng.integers(0, 8, size=(shots, 3), dtype=np.int64)
+    start = rng.integers(0, 8, size=(3, shots), dtype=np.uint8)
     prep = rng.random((shots, 3))[:, 2] >= 0.6
-    records = np.column_stack((start[:, 0] & 1, start[:, 1] >> 2 & 1, prep)).astype(int)
+    records = np.column_stack((start[0] & 1, start[1] >> 2 & 1, prep)).astype(int)
     keys, counts = np.unique(records, axis=0, return_counts=True)
     expected = {"".join("+-"[b] for b in key): int(n) for key, n in zip(keys, counts)}
     assert simulate_hn(c, shots, seed).histogram == expected
@@ -654,16 +654,22 @@ SEPARABLE_GATES = [
 
 
 def _count_cube_separable_calls(monkeypatch):
-    """Record every cube_separable call."""
+    """Record the flattened coefficients of every cube_separable call the
+    sampler makes."""
     calls = []
-    fn = separability.cube_separable
+    fn = simulator.cube_separable
 
-    def wrapped(*args, **kwargs):
-        calls.append("cube_separable")
-        return fn(*args, **kwargs)
+    def wrapped(A):
+        calls.append(A.coeffs.ravel())
+        return fn(A)
 
-    monkeypatch.setattr(separability, "cube_separable", wrapped)
+    monkeypatch.setattr(simulator, "cube_separable", wrapped)
     return calls
+
+
+def _all_ones_output(noise):
+    allones = BlochOp(np.ones(3))
+    return pipeline(allones, allones, 1.0, noise).coeffs.ravel()
 
 
 def _pair_weights(w0):
@@ -684,19 +690,24 @@ def _verified_on_own_instance(w0, noise):
 
 @pytest.mark.parametrize("noise", SEPARABLE_GATES, ids=lambda n: f"{n.kind}-{n.strength}")
 def test_gate_weights_run_no_lp_and_verify_on_all_64_pairs(monkeypatch, noise):
-    # the closed-form weights need no membership query; that they need no LP
-    # is checked by test_simulate_leaves_scipy_optimize_unloaded
+    # one membership query, on the all-ones output; that it runs no LP is
+    # checked by test_simulate_leaves_scipy_optimize_unloaded
     calls = _count_cube_separable_calls(monkeypatch)
     w0 = simulator._gate_weights(noise)
-    assert calls == []
+    assert len(calls) == 1
+    np.testing.assert_allclose(calls[0], _all_ones_output(noise), rtol=0, atol=1e-15)
     assert all(_verified_on_own_instance(w0, noise))
 
 
 def test_no_lp_for_any_gate_in_a_circuit(monkeypatch):
+    # three CSIGNs of two noise models: one query per model
     calls = _count_cube_separable_calls(monkeypatch)
     c = parse_circuit(SUITE["adaptive_feedforward"] + "csign 1 2 local-depol 0.75\n")
     simulate_hn(c, 100, seed=1)
-    assert calls == []
+    assert len(calls) == 2
+    for got, noise in zip(calls, (NoiseModel("joint-depol", 0.8),
+                                  NoiseModel("local-depol", 0.75))):
+        np.testing.assert_allclose(got, _all_ones_output(noise), rtol=0, atol=1e-15)
 
 
 def test_row_failing_its_recheck_raises_naming_its_pair(monkeypatch):
@@ -711,12 +722,14 @@ def test_row_failing_its_recheck_raises_naming_its_pair(monkeypatch):
 def reference_gate_weights(noise):
     """The 64 x 64 weights of the gate's table by a scan of the orbit
     images of its own output on pair 0 for each pair: the first map whose
-    image is the pair's output moves the closed-form weights onto it."""
+    image is the pair's output moves the oracle's certificate of pair 0
+    onto it."""
     pair_perm = (8 * VERTEX_PERMS[:, None, :, None]
                  + VERTEX_PERMS[None, :, None, :]).reshape(48 * 48, 64)
     outputs = simulator._vertex_pair_outputs(noise)
     images = lp.local_images(outputs[0].reshape(4, 4))
-    w0 = np.clip(separability.csign_lhv_weights(noise), 0.0, None)
+    A = PauliCoeffs2Q(outputs[0].reshape(4, 4))
+    w0 = separability.cube_separable(A).certificate.weights
     weights = np.zeros((64, 64))
     for p, b in enumerate(outputs):
         weights[p, pair_perm[np.flatnonzero((images == b).all(axis=1))[0]]] = w0
@@ -735,8 +748,8 @@ def test_non_separable_gate_names_the_first_vertex_pair():
 
 
 # the cube thresholds of the three families at R = 1; dephasing is
-# separable on [1 - 1/sqrt 2, 1/sqrt 2], and past p = 1/2 its weights are
-# item 6's moved by Z (x) Z
+# separable on [1 - 1/sqrt 2, 1/sqrt 2]: past p = 1/2 its output is the
+# Z (x) Z image of its output at 1 - p
 THRESHOLDS = {
     "joint-depol": 2.0 / 3.0,
     "local-depol": 2.0 - math.sqrt(2.0),
@@ -773,8 +786,8 @@ def test_dephasing_past_one_half_is_accepted_as_before():
 
 
 def test_simulate_leaves_scipy_optimize_unloaded():
-    # every verdict is a facet verdict and every weight closed-form or the
-    # descent's, so neither the suite's circuits, nor the gate weights of
+    # every verdict is a facet verdict and every weight the descent's, so
+    # neither the suite's circuits, nor the gate weights of
     # every SEPARABLE_GATES model, nor the error-per-gate bounds run an LP
     gates = ", ".join(f"NoiseModel({n.kind!r}, {n.strength!r})" for n in SEPARABLE_GATES)
     code = ("import sys\n"

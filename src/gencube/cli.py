@@ -79,9 +79,12 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    _tolerance_banner(out)
+    # a circuit the run must refuse prints nothing, not even the banner
     with open(args.circuit) as fh:
         circuit = simulator.parse_circuit(fh.read())
+    if args.compare_dense:
+        simulator.check_dense_width(circuit.num_qubits)
+    _tolerance_banner(out)
     result = simulator.simulate_hn(circuit, args.shots, args.seed)
     print(f"rng: {result.rng_name} seed: {result.seed} shots: {result.shots}", file=out)
     out.write(simulator.histogram_to_csv(result.histogram))

@@ -5,12 +5,13 @@ of rho, at O(4^n).
 
 The sampler stores one byte per qubit per shot, a cube vertex's index
 (spaces.vertex_index): bits 2, 1, 0 are set on its -1 signs along X, Y, Z.
-Preparations sample a vertex from the per-axis product rule, each noisy
-CSIGN samples a vertex pair (index 8 v1 + v2) from a cached LHV certificate
-of the gate's action on the current pair, Cliffords permute vertices, and a
-measurement records 1 - 2 b of the measured axis's bit b and then redraws
-the other two bits uniformly: the post-measurement Pauli eigenstate is the
-centre of a cube face, the uniform mixture of its four corners.
+A preparation draws a vertex from the per-axis product law of its Bloch
+vector, each noisy CSIGN draws a vertex pair (index 8 v1 + v2) from an LHV
+certificate of the gate's action on the current pair, Cliffords permute
+vertices, and a measurement records 1 - 2 b of the measured axis's bit b
+and then redraws the other two bits uniformly: the post-measurement Pauli
+eigenstate is the centre of a cube face, the uniform mixture of its four
+corners.
 
 A gate's verdict and its 64 certificates come from one query of the
 separability oracle, on the gate's output on the all-ones vertex pair: the
@@ -20,10 +21,14 @@ polytope onto itself, and all 64 pairs are one orbit.  Each pair's map is
 found once per process, and the 64 moved certificates are rechecked on
 their own outputs in one pass; no LP is solved.
 A gate's table is the CDF of its all-ones weights, one for all 64 input
-pairs, and the pair each entry selects for each input pair.  A CSIGN draws the next pair of
-all its shots by inverse CDF through a guide table of GUIDE_BUCKETS
-buckets of [0, 1): one read per shot, except for the few shots whose
-bucket holds a CDF entry, which search the CDF with np.searchsorted.
+pairs, and the pair each entry selects for each input pair; a
+preparation's table is the CDF of its product law, whose every row selects
+the same vertices, since the law does not depend on the current vertex.
+Every op that draws, a preparation or a CSIGN, reads its table the same
+way: by inverse CDF of one uniform per shot through a guide table of
+GUIDE_BUCKETS buckets of [0, 1), one read per shot, except for the few
+shots whose bucket holds a CDF entry, which search the CDF with
+np.searchsorted.
 """
 from __future__ import annotations
 
@@ -41,6 +46,7 @@ from .spaces import CUBE_SIGNS, VERTEX_PERMS, StateSpaceSpec, contains, vertex_i
 
 __all__ = [
     "DENSE_MAX_QUBITS",
+    "check_dense_width",
     "Prepare",
     "Clifford1",
     "NoisyCsign",
@@ -285,9 +291,11 @@ GUIDE_BUCKETS = 1024    # a power of two, so u * GUIDE_BUCKETS is exact
 @dataclass(frozen=True)
 class _GateTable:
     """Input pair p's next pair follows w0 moved onto p by its map.  cdf is
-    the CDF of w0's normalized weights over its support (weights > 1e-14, in
-    pair order), one CDF for all 64 input pairs, and moved[p, k] the pair
-    that entry k selects for input pair p.
+    the CDF of w0's normalized weights over its support (weights above the
+    table's cut, in pair order), one CDF for all 64 input pairs, and
+    moved[p, k] the pair that entry k selects for input pair p.  A
+    preparation's table has the same form, with a vertex in place of a
+    pair: every row of its map is arange(8).
 
     guide[b, p] is the next pair of input pair p for every u in the bucket
     [b / GUIDE_BUCKETS, (b + 1) / GUIDE_BUCKETS), or -1 where a CDF entry
@@ -301,10 +309,11 @@ class _GateTable:
     guide: np.ndarray       # (GUIDE_BUCKETS + 1) x 64, int8
 
 
-def _gate_table(w0: np.ndarray, maps: np.ndarray) -> _GateTable:
+def _gate_table(w0: np.ndarray, maps: np.ndarray, cut: float = 1e-14) -> _GateTable:
     """The table and its guide of the weights w0 of pair 0, moved onto each
-    pair p by the pair permutation maps[p]."""
-    support0 = np.flatnonzero(w0 > 1e-14)
+    pair p by the pair permutation maps[p]; only weights above cut enter.
+    The default cut drops the float dust of a descent's weights."""
+    support0 = np.flatnonzero(w0 > cut)
     cdf = np.cumsum(w0[support0] / w0[support0].sum())
     moved = maps[:, support0].astype(np.int8)
     # per bucket, the entries <= its left edge and those < its right edge
@@ -316,10 +325,11 @@ def _gate_table(w0: np.ndarray, maps: np.ndarray) -> _GateTable:
 
 
 def _draw_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next vertex pair of each shot, moved[pair, k] for the capped
-    searchsorted(cdf, u, side="right") k.  Most shots read it off the guide
-    entry of their u's bucket; the shots whose bucket holds a CDF entry
-    (-1 in the guide) search the CDF.  The result is int8."""
+    """Next vertex pair of each shot, or next vertex on a preparation's
+    table, moved[pair, k] for the capped searchsorted(cdf, u, side="right")
+    k.  Most shots read it off the guide entry of their u's bucket; the
+    shots whose bucket holds a CDF entry (-1 in the guide) search the CDF.
+    The result is int8."""
     # the guide row of u's bucket, exact since GUIDE_BUCKETS is a power of
     # two; int32, whose cast from float is far cheaper than int64's
     key = (u * GUIDE_BUCKETS).astype(np.int32)
@@ -332,6 +342,14 @@ def _draw_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarra
         np.minimum(k, table.cdf.size - 1, out=k)
         out[miss] = table.moved[pair[miss], k]
     return out
+
+
+def _prep_table(bloch: np.ndarray) -> _GateTable:
+    """The draw table of a preparation: weight prod_i (1 + s_i b_i) / 2 on
+    the vertex of signs s, the per-axis product law, for every current
+    vertex.  Every vertex of positive weight enters, however small."""
+    weights = np.prod((1.0 + CUBE_SIGNS * bloch) / 2.0, axis=1)
+    return _gate_table(weights, np.broadcast_to(np.arange(8), (64, 8)), cut=0.0)
 
 
 # Clifford action as a permutation of vertex indices, one byte each
@@ -347,6 +365,19 @@ class SimResult:
     rng_name: str = RNG_NAME
 
 
+def _drawn_qubits(circuit: Circuit) -> list[int]:
+    """The qubits whose initial state is drawn: all but those whose first
+    op is an unconditional preparation, which overwrites every shot before
+    any op reads it."""
+    first_is_prep = {}
+    for op in circuit.ops:
+        inner = op.op if isinstance(op, ClassicalControl) else op
+        qubits = (inner.qubit1, inner.qubit2) if isinstance(inner, NoisyCsign) else (inner.qubit,)
+        for q in qubits:
+            first_is_prep.setdefault(q, isinstance(op, Prepare))
+    return [q for q in range(circuit.num_qubits) if not first_is_prep.get(q, False)]
+
+
 def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     """Sample the circuit's classical record distribution.
 
@@ -354,30 +385,49 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     distinct gate: one cube_separable query on its all-ones output, whose
     certificate is moved onto each of the 64 vertex pairs and rechecked on
     that pair's own output.  No LP runs.  The state is one byte per qubit
-    and shot, one row per qubit, and starts as one (qubits, shots) byte
-    draw; a CSIGN is a guide table read over all shots, with a searchsorted
-    of the gate's one CDF for the few shots the guide leaves open, and a
-    Clifford a table lookup.  Identical seeds give identical histograms.
-    The redraws after measurements come from a stream of their own, so a
+    and shot, one row per qubit.  Its rows start as one (drawn qubits,
+    shots) byte draw, uniform like the dense reference's maximally mixed
+    state, over every qubit but those whose first op is an unconditional
+    preparation; those start at vertex 0, which their preparation
+    overwrites unread.  A circuit whose every qubit is drawn starts from
+    one (qubits, shots) draw.  A preparation and a CSIGN each draw one
+    uniform per shot and read it through their table's guide, with a
+    searchsorted of the table's one CDF for the few shots the guide leaves
+    open; one table is built per distinct preparation and gate.  A Clifford
+    is a table lookup.  Identical seeds give identical histograms.  The
+    redraws after measurements come from a stream of their own, so a
     circuit that never touches a measured qubit again samples exactly as if
-    there were none.
+    there were none.  A state too large to allocate is refused with
+    ValueError before any table is built.
     The cost per shot and op does not depend on the number of qubits.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1; got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer; got {seed}")
-    noises = dict.fromkeys(op.noise for op in _unwrapped(circuit.ops)
-                           if isinstance(op, NoisyCsign))
-    tables = {n: _gate_table(_gate_weights(n), _pair_maps()) for n in noises}
     seeds = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seeds)
     collapse_rng = np.random.default_rng(seeds.spawn(1)[0])
+    n = circuit.num_qubits
+    drawn = _drawn_qubits(circuit)
+    try:
+        start = rng.integers(0, 8, size=(len(drawn), shots), dtype=np.uint8)
+        if len(drawn) == n:
+            state = start
+        else:
+            state = np.zeros((n, shots), dtype=np.uint8)
+            state[drawn] = start
+        del start
+    except (ValueError, MemoryError):
+        raise ValueError(f"the shot state of {n} qubits x {shots} shots "
+                         f"({n * shots} bytes) cannot be allocated") from None
+    noises = dict.fromkeys(op.noise for op in _unwrapped(circuit.ops)
+                           if isinstance(op, NoisyCsign))
+    tables = {noise: _gate_table(_gate_weights(noise), _pair_maps()) for noise in noises}
+    preps = {tuple(op.state.bloch): op.state.bloch for op in _unwrapped(circuit.ops)
+             if isinstance(op, Prepare)}
+    prep_tables = {key: _prep_table(bloch) for key, bloch in preps.items()}
     rids = circuit.record_ids()
-    # unprepared qubits start uniformly random, matching the dense
-    # simulator's maximally mixed initial state; one byte per qubit and
-    # shot, one row per qubit
-    state = rng.integers(0, 8, size=(circuit.num_qubits, shots), dtype=np.uint8)
     records = {rid: np.zeros(shots, dtype=np.int8) for rid in rids}
 
     # rows selects the shots an op acts on: all of them (a slice) or the
@@ -386,13 +436,8 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     # the cyclic collector runs
     def run_op(op, rows, size):
         if isinstance(op, Prepare):
-            u = rng.random((size, 3))
-            p_plus = (1.0 + op.state.bloch) / 2.0
-            # bit 2 - i is 1 on the -1 outcome of axis i
-            code = (u[:, 0] >= p_plus[0]).view(np.uint8) << 2
-            code |= (u[:, 1] >= p_plus[1]).view(np.uint8) << 1
-            code |= (u[:, 2] >= p_plus[2]).view(np.uint8)
-            state[op.qubit, rows] = code
+            table = prep_tables[tuple(op.state.bloch)]
+            state[op.qubit, rows] = _draw_pairs(table, state[op.qubit, rows], rng.random(size))
         elif isinstance(op, Clifford1):
             state[op.qubit, rows] = _CLIFFORD_PERMS[op.gate].take(state[op.qubit, rows])
         elif isinstance(op, NoisyCsign):
@@ -429,6 +474,9 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
 _RECORD_CHARS = "-.+"
 _DIGIT_CHARS = str.maketrans("012", _RECORD_CHARS)     # base-3 digit v + 1
 _RECORD_BYTES = np.frombuffer(_RECORD_CHARS.encode(), dtype=np.uint8)
+# rows of the byte array filled column by column at a time, so that a
+# block's strided writes stay in cache
+_FILL_ROWS = 4096
 
 
 def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
@@ -438,10 +486,11 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
     While 3^columns <= shots, each shot's columns are read as one base-3
     integer, np.bincount counts the codes and each string is read off its
     code's digits.  Otherwise each shot's string is one row of a (shots,
-    columns) array of symbol bytes, filled column by column; its rows,
-    viewed as byte strings, are sorted in place and counted from the starts
-    of their runs, in string order.  Either way the cost grows with shots x
-    columns, not with distinct outcomes x columns.
+    columns) array of symbol bytes, filled column by column within blocks
+    of _FILL_ROWS rows; its rows, viewed as byte strings, are sorted in
+    place and counted from the starts of their runs, in string order.
+    Either way the cost grows with shots x columns, not with distinct
+    outcomes x columns.
     """
     if not cols:
         return {"": shots}
@@ -456,8 +505,10 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
                 for c in np.flatnonzero(counts)}
         return dict(sorted(hist.items()))
     rows = np.empty((shots, len(cols)), dtype=np.uint8)
-    for j, col in enumerate(cols):
-        np.take(_RECORD_BYTES, col + 1, out=rows[:, j])
+    for start in range(0, shots, _FILL_ROWS):
+        block = slice(start, start + _FILL_ROWS)
+        for j, col in enumerate(cols):
+            np.take(_RECORD_BYTES, col[block] + 1, out=rows[block, j])
     keys = rows.view(f"S{len(cols)}").ravel()
     keys.sort()
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -494,6 +545,14 @@ def _noisy_csign_superop(noise: NoiseModel) -> np.ndarray:
     return superop(_noise_kraus(noise) @ np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
+def check_dense_width(num_qubits: int) -> None:
+    """Raise ValueError if the dense reference cannot take num_qubits
+    qubits: it holds a 4^n density matrix."""
+    if num_qubits > DENSE_MAX_QUBITS:
+        raise ValueError(f"dense simulation supports at most {DENSE_MAX_QUBITS} qubits; "
+                         f"got {num_qubits}")
+
+
 def simulate_dense(circuit: Circuit) -> dict:
     """Exact outcome distribution over classical record strings.
 
@@ -503,9 +562,7 @@ def simulate_dense(circuit: Circuit) -> dict:
     qubits.  Circuits of more than DENSE_MAX_QUBITS qubits are refused.
     """
     n = circuit.num_qubits
-    if n > DENSE_MAX_QUBITS:
-        raise ValueError(f"dense simulation supports at most {DENSE_MAX_QUBITS} qubits; "
-                         f"got {n}")
+    check_dense_width(n)
     rids = circuit.record_ids()
     sphere = StateSpaceSpec.sphere(1.0)
     cliffords = {g: superop([U]) for g, U in CLIFFORD_UNITARIES.items()}

@@ -4,7 +4,8 @@ The sampler's state is one cube vertex index per qubit (bits 2, 1, 0 set on
 the -1 signs along X, Y, Z).  Here the joint law of those indices and of the
 record values is carried op by op, one (8,) * n array of vertex-index
 probabilities per assignment of record values:
-- a preparation replaces the qubit's marginal by its per-axis product law;
+- a preparation replaces the qubit's marginal by the law read off its
+  draw table, the per-axis product law;
 - a Clifford permutes the qubit's axis by the sampler's vertex permutation;
 - a CSIGN contracts the pair's (8, 8) axes with the 64 x 64 transition
   matrix read off the gate table the sampler draws from;
@@ -13,7 +14,8 @@ probabilities per assignment of record values:
 - a classical control acts only on the assignments whose record matches.
 Its inputs from the sampler are the gate tables, built by
 simulator._gate_table(simulator._gate_weights(noise), simulator._pair_maps()),
-and simulator._CLIFFORD_PERMS; everything else is restated here.
+the preparation tables, built by simulator._prep_table(bloch), and
+simulator._CLIFFORD_PERMS; everything else is restated here.
 """
 from __future__ import annotations
 
@@ -21,27 +23,37 @@ import numpy as np
 
 from gencube import simulator
 from gencube.pauli import axis_index
-from gencube.spaces import CUBE_SIGNS
 
 _SYMBOL = {1: "+", -1: "-", 0: "."}
 
 
-def gate_transition(noise) -> np.ndarray:
-    """Row p: the law of the next vertex pair 8 v1 + v2 of input pair p.
+def table_transition(table) -> np.ndarray:
+    """Row p: the law of what the table draws for row p, over 64 entries.
 
     The sampler takes entry k = searchsorted(cdf, u, side="right"), capped
     at the last entry, for u uniform on [0, 1): entry k for u in
     [cdf[k - 1], cdf[k]), and the last entry for every u >= cdf[-2]."""
-    table = simulator._gate_table(simulator._gate_weights(noise), simulator._pair_maps())
     probs = np.diff(np.concatenate(([0.0], table.cdf[:-1], [1.0])))
     T = np.zeros((64, 64))
     np.add.at(T, (np.arange(64)[:, None], table.moved.astype(np.intp)), probs)
     return T
 
 
-def _prepare(arr, q, bloch):
-    # P(sign +1 along axis i) = (1 + b_i) / 2, independently per axis
-    p = np.prod((1.0 + CUBE_SIGNS * np.asarray(bloch)) / 2.0, axis=1)
+def gate_transition(noise) -> np.ndarray:
+    """Row p: the law of the next vertex pair 8 v1 + v2 of input pair p."""
+    return table_transition(
+        simulator._gate_table(simulator._gate_weights(noise), simulator._pair_maps()))
+
+
+def prep_law(bloch) -> np.ndarray:
+    """The law of the vertex a preparation of Bloch vector bloch draws, over
+    the 8 vertices; it is the same for every current vertex."""
+    T = table_transition(simulator._prep_table(np.asarray(bloch, dtype=float)))
+    assert (T == T[0]).all() and not T[:, 8:].any()
+    return T[0, :8]
+
+
+def _prepare(arr, q, p):
     shape = [1] * arr.ndim
     shape[q] = 8
     return arr.sum(axis=q, keepdims=True) * p.reshape(shape)
@@ -87,7 +99,7 @@ def _apply(law: dict, op, rids: list, tables: dict) -> dict:
             for k, a in _apply({key: arr}, op.op, rids, tables).items():
                 _add(out, k, a)
         elif isinstance(op, simulator.Prepare):
-            _add(out, key, _prepare(arr, op.qubit, op.state.bloch))
+            _add(out, key, _prepare(arr, op.qubit, tables[tuple(op.state.bloch)]))
         elif isinstance(op, simulator.Clifford1):
             _add(out, key, _clifford(arr, op.qubit, op.gate))
         elif isinstance(op, simulator.NoisyCsign):
@@ -106,11 +118,14 @@ def hn_law(circuit) -> dict[str, float]:
     sorted by string; strings of probability 0 are left out."""
     n = circuit.num_qubits
     rids = circuit.record_ids()
+    # keyed by noise model for a CSIGN, by Bloch vector for a preparation
     tables = {}
     for op in circuit.ops:
         op = op.op if isinstance(op, simulator.ClassicalControl) else op
         if isinstance(op, simulator.NoisyCsign) and op.noise not in tables:
             tables[op.noise] = gate_transition(op.noise)
+        elif isinstance(op, simulator.Prepare) and tuple(op.state.bloch) not in tables:
+            tables[tuple(op.state.bloch)] = prep_law(op.state.bloch)
     # unprepared qubits start uniform over the 8 vertices
     law = {(0,) * len(rids): np.full((8,) * n, 8.0 ** -n)}
     for op in circuit.ops:

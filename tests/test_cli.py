@@ -219,6 +219,33 @@ def test_simulate_reports_an_unwritten_record_id(tmp_path, capsys):
     assert "error: ifeq reads record id 'z'" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_wide_dense_comparison_before_sampling(tmp_path, capsys,
+                                                                  monkeypatch):
+    f = tmp_path / "nine.txt"
+    f.write_text("qubits 9\nprep 0 1 0 0\nmeas 0 Z a\n")
+    monkeypatch.setattr(cli.simulator, "simulate_hn",
+                        lambda *args: pytest.fail("sampled a run that must be refused"))
+    code, out = run_cli(["simulate", "--circuit", str(f), "--shots", "100", "--seed", "1",
+                         "--compare-dense"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == "error: dense simulation supports at most 8 qubits; got 9\n"
+
+
+def test_simulate_refuses_a_state_too_large_to_allocate(tmp_path):
+    # 10^6 qubits x ~10^14 shots pass 2^63 bytes, which numpy refuses
+    # before allocating; the refusal is one line, not a traceback
+    f = tmp_path / "wide.txt"
+    f.write_text("qubits 1000000\nmeas 0 Z a\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "gencube.cli", "simulate", "--circuit", str(f),
+                           "--shots", "99999999999999"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: the shot state of 1000000 qubits x 99999999999999 shots "
+                           "(99999999999999000000 bytes) cannot be allocated\n")
+
+
 def test_compat_xyz():
     code, out = run_cli(["compat", "--povms", "xyz"])
     assert code == 0

@@ -1,12 +1,15 @@
 """The HN sampler's exact output law (hn_law) against the dense reference,
-and sampled histograms against that law."""
+the preparation tables against the per-axis product law, and sampled
+histograms and draws against their laws."""
 import math
 
 import numpy as np
 import pytest
 
+from gencube import simulator
 from gencube.gates import NoiseModel
-from gencube.pauli import BlochOp
+from gencube.pauli import BlochOp, bloch_to_dense
+from gencube.spaces import CUBE_SIGNS
 from gencube.simulator import (
     Circuit,
     ClassicalControl,
@@ -21,7 +24,7 @@ from gencube.simulator import (
 )
 
 from circuit_suite import SUITE
-from hn_law import hn_law
+from hn_law import hn_law, prep_law, table_transition
 
 # cube-separable strengths, 0.01 inside each family's range: from 2/3,
 # 2 - sqrt(2) and 1 - 1/sqrt(2) up; dephasing at p and 1 - p differ by a Z,
@@ -140,3 +143,60 @@ meas 0 X d
     hist = simulate_hn(c, shots, seed=4).histogram
     assert set(hist) <= set(law)
     assert tvd(hist, law) <= 3.0 * math.sqrt(len(law) / shots)
+
+
+def _prep_blochs():
+    """The 8 cube vertices, the 6 axis states and 32 seeded interior points
+    of the cube."""
+    axes = np.concatenate((np.eye(3), -np.eye(3)))
+    interior = np.random.default_rng(41).uniform(-1.0, 1.0, size=(32, 3))
+    return np.concatenate((CUBE_SIGNS.astype(float), axes, interior))
+
+
+def _prep_identity_errors(bloch):
+    """How far the preparation table's law is from the per-axis product law
+    on the 8 vertices, and how far its mean of Phi(v) = (I + v.sigma)/2 is
+    from (I + b.sigma)/2, the state the preparation stands for."""
+    law = prep_law(bloch)
+    product = np.prod((1.0 + CUBE_SIGNS * bloch) / 2.0, axis=1)
+    phi = np.array([bloch_to_dense(BlochOp(v.astype(float))).entries for v in CUBE_SIGNS])
+    mean = np.tensordot(law, phi, axes=1)
+    return (np.abs(law - product).max(),
+            np.abs(mean - bloch_to_dense(BlochOp(bloch)).entries).max())
+
+
+def test_prep_table_law_is_the_product_law_and_its_state():
+    for b in _prep_blochs():
+        law_err, state_err = _prep_identity_errors(b)
+        assert law_err <= 1e-15, b
+        assert state_err <= 1e-15, b
+
+
+def test_prep_table_with_two_axes_swapped_fails_its_identity(monkeypatch):
+    table_of = simulator._prep_table
+    monkeypatch.setattr(simulator, "_prep_table", lambda b: table_of(b[[1, 0, 2]]))
+    errors = [_prep_identity_errors(b) for b in _prep_blochs() if abs(b[0] - b[1]) > 0.1]
+    assert all(law_err > 0.01 and state_err > 0.01 for law_err, state_err in errors)
+
+
+# 10^6 draws through one preparation table and one gate table, each shot
+# from a uniformly drawn row among those the sampler feeds it (the 8
+# vertices, the 64 pairs): the joint law of (row, draw) must sit within the
+# bench's bound 3 sqrt(K / shots) of the exact law, K its support
+@pytest.mark.parametrize("kind", ["prep", "gate"])
+def test_draws_fit_their_tables_law(kind):
+    if kind == "prep":
+        table, rows = simulator._prep_table(np.array([0.3, -0.5, 0.6])), 8
+    else:
+        noise = NoiseModel("local-depol", 0.7)
+        table = simulator._gate_table(simulator._gate_weights(noise), simulator._pair_maps())
+        rows = 64
+    exact = (table_transition(table)[:rows] / rows).ravel()
+    rng = np.random.default_rng(29)
+    shots = 10 ** 6
+    row = rng.integers(0, rows, size=shots, dtype=np.uint8)
+    drawn = simulator._draw_pairs(table, row, rng.random(shots))
+    counts = np.bincount(row.astype(np.intp) * 64 + drawn, minlength=rows * 64)
+    K = np.count_nonzero(exact)
+    assert set(np.flatnonzero(counts)) <= set(np.flatnonzero(exact))
+    assert 0.5 * np.abs(counts / shots - exact).sum() <= 3.0 * math.sqrt(K / shots)

@@ -18,7 +18,7 @@ from gencube.dense import partial_trace, permute_qubits
 from gencube.gates import NoiseModel, pipeline
 from gencube.pauli import PAULIS, BlochOp, PauliCoeffs2Q, axis_index
 from gencube.separability import LhvCertificate, verify_certificate
-from gencube.spaces import VERTEX_PERMS, StateSpaceSpec, contains, cube_vertices
+from gencube.spaces import CUBE_SIGNS, VERTEX_PERMS, StateSpaceSpec, contains, cube_vertices
 from gencube.simulator import (
     Circuit,
     CircuitNotSimulableError,
@@ -150,6 +150,18 @@ def test_negative_seed_rejected_before_the_gate_tables():
         simulate_hn(parse_circuit(text), 10, seed=-1)
 
 
+@pytest.mark.parametrize("text, shots", [
+    # every qubit drawn, and only qubit 1 drawn beside a prepared qubit 0;
+    # both states pass 2^63 bytes, which numpy refuses before allocating
+    ("qubits 1000000\ncsign 0 1 joint-depol 0.0\nmeas 0 Z a\n", 99_999_999_999_999),
+    ("qubits 2\nprep 0 1 0 0\ncsign 0 1 joint-depol 0.0\nmeas 1 Z a\n", 2 ** 62 + 1),
+], ids=["all-drawn", "one-prepared"])
+def test_state_too_large_to_allocate_is_refused_before_the_gate_tables(text, shots):
+    with pytest.raises(ValueError, match=r"^the shot state of \d+ qubits x \d+ shots "
+                                         r"\(\d+ bytes\) cannot be allocated$"):
+        simulate_hn(parse_circuit(text), shots, seed=1)
+
+
 def test_qubit_cap_holds_on_the_dense_path_only():
     n = 120
     lines = [f"qubits {n}"] + [f"prep {q} 0.5 0.1 0.6" for q in range(n)]
@@ -178,33 +190,34 @@ def test_determinism():
 
 # sha256 of repr(sorted(histogram.items())) of each suite circuit at 20 000
 # shots: any change to a draw, a gate table or the counting shows here.
-# Captured from the descent's gate tables and the (qubits, shots) byte
-# draw, after tests/test_hn_law.py passed on them; remeasure_zx has no CSIGN
+# Captured from the descent's gate tables and the preparation tables, with
+# no initial draw of a qubit whose first op is a preparation, after
+# tests/test_hn_law.py passed on them; remeasure_zx has no CSIGN
 PINNED_HISTOGRAMS = {
     ("adaptive_feedforward", 1):
-        "0bbe02ef2f940a2c58dc5d83233bd7baef3e1e1e8949087f9a07e6bd21836abe",
+        "9cc52c3a29e3e4b113324175e007aa62e39d2d4da92d0d180edeef9145f9fb3d",
     ("adaptive_feedforward", 7):
-        "419b3f471f1cb1f3699efc71ddc806babaa785e01db2014f2c804274a9c9f007",
+        "c348c5437b53d39199366ee2fc9370b863b71e503f4d1e25e1e1b59ebebfd9a8",
     ("bell_like_joint", 1):
-        "eb8e4b584b0bb819460f25185afef4495ecba5e54d916cabc33616cc2c5b09bd",
+        "e93ce29a232e1c77065b2d5e4e916ad202302c3ceba9b9d249b508bfce6b0eee",
     ("bell_like_joint", 7):
-        "f450bb08b2f9d063214b54b26fb0a16fda58b635ac38eb6c13b056619d26af3f",
+        "99695bd9c9ad4eb6fda95566b3749725da6935da2cda55daa37b7420a40b41fa",
     ("dephase_pair", 1):
-        "94bbead55e91a6f5e10e5e728693c09f1f522e45e0bba2a1b2efab962cd11adf",
+        "b2c7e4f81bb86201cb7414b3a42b6c53a543ea92a59bbd37c5a5cf229a561486",
     ("dephase_pair", 7):
-        "fa73a00cfe2dc82fbc81071e2627e403a4feff800fbd91d0625e4c461e47bb85",
+        "8627d4cc5951bd46a9901a16f7fa7805d21bd607a2c24b882dbbfd8a1b400d40",
     ("local_depol_pair", 1):
-        "47e46d1777dc0cf231191ad68a903f16656c6abe1e194a7d9c611bb4c51840c6",
+        "4a3e5cda3a8f7f6ab924a30cc7e0fae9d1cfca25f49a6d4c8582fe2bfe597ba4",
     ("local_depol_pair", 7):
-        "e6359affb91addaa68763a4ac9a5cc5ac167ceff9bec2427491686c1588ddd45",
+        "06895059ea103262f4d71d32a26e27b86dd84fed55f6018357e32ada6f749f3a",
     ("remeasure_zx", 1):
-        "a6105feb74248bce5760a2d0316709e16a2a9b4629f795a13b69120f16e85c3e",
+        "533f5a5dff8c65a0ccbc1794f5a7ab7b30660119e36f9802023d97185d78ebaa",
     ("remeasure_zx", 7):
-        "0da7ada8d22399b30435e181cf892338dffc6f7250f8612dfcfce8efaefb789a",
+        "ab4816f5c21972117f49d9dcb8a8b956db3cf6abab9f7c1912e3905ede9669bd",
     ("three_qubit_chain", 1):
-        "e93b54074b1415663e4164bcefa7cd2d90c2a3b955a8a070c9f1751bf705035d",
+        "942c20a1f5c21e1cbe17afcf32c7ce668735331c9d5c37e15ce7577edcdb163e",
     ("three_qubit_chain", 7):
-        "9933b8905f79b822d7d4ba18ec15ff0cfffc864e0cdc0602f2ee4f0d6ecb4a77",
+        "0e706954835392b953f48f034cd9e06fbaf8b74c1e1b3640bf505b256ac87513",
 }
 
 
@@ -256,11 +269,11 @@ meas 4 X r1
 
 
 def test_histogram_pinned_on_every_op_kind():
-    # digest captured from the descent's gate tables, after
-    # tests/test_hn_law.py passed on them
+    # digest captured from the descent's gate tables and the preparation
+    # tables, after tests/test_hn_law.py passed on them
     hist = simulate_hn(parse_circuit(ALL_OPS_CIRCUIT), 200_000, 1).histogram
     digest = hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest()
-    assert digest == "11408585accfc9ae84a48a15004bffa4ef123c478bc786c2d6737d387f7d7d29"
+    assert digest == "7889a52f2af95173c72dfae998ad30d9bbd4954dc47a8a39c1ab8d6f5e33ff66"
 
 
 # 12 measured records on 3 qubits, one of them written only where a0 reads
@@ -293,14 +306,42 @@ meas 1 Z b1
 
 
 def test_histogram_pinned_on_many_records():
-    # digest captured from the descent's gate tables, after
-    # tests/test_hn_law.py passed on them
+    # digest captured from the descent's gate tables and the preparation
+    # tables, after tests/test_hn_law.py passed on them
     c = parse_circuit(WIDE_RECORDS_CIRCUIT)
     assert 3 ** len(c.record_ids()) > 20_000
     hist = simulate_hn(c, 20_000, 3).histogram
     assert any("." in key for key in hist)
     digest = hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest()
-    assert digest == "93d5e0eae410f2acda6fee557ba2ea65b5197d90635b37434884f160becb972c"
+    assert digest == "b4bf07c79e15ac07f8d0b49b03f2c5602ec8be2722bed81272bd3970a74a1fcd"
+
+
+# no preparation, so every qubit is drawn in one (qubits, shots) byte draw
+# and no preparation table is read
+NO_PREP_CIRCUIT = """
+qubits 4
+clif 0 H
+csign 0 1 joint-depol 0.8
+csign 1 2 local-dephase 0.4
+meas 0 X a
+ifeq a -1 clif 2 S
+csign 2 3 local-depol 0.7
+meas 1 Z b
+meas 2 Y c
+meas 3 Z d
+meas 0 X e
+"""
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "fc28316c91b0cbb254fe9930441b9794724b1cd20f11e178f6244226ca4449d2"),
+    (7, "84a8d25d45a45fe1406be3a5b060aa9a1a437fc48044305a7882995d3c20c0ef"),
+])
+def test_circuit_without_preparation_keeps_its_histogram(seed, digest):
+    # neither how preparations draw nor which qubits skip the initial draw
+    # may move these digests
+    hist = simulate_hn(parse_circuit(NO_PREP_CIRCUIT), 20_000, seed).histogram
+    assert hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest() == digest
 
 
 def test_histogram_shape_and_symbols():
@@ -612,17 +653,34 @@ def test_call_retains_no_memory_without_gc(simulate):
 
 
 def test_initial_state_is_one_draw_of_the_stream():
-    # the initial state is one (n, shots) byte draw, and the preparation
-    # after it reads the stream from where that draw ends
+    # the initial state is one (drawn qubits, shots) byte draw over qubits 0
+    # and 1; qubit 2 starts with its preparation, which reads one uniform
+    # per shot from where that draw ends, inverted through its table's CDF
     shots, seed = 10_001, 4
     c = parse_circuit("qubits 3\nprep 2 0 0 0.2\nmeas 0 Z a\nmeas 1 X b\nmeas 2 Z c\n")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    start = rng.integers(0, 8, size=(3, shots), dtype=np.uint8)
-    prep = rng.random((shots, 3))[:, 2] >= 0.6
+    start = rng.integers(0, 8, size=(2, shots), dtype=np.uint8)
+    cdf = simulator._prep_table(np.array([0.0, 0.0, 0.2])).cdf
+    prep = np.minimum(np.searchsorted(cdf, rng.random(shots), side="right"), 7) & 1
     records = np.column_stack((start[0] & 1, start[1] >> 2 & 1, prep)).astype(int)
     keys, counts = np.unique(records, axis=0, return_counts=True)
     expected = {"".join("+-"[b] for b in key): int(n) for key, n in zip(keys, counts)}
     assert simulate_hn(c, shots, seed).histogram == expected
+
+
+@pytest.mark.parametrize("text, drawn", [
+    # an untouched qubit is drawn, so that a circuit without preparations
+    # keeps its one (qubits, shots) draw
+    ("qubits 3\nprep 0 1 0 0\nprep 2 0 0 1\nmeas 0 Z a\n", [1]),
+    # read before its preparation, by a measurement or a CSIGN
+    ("qubits 2\nmeas 0 Z a\nprep 0 1 0 0\ncsign 1 0 joint-depol 0.8\nprep 1 0 1 0\n", [0, 1]),
+    # a conditional preparation does not write every shot
+    ("qubits 2\nprep 0 1 0 0\nmeas 0 Z a\nifeq a +1 prep 1 0 0 1\nprep 1 1 0 0\n", [1]),
+    # prepared first, then conditionally read
+    ("qubits 2\nprep 0 1 0 0\nmeas 0 Z a\nprep 1 0 0 1\nifeq a -1 meas 1 X b\n", []),
+], ids=["untouched", "read-first", "conditional-prep", "prepared-first"])
+def test_drawn_qubits_are_those_not_prepared_first(text, drawn):
+    assert simulator._drawn_qubits(parse_circuit(text)) == drawn
 
 
 def test_initial_state_draw_peak_memory_tracks_the_byte_state():
@@ -811,11 +869,11 @@ def test_simulate_leaves_scipy_optimize_unloaded():
 # ---------------------------------------------------------------------------
 
 
-def reference_tables(w0, maps):
+def reference_tables(w0, maps, cut=1e-14):
     """Per pair p: cumulative normalized weights of w0 over its support,
-    and that support moved onto p by maps[p]."""
+    the weights above cut, and that support moved onto p by maps[p]."""
     w = np.clip(w0, 0.0, None)
-    support = np.nonzero(w > 1e-14)[0]
+    support = np.nonzero(w > cut)[0]
     ws = w[support]
     cdf = np.cumsum(ws / ws.sum())
     return [(cdf, maps[p][support]) for p in range(64)]
@@ -872,14 +930,16 @@ def _edge_w0s():
     return list(W)
 
 
-def _check_draws(rng, w0, maps, shots):
-    """_draw_pairs on the table of (w0, maps) against per-pair searchsorted,
-    with uniforms exactly on CDF entries, on bucket edges and just below
-    them, and the ends of [0, 1).  Returns the table."""
+def _check_draws(rng, w0, maps, shots, table=None, cut=1e-14):
+    """_draw_pairs on the table of (w0, maps), or on the table given, against
+    per-pair searchsorted over the weights above cut, with uniforms exactly
+    on CDF entries, on bucket edges and just below them, and the ends of
+    [0, 1).  Returns the table."""
     M = simulator.GUIDE_BUCKETS
-    ref = reference_tables(w0, maps)
+    ref = reference_tables(w0, maps, cut)
     cdf = ref[0][0]
-    table = simulator._gate_table(np.clip(w0, 0.0, None), maps)
+    if table is None:
+        table = simulator._gate_table(np.clip(w0, 0.0, None), maps)
     pair = rng.integers(0, 64, size=shots)
     u = rng.random(pair.size)
     on_edge = rng.random(pair.size) < 0.3
@@ -897,7 +957,7 @@ def _check_draws(rng, w0, maps, shots):
     return table, pair, u
 
 
-@pytest.mark.parametrize("source", ["gate", "random", "edges"])
+@pytest.mark.parametrize("source", ["gate", "random", "edges", "prep"])
 def test_lookup_matches_per_pair_searchsorted(source):
     rng = np.random.default_rng(17)
     M = simulator.GUIDE_BUCKETS
@@ -913,6 +973,20 @@ def test_lookup_matches_per_pair_searchsorted(source):
             table, pair, u = _check_draws(rng, _random_w0(rng, size), perms, 20_000)
             if size == 64:
                 assert (table.guide.ravel()[(u * M).astype(np.intp) * 64 + pair] < 0).any()
+    elif source == "prep":
+        # vertices, axis states, interior points, and a vertex weight of
+        # about 1e-16, far below the gate tables' 1e-14 cut: a preparation's
+        # table keeps every vertex of positive weight
+        maps = np.broadcast_to(np.arange(8), (64, 8))
+        blochs = [CUBE_SIGNS[1].astype(float), np.array([0.0, -1.0, 0.0]),
+                  np.array([0.3, -0.5, 0.6]), np.array([1.0 - 1e-15, 0.2, -0.7]),
+                  *rng.uniform(-1.0, 1.0, size=(4, 3))]
+        for b in blochs:
+            w = np.prod((1.0 + CUBE_SIGNS * b) / 2.0, axis=1)
+            table, _, _ = _check_draws(rng, w, maps, 8_000, table=simulator._prep_table(b),
+                                       cut=0.0)
+            assert table.cdf.size == np.count_nonzero(w > 0.0)
+        assert 0.0 < np.prod((1.0 + CUBE_SIGNS * blochs[3]) / 2.0, axis=1).min() < 1e-14
     else:
         w0s = _edge_w0s()
         tables = [_check_draws(rng, w0, maps, 4_000)[0] for w0 in w0s]

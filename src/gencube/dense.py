@@ -1,11 +1,18 @@
 """Dense multi-qubit helpers shared by the channel constructions and the
-reference density-matrix simulator.
+reference simulator.
 
 An n-qubit matrix is read through its (2,)*2n tensor view (axis q is qubit
 q's ket index, axis q + n its bra index, qubit 0 the leftmost factor).  A
 channel on k qubits is its Kraus superoperator sum_K K (x) conj(K), and
-apply_channel contracts it with its own qubits' ket and bra axes, at
-O(4^n) per call; no operator is lifted to 2^n x 2^n.
+pauli_transfer turns it into its real Pauli transfer matrix
+T[i, j] = tr(P_i Phi(P_j)) / 2^k (Chow et al., PRL 109, 060501 (2012)).
+
+The reference simulator holds a state rho = 2^-n sum_idx c_idx P_idx by its
+real coefficients c, a (4,)*n tensor stored flat, whose axis p belongs to
+qubit order[p].  apply_transfer contracts a channel's T with its own
+qubits' axes: at most one transposing copy, which brings those axes to the
+front, and one matrix product, both written into a spare buffer of the
+state's size, so an op allocates nothing.
 """
 from __future__ import annotations
 
@@ -16,7 +23,9 @@ __all__ = [
     "partial_trace",
     "partial_transpose_qubits",
     "superop",
-    "apply_channel",
+    "pauli_transfer",
+    "lead_axes",
+    "apply_transfer",
 ]
 
 
@@ -56,11 +65,39 @@ def superop(kraus) -> np.ndarray:
     return S.reshape((2,) * (S.size.bit_length() - 1))
 
 
-def apply_channel(rho: np.ndarray, S: np.ndarray, qubits, n: int) -> np.ndarray:
-    """rho -> the channel with superoperator S (see superop) on `qubits`,
-    first one most significant: one contraction of S's input axes with the
-    qubits' ket and bra axes of rho."""
-    axes = [*qubits, *(q + n for q in qubits)]
-    out = np.tensordot(S, rho.reshape((2,) * (2 * n)),
-                       axes=(range(len(axes), 2 * len(axes)), axes))
-    return np.moveaxis(out, range(len(axes)), axes).reshape(rho.shape)
+def pauli_transfer(S: np.ndarray, paulis) -> np.ndarray:
+    """The real 4^k x 4^k transfer matrix T[i, j] = tr(P_i Phi(P_j)) / 2^k of
+    the k-qubit channel Phi with superoperator S (see superop), in the
+    products P_i of the one-qubit Paulis `paulis`, the first qubit's most
+    significant: Phi(P_j) = sum_i T[i, j] P_i."""
+    basis = one = np.asarray(paulis)
+    for _ in range(S.ndim // 4 - 1):
+        d = 2 * basis.shape[1]
+        basis = np.einsum("aij,bkl->abikjl", basis, one).reshape(-1, d, d)
+    d = basis.shape[1]
+    T = np.einsum("iba,abcd,jcd->ij", basis, S.reshape(d, d, d, d), basis) / d
+    return np.ascontiguousarray(T.real)
+
+
+def lead_axes(c: np.ndarray, order: tuple, qubits, spare: np.ndarray):
+    """The flat coefficients c, axis p of qubit order[p], with the axes of
+    `qubits` first, in their order.  Returns (c, order, spare) as given if
+    they lead already; otherwise c is copied, transposed, into spare, and
+    (spare, the new order, c) is returned: c's memory is the new spare."""
+    pos = [order.index(q) for q in qubits]
+    if pos == list(range(len(pos))):
+        return c, order, spare
+    rest = [p for p in range(len(order)) if p not in pos]
+    shape = (4,) * len(order)
+    np.copyto(spare.reshape(shape), c.reshape(shape).transpose(pos + rest))
+    return spare, tuple(qubits) + tuple(order[p] for p in rest), c
+
+
+def apply_transfer(c: np.ndarray, order: tuple, T: np.ndarray, qubits, spare: np.ndarray):
+    """The state c (see lead_axes) after the channel of transfer matrix T
+    on `qubits`, first one most significant: their axes are brought to the
+    front, and T multiplies them, one matrix product written into the spare
+    buffer.  Returns (new c, its order, the new spare)."""
+    c, order, spare = lead_axes(c, order, qubits, spare)
+    np.matmul(T, c.reshape(len(T), -1), out=spare.reshape(len(T), -1))
+    return spare, order, c

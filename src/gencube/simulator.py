@@ -1,7 +1,8 @@
 """Sampling simulator for adaptive circuits whose two-qubit gates are
-cube-separable, plus a dense density-matrix reference for cross-validation,
-which applies each op's Kraus superoperator to its own qubits' tensor axes
-of rho, at O(4^n).
+cube-separable, plus a dense reference for cross-validation, which holds
+each branch's state by its real Pauli coefficients and applies each op as
+one contraction of its Pauli transfer matrix with its own qubits' axes, at
+O(4^n).
 
 The sampler stores one byte per qubit per shot, a cube vertex's index
 (spaces.vertex_index): bits 2, 1, 0 are set on its -1 signs along X, Y, Z.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import apply_channel, superop
+from .dense import apply_transfer, lead_axes, pauli_transfer, superop
 from . import lp
 from .gates import CLIFFORD_ACTIONS, CLIFFORD_UNITARIES, NoiseModel, pipeline_rows
 from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index, bloch_to_dense
@@ -46,6 +47,7 @@ from .spaces import CUBE_SIGNS, VERTEX_PERMS, StateSpaceSpec, contains, vertex_i
 
 __all__ = [
     "DENSE_MAX_QUBITS",
+    "DENSE_BRANCH_FLOOR",
     "check_dense_width",
     "Prepare",
     "Clifford1",
@@ -63,7 +65,10 @@ __all__ = [
 ]
 
 RNG_NAME = "PCG64"
-DENSE_MAX_QUBITS = 8        # the dense reference holds a 4^n density matrix
+DENSE_MAX_QUBITS = 8        # the dense reference holds 4^n Pauli coefficients
+# a measurement outcome whose Born weight is at most this share of its
+# branch's opens no branch in the dense reference
+DENSE_BRANCH_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -355,6 +360,35 @@ def _prep_table(bloch: np.ndarray) -> _GateTable:
 # Clifford action as a permutation of vertex indices, one byte each
 _CLIFFORD_PERMS = {g: vertex_index(CUBE_SIGNS @ M.T).astype(np.uint8)
                    for g, M in CLIFFORD_ACTIONS.items()}
+# the mask of each Clifford whose permutation is an XOR of the index (the
+# Paulis: each flips the signs of the two other axes)
+_CLIFFORD_XORS = {g: int(perm[0]) for g, perm in _CLIFFORD_PERMS.items()
+                  if np.array_equal(perm, np.arange(8) ^ perm[0])}
+
+
+def _apply_clifford(state: np.ndarray, qubit: int, rows, gate: str) -> None:
+    """Move the vertices of qubit's shots `rows` (a slice or an index array)
+    by the Clifford's permutation: an XOR in place where it is one, which
+    costs far less than the table take that S and H need."""
+    mask = _CLIFFORD_XORS.get(gate)
+    if mask is None:
+        state[qubit, rows] = _CLIFFORD_PERMS[gate].take(state[qubit, rows])
+    else:
+        state[qubit, rows] ^= mask
+
+
+def _collapse(vertex: np.ndarray, axis: str, rng) -> np.ndarray:
+    """Measure each vertex of `vertex` (uint8) along axis: returns 1 - 2 b
+    of its bit b of that axis, as int8, and in place keeps that bit and
+    redraws the other two uniformly from rng."""
+    shift = 3 - axis_index(axis)     # of the measured axis's sign bit
+    bit = (vertex >> shift) & 1
+    kept = 1 << shift
+    redraw = rng.integers(0, 8, size=vertex.size, dtype=np.uint8)
+    redraw &= 7 ^ kept
+    vertex &= kept
+    vertex |= redraw
+    return 1 - 2 * bit.view(np.int8)
 
 
 @dataclass
@@ -393,8 +427,9 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     one (qubits, shots) draw.  A preparation and a CSIGN each draw one
     uniform per shot and read it through their table's guide, with a
     searchsorted of the table's one CDF for the few shots the guide leaves
-    open; one table is built per distinct preparation and gate.  A Clifford
-    is a table lookup.  Identical seeds give identical histograms.  The
+    open; one table is built per distinct preparation and gate.  A Pauli
+    (X, Y, Z) is an XOR of the vertex index, S and H a table lookup.
+    Identical seeds give identical histograms.  The
     redraws after measurements come from a stream of their own, so a
     circuit that never touches a measured qubit again samples exactly as if
     there were none.  A state too large to allocate is refused with
@@ -439,7 +474,7 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
             table = prep_tables[tuple(op.state.bloch)]
             state[op.qubit, rows] = _draw_pairs(table, state[op.qubit, rows], rng.random(size))
         elif isinstance(op, Clifford1):
-            state[op.qubit, rows] = _CLIFFORD_PERMS[op.gate].take(state[op.qubit, rows])
+            _apply_clifford(state, op.qubit, rows, op.gate)
         elif isinstance(op, NoisyCsign):
             pair = state[op.qubit1, rows] << 3
             pair |= state[op.qubit2, rows]
@@ -447,15 +482,8 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
             state[op.qubit1, rows] = newpair >> 3
             state[op.qubit2, rows] = newpair & 7
         elif isinstance(op, Measure):
-            shift = 3 - axis_index(op.axis)     # of the measured axis's sign bit
             vertex = state[op.qubit, rows]
-            bit = (vertex >> shift) & 1
-            records[op.record_id][rows] = 1 - 2 * bit.view(np.int8)
-            kept = 1 << shift
-            redraw = collapse_rng.integers(0, 8, size=size, dtype=np.uint8)
-            redraw &= 7 ^ kept
-            vertex &= kept
-            vertex |= redraw
+            records[op.record_id][rows] = _collapse(vertex, op.axis, collapse_rng)
             state[op.qubit, rows] = vertex
         else:
             raise TypeError(f"unknown op {op!r}")
@@ -545,9 +573,25 @@ def _noisy_csign_superop(noise: NoiseModel) -> np.ndarray:
     return superop(_noise_kraus(noise) @ np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
+def _transfer_matrix(op, outcome: int = 0) -> np.ndarray:
+    """The Pauli transfer matrix of an op on its own qubits: 4 x 4 for a
+    preparation (trace out the qubit and put the prepared state in its
+    place), a Clifford, or a measurement's projector (I + outcome P) / 2,
+    16 x 16 for a noisy CSIGN."""
+    if isinstance(op, Prepare):
+        S = np.multiply.outer(bloch_to_dense(op.state).entries, np.eye(2))
+    elif isinstance(op, Clifford1):
+        S = superop([CLIFFORD_UNITARIES[op.gate]])
+    elif isinstance(op, NoisyCsign):
+        S = _noisy_csign_superop(op.noise)
+    else:
+        S = superop([(np.eye(2) + outcome * PAULIS[axis_index(op.axis)]) / 2])
+    return pauli_transfer(S, PAULIS)
+
+
 def check_dense_width(num_qubits: int) -> None:
     """Raise ValueError if the dense reference cannot take num_qubits
-    qubits: it holds a 4^n density matrix."""
+    qubits: it holds 4^n Pauli coefficients."""
     if num_qubits > DENSE_MAX_QUBITS:
         raise ValueError(f"dense simulation supports at most {DENSE_MAX_QUBITS} qubits; "
                          f"got {num_qubits}")
@@ -557,24 +601,32 @@ def simulate_dense(circuit: Circuit) -> dict:
     """Exact outcome distribution over classical record strings.
 
     Preparations must be quantum (inside the Bloch sphere); measurements
-    collapse the state and fork the branch tree with exact Born weights.
-    Every op is one apply_channel of its Kraus superoperator on its own
-    qubits.  Circuits of more than DENSE_MAX_QUBITS qubits are refused.
+    collapse the state and fork the branch tree with exact Born weights,
+    and an outcome of weight at most DENSE_BRANCH_FLOOR of its branch's
+    opens no branch.  A branch holds rho = 2^-n sum_idx c_idx P_idx by its
+    real Pauli coefficients c (see dense), which start as the unit tensor,
+    the maximally mixed state; its trace is c[0, ..., 0].  Every op is one
+    apply_transfer of its Pauli transfer matrix on its own qubits, each
+    matrix built at its first use in the call.  Circuits of more than
+    DENSE_MAX_QUBITS qubits are refused.
     """
     n = circuit.num_qubits
     check_dense_width(n)
     rids = circuit.record_ids()
     sphere = StateSpaceSpec.sphere(1.0)
-    cliffords = {g: superop([U]) for g, U in CLIFFORD_UNITARIES.items()}
-    csigns: dict[NoiseModel, np.ndarray] = {}   # one superoperator per distinct noise
+    # keyed by Bloch vector, Clifford name, noise model or (axis, outcome)
+    transfers: dict = {}
+    spare = np.empty(4 ** n)    # every op writes into it; see dense.lead_axes
+    start = np.zeros(4 ** n)
+    start[0] = 1.0
 
     dist: dict[str, float] = {}
     # depth first over the measurement branches, + before -, on an explicit
     # stack: a recursive closure would form a reference cycle.  A branch
-    # carries its unnormalized state, whose trace is the branch probability
-    stack = [(np.eye(2 ** n, dtype=complex) / (2 ** n), 0, {})]
+    # carries its unnormalized state and that state's axis order
+    stack = [(start, tuple(range(n)), 0, {})]
     while stack:
-        rho, k, record = stack.pop()
+        c, order, k, record = stack.pop()
         while k < len(circuit.ops):
             op = circuit.ops[k]
             k += 1
@@ -588,30 +640,32 @@ def simulate_dense(circuit: Circuit) -> dict:
                         "dense simulation requires quantum preparations "
                         f"(|bloch| <= 1); got {op.state.bloch}"
                     )
-                # trace out the qubit and put the prepared state in its place
-                S = np.multiply.outer(bloch_to_dense(op.state).entries, np.eye(2))
-                rho = apply_channel(rho, S, (op.qubit,), n)
+                key, qubits = tuple(op.state.bloch), (op.qubit,)
             elif isinstance(op, Clifford1):
-                rho = apply_channel(rho, cliffords[op.gate], (op.qubit,), n)
+                key, qubits = op.gate, (op.qubit,)
             elif isinstance(op, NoisyCsign):
-                if op.noise not in csigns:
-                    csigns[op.noise] = _noisy_csign_superop(op.noise)
-                rho = apply_channel(rho, csigns[op.noise], (op.qubit1, op.qubit2), n)
+                key, qubits = op.noise, (op.qubit1, op.qubit2)
             elif isinstance(op, Measure):
-                obs = PAULIS[axis_index(op.axis)]
-                # an outcome of Born weight <= 1e-15 opens no branch
-                floor = 1e-15 * float(np.real(np.trace(rho)))
+                # the qubit's axis first, then each outcome's projection is
+                # one product into a state of its own
+                c, order, spare = lead_axes(c, order, (op.qubit,), spare)
+                floor = DENSE_BRANCH_FLOOR * c[0]
                 branches = []
                 for outcome in (1, -1):
-                    S = superop([(np.eye(2) + outcome * obs) / 2])
-                    sub = apply_channel(rho, S, (op.qubit,), n)
-                    if float(np.real(np.trace(sub))) > floor:
-                        branches.append((sub, k, {**record, op.record_id: outcome}))
+                    key = (op.axis, outcome)
+                    if key not in transfers:
+                        transfers[key] = _transfer_matrix(op, outcome)
+                    sub = (transfers[key] @ c.reshape(4, -1)).ravel()
+                    if sub[0] > floor:
+                        branches.append((sub, order, k, {**record, op.record_id: outcome}))
                 stack.extend(reversed(branches))
                 break
+            if key not in transfers:
+                transfers[key] = _transfer_matrix(op)
+            c, order, spare = apply_transfer(c, order, transfers[key], qubits, spare)
         else:
             key = "".join(_RECORD_CHARS[record.get(rid, 0) + 1] for rid in rids)
-            dist[key] = dist.get(key, 0.0) + float(np.real(np.trace(rho)))
+            dist[key] = dist.get(key, 0.0) + float(c[0])
     return dict(sorted(dist.items()))
 
 

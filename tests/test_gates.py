@@ -1,9 +1,11 @@
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gencube.dense import apply_channel, superop
+from gencube.dense import apply_transfer, pauli_transfer, superop
 from gencube import gates
 from gencube.gates import (
     CLIFFORD_ACTIONS,
@@ -115,19 +117,36 @@ def test_csign_identity_and_involution():
     assert np.array_equal(csign(csign(A)).coeffs, A.coeffs)
 
 
+def _pauli_products(n: int) -> np.ndarray:
+    """The 4^n products of Paulis on n qubits, kron chains with qubit 0's
+    factor most significant."""
+    return np.array([functools.reduce(np.kron, ps) for ps in itertools.product(PAULIS, repeat=n)])
+
+
+def _apply_dense(rho, T, qubits, n: int) -> np.ndarray:
+    """rho after the channel of transfer matrix T on `qubits`, through the
+    dense reference's contraction of its Pauli coefficients
+    c_idx = tr(P_idx rho), read back as 2^-n sum_idx c_idx P_idx."""
+    basis = _pauli_products(n)
+    c = np.einsum("iab,ba->i", basis, rho).real
+    out, order, _ = apply_transfer(c, tuple(range(n)), T, qubits, np.empty_like(c))
+    out = out.reshape((4,) * n).transpose(np.argsort(order)).ravel()
+    return np.tensordot(out, basis, axes=1) / 2 ** n
+
+
 def test_noise_models_against_dense_kraus():
-    # the dense reference's noisy-CSIGN superoperator against the Pauli side,
-    # dephasing also past 1/2
+    # the dense reference's noisy-CSIGN transfer matrix against the Pauli
+    # side, dephasing also past 1/2
     rng = np.random.default_rng(33)
     cases = [(f, p) for f in FAMILIES for p in (0.0, 0.21, 0.37, 1.0)] + [(local_dephase, 0.7)]
     for family, p in cases:
-        S = _noisy_csign_superop(family(p))
+        T = pauli_transfer(_noisy_csign_superop(family(p)), PAULIS)
         for _ in range(10):
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             rho = g @ g.conj().T
             rho /= np.trace(rho)
             lhs = to_dense(apply_noise(csign(from_dense(rho)), family(p))).entries
-            rhs = apply_channel(rho, S, (0, 1), 2)
+            rhs = _apply_dense(rho, T, (0, 1), 2)
             assert np.max(np.abs(lhs - rhs)) < 1e-12, (family.__name__, p)
 
 
@@ -154,7 +173,8 @@ def test_dense_ops_on_reversed_and_far_pairs_match_kron_kraus_sums(n, q1, q2):
     I2, Z = PAULIS[0], PAULIS[3]
 
     def check(S, qubits, kraus):
-        assert np.max(np.abs(apply_channel(rho, S, qubits, n) - _kraus_sum(rho, kraus))) < 1e-12
+        got = _apply_dense(rho, pauli_transfer(S, PAULIS), qubits, n)
+        assert np.max(np.abs(got - _kraus_sum(rho, kraus))) < 1e-12
 
     joint = [math.sqrt(1.0 - lam) * np.eye(2 ** n)]
     joint += [math.sqrt(lam) / 4 * _lift({q1: Pi, q2: Pj}, n) for Pi in PAULIS for Pj in PAULIS]

@@ -1,6 +1,7 @@
 """The HN sampler's exact output law (hn_law) against the dense reference,
-the preparation tables against the per-axis product law, and sampled
-histograms and draws against their laws."""
+the preparation tables against the per-axis product law, the Clifford and
+measurement rules against the dense reference's Pauli transfer matrices,
+and sampled histograms and draws against their laws."""
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from gencube import simulator
 from gencube.gates import NoiseModel
-from gencube.pauli import BlochOp, bloch_to_dense
+from gencube.pauli import BlochOp, axis_index, bloch_to_dense
 from gencube.spaces import CUBE_SIGNS
 from gencube.simulator import (
     Circuit,
@@ -179,23 +180,122 @@ def test_prep_table_with_two_axes_swapped_fails_its_identity(monkeypatch):
     assert all(law_err > 0.01 and state_err > 0.01 for law_err, state_err in errors)
 
 
-# 10^6 draws through one preparation table and one gate table, each shot
-# from a uniformly drawn row among those the sampler feeds it (the 8
-# vertices, the 64 pairs): the joint law of (row, draw) must sit within the
-# bench's bound 3 sqrt(K / shots) of the exact law, K its support
-@pytest.mark.parametrize("kind", ["prep", "gate"])
+# Phi(v) = (I + v.sigma) / 2 of each cube vertex by its Pauli coefficients
+# (1, v), which the dense reference's transfer matrices act on
+VERTEX_COEFFS = np.hstack((np.ones((8, 1), dtype=np.int64), CUBE_SIGNS))
+
+
+def _integers(T: np.ndarray) -> np.ndarray:
+    """T's entries as integers; each must lie within 1e-15 of one."""
+    R = np.rint(T)
+    assert np.abs(T - R).max() <= 1e-15
+    return R.astype(np.int64)
+
+
+def _clifford_identity_holds(gate: str) -> bool:
+    """The gate's transfer matrix maps (1, v) to (1, perm(v)) for all 8
+    vertices, perm the sampler's vertex permutation: U Phi(v) U^dagger =
+    Phi(perm(v))."""
+    T = _integers(simulator._transfer_matrix(Clifford1(0, gate)))
+    perm = simulator._CLIFFORD_PERMS[gate].astype(np.intp)
+    return np.array_equal(VERTEX_COEFFS @ T.T, VERTEX_COEFFS[perm])
+
+
+class _EveryRedraw:
+    """Stands for the collapse stream: each call returns every 3-bit value
+    equally often, so one call per vertex enumerates a uniform redraw."""
+
+    def integers(self, low, high, size, dtype):
+        return np.tile(np.arange(low, high, dtype=dtype), size // (high - low))
+
+
+def _collapse_counts(axis: str) -> np.ndarray:
+    """counts[v, i, w]: of 8 equally likely redraws, those in which the
+    sampler's measurement along axis takes vertex v to outcome (1, -1)[i]
+    and vertex w, read off simulator._collapse."""
+    before = np.repeat(np.arange(8, dtype=np.uint8), 8)
+    after = before.copy()
+    outcome = simulator._collapse(after, axis, _EveryRedraw())
+    counts = np.zeros((8, 2, 8), dtype=np.int64)
+    np.add.at(counts, (before, (1 - outcome) // 2, after), 1)
+    return counts
+
+
+def _measurement_identity_holds(axis: str) -> bool:
+    """For both outcomes s, the projector's transfer matrix maps (1, v) to
+    [v_a = s] (1, s e_a), and so does the sampler's rule: the mean of
+    (1, w) over the vertices w it moves v to with outcome s, weighted by
+    their probabilities.  Both sides times 8 are integers."""
+    a = axis_index(axis)    # the Pauli index, 1 for X
+    counts = _collapse_counts(axis)
+    for i, s in enumerate((1, -1)):
+        T = _integers(2 * simulator._transfer_matrix(Measure(0, axis, "m"), s))
+        expected = np.zeros((8, 4), dtype=np.int64)
+        hit = VERTEX_COEFFS[:, a] == s
+        expected[hit, 0] = 8
+        expected[hit, a] = 8 * s
+        if not (np.array_equal(4 * VERTEX_COEFFS @ T.T, expected)
+                and np.array_equal(counts[:, i] @ VERTEX_COEFFS, expected)):
+            return False
+    return True
+
+
+def test_clifford_and_measurement_rules_are_their_channels():
+    assert all(_clifford_identity_holds(gate) for gate in "XYZSH")
+    assert all(_measurement_identity_holds(axis) for axis in "XYZ")
+
+
+@pytest.mark.parametrize("gate", "XYZSH")
+def test_clifford_permutation_with_two_entries_swapped_fails_its_identity(monkeypatch, gate):
+    perm = simulator._CLIFFORD_PERMS[gate].copy()
+    perm[[2, 5]] = perm[[5, 2]]
+    monkeypatch.setitem(simulator._CLIFFORD_PERMS, gate, perm)
+    assert not _clifford_identity_holds(gate)
+
+
+@pytest.mark.parametrize("axis", "XYZ")
+def test_measurement_that_redraws_the_measured_bit_fails_its_identity(monkeypatch, axis):
+    collapse = simulator._collapse
+
+    def redraws_every_bit(vertex, axis, rng):
+        outcome = collapse(vertex, axis, rng)
+        vertex[:] = rng.integers(0, 8, size=vertex.size, dtype=np.uint8)
+        return outcome
+
+    monkeypatch.setattr(simulator, "_collapse", redraws_every_bit)
+    assert not _measurement_identity_holds(axis)
+
+
+# 10^6 draws through one preparation table, one gate table and one
+# measurement's collapse, each shot from a uniformly drawn row among those
+# the sampler feeds it (the 8 vertices, the 64 pairs, the 8 vertices): the
+# joint law of (row, draw) must sit within the bench's bound
+# 3 sqrt(K / shots) of the exact law, K its support
+@pytest.mark.parametrize("kind", ["prep", "gate", "collapse"])
 def test_draws_fit_their_tables_law(kind):
-    if kind == "prep":
-        table, rows = simulator._prep_table(np.array([0.3, -0.5, 0.6])), 8
-    else:
-        noise = NoiseModel("local-depol", 0.7)
-        table = simulator._gate_table(simulator._gate_weights(noise), simulator._pair_maps())
-        rows = 64
-    exact = (table_transition(table)[:rows] / rows).ravel()
     rng = np.random.default_rng(29)
     shots = 10 ** 6
-    row = rng.integers(0, rows, size=shots, dtype=np.uint8)
-    drawn = simulator._draw_pairs(table, row, rng.random(shots))
+    if kind == "collapse":
+        # along Y: the vertex keeps its Y bit, the other two are uniform
+        bit = (np.arange(8) >> 1) & 1
+        exact = np.zeros((8, 64))
+        exact[:, :8] = (bit[:, None] == bit) / 32.0
+        exact = exact.ravel()
+        row = rng.integers(0, 8, size=shots, dtype=np.uint8)
+        drawn = row.copy()
+        simulator._collapse(drawn, "Y", rng)
+    else:
+        if kind == "prep":
+            table, rows = simulator._prep_table(np.array([0.3, -0.5, 0.6])), 8
+        else:
+            noise = NoiseModel("local-depol", 0.7)
+            table = simulator._gate_table(simulator._gate_weights(noise),
+                                          simulator._pair_maps())
+            rows = 64
+        exact = (table_transition(table)[:rows] / rows).ravel()
+        row = rng.integers(0, rows, size=shots, dtype=np.uint8)
+        drawn = simulator._draw_pairs(table, row, rng.random(shots))
+    rows = exact.size // 64
     counts = np.bincount(row.astype(np.intp) * 64 + drawn, minlength=rows * 64)
     K = np.count_nonzero(exact)
     assert set(np.flatnonzero(counts)) <= set(np.flatnonzero(exact))

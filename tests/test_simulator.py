@@ -633,6 +633,22 @@ def test_repeated_measurement_redraws_other_axes():
     assert set(simulate_hn(zz, 2000, seed=5).histogram) == {"++", "--"}
 
 
+@pytest.mark.parametrize("gate", "XYZSH")
+def test_clifford_route_moves_every_vertex_by_its_permutation(gate):
+    # all 8 vertices on every shot set: the whole row, and a conditioned
+    # index array that leaves the other shots alone
+    perm = simulator._CLIFFORD_PERMS[gate]
+    for rows in (slice(None), np.array([0, 3, 5, 6, 9, 10, 12, 15])):
+        state = np.tile(np.arange(8, dtype=np.uint8), (2, 2))
+        expected = state.copy()
+        expected[1, rows] = perm[state[1, rows]]
+        assert len(set(state[1, rows])) == 8
+        simulator._apply_clifford(state, 1, rows, gate)
+        assert state.dtype == np.uint8 and np.array_equal(state, expected)
+    # the Paulis take the XOR route, with the masks read off the table
+    assert simulator._CLIFFORD_XORS == {"X": 3, "Y": 5, "Z": 6}
+
+
 @pytest.mark.parametrize("simulate", [lambda c: simulate_hn(c, 200_000, seed=2),
                                       simulate_dense], ids=["hn", "dense"])
 def test_call_retains_no_memory_without_gc(simulate):

@@ -607,8 +607,10 @@ def simulate_dense(circuit: Circuit) -> dict:
     real Pauli coefficients c (see dense), which start as the unit tensor,
     the maximally mixed state; its trace is c[0, ..., 0].  Every op is one
     apply_transfer of its Pauli transfer matrix on its own qubits, each
-    matrix built at its first use in the call.  Circuits of more than
-    DENSE_MAX_QUBITS qubits are refused.
+    matrix built at its first use in the call; a measurement's projections
+    are written into the states of ended branches where there are any, so
+    a call allocates no more states than it holds at once.  Circuits of
+    more than DENSE_MAX_QUBITS qubits are refused.
     """
     n = circuit.num_qubits
     check_dense_width(n)
@@ -617,6 +619,7 @@ def simulate_dense(circuit: Circuit) -> dict:
     # keyed by Bloch vector, Clifford name, noise model or (axis, outcome)
     transfers: dict = {}
     spare = np.empty(4 ** n)    # every op writes into it; see dense.lead_axes
+    free = []   # the states of ended branches, which projections write into
     start = np.zeros(4 ** n)
     start[0] = 1.0
 
@@ -655,9 +658,13 @@ def simulate_dense(circuit: Circuit) -> dict:
                     key = (op.axis, outcome)
                     if key not in transfers:
                         transfers[key] = _transfer_matrix(op, outcome)
-                    sub = (transfers[key] @ c.reshape(4, -1)).ravel()
+                    sub = free.pop() if free else np.empty_like(c)
+                    np.matmul(transfers[key], c.reshape(4, -1), out=sub.reshape(4, -1))
                     if sub[0] > floor:
                         branches.append((sub, order, k, {**record, op.record_id: outcome}))
+                    else:
+                        free.append(sub)
+                free.append(c)
                 stack.extend(reversed(branches))
                 break
             if key not in transfers:
@@ -666,6 +673,7 @@ def simulate_dense(circuit: Circuit) -> dict:
         else:
             key = "".join(_RECORD_CHARS[record.get(rid, 0) + 1] for rid in rids)
             dist[key] = dist.get(key, 0.0) + float(c[0])
+            free.append(c)
     return dict(sorted(dist.items()))
 
 

@@ -277,11 +277,11 @@ def test_draws_fit_their_tables_law(kind):
     shots = 10 ** 6
     if kind == "collapse":
         # along Y: the vertex keeps its Y bit, the other two are uniform
-        bit = (np.arange(8) >> 1) & 1
-        exact = np.zeros((8, 64))
+        rows, bit = 8, (np.arange(8) >> 1) & 1
+        exact = np.zeros((rows, 64))
         exact[:, :8] = (bit[:, None] == bit) / 32.0
         exact = exact.ravel()
-        row = rng.integers(0, 8, size=shots, dtype=np.uint8)
+        row = rng.integers(0, rows, size=shots, dtype=np.uint8)
         drawn = row.copy()
         simulator._collapse(drawn, "Y", rng)
     else:
@@ -295,7 +295,6 @@ def test_draws_fit_their_tables_law(kind):
         exact = (table_transition(table)[:rows] / rows).ravel()
         row = rng.integers(0, rows, size=shots, dtype=np.uint8)
         drawn = simulator._draw_pairs(table, row, rng.random(shots))
-    rows = exact.size // 64
     counts = np.bincount(row.astype(np.intp) * 64 + drawn, minlength=rows * 64)
     K = np.count_nonzero(exact)
     assert set(np.flatnonzero(counts)) <= set(np.flatnonzero(exact))

@@ -11,8 +11,8 @@ The reference simulator holds a state rho = 2^-n sum_idx c_idx P_idx by its
 real coefficients c, a (4,)*n tensor stored flat, whose axis p belongs to
 qubit order[p].  apply_transfer contracts a channel's T with its own
 qubits' axes: at most one transposing copy, which brings those axes to the
-front, and one matrix product, both written into a spare buffer of the
-state's size, so an op allocates nothing.
+front, and one matrix product, each written into whichever of two
+state-sized buffers the state does not occupy, so an op allocates nothing.
 """
 from __future__ import annotations
 

@@ -5,10 +5,17 @@ separable for the chosen state space.  Each criterion's slack in
 ``separability`` (its margin plus its tolerance: the least normalized facet
 value for cubes, the least Pauli-pair Born probability, the least
 eigenvalue of the output and of its partial transpose) is >= 0 exactly
-where it holds.  The gate pipeline and every slack run row by row over an
-(N, 16) stack, so a threshold is one Brent root of the least slack over a
-stacked batch of inputs, on the bracket [0, full noise]; the
-LHV-achievability boundaries are roots of the same cube slack in R.
+where it holds, on the bracket [0, full noise].
+
+The two linear criteria (cube-separable and pauli-positive) on vertex
+inputs are facet roots, in closed form: the pipeline output is a
+polynomial of degree <= 2 in the noise strength, so each facet row's slack
+is an exact quadratic, and the threshold is the largest of the roots of the
+rows that are negative at zero noise.  Every other root is a Brent root
+(scipy's brentq, imported on first use) of a least slack over an (N, 16)
+stack of inputs: the quantum-separable thresholds and sphere-grid sweeps,
+the LHV-achievability boundaries (roots of the cube slack in R) and the
+crossings of the closed-form bounds.
 The sphere-grid inputs lie in the XZ plane, so the PPT margin there runs
 one real symmetric eigensolve (see ``separability.quantum_margins``), and
 because the CSIGN, the noise and the rescaling are symmetric under
@@ -18,16 +25,17 @@ well.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lp
-from .gates import NOISE_FAMILIES, NoiseModel, pipeline_rows
+from .gates import NOISE_FAMILIES, NoiseModel, csign, noise_scale_matrix, pipeline_rows
 from .pauli import product_rows
 from .separability import CRITERIA, slack
-from .spaces import StateSpaceSpec, check_R
+from .spaces import StateSpaceSpec, check_R, frame_scale
 
 __all__ = [
     "ROOT_XTOL",
@@ -46,7 +54,7 @@ __all__ = [
     "sphere_grid_inputs",
 ]
 
-ROOT_XTOL = 1e-12           # absolute tolerance of every root (brentq xtol)
+ROOT_XTOL = 1e-12           # absolute tolerance of every Brent root (brentq xtol)
 
 
 class ThresholdBracketError(RuntimeError):
@@ -126,13 +134,89 @@ def sphere_grid_inputs(n: int) -> tuple[np.ndarray, ...]:
 _ALLONES_ROW = np.ones((1, 16))     # product of the all-ones vertex with itself
 
 
-def min_noise(q: ThresholdQuery) -> float:
-    """Minimal noise strength making the criterion hold for the query inputs:
-    one Brent root of the criterion's least slack over a stacked batch of
-    inputs (the all-ones vertex pair, the 64 vertex pairs, or the sphere
-    grid).
+@functools.cache
+def _criterion_rows(criterion: str) -> np.ndarray:
+    """The (16, k) matrix M of a linear criterion, whose margin on an
+    (N, 16) stack B is (B @ M).min(axis=-1): the normalized facets of
+    separability.cube_margins, or the positivity rows / 4 of
+    separability.pauli_margins.  Read off the unit stack, exactly: every
+    facet's identity entry is a power of two.  Read-only."""
+    unit = np.eye(16)
+    if criterion == "cube-separable":
+        M = np.ascontiguousarray(lp.facet_margins(unit))
+    else:
+        M = lp.positivity_values(unit) / 4.0
+    M.setflags(write=False)
+    return M
 
-    The sphere grid is folded by the qubit-exchange symmetry: its first root
+
+@functools.cache
+def _noise_polynomial(family: str) -> np.ndarray:
+    """(3, 16): the family's noise factors on the flattened coefficients as
+    polynomials in the strength p, rows the coefficients of 1, p and p^2.
+    Every factor has degree <= 2, so its values at p = 0, 1/2 and 1 fix it;
+    they are small dyadics there, so the coefficients are exact.  Read-only."""
+    y0, y1, y2 = (noise_scale_matrix(NoiseModel(family, p)).ravel() for p in (0.0, 0.5, 1.0))
+    poly = np.stack((y0, 4.0 * y1 - 3.0 * y0 - y2, 2.0 * (y2 - 2.0 * y1 + y0)))
+    poly.setflags(write=False)
+    return poly
+
+
+def _slack_polynomials(criterion: str, P: np.ndarray, R: float,
+                       family: str) -> tuple[np.ndarray, ...]:
+    """Flat arrays a, b, c with a p^2 + b p + c the slack, before the min,
+    of every (input row of P, criterion row) pair at noise strength p: the
+    frame-scaled CSIGN of the inputs times each coefficient of the noise
+    polynomial, all three through one product with the criterion's rows."""
+    G = csign(P * frame_scale(R)) * frame_scale(1.0 / R)
+    C = (_noise_polynomial(family)[:, None, :] * G).reshape(-1, 16)
+    c, b, a = (C @ _criterion_rows(criterion)).reshape(3, -1)
+    return a, b, c + CRITERIA[criterion][1]
+
+
+def _facet_root(a: np.ndarray, b: np.ndarray, c: np.ndarray, hi: float) -> float:
+    """The root in (0, hi] of the least of the quadratics a p^2 + b p + c:
+    the largest of the roots of the rows that are negative at 0.
+
+    That is the least slack's one sign change only if every row changes
+    sign at most once on [0, hi].  A row negative at 0 and >= 0 at hi has
+    one root there; a row >= 0 at both ends could change sign only by
+    dipping below 0 at its vertex -b / 2a, and is refused.  Each root is
+    taken in the stable form q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, roots
+    q / a and c / q, so a linear row (a = 0) takes c / q = -c / b.
+    """
+    below = c < 0.0
+    if not below.any():
+        raise ThresholdBracketError("criterion already holds at zero noise")
+    if (c + hi * (b + hi * a) < 0.0).any():
+        raise ThresholdBracketError("criterion still fails at full noise")
+    if (~below & (a > 0.0) & (b < 0.0) & (-b < 2.0 * a * hi) & (b * b > 4.0 * a * c)).any():
+        raise RuntimeError("a criterion row changes sign twice on the noise interval")
+    a, b, c = a[below], b[below], c[below]
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+    # q != 0: a row with b = 0 and a <= 0 stays negative at hi
+    with np.errstate(divide="ignore"):
+        roots = np.stack((q / a, c / q))
+    # each row's first crossing is its least positive root (c < 0 rules out 0)
+    first = np.where(roots > 0.0, roots, np.inf).min(axis=0)
+    return min(float(first.max()), hi)
+
+
+def min_noise(q: ThresholdQuery) -> float:
+    """Minimal noise strength making the criterion hold for the query inputs
+    (the all-ones vertex pair, the 64 vertex pairs, or the sphere grid), on
+    the bracket [0, full noise].
+
+    The linear criteria (cube-separable: the 684 normalized facets;
+    pauli-positive: the 36 positivity rows / 4) on vertex inputs take no
+    iteration.  The pipeline output is a polynomial of degree <= 2 in the
+    noise strength, so each row's slack is an exact quadratic, and the
+    threshold is the largest of the facet roots of the rows negative at
+    zero noise (_facet_root).
+
+    Every other query (quantum-separable, and the sphere grid) is one Brent
+    root of the criterion's least slack over the stacked inputs.  The
+    sphere grid is folded by the qubit-exchange symmetry: its first root
     runs over the th <= ph rows only (n(n+1)/2 of n^2), whose outputs have
     no odd-Y coefficient and take the real eigensolve of quantum_margins.  The
     binding input then gets a second root over its 21 x 21 refinement cell.
@@ -145,7 +229,8 @@ def min_noise(q: ThresholdQuery) -> float:
     1 - 1/sqrt 2.
 
     Raises ThresholdBracketError when the criterion already holds at zero
-    noise or still fails at full noise.
+    noise or still fails at full noise, and RuntimeError when a facet row
+    changes sign twice on the bracket.
     """
     R = q.space.R
     # total dephasing is p = 1/2; the depolarizing families top out at 1
@@ -159,10 +244,11 @@ def min_noise(q: ThresholdQuery) -> float:
                      "criterion already holds at zero noise",
                      "criterion still fails at full noise")
 
-    if q.input_policy == "worst-vertex":
-        return root(_ALLONES_ROW)
-    if q.input_policy == "all-vertices":
-        return root(lp.vertex_product_matrix().T)
+    if q.input_policy != "sphere-grid":
+        P = _ALLONES_ROW if q.input_policy == "worst-vertex" else lp.vertex_product_matrix().T
+        if q.criterion == "quantum-separable":
+            return root(P)
+        return _facet_root(*_slack_polynomials(q.criterion, P, R, q.noise_family), hi)
     U, V, th, ph = sphere_grid_inputs(q.grid_n)
     # swap fold: the CSIGN, every noise family and frame_scale(R) are
     # symmetric under exchanging the qubits, so inputs (th, ph) and (ph, th)

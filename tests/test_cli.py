@@ -357,3 +357,20 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr or "import gencube.cli loaded scipy.optimize"
+
+
+def test_cube_threshold_and_curve_leave_scipy_optimize_unloaded():
+    # the cube thresholds are facet roots: no Brent root, so no scipy.optimize
+    runs = [["threshold", "--noise", family, "--space", "cube", "--R", "1"]
+            for family in ("joint-depol", "local-depol", "local-dephase")]
+    runs.append(["curve", "--noise", "local-depol", "--space", "cube",
+                 "--r-min", "0.5", "--r-max", "1.5", "--steps", "3"])
+    code = ("import sys\n"
+            "from gencube.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "sys.exit(any(codes) or 'scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "a cube threshold loaded scipy.optimize"
+    assert proc.stdout.count("tolerances:") == 4

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import gencube.thresholds as th
 from gencube import lp
 from gencube.gates import NoiseModel, joint_depol, local_dephase, pipeline, pipeline_rows
 from gencube.pauli import (
@@ -13,7 +14,7 @@ from gencube.pauli import (
     product_rows,
     to_dense,
 )
-from gencube.separability import CRITERIA, POSITIVITY_TOL, quantum_margins
+from gencube.separability import CRITERIA, POSITIVITY_TOL, quantum_margins, slack
 from gencube.spaces import StateSpaceSpec
 from gencube.thresholds import (
     ROOT_XTOL,
@@ -77,15 +78,124 @@ def test_partial_dephasing_on_rescaled_cube_needs_total_noise():
 
 
 def test_min_noise_bracket_errors(monkeypatch):
-    import gencube.thresholds as th
-
+    # every row's slack held constant at +1, then at -1
     q = ThresholdQuery("joint-depol", CUBE, "cube-separable")
-    monkeypatch.setattr(th, "slack", lambda c, B: np.ones(len(B)))
+    zero = np.zeros(684)
+    monkeypatch.setattr(th, "_slack_polynomials", lambda *args: (zero, zero, zero + 1.0))
     with pytest.raises(ThresholdBracketError, match="already holds"):
         min_noise(q)
-    monkeypatch.setattr(th, "slack", lambda c, B: -np.ones(len(B)))
+    monkeypatch.setattr(th, "_slack_polynomials", lambda *args: (zero, zero, zero - 1.0))
     with pytest.raises(ThresholdBracketError, match="still fails"):
         min_noise(q)
+
+
+# ---------------------------------------------------------------------------
+# Facet roots: the linear criteria's thresholds in closed form
+# ---------------------------------------------------------------------------
+
+LINEAR_CRITERIA = ("cube-separable", "pauli-positive")
+FAMILIES = ("joint-depol", "local-depol", "local-dephase")
+# the benchmark's curve lattice, R = 1 and the two rescalings the README quotes
+REFERENCE_R = (tuple(round(0.65 + 0.05 * k, 2) for k in range(16))
+               + (1.0, 1 / math.sqrt(3), 1.73))
+
+
+def _brent_min_noise(q):
+    """The vertex-input threshold as one Brent root of the least slack of
+    the pipeline output, evaluated afresh at every iterate."""
+    P = np.ones((1, 16)) if q.input_policy == "worst-vertex" else lp.vertex_product_matrix().T
+    hi = 0.5 if q.noise_family == "local-dephase" else 1.0
+
+    def least(p):
+        out = pipeline_rows(P, q.space.R, NoiseModel(q.noise_family, p))
+        return float(np.min(slack(q.criterion, out)))
+
+    if least(0.0) >= 0.0:
+        raise ThresholdBracketError("criterion already holds at zero noise")
+    if least(hi) < 0.0:
+        raise ThresholdBracketError("criterion still fails at full noise")
+    return brentq(least, 0.0, hi, xtol=ROOT_XTOL)
+
+
+@pytest.mark.parametrize("policy", ["worst-vertex", "all-vertices"])
+@pytest.mark.parametrize("criterion", LINEAR_CRITERIA)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_facet_root_matches_the_brent_root(family, criterion, policy):
+    for R in REFERENCE_R:
+        q = ThresholdQuery(family, StateSpaceSpec.cube(R), criterion, policy)
+        assert abs(min_noise(q) - _brent_min_noise(q)) < 1e-12, R
+
+
+def _linear_values(criterion, B):
+    """Every row's value of a linear criterion before the min, plus its
+    tolerance: the normalized facets, or the positivity rows / 4."""
+    values = lp.facet_margins(B) if criterion == "cube-separable" else lp.positivity_values(B) / 4
+    return values.ravel() + CRITERIA[criterion][1]
+
+
+SCAN_R = (0.3, 0.5, 0.65, 0.8, 1.0, 1.16, 1.4, 1.73, 2.2, 3.0)
+
+
+@pytest.mark.parametrize("criterion", LINEAR_CRITERIA)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_row_changes_sign_at_most_once(family, criterion):
+    # the 64 vertex pairs include the all-ones pair, so this covers both
+    # policies: each row's slack is the quadratic of its coefficients (it
+    # agrees with the pipeline at five strengths, and the slack has degree
+    # <= 2), and on a fine grid of [0, hi] no row goes from >= 0 back to
+    # < 0, so each changes sign at most once, from < 0 to >= 0
+    P = lp.vertex_product_matrix().T
+    hi = 0.5 if family == "local-dephase" else 1.0
+    for R in SCAN_R:
+        a, b, c = th._slack_polynomials(criterion, P, R, family)
+        for p in np.linspace(0.0, hi, 5):
+            values = _linear_values(criterion, pipeline_rows(P, R, NoiseModel(family, p)))
+            assert np.max(np.abs(values - (c + p * (b + p * a)))) < 1e-13, (R, p)
+        held = np.zeros(len(a), dtype=bool)
+        for p in np.linspace(0.0, hi, 257):
+            holds = c + p * (b + p * a) >= 0.0
+            assert not (held & ~holds).any(), (R, p)
+            held = holds
+
+
+def test_a_row_dipping_below_zero_inside_the_bracket_is_refused(monkeypatch):
+    # 8 p^2 - 8 p + 1 is +1 at both ends of [0, 1] and -1 at p = 1/2
+    real = th._slack_polynomials
+
+    def with_dip(*args):
+        return tuple(np.append(x, v) for x, v in zip(real(*args), (8.0, -8.0, 1.0)))
+
+    q = ThresholdQuery("joint-depol", CUBE, "cube-separable")
+    assert abs(min_noise(q) - 2 / 3) < 1e-8
+    monkeypatch.setattr(th, "_slack_polynomials", with_dip)
+    with pytest.raises(RuntimeError, match="changes sign twice"):
+        min_noise(q)
+
+
+@pytest.mark.parametrize("criterion", LINEAR_CRITERIA)
+@pytest.mark.parametrize("R", [0.8, 1.0, 1.3])
+def test_joint_depol_rows_are_linear(R, criterion):
+    # the joint-depol factors are 1 - p: no row has a p^2 term, and the
+    # threshold is the largest linear root -c / b
+    a, b, c = th._slack_polynomials(criterion, np.ones((1, 16)), R, "joint-depol")
+    assert (a == 0.0).all()
+    below = c < 0.0
+    q = ThresholdQuery("joint-depol", StateSpaceSpec.cube(R), criterion)
+    assert min_noise(q) == np.max(-c[below] / b[below])
+
+
+@pytest.mark.parametrize("criterion", LINEAR_CRITERIA)
+@pytest.mark.parametrize("R, row", [(0.8, 17), (1.3, 13)])
+def test_dephasing_threshold_off_unit_rescaling_is_a_linear_root(R, row, criterion):
+    # at R != 1 the binding dephasing row is a Pauli-pair probability with
+    # a Z on one qubit (row 17: X+ Z-, row 13: Y- Z-; the positivity orbit
+    # leads the facet table): it reads only coefficients the dephasing
+    # scales by 1 - 2p or leaves alone, so its p^2 term is exactly 0 and the
+    # threshold is its linear root -c / b, just below p = 1/2
+    a, b, c = th._slack_polynomials(criterion, np.ones((1, 16)), R, "local-dephase")
+    q = ThresholdQuery("local-dephase", StateSpaceSpec.cube(R), criterion)
+    assert a[row] == 0.0 and c[row] < 0.0
+    assert min_noise(q) == -c[row] / b[row]
 
 
 def test_analytic_bounds_at_unit_rescaling():

@@ -26,10 +26,16 @@ pairs, and the pair each entry selects for each input pair; a
 preparation's table is the CDF of its product law, whose every row selects
 the same vertices, since the law does not depend on the current vertex.
 Every op that draws, a preparation or a CSIGN, reads its table the same
-way: by inverse CDF of one uniform per shot through a guide table of
-GUIDE_BUCKETS buckets of [0, 1), one read per shot, except for the few
-shots whose bucket holds a CDF entry, which search the CDF with
-np.searchsorted.
+way, by inverse CDF through a guide table of GUIDE_BUCKETS buckets of
+[0, 1) (Chen & Asau's indexed search).  Each shot's bucket is the top 10
+bits of one 16-bit field of the bit generator's raw 64-bit words, four
+fields to a word, and one guide read gives its draw, except for the few
+shots whose bucket holds a CDF entry: these read one raw word more, for
+the 53 bits of their uniform below the bucket's, and count the entries
+at or below it exactly.  Measurement redraws and the initial state read
+raw bytes, eight to a word.  So the sampler's stream is the raw output
+of its PCG64 bit generators alone, which NEP 19 keeps stable across numpy
+releases.
 """
 from __future__ import annotations
 
@@ -290,7 +296,13 @@ def _gate_weights(noise: NoiseModel) -> np.ndarray:
     return w0
 
 
-GUIDE_BUCKETS = 1024    # a power of two, so u * GUIDE_BUCKETS is exact
+# a descent's weights at or below this are its float dust, left out of a
+# gate table's support
+SUPPORT_CUT = 1e-14
+GUIDE_BUCKETS = 1024    # 2^10: a bucket is the top 10 bits of a 16-bit field
+# the field's low 6 bits carry the input pair, so that the masked field
+# is the pair's index in the flattened guide, bucket * 64 + pair
+_BUCKET_MASK = (GUIDE_BUCKETS - 1) << 6
 
 
 @dataclass(frozen=True)
@@ -306,18 +318,17 @@ class _GateTable:
     [b / GUIDE_BUCKETS, (b + 1) / GUIDE_BUCKETS), or -1 where a CDF entry
     lies strictly inside the bucket, so that the draw depends on u beyond
     its bucket (Chen & Asau's indexed search).
-    The last bucket starts at 1: rounding can put the last entry just above
-    1, and a u read off it still finds a bucket."""
+    The draws read buckets 0 to GUIDE_BUCKETS - 1; the last row, the
+    bucket from 1, is never read."""
 
     cdf: np.ndarray         # size, float
     moved: np.ndarray       # 64 x size, int8
     guide: np.ndarray       # (GUIDE_BUCKETS + 1) x 64, int8
 
 
-def _gate_table(w0: np.ndarray, maps: np.ndarray, cut: float = 1e-14) -> _GateTable:
+def _gate_table(w0: np.ndarray, maps: np.ndarray, cut: float = SUPPORT_CUT) -> _GateTable:
     """The table and its guide of the weights w0 of pair 0, moved onto each
-    pair p by the pair permutation maps[p]; only weights above cut enter.
-    The default cut drops the float dust of a descent's weights."""
+    pair p by the pair permutation maps[p]; only weights above cut enter."""
     support0 = np.flatnonzero(w0 > cut)
     cdf = np.cumsum(w0[support0] / w0[support0].sum())
     moved = maps[:, support0].astype(np.int8)
@@ -329,21 +340,36 @@ def _gate_table(w0: np.ndarray, maps: np.ndarray, cut: float = 1e-14) -> _GateTa
     return _GateTable(cdf, moved, guide.astype(np.int8))
 
 
-def _draw_pairs(table: _GateTable, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _packed(bits, count: int, width: int) -> np.ndarray:
+    """count unsigned fields of width bytes (1 or 2), read little-endian off
+    the raw 64-bit words of the bit generator bits, 8 // width to a word."""
+    words = bits.random_raw(-(-count * width // 8))
+    return words.astype("<u8", copy=False).view(f"<u{width}")[:count]
+
+
+def _draw_pairs(table: _GateTable, pair: np.ndarray, bits) -> np.ndarray:
     """Next vertex pair of each shot, or next vertex on a preparation's
-    table, moved[pair, k] for the capped searchsorted(cdf, u, side="right")
-    k.  Most shots read it off the guide entry of their u's bucket; the
-    shots whose bucket holds a CDF entry (-1 in the guide) search the CDF.
-    The result is int8."""
-    # the guide row of u's bucket, exact since GUIDE_BUCKETS is a power of
-    # two; int32, whose cast from float is far cheaper than int64's
-    key = (u * GUIDE_BUCKETS).astype(np.int32)
-    key <<= 6
-    key += pair
-    out = table.guide.take(key)
+    table, for its current pair (uint8): moved[pair, k], k the capped
+    searchsorted(cdf, u, side="right") at the shot's exact uniform
+    u = (b + v) / GUIDE_BUCKETS.
+
+    Each shot reads one 16-bit field of bits' raw words: masked, its top
+    10 bits are the bucket b times 64, and with the pair OR-ed in it is the
+    shot's guide index.  Most shots read their pair there.  The shots whose
+    bucket holds a CDF entry (-1 in the guide) then read one raw word each,
+    v = (raw >> 11) 2^-53, and count the entries c with
+    GUIDE_BUCKETS c - b <= v: that difference is exact inside the bucket
+    (Sterbenz), negative below it and at least 1 above it.  The result is
+    int8."""
+    key = _packed(bits, pair.size, 2) & _BUCKET_MASK
+    key |= pair
+    # take casts any other index to intp itself, at about twice the cost
+    out = table.guide.take(key.astype(np.intp))
     miss = np.flatnonzero(out < 0)
     if miss.size:
-        k = np.searchsorted(table.cdf, u[miss], side="right")
+        b = (key[miss] >> 6).astype(float)
+        v = (bits.random_raw(miss.size) >> 11) * 2.0 ** -53
+        k = np.count_nonzero(table.cdf * GUIDE_BUCKETS - b[:, None] <= v[:, None], axis=1)
         np.minimum(k, table.cdf.size - 1, out=k)
         out[miss] = table.moved[pair[miss], k]
     return out
@@ -368,24 +394,29 @@ _CLIFFORD_XORS = {g: int(perm[0]) for g, perm in _CLIFFORD_PERMS.items()
 
 def _apply_clifford(state: np.ndarray, qubit: int, rows, gate: str) -> None:
     """Move the vertices of qubit's shots `rows` (a slice or an index array)
-    by the Clifford's permutation: an XOR in place where it is one, which
-    costs far less than the table take that S and H need."""
+    by the Clifford's permutation, as bit operations on the index: an XOR
+    in place for a Pauli; S sets bit 2 to NOT bit 1 and bit 1 to bit 2 (X
+    to Y, Y to -X), and H swaps bits 2 and 0 and flips bit 1 (X to Z, Y to
+    -Y)."""
     mask = _CLIFFORD_XORS.get(gate)
-    if mask is None:
-        state[qubit, rows] = _CLIFFORD_PERMS[gate].take(state[qubit, rows])
-    else:
+    if mask is not None:
         state[qubit, rows] ^= mask
+        return
+    v = state[qubit, rows]
+    if gate == "S":
+        state[qubit, rows] = ((v & 2) << 1 ^ 4) | ((v >> 1) & 2) | (v & 1)
+    else:
+        state[qubit, rows] = ((v & 1) << 2) | ((v >> 2) & 1) | ((v & 2) ^ 2)
 
 
-def _collapse(vertex: np.ndarray, axis: str, rng) -> np.ndarray:
+def _collapse(vertex: np.ndarray, axis: str, bits) -> np.ndarray:
     """Measure each vertex of `vertex` (uint8) along axis: returns 1 - 2 b
     of its bit b of that axis, as int8, and in place keeps that bit and
-    redraws the other two uniformly from rng."""
+    redraws the other two uniformly, from one raw byte of bits per shot."""
     shift = 3 - axis_index(axis)     # of the measured axis's sign bit
     bit = (vertex >> shift) & 1
     kept = 1 << shift
-    redraw = rng.integers(0, 8, size=vertex.size, dtype=np.uint8)
-    redraw &= 7 ^ kept
+    redraw = _packed(bits, vertex.size, 1) & (7 ^ kept)
     vertex &= kept
     vertex |= redraw
     return 1 - 2 * bit.view(np.int8)
@@ -420,20 +451,21 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     certificate is moved onto each of the 64 vertex pairs and rechecked on
     that pair's own output.  No LP runs.  The state is one byte per qubit
     and shot, one row per qubit.  Its rows start as one (drawn qubits,
-    shots) byte draw, uniform like the dense reference's maximally mixed
-    state, over every qubit but those whose first op is an unconditional
-    preparation; those start at vertex 0, which their preparation
-    overwrites unread.  A circuit whose every qubit is drawn starts from
-    one (qubits, shots) draw.  A preparation and a CSIGN each draw one
-    uniform per shot and read it through their table's guide, with a
-    searchsorted of the table's one CDF for the few shots the guide leaves
-    open; one table is built per distinct preparation and gate.  A Pauli
-    (X, Y, Z) is an XOR of the vertex index, S and H a table lookup.
-    Identical seeds give identical histograms.  The
-    redraws after measurements come from a stream of their own, so a
-    circuit that never touches a measured qubit again samples exactly as if
-    there were none.  A state too large to allocate is refused with
-    ValueError before any table is built.
+    shots) draw of raw bytes, each masked to its low 3 bits, uniform like
+    the dense reference's maximally mixed state, over every qubit but
+    those whose first op is an unconditional preparation; those start at
+    vertex 0, which their preparation overwrites unread.  A circuit whose
+    every qubit is drawn starts from one (qubits, shots) draw.  A
+    preparation and a CSIGN each read one 16-bit field of the raw words
+    per shot, whose masked bits index their table's guide directly, and
+    one raw word more for each of the few shots the guide leaves open; one
+    table is built per distinct preparation and gate.  Cliffords are bit
+    operations on the vertex index: an XOR for X, Y and Z.  Identical
+    seeds give identical histograms.  The redraws after measurements come
+    from a PCG64 stream of their own, so a circuit that never touches a
+    measured qubit again samples exactly as if there were none.  A state
+    too large to allocate is refused with ValueError before any table is
+    built.
     The cost per shot and op does not depend on the number of qubits.
     """
     if shots < 1:
@@ -441,12 +473,13 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer; got {seed}")
     seeds = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seeds)
-    collapse_rng = np.random.default_rng(seeds.spawn(1)[0])
+    bits = np.random.PCG64(seeds)
+    collapse_bits = np.random.PCG64(seeds.spawn(1)[0])
     n = circuit.num_qubits
     drawn = _drawn_qubits(circuit)
     try:
-        start = rng.integers(0, 8, size=(len(drawn), shots), dtype=np.uint8)
+        start = _packed(bits, len(drawn) * shots, 1).reshape(len(drawn), shots)
+        start &= 7
         if len(drawn) == n:
             state = start
         else:
@@ -469,21 +502,21 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     # indices where its condition holds.  Not recursive: a self-referencing
     # closure would form a reference cycle holding every shot array until
     # the cyclic collector runs
-    def run_op(op, rows, size):
+    def run_op(op, rows):
         if isinstance(op, Prepare):
             table = prep_tables[tuple(op.state.bloch)]
-            state[op.qubit, rows] = _draw_pairs(table, state[op.qubit, rows], rng.random(size))
+            state[op.qubit, rows] = _draw_pairs(table, state[op.qubit, rows], bits)
         elif isinstance(op, Clifford1):
             _apply_clifford(state, op.qubit, rows, op.gate)
         elif isinstance(op, NoisyCsign):
             pair = state[op.qubit1, rows] << 3
             pair |= state[op.qubit2, rows]
-            newpair = _draw_pairs(tables[op.noise], pair, rng.random(size))
+            newpair = _draw_pairs(tables[op.noise], pair, bits)
             state[op.qubit1, rows] = newpair >> 3
             state[op.qubit2, rows] = newpair & 7
         elif isinstance(op, Measure):
             vertex = state[op.qubit, rows]
-            records[op.record_id][rows] = _collapse(vertex, op.axis, collapse_rng)
+            records[op.record_id][rows] = _collapse(vertex, op.axis, collapse_bits)
             state[op.qubit, rows] = vertex
         else:
             raise TypeError(f"unknown op {op!r}")
@@ -491,9 +524,9 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
     for op in circuit.ops:
         if isinstance(op, ClassicalControl):
             rows = np.nonzero(records[op.record_id] == op.value)[0]
-            run_op(op.op, rows, rows.size)
+            run_op(op.op, rows)
         else:
-            run_op(op, slice(None), shots)
+            run_op(op, slice(None))
     return SimResult(_histogram([records[rid] for rid in rids], shots), shots, seed)
 
 

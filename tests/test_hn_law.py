@@ -25,7 +25,7 @@ from gencube.simulator import (
 )
 
 from circuit_suite import SUITE
-from hn_law import hn_law, prep_law, table_transition
+from hn_law import gate_transition, hn_law, prep_law, table_transition
 
 # cube-separable strengths, 0.01 inside each family's range: from 2/3,
 # 2 - sqrt(2) and 1 - 1/sqrt(2) up; dephasing at p and 1 - p differ by a Z,
@@ -202,17 +202,22 @@ def _clifford_identity_holds(gate: str) -> bool:
 
 
 class _EveryRedraw:
-    """Stands for the collapse stream: each call returns every 3-bit value
-    equally often, so one call per vertex enumerates a uniform redraw."""
+    """Stands for the collapse stream's bit generator: the eight bytes of
+    each raw word carry the 3-bit values 0, 1, ..., 7 in their low bits, in
+    that order, and ones in their high bits, so 8 shots of one vertex meet
+    every redraw once, and a redraw that kept a high bit would leave the
+    cube."""
 
-    def integers(self, low, high, size, dtype):
-        return np.tile(np.arange(low, high, dtype=dtype), size // (high - low))
+    def random_raw(self, size):
+        word = int.from_bytes(bytes(range(0xF8, 0x100)), "little")
+        return np.full(size, word, dtype=np.uint64)
 
 
 def _collapse_counts(axis: str) -> np.ndarray:
     """counts[v, i, w]: of 8 equally likely redraws, those in which the
     sampler's measurement along axis takes vertex v to outcome (1, -1)[i]
-    and vertex w, read off simulator._collapse."""
+    and vertex w, read off simulator._collapse fed every redraw once per
+    vertex through its raw bytes."""
     before = np.repeat(np.arange(8, dtype=np.uint8), 8)
     after = before.copy()
     outcome = simulator._collapse(after, axis, _EveryRedraw())
@@ -257,21 +262,102 @@ def test_clifford_permutation_with_two_entries_swapped_fails_its_identity(monkey
 def test_measurement_that_redraws_the_measured_bit_fails_its_identity(monkeypatch, axis):
     collapse = simulator._collapse
 
-    def redraws_every_bit(vertex, axis, rng):
-        outcome = collapse(vertex, axis, rng)
-        vertex[:] = rng.integers(0, 8, size=vertex.size, dtype=np.uint8)
+    def redraws_every_bit(vertex, axis, bits):
+        outcome = collapse(vertex, axis, bits)
+        vertex[:] = simulator._packed(bits, vertex.size, 1) & 7
         return outcome
 
     monkeypatch.setattr(simulator, "_collapse", redraws_every_bit)
     assert not _measurement_identity_holds(axis)
 
 
-# 10^6 draws through one preparation table, one gate table and one
+# Phi(u) (x) Phi(v) of each vertex pair 8 i + j by its two-qubit Pauli
+# coefficients kron((1, u), (1, v)), the first qubit's most significant
+PAIR_COEFFS = np.einsum("ia,jb->ijab", VERTEX_COEFFS, VERTEX_COEFFS).reshape(64, 16)
+# 101-point grids of each family on [0, 1]
+CSIGN_GRID = [NoiseModel(kind, float(p)) for kind in sorted(SEPARABLE_RANGES)
+              for p in np.linspace(0.0, 1.0, 101)]
+
+
+def _csign_identity_errors() -> list[float]:
+    """For each accepted gate of CSIGN_GRID, the largest entry of
+    T_dense (1, u) (x) (1, v) - sum_w T[uv, w] (1, w1) (x) (1, w2) over the
+    64 vertex pairs uv: the noisy CSIGN on Phi(u) (x) Phi(v) against the
+    mixture of the pairs the sampler's transition T (gate_transition) moves
+    uv to."""
+    errors = []
+    for noise in CSIGN_GRID:
+        try:
+            T = gate_transition(noise)
+        except simulator.CircuitNotSimulableError:
+            continue
+        dense = simulator._transfer_matrix(NoisyCsign(0, 1, noise))
+        errors.append(np.abs(PAIR_COEFFS @ dense.T - T @ PAIR_COEFFS).max())
+    return errors
+
+
+def test_csign_rule_is_its_channel_on_every_accepted_gate():
+    errors = _csign_identity_errors()
+    assert len(errors) == 117       # of the 303 grid gates
+    assert max(errors) <= 1e-12
+
+
+def test_gate_table_with_one_moved_entry_fails_its_identity(monkeypatch):
+    # on one input pair per gate, the entry of largest weight selects the
+    # pair with the second qubit's Z sign flipped
+    table_of = simulator._gate_table
+
+    def one_entry_moved(w0, maps):
+        table = table_of(w0, maps)
+        moved = table.moved.copy()
+        k = int(np.diff(table.cdf, prepend=0.0).argmax())
+        moved[table.cdf.size % 64, k] ^= 1
+        return simulator._GateTable(table.cdf, moved, table.guide)
+
+    monkeypatch.setattr(simulator, "_gate_table", one_entry_moved)
+    errors = _csign_identity_errors()
+    assert len(errors) == 117 and min(errors) > 0.01
+
+
+class _RecordingWords:
+    """The bit generator bits, keeping each raw draw it serves."""
+
+    def __init__(self, bits):
+        self.bits, self.draws = bits, []
+
+    def random_raw(self, size):
+        self.draws.append(self.bits.random_raw(size))
+        return self.draws[-1]
+
+
+def _open_bucket_entry_law(table):
+    """The open buckets (-1 in the guide) and the joint law of (open
+    bucket, CDF entry) of a draw whose bucket is open: each open bucket is
+    equally likely, and an entry takes the share of the bucket its interval
+    covers, the last entry's reaching past 1."""
+    M = simulator.GUIDE_BUCKETS
+    lo = np.concatenate(([0.0], table.cdf[:-1]))
+    hi = np.concatenate((table.cdf[:-1], [np.inf]))
+    buckets = np.flatnonzero((table.guide[:M] < 0).any(axis=1))
+    b = buckets[:, None]
+    share = np.clip(np.minimum(hi, (b + 1) / M) - np.maximum(lo, b / M), 0.0, None)
+    return buckets, M * share / buckets.size
+
+
+def _miss_heavy_table():
+    """A gate table of 64 seeded weights, one on every pair: its 63 CDF
+    entries below 1 leave about 6 % of the guide's buckets open."""
+    w0 = np.random.default_rng(31).random(64) + 0.01
+    return simulator._gate_table(w0, simulator._pair_maps())
+
+
+# 10^6 draws through one preparation table, one gate table, a gate table
+# that sends a measured share of its shots down the miss path, and one
 # measurement's collapse, each shot from a uniformly drawn row among those
-# the sampler feeds it (the 8 vertices, the 64 pairs, the 8 vertices): the
-# joint law of (row, draw) must sit within the bench's bound
+# the sampler feeds it (the 8 vertices, the 64 pairs, the 64 pairs, the 8
+# vertices): the joint law of (row, draw) must sit within the bench's bound
 # 3 sqrt(K / shots) of the exact law, K its support
-@pytest.mark.parametrize("kind", ["prep", "gate", "collapse"])
+@pytest.mark.parametrize("kind", ["prep", "gate", "misses", "collapse"])
 def test_draws_fit_their_tables_law(kind):
     rng = np.random.default_rng(29)
     shots = 10 ** 6
@@ -283,18 +369,40 @@ def test_draws_fit_their_tables_law(kind):
         exact = exact.ravel()
         row = rng.integers(0, rows, size=shots, dtype=np.uint8)
         drawn = row.copy()
-        simulator._collapse(drawn, "Y", rng)
+        simulator._collapse(drawn, "Y", rng.bit_generator)
     else:
         if kind == "prep":
             table, rows = simulator._prep_table(np.array([0.3, -0.5, 0.6])), 8
-        else:
+        elif kind == "gate":
             noise = NoiseModel("local-depol", 0.7)
             table = simulator._gate_table(simulator._gate_weights(noise),
                                           simulator._pair_maps())
             rows = 64
+        else:
+            table, rows = _miss_heavy_table(), 64
         exact = (table_transition(table)[:rows] / rows).ravel()
         row = rng.integers(0, rows, size=shots, dtype=np.uint8)
-        drawn = simulator._draw_pairs(table, row, rng.random(shots))
+        bits = _RecordingWords(rng.bit_generator)
+        drawn = simulator._draw_pairs(table, row, bits)
+        # one word per 4 shots, then one per shot of an open bucket
+        fields, misses = bits.draws[0].view("<u2"), bits.draws[1:]
+        assert fields.size == shots and len(misses) <= 1
+        missed = table.guide[fields >> 6, row] < 0
+        assert sum(m.size for m in misses) == np.count_nonzero(missed)
+        if kind == "misses":
+            # the measured share of shots on the miss path is the guide's
+            # share of open buckets, and the entries those shots take fit
+            # their law given an open bucket
+            open_share = (table.guide[:simulator.GUIDE_BUCKETS] < 0).mean()
+            share = missed.mean()
+            assert open_share > 0.05
+            assert abs(share - open_share) <= 5.0 * math.sqrt(open_share / shots)
+            entry = (table.moved[row[missed]] == drawn[missed, None]).argmax(axis=1)
+            buckets, law = _open_bucket_entry_law(table)
+            cell = np.searchsorted(buckets, fields[missed] >> 6) * law.shape[1] + entry
+            got = np.bincount(cell, minlength=law.size) / cell.size
+            assert 0.5 * np.abs(got - law.ravel()).sum() <= 3.0 * math.sqrt(
+                np.count_nonzero(law) / cell.size)
     counts = np.bincount(row.astype(np.intp) * 64 + drawn, minlength=rows * 64)
     K = np.count_nonzero(exact)
     assert set(np.flatnonzero(counts)) <= set(np.flatnonzero(exact))

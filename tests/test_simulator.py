@@ -191,33 +191,34 @@ def test_determinism():
 # sha256 of repr(sorted(histogram.items())) of each suite circuit at 20 000
 # shots: any change to a draw, a gate table or the counting shows here.
 # Captured from the descent's gate tables and the preparation tables, with
-# no initial draw of a qubit whose first op is a preparation, after
-# tests/test_hn_law.py passed on them; remeasure_zx has no CSIGN
+# no initial draw of a qubit whose first op is a preparation, and draws
+# read off the bit generators' raw words, after tests/test_hn_law.py and
+# the ported draw tests passed on them; remeasure_zx has no CSIGN
 PINNED_HISTOGRAMS = {
     ("adaptive_feedforward", 1):
-        "9cc52c3a29e3e4b113324175e007aa62e39d2d4da92d0d180edeef9145f9fb3d",
+        "a2997fcfb957cc1a400d61568bd9dccd5e6d9ab09a3e4beaabdbbd194e771def",
     ("adaptive_feedforward", 7):
-        "c348c5437b53d39199366ee2fc9370b863b71e503f4d1e25e1e1b59ebebfd9a8",
+        "70c0eddc27ed26ea5a8e6382efe8ae86603411f03382dbded673c038ac0e2f1a",
     ("bell_like_joint", 1):
-        "e93ce29a232e1c77065b2d5e4e916ad202302c3ceba9b9d249b508bfce6b0eee",
+        "1f68403d90ef4e2fd63e668dfd8f40b566463c2e7456d0ba233f0290856f993b",
     ("bell_like_joint", 7):
-        "99695bd9c9ad4eb6fda95566b3749725da6935da2cda55daa37b7420a40b41fa",
+        "066f60d495639f3a3344ac838e866fc10fc0f93313d35b59bfe64127f740d0c3",
     ("dephase_pair", 1):
-        "b2c7e4f81bb86201cb7414b3a42b6c53a543ea92a59bbd37c5a5cf229a561486",
+        "a202b89a5bf442d1355685c48947f5df4cc50ce4284edb3cb26cb4bfee671895",
     ("dephase_pair", 7):
-        "8627d4cc5951bd46a9901a16f7fa7805d21bd607a2c24b882dbbfd8a1b400d40",
+        "24b2acb35ce2fd0fb4f2c3cc00b1fdc7fd70e4af4f5650b667077b32d923afb2",
     ("local_depol_pair", 1):
-        "4a3e5cda3a8f7f6ab924a30cc7e0fae9d1cfca25f49a6d4c8582fe2bfe597ba4",
+        "3e63db04560e26ba2575d45c7e84ae8dd2a05233cd99aa52fbb5f076d53d2653",
     ("local_depol_pair", 7):
-        "06895059ea103262f4d71d32a26e27b86dd84fed55f6018357e32ada6f749f3a",
+        "6b6e3ce8f880c50927f3e2c4bc9e786243785722a36dcf187400935679d59951",
     ("remeasure_zx", 1):
-        "533f5a5dff8c65a0ccbc1794f5a7ab7b30660119e36f9802023d97185d78ebaa",
+        "84548c59ed337d2c9bab74738ecbfabe6f76d19e97b4bbd41adc23d24a34dbf5",
     ("remeasure_zx", 7):
-        "ab4816f5c21972117f49d9dcb8a8b956db3cf6abab9f7c1912e3905ede9669bd",
+        "09e62087b893c2d7e1447ea62ad476c9a8a5757631f58ef5589d3b5aeaadf33e",
     ("three_qubit_chain", 1):
-        "942c20a1f5c21e1cbe17afcf32c7ce668735331c9d5c37e15ce7577edcdb163e",
+        "e9f404446c467b5537ccea9e25fe0f44f8cc3a1803766c6647a7adf3246c1b54",
     ("three_qubit_chain", 7):
-        "0e706954835392b953f48f034cd9e06fbaf8b74c1e1b3640bf505b256ac87513",
+        "84f325c16bc144ad0d37d92e8bf3d6158749ed83330b70749d4ee314f4c55d29",
 }
 
 
@@ -270,10 +271,11 @@ meas 4 X r1
 
 def test_histogram_pinned_on_every_op_kind():
     # digest captured from the descent's gate tables and the preparation
-    # tables, after tests/test_hn_law.py passed on them
+    # tables, with draws read off raw words, after tests/test_hn_law.py
+    # passed on them
     hist = simulate_hn(parse_circuit(ALL_OPS_CIRCUIT), 200_000, 1).histogram
     digest = hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest()
-    assert digest == "7889a52f2af95173c72dfae998ad30d9bbd4954dc47a8a39c1ab8d6f5e33ff66"
+    assert digest == "708727b57322db132d528595bb330f6668ce72d7f9458fe7cc17f259907f1dcc"
 
 
 # 12 measured records on 3 qubits, one of them written only where a0 reads
@@ -307,13 +309,14 @@ meas 1 Z b1
 
 def test_histogram_pinned_on_many_records():
     # digest captured from the descent's gate tables and the preparation
-    # tables, after tests/test_hn_law.py passed on them
+    # tables, with draws read off raw words, after tests/test_hn_law.py
+    # passed on them
     c = parse_circuit(WIDE_RECORDS_CIRCUIT)
     assert 3 ** len(c.record_ids()) > 20_000
     hist = simulate_hn(c, 20_000, 3).histogram
     assert any("." in key for key in hist)
     digest = hashlib.sha256(repr(sorted(hist.items())).encode()).hexdigest()
-    assert digest == "b4bf07c79e15ac07f8d0b49b03f2c5602ec8be2722bed81272bd3970a74a1fcd"
+    assert digest == "5a4f747f50a6ac8b69be69401a59c82353fb41be03671f6c58b465eb0d8a5998"
 
 
 # no preparation, so every qubit is drawn in one (qubits, shots) byte draw
@@ -333,10 +336,13 @@ meas 0 X e
 """
 
 
+# digests captured with draws read off raw words, after
+# tests/test_hn_law.py passed on them; the ids name the seed alone, so that
+# a re-capture keeps them
 @pytest.mark.parametrize("seed, digest", [
-    (1, "fc28316c91b0cbb254fe9930441b9794724b1cd20f11e178f6244226ca4449d2"),
-    (7, "84a8d25d45a45fe1406be3a5b060aa9a1a437fc48044305a7882995d3c20c0ef"),
-])
+    (1, "914f7b994ff030ade553c53dcf628da1b853d65811e543933720eb129ebfea0e"),
+    (7, "43af978254de0e225c0db9dda3d496caca7b1c76be7c9f9a89b786adfc7192df"),
+], ids=["1", "7"])
 def test_circuit_without_preparation_keeps_its_histogram(seed, digest):
     # neither how preparations draw nor which qubits skip the initial draw
     # may move these digests
@@ -669,15 +675,28 @@ def test_call_retains_no_memory_without_gc(simulate):
 
 
 def test_initial_state_is_one_draw_of_the_stream():
-    # the initial state is one (drawn qubits, shots) byte draw over qubits 0
-    # and 1; qubit 2 starts with its preparation, which reads one uniform
-    # per shot from where that draw ends, inverted through its table's CDF
+    # the initial state is one (drawn qubits, shots) draw of raw bytes,
+    # eight to a word, masked to their low 3 bits, over qubits 0 and 1;
+    # qubit 2 starts with its preparation, which reads one 16-bit field
+    # per shot, four to a word, from where that draw ends, then one word
+    # more for each shot whose bucket holds a CDF entry strictly inside it,
+    # and inverts its table's CDF at the exact uniform
     shots, seed = 10_001, 4
+    M = simulator.GUIDE_BUCKETS
     c = parse_circuit("qubits 3\nprep 2 0 0 0.2\nmeas 0 Z a\nmeas 1 X b\nmeas 2 Z c\n")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    start = rng.integers(0, 8, size=(2, shots), dtype=np.uint8)
+    bits = np.random.PCG64(np.random.SeedSequence(seed))
+    start = bits.random_raw(-(-2 * shots // 8)).view("<u1")[:2 * shots].reshape(2, shots) & 7
+    bucket = bits.random_raw(-(-shots // 4)).view("<u2")[:shots] >> 6
     cdf = simulator._prep_table(np.array([0.0, 0.0, 0.2])).cdf
-    prep = np.minimum(np.searchsorted(cdf, rng.random(shots), side="right"), 7) & 1
+    scaled = cdf[cdf < 1.0] * M
+    open_bucket = np.zeros(M, dtype=bool)
+    open_bucket[np.floor(scaled[scaled % 1.0 != 0.0]).astype(int)] = True
+    missed = open_bucket[bucket]
+    assert missed.any() and not missed.all()
+    v = np.zeros(shots)
+    v[missed] = (bits.random_raw(np.count_nonzero(missed)) >> 11) * 2.0 ** -53
+    u = exact_u_below(bucket.astype(float), v)
+    prep = np.minimum(np.searchsorted(cdf, u, side="right"), 7) & 1
     records = np.column_stack((start[0] & 1, start[1] >> 2 & 1, prep)).astype(int)
     keys, counts = np.unique(records, axis=0, return_counts=True)
     expected = {"".join("+-"[b] for b in key): int(n) for key, n in zip(keys, counts)}
@@ -946,49 +965,99 @@ def _edge_w0s():
     return list(W)
 
 
+def exact_u_below(b, v):
+    """The largest double at or below each shot's exact uniform
+    (b + v) / GUIDE_BUCKETS, b its bucket and v in [0, 1): b + v rounded to
+    nearest, stepped down where that rounded up, which Fast2Sum's exact
+    error (b >= 1 > v, or b = 0 and the sum exact) shows, then divided by
+    the power of two.  An entry of a CDF of doubles lies at or below the
+    exact u exactly when it lies at or below this double."""
+    s = b + v
+    err = v - (s - b)
+    s = np.where(err < 0.0, np.nextafter(s, -np.inf), s)
+    return s / simulator.GUIDE_BUCKETS
+
+
+class _Words:
+    """Serves the given blocks of raw 64-bit words, one block per
+    random_raw call, each of the size asked for, as a bit generator
+    would."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def random_raw(self, size):
+        block = self.blocks.pop(0)
+        assert block.size == size
+        return block
+
+
+def _field_words(fields):
+    """The raw words that carry the 16-bit fields, four to a word, the
+    first in the low bits."""
+    padded = np.zeros(-(-fields.size // 4) * 4, dtype="<u2")
+    padded[:fields.size] = fields
+    return padded.view("<u8").astype(np.uint64)
+
+
 def _check_draws(rng, w0, maps, shots, table=None, cut=1e-14):
     """_draw_pairs on the table of (w0, maps), or on the table given, against
-    per-pair searchsorted over the weights above cut, with uniforms exactly
-    on CDF entries, on bucket edges and just below them, and the ends of
-    [0, 1).  Returns the table."""
+    per-pair searchsorted over the weights above cut at each shot's exact
+    uniform u = (b + v) / GUIDE_BUCKETS.  Each shot's 16-bit field carries
+    its bucket b, with random low 6 bits; each shot of an open bucket reads
+    v = m 2^-53 off the top 53 bits of one more word, with random low 11
+    bits.  u lies exactly on CDF entries (v = 1024 c - b, floored to the
+    2^-53 grid where it is finer), on bucket edges (v = 0) and just below
+    them (v = 1 - 2^-53), and at the ends 0 and 1 - 2^-63.
+    Returns the table, the pairs and the buckets."""
     M = simulator.GUIDE_BUCKETS
     ref = reference_tables(w0, maps, cut)
     cdf = ref[0][0]
     if table is None:
         table = simulator._gate_table(np.clip(w0, 0.0, None), maps)
-    pair = rng.integers(0, 64, size=shots)
-    u = rng.random(pair.size)
-    on_edge = rng.random(pair.size) < 0.3
-    u[on_edge] = cdf[rng.integers(len(cdf), size=on_edge.sum())]
-    bucket = rng.integers(0, M, size=pair.size)
-    on_bucket, below_bucket = rng.random((2, pair.size)) < 0.2
-    u[on_bucket] = bucket[on_bucket] / M
-    u[below_bucket] = np.nextafter((bucket[below_bucket] + 1) / M, 0.0)
-    u[:64] = 0.0
-    u[64:128] = np.nextafter(1.0, 0.0)
-    got = simulator._draw_pairs(table, pair, u)
+    pair = rng.integers(0, 64, size=shots, dtype=np.uint8)
+    b = rng.integers(0, M, size=shots)
+    m = rng.integers(0, 2 ** 53, size=shots, dtype=np.uint64)
+    # u < 1, so only the entries below 1 can be hit
+    entries = cdf[cdf < 1.0]
+    on_edge = (rng.random(shots) < 0.3) & (entries.size > 0)
+    c = entries[rng.integers(entries.size, size=on_edge.sum())]
+    b[on_edge] = np.floor(c * M)
+    m[on_edge] = np.floor((c * M - b[on_edge]) * 2.0 ** 53)
+    on_bucket, below_bucket = rng.random((2, shots)) < 0.2
+    m[on_bucket] = 0
+    m[below_bucket] = 2 ** 53 - 1
+    b[:64], m[:64] = 0, 0
+    b[64:128], m[64:128] = M - 1, 2 ** 53 - 1
+    fields = (b << 6 | rng.integers(0, 64, size=shots)).astype(np.uint16)
+    missed = table.guide[b, pair] < 0
+    low = rng.integers(0, 2 ** 11, size=shots, dtype=np.uint64)
+    blocks = [_field_words(fields)]
+    if missed.any():
+        blocks.append((m[missed] << np.uint64(11)) | low[missed])
+    words = _Words(*blocks)
+    got = simulator._draw_pairs(table, pair, words)
+    assert not words.blocks
+    u = exact_u_below(b.astype(float), m * 2.0 ** -53)
     np.testing.assert_array_equal(got, reference_csign_step(ref, pair, u))
-    # the sampler's pairs are uint8, as its shot state is
-    np.testing.assert_array_equal(simulator._draw_pairs(table, pair.astype(np.uint8), u), got)
-    return table, pair, u
+    return table, pair, b
 
 
 @pytest.mark.parametrize("source", ["gate", "random", "edges", "prep"])
 def test_lookup_matches_per_pair_searchsorted(source):
     rng = np.random.default_rng(17)
-    M = simulator.GUIDE_BUCKETS
     maps = simulator._pair_maps()
     if source == "gate":
         for noise in SEPARABLE_GATES[::2]:
-            table, pair, u = _check_draws(rng, simulator._gate_weights(noise), maps, 60_000)
+            table, pair, b = _check_draws(rng, simulator._gate_weights(noise), maps, 60_000)
             # some shots fall in an open bucket and search the CDF
-            assert (table.guide.ravel()[(u * M).astype(np.intp) * 64 + pair] < 0).any()
+            assert (table.guide[b, pair] < 0).any()
     elif source == "random":
         for size in (1, 2, 16, 61, 64, 64, 37):
             perms = np.array([rng.permutation(64) for _ in range(64)])
-            table, pair, u = _check_draws(rng, _random_w0(rng, size), perms, 20_000)
+            table, pair, b = _check_draws(rng, _random_w0(rng, size), perms, 20_000)
             if size == 64:
-                assert (table.guide.ravel()[(u * M).astype(np.intp) * 64 + pair] < 0).any()
+                assert (table.guide[b, pair] < 0).any()
     elif source == "prep":
         # vertices, axis states, interior points, and a vertex weight of
         # about 1e-16, far below the gate tables' 1e-14 cut: a preparation's

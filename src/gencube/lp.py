@@ -104,13 +104,26 @@ def local_images(A: np.ndarray) -> np.ndarray:
                      optimize=True).reshape(48 * 48, 16)
 
 
+# bit offsets of a row's 16 entries in its packed key, the first entry highest
+_KEY_SHIFTS = np.arange(60, -4, -4, dtype=np.uint64)
+
+
 def facet_orbit(rep) -> np.ndarray:
     """Distinct images of a 4 x 4 facet under the symmetry group of order
     4608 (a signed setting permutation on each party, and the party swap),
-    as sorted rows of 16 integers."""
+    as sorted rows of 16 integers.
+
+    Each image row is packed into one uint64 key, 4 bits an entry offset by
+    8, so entries must lie in [-8, 7] (the facets' lie in [-4, 4]).  The
+    keys sort as the rows do, so the distinct rows are the sorted keys'
+    run starts, decoded; np.unique would import numpy.ma on first use."""
     images = local_images(np.asarray(rep, dtype=np.int64)).reshape(-1, 4, 4)
-    images = np.concatenate([images, images.transpose(0, 2, 1)])
-    return np.unique(images.reshape(-1, 16), axis=0)
+    images = np.concatenate([images, images.transpose(0, 2, 1)]).reshape(-1, 16)
+    if images.min() < -8 or images.max() > 7:
+        raise ValueError("facet entries must lie in [-8, 7]")
+    keys = np.sort(np.bitwise_or.reduce((images + 8).astype(np.uint64) << _KEY_SHIFTS, axis=1))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return ((keys[:, None] >> _KEY_SHIFTS) & 15).astype(np.int64) - 8
 
 
 @functools.cache

@@ -36,6 +36,22 @@ at or below it exactly.  Measurement redraws and the initial state read
 raw bytes, eight to a word.  So the sampler's stream is the raw output
 of its PCG64 bit generators alone, which NEP 19 keeps stable across numpy
 releases.
+
+The sampler's law is the quantum law: for a circuit whose preparations are
+quantum, the records the sampler draws follow the circuit's Born law, the
+law simulate_dense computes.  Each op's rule is its channel (a
+measurement's, its instrument) on the cube-vertex operators of its qubits,
+and an induction over the ops carries that to the whole circuit:
+- linearity covers mixtures: a rule that is its channel on every vertex is
+  its channel on every law over the vertices;
+- locality covers the other qubits: the rule leaves their indices alone,
+  and the channel acts on them as the identity;
+- a classical control acts branch by branch, on the shots whose record
+  matches, as the channel acts on the branches whose record matches.
+The proof stops at the draw, where a table's CDF is a cumulative sum
+rounded to doubles and read through the guide at a 63-bit uniform, so an
+entry is drawn with its weight only to within that rounding; and at
+DENSE_BRANCH_FLOOR, below which the dense reference opens no branch.
 """
 from __future__ import annotations
 
@@ -317,13 +333,11 @@ class _GateTable:
     guide[b, p] is the next pair of input pair p for every u in the bucket
     [b / GUIDE_BUCKETS, (b + 1) / GUIDE_BUCKETS), or -1 where a CDF entry
     lies strictly inside the bucket, so that the draw depends on u beyond
-    its bucket (Chen & Asau's indexed search).
-    The draws read buckets 0 to GUIDE_BUCKETS - 1; the last row, the
-    bucket from 1, is never read."""
+    its bucket (Chen & Asau's indexed search)."""
 
     cdf: np.ndarray         # size, float
     moved: np.ndarray       # 64 x size, int8
-    guide: np.ndarray       # (GUIDE_BUCKETS + 1) x 64, int8
+    guide: np.ndarray       # GUIDE_BUCKETS x 64, int8
 
 
 def _gate_table(w0: np.ndarray, maps: np.ndarray, cut: float = SUPPORT_CUT) -> _GateTable:
@@ -333,7 +347,7 @@ def _gate_table(w0: np.ndarray, maps: np.ndarray, cut: float = SUPPORT_CUT) -> _
     cdf = np.cumsum(w0[support0] / w0[support0].sum())
     moved = maps[:, support0].astype(np.int8)
     # per bucket, the entries <= its left edge and those < its right edge
-    edges = np.arange(GUIDE_BUCKETS + 2) / GUIDE_BUCKETS
+    edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
     k = np.searchsorted(cdf, edges[:-1], side="right")
     below = np.searchsorted(cdf, edges[1:], side="left")
     guide = np.where((below == k)[:, None], moved[:, np.minimum(k, cdf.size - 1)].T, -1)

@@ -436,6 +436,25 @@ def test_facet_table_is_three_orbits():
     assert np.array_equal(F, np.concatenate(orbits))
 
 
+def test_facet_orbit_is_the_row_wise_unique_of_its_images():
+    # the packed keys give np.unique(axis=0)'s rows, order and dtype
+    for _, rep in lp.FACET_REPRESENTATIVES:
+        images = lp.local_images(np.asarray(rep, dtype=np.int64)).reshape(-1, 4, 4)
+        images = np.concatenate([images, images.transpose(0, 2, 1)]).reshape(-1, 16)
+        expected = np.unique(images, axis=0)
+        got = lp.facet_orbit(rep)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    # entries at both ends of the key's range survive the round trip
+    rep = np.diag([-8, 7, 0, 1])    # the identity entry keeps its sign
+    assert {-8, 7} <= set(lp.facet_orbit(rep).ravel().tolist())
+
+
+@pytest.mark.parametrize("entry", [8, -9])
+def test_facet_orbit_refuses_entries_its_key_cannot_hold(entry):
+    with pytest.raises(ValueError, match=r"facet entries must lie in \[-8, 7\]"):
+        lp.facet_orbit(np.diag([entry, 1, 0, 0]))
+
+
 def test_local_images_row_48a_plus_b_is_ga_A_gb_transpose():
     G = np.zeros((48, 4, 4), dtype=np.int64)
     G[:, 0, 0] = 1

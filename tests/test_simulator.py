@@ -1043,6 +1043,17 @@ def _check_draws(rng, w0, maps, shots, table=None, cut=1e-14):
     return table, pair, b
 
 
+def test_guide_holds_one_row_per_bucket():
+    # the largest index a masked field can form, bucket 1023 and pair 63,
+    # is the guide's last entry
+    table = simulator._gate_table(simulator._gate_weights(SEPARABLE_GATES[0]),
+                                  simulator._pair_maps())
+    assert table.guide.shape == (simulator.GUIDE_BUCKETS, 64)
+    assert (simulator._BUCKET_MASK | 63) == table.guide.size - 1
+    prep = simulator._prep_table(np.array([0.3, -0.5, 0.6]))
+    assert prep.guide.shape == (simulator.GUIDE_BUCKETS, 64)
+
+
 @pytest.mark.parametrize("source", ["gate", "random", "edges", "prep"])
 def test_lookup_matches_per_pair_searchsorted(source):
     rng = np.random.default_rng(17)

@@ -14,7 +14,13 @@ from gencube.pauli import (
     product_rows,
     to_dense,
 )
-from gencube.separability import CRITERIA, POSITIVITY_TOL, quantum_margins, slack
+from gencube.separability import (
+    CRITERIA,
+    POSITIVITY_TOL,
+    quantum_margins,
+    quantum_separable_2q,
+    slack,
+)
 from gencube.spaces import StateSpaceSpec
 from gencube.thresholds import (
     ROOT_XTOL,
@@ -27,7 +33,6 @@ from gencube.thresholds import (
     dephasing_impossibility,
     lhv_achievability_boundary,
     min_noise,
-    sphere_grid_inputs,
 )
 
 CUBE = StateSpaceSpec.cube(1.0)
@@ -100,21 +105,26 @@ REFERENCE_R = (tuple(round(0.65 + 0.05 * k, 2) for k in range(16))
                + (1.0, 1 / math.sqrt(3), 1.73))
 
 
-def _brent_min_noise(q):
-    """The vertex-input threshold as one Brent root of the least slack of
-    the pipeline output, evaluated afresh at every iterate."""
-    P = np.ones((1, 16)) if q.input_policy == "worst-vertex" else lp.vertex_product_matrix().T
-    hi = 0.5 if q.noise_family == "local-dephase" else 1.0
+def _brent_root(criterion, family, R, P):
+    """One Brent root of the criterion's least slack over the inputs P,
+    the pipeline output evaluated afresh at every iterate."""
+    hi = 0.5 if family == "local-dephase" else 1.0
 
     def least(p):
-        out = pipeline_rows(P, q.space.R, NoiseModel(q.noise_family, p))
-        return float(np.min(slack(q.criterion, out)))
+        out = pipeline_rows(P, R, NoiseModel(family, p))
+        return float(np.min(slack(criterion, out)))
 
     if least(0.0) >= 0.0:
         raise ThresholdBracketError("criterion already holds at zero noise")
     if least(hi) < 0.0:
         raise ThresholdBracketError("criterion still fails at full noise")
     return brentq(least, 0.0, hi, xtol=ROOT_XTOL)
+
+
+def _brent_min_noise(q):
+    """The vertex-input threshold as one Brent root of the least slack."""
+    P = np.ones((1, 16)) if q.input_policy == "worst-vertex" else lp.vertex_product_matrix().T
+    return _brent_root(q.criterion, q.noise_family, q.space.R, P)
 
 
 @pytest.mark.parametrize("policy", ["worst-vertex", "all-vertices"])
@@ -346,15 +356,36 @@ def test_sphere_grid_reduction_spectra():
                            eigenvalues_hermitian(to_dense(c)), atol=1e-10)
 
 
-def test_sphere_grid_inputs_domain():
-    U, V, th, ph = sphere_grid_inputs(5)
-    assert U.shape == V.shape == (25, 3) and th.shape == ph.shape == (25,)
-    for u, v, t, f in zip(U, V, th, ph):
-        assert 0 <= t <= math.pi / 2 and 0 <= f <= math.pi / 2
-        assert abs(np.linalg.norm(u) - 1) < 1e-12
-        assert u[1] == 0.0
-        assert np.array_equal(u, [math.cos(t), 0.0, math.sin(t)])
-        assert np.array_equal(v, [math.cos(f), 0.0, math.sin(f)])
+def _xz_bloch(angles):
+    """The Bloch stack (cos a, 0, sin a) of each angle a."""
+    return np.column_stack((np.cos(angles), np.zeros_like(angles), np.sin(angles)))
+
+
+def _angle_pairs(thetas, phis):
+    """Inputs (cos th, 0, sin th) (x) (cos ph, 0, sin ph) for every th in
+    thetas (outer) and ph in phis (inner): Bloch stacks U, V and the angles."""
+    th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    return _xz_bloch(th), _xz_bloch(ph), th, ph
+
+
+def _folded_grid_root(family, R, n=60):
+    """The sphere threshold as the n x n angle grid over [0, pi/2]^2 found it:
+    one root over the th <= ph half of the grid (the qubit swap maps
+    (th, ph) to (ph, th)), then one more over the 21 x 21 cell of +-1 grid
+    step around the input that binds at the first root, the larger of the
+    two."""
+    angles = np.linspace(0.0, math.pi / 2.0, n)
+    U, V, th_, ph = _angle_pairs(angles, angles)
+    half = th_ <= ph
+    th_, ph = th_[half], ph[half]
+    P = product_rows(U[half], V[half])
+    lam = _brent_root("quantum-separable", family, R, P)
+    k = int(np.argmin(slack("quantum-separable", pipeline_rows(P, R, NoiseModel(family, lam)))))
+    step = (math.pi / 2.0) / max(n - 1, 1)
+    fine = np.linspace(-step, step, 21)
+    U, V, _, _ = _angle_pairs(np.clip(th_[k] + fine, 0.0, math.pi / 2.0),
+                              np.clip(ph[k] + fine, 0.0, math.pi / 2.0))
+    return max(lam, _brent_root("quantum-separable", family, R, product_rows(U, V)))
 
 
 def _grid_scan_reference(q):
@@ -407,15 +438,39 @@ def test_sphere_grid_root_equals_the_per_point_scan(family, R, grid_n):
 @pytest.mark.parametrize("R", [1.0, 1.16, 1.73])
 @pytest.mark.parametrize("family", ["joint-depol", "local-depol", "local-dephase"])
 def test_sphere_grid_outputs_are_swap_symmetric(family, R):
-    # the swap fold of min_noise: (th, ph) and (ph, th) give the same margin
+    # the swap fold of the grid, and why min_noise leaves out (Z, X):
+    # (th, ph) and (ph, th) give the same margin
     n = 12
-    U, V, _, _ = sphere_grid_inputs(n)
+    angles = np.linspace(0.0, math.pi / 2.0, n)
+    U, V, _, _ = _angle_pairs(angles, angles)
     mirror = np.arange(n * n).reshape(n, n).T.ravel()   # row of (ph, th)
     P = product_rows(U, V)
     hi = 0.5 if family == "local-dephase" else 1.0
     for p in np.linspace(0.0, hi, 4):
         m = quantum_margins(pipeline_rows(P, R, NoiseModel(family, p)))
         assert np.max(np.abs(m - m[mirror])) < 1e-14
+
+
+def _sphere_query(family, R):
+    return ThresholdQuery(family, StateSpaceSpec.sphere(R), "quantum-separable", "sphere-grid")
+
+
+# 3 families x 10 rescalings over [0.5, 2.2], the README's and the bench's
+# among them
+GRID_R = (0.5, 0.75, 0.9, 1.0, 1.16, 1.3, 1.5, 1.73, 1.95, 2.2)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sphere_threshold_equals_the_folded_grid_root(family):
+    # the three axis pairs give the 60 x 60 grid's value, refinement included
+    for R in GRID_R:
+        try:
+            expected = _folded_grid_root(family, R)
+        except ThresholdBracketError as err:
+            with pytest.raises(ThresholdBracketError, match=str(err)):
+                min_noise(_sphere_query(family, R))
+            continue
+        assert abs(min_noise(_sphere_query(family, R)) - expected) < 1e-12, R
 
 
 # captured from the unfolded complex sweep, grid_n = 60
@@ -433,11 +488,87 @@ def test_sphere_thresholds_pinned(family, R):
     assert abs(min_noise(q) - SPHERE_THRESHOLDS[family, R]) < 1e-12
 
 
+# slack the eigensolver's rounding may hide, far below any cell's bound
+EIG_ROUNDING = 1e-12
+# the certificate's budget: each case below needs 176k to 354k cells
+MAX_CELLS = 1_000_000
+
+
+def _sphere_certificate(family, R, p):
+    """Branch and bound over the folded square [0, pi/2]^2 of pure product
+    inputs (cos th, 0, sin th) (x) (cos ph, 0, sin ph) at noise strength p,
+    with a zeroth-order Lipschitz bound (Piyavskii, USSR Comput. Math. Math.
+    Phys. 12, 57 (1972)).  Mixed product inputs are mixtures of these, and
+    the PPT set is convex, so these inputs decide the criterion.
+
+    A cell of half-width h holds when the quantum-separable slack at its
+    centre exceeds the most the slack can move over the cell.  Each factor
+    (1, u) lies within h of its value at the centre, whose norm is sqrt 2,
+    so the product row moves by at most 2 sqrt 2 h + h^2; the output's
+    coefficients by the map's spectral norm times that; and the operator by
+    half of their norm in the Frobenius norm, so in the spectral norm too.
+    By Weyl's inequality that bounds the shift of the least eigenvalue of
+    the operator and of its partial transpose, which only flips coefficient
+    signs.  A cell that does not hold is split in four.
+
+    Returns None once every cell holds, or (th, ph) of the first centre
+    whose slack is below -EIG_ROUNDING, an input that violates the
+    criterion; fails after more than MAX_CELLS cells."""
+    noise = NoiseModel(family, p)
+    lipschitz = np.linalg.norm(pipeline_rows(np.eye(16), R, noise), 2) / 2.0
+    h = math.pi / 16.0
+    centres = np.arange(h, math.pi / 2.0, 2.0 * h)
+    th_, ph = (a.ravel() for a in np.meshgrid(centres, centres, indexing="ij"))
+    cells = 0
+    while th_.size:
+        cells += th_.size
+        assert cells <= MAX_CELLS, f"undecided after {cells} cells"
+        P = product_rows(_xz_bloch(th_), _xz_bloch(ph))
+        s = slack("quantum-separable", pipeline_rows(P, R, noise))
+        k = int(np.argmin(s))
+        if s[k] < -EIG_ROUNDING:
+            return float(th_[k]), float(ph[k])
+        undecided = s - lipschitz * (2.0 * math.sqrt(2.0) * h + h * h) < EIG_ROUNDING
+        h /= 2.0
+        th_ = (th_[undecided, None] + h * np.array([-1.0, -1.0, 1.0, 1.0])).ravel()
+        ph = (ph[undecided, None] + h * np.array([-1.0, 1.0, -1.0, 1.0])).ravel()
+    return None
+
+
+# the bracket the certificate closes above each sphere threshold
+CERTIFIED_DELTA = 1e-4
+
+
+@pytest.mark.parametrize("family, R", list(SPHERE_THRESHOLDS))
+def test_sphere_threshold_is_certified_over_the_folded_square(family, R):
+    # every pure product input holds at the threshold + 1e-4
+    p = min_noise(_sphere_query(family, R)) + CERTIFIED_DELTA
+    assert _sphere_certificate(family, R, p) is None
+
+
+@pytest.mark.parametrize("family, R", list(SPHERE_THRESHOLDS))
+def test_sphere_certificate_refuses_below_the_threshold(family, R):
+    # 1e-9 below the threshold, the same branch and bound names an input
+    # that the dense criterion refuses
+    p = min_noise(_sphere_query(family, R)) - 1e-9
+    violation = _sphere_certificate(family, R, p)
+    assert violation is not None
+    u, v = (BlochOp(np.array([math.cos(a), 0.0, math.sin(a)])) for a in violation)
+    assert not quantum_separable_2q(pipeline(u, v, R, NoiseModel(family, p)))
+
+
 @pytest.mark.parametrize("grid_n", [0, -3])
 def test_query_rejects_a_grid_below_one(grid_n):
     with pytest.raises(ValueError, match="grid_n must be at least 1"):
         ThresholdQuery("joint-depol", StateSpaceSpec.sphere(1.0), "quantum-separable",
                        "sphere-grid", grid_n=grid_n)
+
+
+@pytest.mark.parametrize("criterion", LINEAR_CRITERIA)
+def test_sphere_grid_takes_the_quantum_criterion_only(criterion):
+    # the axis pairs bind for the spectra alone, which local unitaries keep
+    with pytest.raises(ValueError, match="take the quantum-separable criterion"):
+        ThresholdQuery("joint-depol", StateSpaceSpec.sphere(1.0), criterion, "sphere-grid")
 
 
 def test_one_point_grid_stays_valid():

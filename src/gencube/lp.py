@@ -15,10 +15,15 @@ images of a matrix under all 2304 pairs of them.  Three routes use it:
   functional;
 * a Carathéodory descent on the facet table (``caratheodory_weights``),
   which weights every feasible verdict without an LP;
-* an exact route: a phase-1 simplex with Bland's rule on one integer
-  tableau with fraction-free (Bareiss) pivoting, whose Farkas dual is read
-  from the reduced-cost row on the artificial columns: the independent
-  oracle of the tests, which the package never calls.
+* an exact route (``solve_membership_exact``): a certificate search whose
+  every answer is checked in integers.  A violated facet, flagged by the
+  float margins and confirmed exactly, refutes a point; weights solved by
+  fraction-free elimination on the descent's support accept it.  Any other
+  point goes to the fallback, a phase-1 simplex with Bland's rule on one
+  integer tableau with fraction-free (Bareiss) pivoting, whose Farkas dual
+  is read from the reduced-cost row on the artificial columns.  The route
+  is the exact oracle of the tests and the bench, which the package never
+  calls.
 
 Every route decides the unit polytope.  A state space rescaled by R scales
 the vertex products by D = frame_scale(R), so its polytope is D P(1), and a
@@ -267,8 +272,124 @@ def linprog(*args, **kwargs):
 # the 16 rows of the vertex-product matrix as Python integers
 _VERTEX_ROWS = tuple(tuple(int(v) for v in row) for row in _VMAT_UNIT)
 
+# facet rows whose float margin is at most this are evaluated exactly.  A
+# violated row it leaves out only sends the point on to the tableau, so it
+# sets the speed of solve_membership_exact, never its verdict
+_EXACT_SCREEN = 1e-9
+
+# bits per digit of the exact facet values (_exact_facet_values)
+_DIGIT_BITS = 48
+
 
 def solve_membership_exact(b: list[Fraction]):
+    """Exact membership of the rational vector b in the cone of the 64
+    vertex products (the unit polytope where b_0 = 1), by a certificate
+    search whose every answer is checked in integers.
+
+    Returns ("feasible", weights) with exact weights w >= 0, V w = b, or
+    ("infeasible", y) with an exact functional satisfying y . V_j >= 0 for
+    every vertex-product column and y . b < 0.  With D the common
+    denominator of b, and D b in Python integers:
+
+    * infeasible: the facet rows whose float margin (facet_margins of b
+      scaled to max |b_i| = 1, in floats) is at most _EXACT_SCREEN are
+      evaluated on D b exactly; when one is negative, y is the facet with
+      the least exact f . b / f_0, ties going to the first row as in
+      decide_membership, once f . V_j >= 0 is checked on every column;
+    * feasible: otherwise the support S (at most 16 columns) of
+      caratheodory_weights of that float vector is solved, V_S w = D b, by
+      fraction-free elimination; a consistent system with w >= 0 gives the
+      weights w / D.
+
+    Any other point, and any point the descent refuses, goes to the
+    phase-1 tableau (_bland_phase1).  A point outside the polytope has no
+    weights w >= 0, and a point inside violates no valid facet, so a facet
+    missing from the table, or a float step gone wrong, only sends a point
+    to the tableau: the verdict is exact either way.
+    """
+    if len(b) != 16:
+        raise ValueError("b must have 16 coefficients")
+    b = [Fraction(x) for x in b]
+    D = math.lcm(*(x.denominator for x in b))
+    Db = [x.numerator * (D // x.denominator) for x in b]
+    # b / max |b_i| in floats, finite for any b; the cone is scale-free
+    scale = max(map(abs, Db)) or 1
+    bf = np.array([x / scale for x in Db])
+    rows = np.flatnonzero(facet_margins(bf) <= _EXACT_SCREEN)
+    if rows.size:
+        F = facet_table()[rows]
+        # each row times lcm(f_0) / f_0: the least value is the least f . b / f_0
+        F = F * (np.lcm.reduce(F[:, 0]) // F[:, 0])[:, None]
+        digits = _exact_facet_values(F, Db)
+        least = int(np.lexsort(digits.T)[0])
+        if digits[least, -1] < 0:
+            k = int(rows[least])
+            if (_facet_arrays()[2][k] >= 0).all():
+                return "infeasible", [Fraction(int(v)) for v in facet_table()[k]]
+            return _bland_phase1(b)
+    try:
+        w = caratheodory_weights(bf)
+    except ValueError:
+        return _bland_phase1(b)
+    weights = _weights_on_support(np.flatnonzero(w).tolist(), Db, D)
+    return ("feasible", weights) if weights is not None else _bland_phase1(b)
+
+
+def _exact_facet_values(F: np.ndarray, Db: list[int]) -> np.ndarray:
+    """f . Db for every row f of the integer array F, exact in int64, as
+    base-2^_DIGIT_BITS digits: row k holds f_k . Db least significant digit
+    first, every digit but the last in [0, 2^_DIGIT_BITS) and the last
+    signed.  A value is negative iff its last digit is, and the values order
+    as their rows do read from the last digit (np.lexsort of the transpose).
+    No sum leaves int64 while every row's entries sum in absolute value to
+    at most 2^14."""
+    top = max(x.bit_length() for x in Db) // _DIGIT_BITS
+    mask = (1 << _DIGIT_BITS) - 1
+    digits = np.array([[(x >> (_DIGIT_BITS * i)) & mask for i in range(top)]
+                       + [x >> (_DIGIT_BITS * top)] for x in Db], dtype=np.int64)
+    out = F @ digits
+    for i in range(top):
+        carry = out[:, i] >> _DIGIT_BITS
+        out[:, i] -= carry << _DIGIT_BITS
+        out[:, i + 1] += carry
+    return out
+
+
+def _weights_on_support(cols: list[int], Db: list[int], D: int) -> list[Fraction] | None:
+    """The 64 weights w / D with V_S w = Db on the columns S = cols and w >= 0,
+    zero off S, or None where that system is inconsistent or a weight is
+    negative.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) of [V_S | Db] in Python
+    integers, one column of S at a time: rows i != r become
+    (T_i piv - T_ic T_r) / prev, an exact division, and each row keeps only
+    the columns still to come and its right-hand side.  After the last
+    pivot, det, the pivot row of column c holds det w_c.  A column with no
+    pivot left depends on the earlier ones and takes weight 0; the system is
+    consistent iff every row without a pivot ends in 0."""
+    T = [[_VERTEX_ROWS[i][j] for j in cols] + [Db[i]] for i in range(16)]
+    free, pivots, prev = list(range(16)), [], 1
+    for c in cols:
+        r = next((i for i in free if T[i][0]), None)
+        if r is None:
+            T = [row[1:] for row in T]
+            continue
+        free.remove(r)
+        piv, P = T[r][0], T[r][1:]
+        for i, row in enumerate(T):
+            f = row[0]
+            T[i] = P if i == r else [(x * piv - f * p) // prev for x, p in zip(row[1:], P)]
+        prev = piv
+        pivots.append((r, c))
+    if any(T[i][0] for i in free) or any(T[r][0] * prev < 0 for r, _ in pivots):
+        return None
+    w = [Fraction(0)] * 64
+    for r, c in pivots:
+        w[c] = Fraction(T[r][0], prev * D)
+    return w
+
+
+def _bland_phase1(b: list[Fraction]):
     """Exact membership test: phase-1 simplex with Bland's rule.
 
     Returns ("feasible", weights) with exact convex weights, or

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 POSITIVITY_TOL = 1e-9
+WEIGHT_FLOOR = -1e-12       # least weight a certificate may carry: zero less a rounding error
+WEIGHT_SUM_TOL = 1e-9       # how far a certificate's weights may sum from one
 
 
 def vertex_pair_index(u_signs, v_signs):
@@ -181,10 +183,12 @@ def quantum_separable_2q(A: PauliCoeffs2Q) -> bool:
 
 def certificates_hold(W: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
     """Row k: whether weights W[k] over the 64 unit vertex products certify
-    the flattened unit-frame coefficient row targets[k]: weights >= -1e-12
-    that sum to one within 1e-9 and rebuild the row within tol."""
+    the flattened unit-frame coefficient row targets[k]: weights >=
+    WEIGHT_FLOOR that sum to one within WEIGHT_SUM_TOL and rebuild the row
+    within tol."""
     resid = np.abs(W @ lp.vertex_product_matrix().T - targets).max(axis=1)
-    return (W.min(axis=1) >= -1e-12) & (np.abs(W.sum(axis=1) - 1.0) <= 1e-9) & (resid <= tol)
+    return ((W.min(axis=1) >= WEIGHT_FLOOR) & (np.abs(W.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL)
+            & (resid <= tol))
 
 
 def verify_certificate(cert: LhvCertificate, A: PauliCoeffs2Q, R: float = 1.0,

@@ -549,8 +549,8 @@ def simulate_hn(circuit: Circuit, shots: int, seed: int) -> SimResult:
 _RECORD_CHARS = "-.+"
 _DIGIT_CHARS = str.maketrans("012", _RECORD_CHARS)     # base-3 digit v + 1
 _RECORD_BYTES = np.frombuffer(_RECORD_CHARS.encode(), dtype=np.uint8)
-# rows of the byte array filled column by column at a time, so that a
-# block's strided writes stay in cache
+# rows of the byte array filled at a time, so that a block's stacked
+# columns and their transpose stay in cache
 _FILL_ROWS = 4096
 
 
@@ -561,9 +561,10 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
     While 3^columns <= shots, each shot's columns are read as one base-3
     integer, np.bincount counts the codes and each string is read off its
     code's digits.  Otherwise each shot's string is one row of a (shots,
-    columns) array of symbol bytes, filled column by column within blocks
-    of _FILL_ROWS rows; its rows, viewed as byte strings, are sorted in
-    place and counted from the starts of their runs, in string order.
+    columns) array of symbol bytes, filled a block of _FILL_ROWS rows at a
+    time by one lookup of the block's stacked (columns, rows) values, then
+    transposed; its rows, viewed as byte strings, are sorted in place and
+    counted from the starts of their runs, in string order.
     Either way the cost grows with shots x columns, not with distinct
     outcomes x columns.
     """
@@ -582,8 +583,9 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
     rows = np.empty((shots, len(cols)), dtype=np.uint8)
     for start in range(0, shots, _FILL_ROWS):
         block = slice(start, start + _FILL_ROWS)
-        for j, col in enumerate(cols):
-            np.take(_RECORD_BYTES, col[block] + 1, out=rows[block, j])
+        stacked = np.stack([col[block] for col in cols])
+        stacked += 1
+        rows[block] = np.take(_RECORD_BYTES, stacked).T
     keys = rows.view(f"S{len(cols)}").ravel()
     keys.sort()
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))

@@ -856,7 +856,7 @@ def test_integer_tableau_returns_the_fraction_simplex_outputs():
     queries.append(_pulled_instance())
     statuses = set()
     for b in queries:
-        out = lp.solve_membership_exact(b)
+        out = lp._bland_phase1(b)
         assert out == _fraction_simplex_reference(b), b
         statuses.add(out[0])
     assert statuses == {"feasible", "infeasible"}
@@ -868,31 +868,181 @@ def test_exact_oracle_rejects_a_wrong_length(size):
         lp.solve_membership_exact([Fraction(1)] + [Fraction(0)] * (size - 1))
 
 
-def test_facet_table_is_complete_along_random_rays():
-    # from the maximally mixed point c, the exit of the 684-facet H-polytope
-    # along d is c + t* d; a missing facet would leave some exit point outside
-    # the vertex polytope, and the exact simplex would refute it
+def _ray_points(n, seed=5):
+    """(exit, just outside) pairs along n rays from the maximally mixed point
+    c: the exit c + t* d of the 684-facet H-polytope along an integer
+    direction d in the A_00 = 0 plane, t* = min -f.c / f.d, and
+    c + t* (1 + 2^-30) d."""
     import random
 
-    rnd = random.Random(5)
+    rnd = random.Random(seed)
     F = lp.facet_table()
-    cols = _integer_columns()
     c = [Fraction(1)] + [Fraction(0)] * 15
-    for _ in range(200):
-        # an integer direction in the A_00 = 0 plane; t* = min -f.c / f.d
+    for _ in range(n):
         d = [0] + [rnd.randint(-1000, 1000) for _ in range(15)]
         fd = F @ np.array(d)
         t = min(Fraction(-int(f0), int(x)) for f0, x in zip(F[:, 0], fd) if x < 0)
-        status, w = lp.solve_membership_exact([ci + t * di for ci, di in zip(c, d)])
+        yield ([ci + t * di for ci, di in zip(c, d)],
+               [ci + t * (1 + Fraction(1, 2 ** 30)) * di for ci, di in zip(c, d)])
+
+
+def test_facet_table_is_complete_along_random_rays():
+    # a missing facet would leave some exit point outside the vertex
+    # polytope, where no exact weights w >= 0 exist: the route could then
+    # neither solve for them on the descent's support nor get them from the
+    # tableau it falls back to, and would return the point infeasible
+    cols = _integer_columns()
+    for edge, past in _ray_points(200):
+        status, w = lp.solve_membership_exact(edge)
         assert status == "feasible"
         assert all(x >= 0 for x in w) and sum(w) == 1
-        out = [ci + t * (1 + Fraction(1, 2 ** 30)) * di for ci, di in zip(c, d)]
-        status, y = lp.solve_membership_exact(out)
+        status, y = lp.solve_membership_exact(past)
         assert status == "infeasible"
         # exact Farkas check on the integer columns: y scaled to integers
         scale = math.lcm(*(x.denominator for x in y))
         assert min(np.array([int(x * scale) for x in y], dtype=object) @ cols) >= 0
-        assert sum(yi * bi for yi, bi in zip(y, out)) < 0
+        assert sum(yi * bi for yi, bi in zip(y, past)) < 0
+
+
+def _certifies(b, out) -> bool:
+    """Whether out = (status, certificate) proves its status on b exactly:
+    weights w >= 0 with V w = b, or y with y . V_j >= 0 on every column and
+    y . b < 0."""
+    status, c = out
+    cols = lp.exact_vertex_columns()
+    if status == "feasible":
+        support = [j for j in range(64) if c[j]]
+        return (min(c) >= 0 and len(c) == 64
+                and all(sum(cols[j][i] * c[j] for j in support) == b[i] for i in range(16)))
+    return (min(sum(yi * vi for yi, vi in zip(c, col)) for col in cols) >= 0
+            and sum(yi * bi for yi, bi in zip(c, b)) < 0)
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    """Record every point solve_membership_exact hands to its tableau."""
+    tableau, sent = lp._bland_phase1, []
+    monkeypatch.setattr(lp, "_bland_phase1", lambda b: sent.append(b) or tableau(b))
+    return sent
+
+
+def test_exact_route_returns_the_tableau_status(monkeypatch):
+    tableau = lp._bland_phase1
+    sent = _count_fallbacks(monkeypatch)
+    queries = list(_criterion12_rationals(100)) + list(_gate_outputs_near_thresholds())
+    queries.append(_pulled_instance())
+    queries += [b for pair in _ray_points(30, seed=6) for b in pair]
+    statuses = set()
+    for b in queries:
+        out = lp.solve_membership_exact(b)
+        assert out[0] == tableau(b)[0], b
+        assert _certifies(b, out), b
+        statuses.add(out[0])
+    assert statuses == {"feasible", "infeasible"}
+    # every one of these points is settled by a facet or by its support
+    assert sent == []
+
+
+@pytest.mark.parametrize("xx, status", [(Fraction(1, 2), "feasible"),
+                                        (Fraction(3, 2), "infeasible")])
+def test_exact_route_is_scale_free(xx, status):
+    # A_XX = 1/2 mixes two vertex products, A_XX = 3/2 breaks 1 - A_XX >= 0;
+    # a positive scale keeps the verdict, also one beyond every float
+    point = [Fraction(1)] + [Fraction(0)] * 4 + [xx] + [Fraction(0)] * 10
+    for scale in (Fraction(1), Fraction(10) ** 400, Fraction(1, 10 ** 400)):
+        b = [scale * x for x in point]
+        out = lp.solve_membership_exact(b)
+        assert out[0] == status and _certifies(b, out)
+
+
+def _rounded_vertex_mixes(n, seed):
+    """Exact convex mixes of 1..6 vertex products, each coefficient rounded
+    to a float and read back exactly: the certify workload's random/0%
+    queries, which sit just off their face."""
+    import random
+
+    rnd = random.Random(seed)
+    cols = lp.exact_vertex_columns()
+    for _ in range(n):
+        nterm = rnd.randint(1, 6)
+        idx = rnd.sample(range(64), nterm)
+        raw = [Fraction(rnd.randint(1, 100)) for _ in range(nterm)]
+        tot = sum(raw)
+        yield [Fraction(float(sum(r / tot * cols[j][i] for r, j in zip(raw, idx))))
+               for i in range(16)]
+
+
+def test_rounded_vertex_mixes_reach_the_tableau(monkeypatch):
+    # a rounded mix off its face needs vertices the float descent leaves out,
+    # so its support has no exact weights and the tableau decides it
+    tableau = lp._bland_phase1
+    sent = _count_fallbacks(monkeypatch)
+    queries = list(_rounded_vertex_mixes(60, seed=0))
+    for b in queries:
+        out = lp.solve_membership_exact(b)
+        assert out[0] == tableau(b)[0], b
+        assert _certifies(b, out), b
+    assert 0 < len(sent) < len(queries)
+
+
+def _across_facet(row, s=Fraction(1, 2 ** 20)):
+    """(1 - s) p + s e_0 and (1 + s) p - s e_0, p the centroid of the vertex
+    products on the facet: just inside it, and just past it."""
+    cols = lp.exact_vertex_columns()
+    on = np.flatnonzero(lp.facet_table()[row] @ _integer_columns() == 0)
+    p = [sum(cols[j][i] for j in on) / len(on) for i in range(16)]
+    e0 = [Fraction(1)] + [Fraction(0)] * 15
+    return ([(1 - s) * x + s * e for x, e in zip(p, e0)],
+            [(1 + s) * x - s * e for x, e in zip(p, e0)])
+
+
+def _use_facet_table(monkeypatch, F):
+    """Make the package read F as the facet table."""
+    monkeypatch.setattr(lp, "facet_table", lambda: F)
+    arrays = lp._facet_arrays.__wrapped__()
+    monkeypatch.setattr(lp, "_facet_arrays", lambda: arrays)
+
+
+@pytest.mark.parametrize("row", [40, 500], ids=["chsh", "i3322"])
+def test_a_missing_facet_only_sends_points_to_the_tableau(row, monkeypatch):
+    # the point just past the facet violates no other row: the table without
+    # the row can neither refute it nor weight it, so the tableau refutes it
+    F = lp.facet_table()
+    assert F[row, 0] == (2 if row < 108 else 4)
+    inside, outside = _across_facet(row)
+    values = F.astype(object) @ np.array(outside, dtype=object)
+    assert np.flatnonzero(values < 0).tolist() == [row]
+    _use_facet_table(monkeypatch, np.delete(F, row, axis=0))
+    sent = _count_fallbacks(monkeypatch)
+    out = lp.solve_membership_exact(outside)
+    assert out[0] == "infeasible" and sent == [outside]
+    assert _certifies(outside, out)
+    out = lp.solve_membership_exact(inside)
+    assert out[0] == "feasible" and _certifies(inside, out)
+
+
+def test_an_invalid_facet_row_only_sends_points_to_the_tableau(monkeypatch):
+    # a CHSH row with its constant lowered by one is negative just inside its
+    # facet and on the facet's vertices: the route checks a row on every
+    # column before it refutes with it, and the tableau accepts the point
+    F = lp.facet_table()
+    inside, _ = _across_facet(40)
+    _use_facet_table(monkeypatch, np.vstack([F, F[40] - np.eye(16, dtype=F.dtype)[0]]))
+    sent = _count_fallbacks(monkeypatch)
+    out = lp.solve_membership_exact(inside)
+    assert out[0] == "feasible" and sent == [inside]
+    assert _certifies(inside, out)
+
+
+def test_support_weights_refuse_a_negative_or_inconsistent_solve():
+    # b = (3 V_0 - V_1) / 2 solves on {0, 1} with weight -1/2, and lies off
+    # the span of {0, 2}; (V_0 + V_1) / 2 solves on {0, 1} with 1/2 each
+    V = _integer_columns()
+    beyond = [int(x) for x in 3 * V[:, 0] - V[:, 1]]
+    assert lp._weights_on_support([0, 1], beyond, 2) is None
+    assert lp._weights_on_support([0, 2], beyond, 2) is None
+    mix = [int(x) for x in V[:, 0] + V[:, 1]]
+    half = Fraction(1, 2)
+    assert lp._weights_on_support([0, 1], mix, 2) == [half, half] + [Fraction(0)] * 62
 
 
 def test_stacked_cube_slack_is_each_rows_oracle_verdict():

@@ -18,10 +18,12 @@ images of a matrix under all 2304 pairs of them.  Three routes use it:
 * an exact route (``solve_membership_exact``): a certificate search whose
   every answer is checked in integers.  A violated facet, flagged by the
   float margins and confirmed exactly, refutes a point; weights solved by
-  fraction-free elimination on the descent's support accept it.  Any other
-  point goes to the fallback, a phase-1 simplex with Bland's rule on one
-  integer tableau with fraction-free (Bareiss) pivoting, whose Farkas dual
-  is read from the reduced-cost row on the artificial columns.  The route
+  fraction-free elimination on the descent's support accept it, and a
+  rounded point a hair off a face is weighted through the point moved
+  further off the face along its residual.  Any other point goes to the
+  fallback, a phase-1 simplex with Bland's rule on one integer tableau
+  with fraction-free (Bareiss) pivoting, whose Farkas dual is read from
+  the reduced-cost row on the artificial columns.  The route
   is the exact oracle of the tests and the bench, which the package never
   calls.
 
@@ -280,6 +282,12 @@ _EXACT_SCREEN = 1e-9
 # bits per digit of the exact facet values (_exact_facet_values)
 _DIGIT_BITS = 48
 
+# _weights_past_support drops descent weights below this share of their sum
+# as rounding noise, and moves the point 2^-_PAST_BITS off the face the rest
+# span, well inside the margin those weights leave
+_PAST_FLOOR = 2.0 ** -16
+_PAST_BITS = 24
+
 
 def solve_membership_exact(b: list[Fraction]):
     """Exact membership of the rational vector b in the cone of the 64
@@ -299,7 +307,10 @@ def solve_membership_exact(b: list[Fraction]):
     * feasible: otherwise the support S (at most 16 columns) of
       caratheodory_weights of that float vector is solved, V_S w = D b, by
       fraction-free elimination; a consistent system with w >= 0 gives the
-      weights w / D.
+      weights w / D;
+    * feasible, a hair off a face: where that system has no such w, the
+      point moved off the face along its residual is weighted on its own
+      support, and the weights are mixed back (_weights_past_support).
 
     Any other point, and any point the descent refuses, goes to the
     phase-1 tableau (_bland_phase1).  A point outside the polytope has no
@@ -332,6 +343,8 @@ def solve_membership_exact(b: list[Fraction]):
     except ValueError:
         return _bland_phase1(b)
     weights = _weights_on_support(np.flatnonzero(w).tolist(), Db, D)
+    if weights is None:
+        weights = _weights_past_support(w, Db, D, scale)
     return ("feasible", weights) if weights is not None else _bland_phase1(b)
 
 
@@ -387,6 +400,43 @@ def _weights_on_support(cols: list[int], Db: list[int], D: int) -> list[Fraction
     for r, c in pivots:
         w[c] = Fraction(T[r][0], prev * D)
     return w
+
+
+def _weights_past_support(w: np.ndarray, Db: list[int], D: int, scale: int) -> list[Fraction] | None:
+    """Exact weights for b = Db / D from the float weights w of b / scale
+    whose support has none, or None.
+
+    A float-rounded point a hair off a low-dimensional face (the residual of
+    w is near the rounding error) gets from the descent a support on that
+    face, and the vertices it needs off the face carry weights below any
+    float.  Let a = V w, read exactly over the weights of w above
+    _PAST_FLOOR of their sum.  The point p = a + K (b / scale - a), K a
+    power of two, lies about 2^-_PAST_BITS from a, which the float descent
+    resolves, and b / scale = (1 - 1/K) a + p / K: with w_p p's exact
+    weights on its own support, (1 - 1/K) w + w_p / K are >= 0 and
+    reproduce b / scale exactly.  A p outside the polytope has no such w_p,
+    and the point goes on to the tableau."""
+    w = np.where(w >= _PAST_FLOOR * w.sum(), w, 0.0)
+    ratios = [x.as_integer_ratio() for x in w.tolist()]
+    Q = max(den for _, den in ratios)
+    W = [num * (Q // den) for num, den in ratios]
+    # in integers: Qa = Q a, R = M (b / scale - a) and P = M p, M = scale Q
+    Qa = [sum(v * x for v, x in zip(row, W) if x) for row in _VERTEX_ROWS]
+    R = [Q * x - scale * y for x, y in zip(Db, Qa)]
+    M = scale * Q
+    K = 1 << max(1, M.bit_length() - max(map(abs, R)).bit_length() - _PAST_BITS)
+    P = [scale * y + K * x for x, y in zip(R, Qa)]
+    peak = max(map(abs, P)) or 1
+    try:
+        wp = caratheodory_weights(np.array([x / peak for x in P]))
+    except ValueError:
+        return None
+    weights = _weights_on_support(np.flatnonzero(wp).tolist(), P, M)
+    if weights is None:
+        return None
+    # from weights of b / scale to weights of b
+    return [Fraction(scale * ((K - 1) * x + y * Q), D * K * Q) if x or y else Fraction(0)
+            for x, y in zip(W, weights)]
 
 
 def _bland_phase1(b: list[Fraction]):

@@ -971,17 +971,22 @@ def _rounded_vertex_mixes(n, seed):
                for i in range(16)]
 
 
-def test_rounded_vertex_mixes_reach_the_tableau(monkeypatch):
-    # a rounded mix off its face needs vertices the float descent leaves out,
-    # so its support has no exact weights and the tableau decides it
+def test_rounded_vertex_mixes_are_weighted_past_their_support(monkeypatch):
+    # a rounded mix a hair off its face needs vertices the float descent
+    # leaves out, so its own support has no exact weights; the point moved
+    # off the face along the residual has them, and the tableau is not asked
     tableau = lp._bland_phase1
     sent = _count_fallbacks(monkeypatch)
+    past, moved = lp._weights_past_support, []
+    monkeypatch.setattr(lp, "_weights_past_support",
+                        lambda *args: moved.append(args[1]) or past(*args))
     queries = list(_rounded_vertex_mixes(60, seed=0))
     for b in queries:
         out = lp.solve_membership_exact(b)
         assert out[0] == tableau(b)[0], b
         assert _certifies(b, out), b
-    assert 0 < len(sent) < len(queries)
+    assert sent == []
+    assert 0 < len(moved) < len(queries)
 
 
 def _across_facet(row, s=Fraction(1, 2 ** 20)):

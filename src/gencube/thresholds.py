@@ -11,11 +11,13 @@ The two linear criteria (cube-separable and pauli-positive) on vertex
 inputs are facet roots, in closed form: the pipeline output is a
 polynomial of degree <= 2 in the noise strength, so each facet row's slack
 is an exact quadratic, and the threshold is the largest of the roots of the
-rows that are negative at zero noise.  Every other root is a Brent root
-(scipy's brentq, imported on first use) of a least slack over an (N, 16)
-stack of inputs: the quantum-separable thresholds (on the sphere, over
-three axis-pair inputs), the LHV-achievability boundaries (roots of the
-cube slack in R) and the crossings of the closed-form bounds.
+rows that are negative at zero noise.  The LHV-achievability boundaries
+and the crossings of the closed-form bounds are polynomial roots too, each
+on a rational curve that carries the state sitting on a bound, and each
+ends at a float sign change of its own slack.  The quantum-separable
+thresholds (on the sphere, over three axis-pair inputs) are the one Brent
+root left (scipy's brentq, imported on first use), of a least slack over
+an (N, 16) stack of inputs.
 Closed-form positivity bounds of the rescaled-cube analysis live here as
 well.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +52,7 @@ __all__ = [
     "DephasingVerdict",
 ]
 
-ROOT_XTOL = 1e-12           # absolute tolerance of every Brent root (brentq xtol)
+ROOT_XTOL = 1e-12           # absolute tolerance of the sphere's Brent root (brentq xtol)
 
 
 class ThresholdBracketError(RuntimeError):
@@ -299,11 +302,107 @@ def analytic_bound(model_family: str, R: float) -> AnalyticBounds:
     return AnalyticBounds(values, active)
 
 
+@dataclass(frozen=True)
+class _BoundCurve:
+    """The state on a family's leading bound as a rational curve in x,
+    R = R_num(x) / R_den(x) and r = r_num(x) / r_den(x) (polynomial
+    coefficients, highest first), whose inverse on R > 0 is x_of_R; and the
+    polynomial in x whose root is the crossing of the family's two bounds."""
+
+    x_of_R: Callable[[float], float]
+    R_num: tuple
+    R_den: tuple
+    r_num: tuple
+    r_den: tuple
+    crossing: tuple
+
+    def R(self, x: float) -> float:
+        return _horner(self.R_num, x)[0] / _horner(self.R_den, x)[0]
+
+
+def _horner(coeffs, x: float) -> tuple[float, float]:
+    """The polynomial (coefficients, highest first) and its derivative at x."""
+    p = dp = 0.0
+    for c in coeffs:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
+
+
+_BOUND_CURVES = {
+    # R = (t - 1/t) / 2 makes sqrt(1 + R^2) = (t + 1/t) / 2, so xy = 1/t;
+    # xz = 1/t squares to R t^2 + R (R - 1) t = 1, which in t alone is
+    # 3t^4 - 2t^3 - 4t^2 - 2t + 1 = 0
+    "local-depol": _BoundCurve(lambda R: R + math.sqrt(1.0 + R * R),
+                               (1.0, 0.0, -1.0), (2.0, 0.0), (1.0,), (1.0, 0.0),
+                               (3.0, -2.0, -4.0, -2.0, 1.0)),
+    # x = R and tdb1 = 1 / (2R + 1); tdb2 = tdb1 is 1/R - R = 2R, or 3R^2 = 1
+    "joint-depol": _BoundCurve(lambda R: R, (1.0, 0.0), (1.0,), (1.0,), (2.0, 1.0),
+                               (3.0, 0.0, -1.0)),
+}
+
+
+def _least_root(poly, lo: float, hi: float) -> float | None:
+    """The least real root of the polynomial in (lo, hi], or None: np.roots
+    (a few ulps off), then two Newton steps on the polynomial."""
+    r = np.roots(poly)
+    r = r.real[(r.imag == 0.0) & (r.real > lo) & (r.real <= hi)]
+    if r.size == 0:
+        return None
+    x, coeffs = float(r.min()), [float(c) for c in poly]
+    for _ in range(2):
+        p, dp = _horner(coeffs, x)
+        if dp != 0.0:
+            x -= p / dp
+    return x
+
+
+def _sign_change(f, x: float, fx: float, lo: float, hi: float) -> float:
+    """A float x* in [lo, hi] at which f, < 0 at lo and >= 0 at hi, changes
+    sign, f(x*) >= 0 > f(the float below x*), found from the guess x with
+    fx = f(x): steps of 1, 2, 4, ... ulps away from x until f's sign
+    differs, then bisection over the floats in between."""
+    step = math.ulp(x)
+    if fx < 0.0:
+        lo = x
+        while f(y := min(x + step, hi)) < 0.0:
+            lo, step = y, 2.0 * step
+        hi = y
+    else:
+        hi = x
+        while f(y := max(x - step, lo)) >= 0.0:
+            hi, step = y, 2.0 * step
+        lo = y
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def analytic_intersection(model_family: str):
-    """Root-find the crossing of the two bounds for R in [0.3, 0.95]; returns (R, r)."""
+    """The crossing of the family's two bounds for R in [0.3, 0.95]; returns
+    (R, r).
+
+    The crossing is the root in that bracket of a polynomial in the leading
+    bound's curve parameter (_BOUND_CURVES): 3R^2 = 1 for the joint bounds,
+    R = 1/sqrt 3, and a quartic in t = R + sqrt(1 + R^2) for the local ones.
+    It ends at a float sign change of bound2 - bound1, found from that
+    root (_sign_change).
+    """
     fns = _bound_set(model_family)
-    R = _root(lambda R: fns[1][1](R) - fns[0][1](R), 0.3, 0.95,
-              "bounds already crossed at R = 0.3", "bounds not crossed by R = 0.95")
+
+    def gap(R):
+        return fns[1][1](R) - fns[0][1](R)
+
+    if gap(0.3) >= 0.0:
+        raise ThresholdBracketError("bounds already crossed at R = 0.3")
+    if gap(0.95) < 0.0:
+        raise ThresholdBracketError("bounds not crossed by R = 0.95")
+    c = _BOUND_CURVES[model_family]
+    R = c.R(_least_root(c.crossing, c.x_of_R(0.3), c.x_of_R(0.95)))
+    R = _sign_change(gap, R, gap(R), 0.3, 0.95)
     return R, fns[0][1](R)
 
 
@@ -342,24 +441,78 @@ def curve_to_csv(points: list[CurvePoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _bound_terms(family: str) -> np.ndarray:
+    """(17, 7): row k < 16 the polynomial in x (coefficients, highest
+    first) that is D(x) = R_num R_den r_den^2 times flattened entry k of
+    the state on the family's leading bound (_BOUND_CURVES) on the all-ones
+    input, and row 16 D itself.  Facet f's cube slack times D is then
+    M[:, f] @ rows[:16] + tol rows[16], a polynomial in x.  Read-only.
+
+    Entry k of the frame-scaled CSIGN is s_k R^e_k, with s_k = +-1 and e_k
+    in {-1, 0, 1}, and the noise at strength 1 - r scales it by r^w_k, w_k
+    in {0, 1, 2}.  D R^e r^w is the polynomial
+    R_num^(1+e) R_den^(1-e) r_num^w r_den^(2-w).
+    """
+    c = _BOUND_CURVES[family]
+
+    def powers(num, den):        # num^n den^(2-n) for n = 0, 1, 2
+        return np.convolve(den, den), np.convolve(num, den), np.convolve(num, num)
+
+    B = np.zeros((3, 3, 7))      # B[1 + e, w] = D R^e r^w
+    for i, Rp in enumerate(powers(c.R_num, c.R_den)):
+        for w, rp in enumerate(powers(c.r_num, c.r_den)):
+            poly = np.convolve(Rp, rp)
+            B[i, w, 7 - poly.size:] = poly
+    # at R = 2 and r = 1/2, entry k is s_k 2^e_k and its noise factor
+    # 2^-w_k, whose frexp exponents are 1 + e_k and 1 - w_k
+    G = csign(_ALLONES_ROW * frame_scale(2.0))[0] * frame_scale(0.5)
+    n = noise_scale_matrix(NoiseModel(family, 0.5)).ravel()
+    rows = np.empty((17, 7))
+    rows[:16] = np.sign(G)[:, None] * B[np.frexp(G)[1], 1 - np.frexp(n)[1]]
+    rows[16] = B[1, 0]
+    rows.setflags(write=False)
+    return rows
+
+
 def lhv_achievability_boundary(model_family: str) -> float:
     """Smallest R at which the family's leading analytic bound (the first
     of its _BOUND_SETS row: xy for local, tdb1 for joint depolarization) is
     LHV-achievable.
 
     The state sitting on the bound is cube-separable where its cube slack
-    is >= 0; the boundary is the root of that in R on [0.3, 1].  The
-    bound's own positivity facet reads 0 there, so the slack at R = 1 is
-    tol > 0 and the root is bracketed.
+    is >= 0.  The bound's own positivity facet reads 0 there, so the slack
+    at R = 1 is tol > 0, and the boundary is a sign change on [0.3, 1].
+    Each facet row's slack is a polynomial in the bound's curve parameter
+    x (_bound_terms), so the boundary is the root of its binding
+    row: the row least at R = 0.3, then, while a row is still negative at
+    the root, that row's next root (the 12 tied CHSH rows give one root).
+    It ends at a float sign change of the least slack, found from that
+    root (_sign_change): slack(R*) >= 0 > slack(the float below R*).
     """
     bound = _bound_set(model_family)[0][1]
+    tol = CRITERIA["cube-separable"][1]
 
-    def bound_slack(R):
+    def bound_slacks(R):
         out = pipeline_rows(_ALLONES_ROW, R, NoiseModel(model_family, 1.0 - bound(R)))
-        return float(np.min(slack("cube-separable", out)))
+        return lp.facet_margins(out)[0] + tol
 
-    return _root(bound_slack, 0.3, 1.0, "bound already achievable at R = 0.3",
-                 "bound not achievable at R = 1")
+    s = bound_slacks(0.3)
+    if s.min() >= 0.0:
+        raise ThresholdBracketError("bound already achievable at R = 0.3")
+    if bound_slacks(1.0).min() < 0.0:
+        raise ThresholdBracketError("bound not achievable at R = 1")
+    c = _BOUND_CURVES[model_family]
+    terms, M = _bound_terms(model_family), _criterion_rows("cube-separable")
+    R, x, x_hi = 0.3, c.x_of_R(0.3), c.x_of_R(1.0)
+    while s.min() < 0.0:
+        root = _least_root(M[:, s.argmin()] @ terms[:16] + tol * terms[16], x, x_hi)
+        if root is None or root <= x:    # a row tied with the last one
+            break
+        x = root
+        R = c.R(x)
+        s = bound_slacks(R)
+    return _sign_change(lambda R: bound_slacks(R).min(), R, s.min(), 0.3, 1.0)
 
 
 def dephasing_impossibility(R: float, p: float) -> DephasingVerdict:

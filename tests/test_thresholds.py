@@ -241,9 +241,9 @@ def test_analytic_intersections():
 
 
 def test_analytic_intersections_are_pinned():
-    # the crossings as Brent finds them through _root, to the last bit
+    # the crossings as float sign changes of bound2 - bound1, to the last bit
     assert analytic_intersection("local-depol")[0] == 0.520072913415584
-    assert analytic_intersection("joint-depol")[0] == 0.5773502691896217
+    assert analytic_intersection("joint-depol")[0] == 0.5773502691896258
 
 
 def test_analytic_intersection_refuses_a_family_without_bounds():
@@ -260,8 +260,94 @@ def test_boundary_refuses_a_family_without_bounds():
 
 def test_boundaries_are_pinned():
     # the roots on each family's first bound, to the last bit
-    assert lhv_achievability_boundary("local-depol") == 0.544933386189242
-    assert lhv_achievability_boundary("joint-depol") == 0.707106780582994
+    assert lhv_achievability_boundary("local-depol") == 0.5449333861892419
+    assert lhv_achievability_boundary("joint-depol") == 0.7071067805829943
+
+
+BOUND_FAMILIES = ("local-depol", "joint-depol")
+
+
+def _bound_state(family, R):
+    """The pipeline output on the all-ones input at R, with the noise on the
+    family's first bound."""
+    bound = th._BOUND_SETS[family][0][1]
+    return pipeline_rows(np.ones((1, 16)), R, NoiseModel(family, 1.0 - bound(R)))
+
+
+def _bound_state_slacks(family, R):
+    """The 684 normalized facet values + tol of the state on the bound."""
+    return lp.facet_margins(_bound_state(family, R))[0] + CRITERIA["cube-separable"][1]
+
+
+def _brent_boundary(family):
+    """The boundary as one Brent root of the least slack in R on [0.3, 1]."""
+    return brentq(lambda R: float(_bound_state_slacks(family, R).min()), 0.3, 1.0,
+                  xtol=ROOT_XTOL)
+
+
+@pytest.mark.parametrize("family", BOUND_FAMILIES)
+def test_boundary_is_a_sign_change_of_every_facet_row(family):
+    R = lhv_achievability_boundary(family)
+    below = math.nextafter(R, 0.0)
+    assert (_bound_state_slacks(family, R) >= 0.0).all()
+    assert (_bound_state_slacks(family, below) < 0.0).any()
+    # the same cut as the package's own slack
+    assert slack("cube-separable", _bound_state(family, R))[0] >= 0.0
+    assert slack("cube-separable", _bound_state(family, below))[0] < 0.0
+
+
+@pytest.mark.parametrize("family", BOUND_FAMILIES)
+def test_boundary_matches_the_brent_root(family):
+    assert abs(lhv_achievability_boundary(family) - _brent_boundary(family)) < 1e-12
+
+
+@pytest.mark.parametrize("family", BOUND_FAMILIES)
+def test_boundary_rows_are_the_slack_polynomials(family):
+    # D(x) times each facet row's slack, read at the curve's points, is the
+    # float slack on the bound state there
+    c, terms = th._BOUND_CURVES[family], th._bound_terms(family)
+    tol = CRITERIA["cube-separable"][1]
+    P = th._criterion_rows("cube-separable").T @ terms[:16] + tol * terms[16]
+    for R in (0.35, 0.5, 0.75, 1.0):
+        x = c.x_of_R(R)
+        assert abs(c.R(x) - R) < 1e-15
+        values = np.polyval(P.T, x) / np.polyval(terms[16], x)
+        assert np.abs(values - _bound_state_slacks(family, R)).max() < 1e-13
+
+
+@pytest.mark.parametrize("family", BOUND_FAMILIES)
+def test_analytic_intersection_is_a_sign_change_of_the_bound_gap(family):
+    (_, first), (_, second) = th._BOUND_SETS[family]
+    R, r = analytic_intersection(family)
+    below = math.nextafter(R, 0.0)
+    assert second(R) - first(R) >= 0.0 > second(below) - first(below)
+    assert r == first(R)
+    brent = brentq(lambda R: second(R) - first(R), 0.3, 0.95, xtol=ROOT_XTOL)
+    assert abs(R - brent) < 1e-12
+
+
+def test_boundary_bracket_errors(monkeypatch):
+    # r = 0 (total noise) leaves the identity state, which is separable at
+    # every R; r = 1 (no noise) the CSIGN output, which is not at R = 1
+    monkeypatch.setitem(th._BOUND_SETS, "joint-depol", (("none", lambda R: 0.0),))
+    with pytest.raises(ThresholdBracketError, match="bound already achievable at R = 0.3"):
+        lhv_achievability_boundary("joint-depol")
+    monkeypatch.setitem(th._BOUND_SETS, "joint-depol", (("all", lambda R: 1.0),))
+    with pytest.raises(ThresholdBracketError, match="bound not achievable at R = 1"):
+        lhv_achievability_boundary("joint-depol")
+
+
+@pytest.mark.parametrize("shape", ["below", "above", "far below", "far above"])
+def test_sign_change_closes_from_either_side(shape):
+    # f < 0 below 0.6 and >= 0 from it on, guessed from 1 ulp or 0.1 away
+    root = 0.6
+    guess = {"below": math.nextafter(root, 0.0), "above": math.nextafter(root, 1.0),
+             "far below": 0.5, "far above": 0.7}[shape]
+
+    def f(x):
+        return -1.0 if x < root else 1.0
+
+    assert th._sign_change(f, guess, f(guess), 0.3, 1.0) == root
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])

@@ -19,7 +19,7 @@ from .spaces import PovmSet, StateSpaceSpec, operator_compatible, qubit_xyz_povm
 def _tolerance_banner(out) -> None:
     print(
         f"tolerances: lp-feasibility={lp.FEASIBILITY_TOL:g} "
-        f"positivity={separability.POSITIVITY_TOL:g} root-xtol={thresholds.ROOT_XTOL:g}",
+        f"positivity={separability.POSITIVITY_TOL:g}",
         file=out,
     )
 
@@ -95,6 +95,14 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
+def _entry(c) -> complex:
+    """One POVM entry: a list of exactly two real numbers [re, im]."""
+    if (type(c) is not list or len(c) != 2
+            or not all(type(x) in (int, float) for x in c)):
+        raise TypeError
+    return complex(c[0], c[1])
+
+
 def _load_povms(path: str) -> PovmSet:
     """POVM file: JSON {"dim": d, "povms": [[element...]]} with complex
     entries encoded as [re, im] pairs.  A file of any other shape raises
@@ -107,9 +115,9 @@ def _load_povms(path: str) -> PovmSet:
     if type(dim) is not int or dim < 1:
         raise ValueError(f"POVM file {path}: 'dim' must be a positive integer; got {dim!r}")
     try:
-        povms = tuple(tuple(np.array([[complex(c[0], c[1]) for c in row] for row in m])
+        povms = tuple(tuple(np.array([[_entry(c) for c in row] for row in m])
                             for m in p) for p in data["povms"])
-    except (TypeError, IndexError):
+    except (TypeError, ValueError):     # ValueError: a ragged matrix
         raise ValueError(f"POVM file {path}: each element must be a matrix of "
                          "[re, im] pairs") from None
     return PovmSet(povms, dim)

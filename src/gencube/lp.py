@@ -258,9 +258,10 @@ def caratheodory_weights(b: np.ndarray) -> np.ndarray:
 
 
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call.  No package code
-    calls it: the benchmark's tracer (bench/spans.py) wraps it by this name,
-    and goes with it once the benchmark reads the package's own counters."""
+    """scipy.optimize.linprog, imported on the first call, so it needs the
+    test extra (scipy).  No package code calls it: the benchmark's tracer
+    (bench/spans.py) wraps it by this name, and goes with it once the
+    benchmark reads the package's own counters."""
     from scipy.optimize import linprog as highs
 
     return highs(*args, **kwargs)

@@ -12,12 +12,13 @@ inputs are facet roots, in closed form: the pipeline output is a
 polynomial of degree <= 2 in the noise strength, so each facet row's slack
 is an exact quadratic, and the threshold is the largest of the roots of the
 rows that are negative at zero noise.  The LHV-achievability boundaries
-and the crossings of the closed-form bounds are polynomial roots too, each
-on a rational curve that carries the state sitting on a bound, and each
-ends at a float sign change of its own slack.  The quantum-separable
-thresholds (on the sphere, over three axis-pair inputs) are the one Brent
-root left (scipy's brentq, imported on first use), of a least slack over
-an (N, 16) stack of inputs.
+are polynomial roots too, on a rational curve that carries the state
+sitting on a bound.  Every other root is one bracketed root (_root, Brent's
+zero): the quantum-separable thresholds (on the sphere, over three
+axis-pair inputs), of a least slack over the (N, 16) output polynomial,
+and the crossings of the closed-form bounds.  Every root, facet roots
+aside, ends at a float sign change of its own slack: >= 0 at the root and
+< 0 at the float below it.
 Closed-form positivity bounds of the rescaled-cube analysis live here as
 well.
 """
@@ -37,7 +38,6 @@ from .separability import CRITERIA, slack
 from .spaces import StateSpaceSpec, check_R, frame_scale
 
 __all__ = [
-    "ROOT_XTOL",
     "ThresholdQuery",
     "CurvePoint",
     "ThresholdBracketError",
@@ -52,7 +52,7 @@ __all__ = [
     "DephasingVerdict",
 ]
 
-ROOT_XTOL = 1e-12           # absolute tolerance of the sphere's Brent root (brentq xtol)
+_EPS = math.ulp(1.0)        # the float spacing at 1 (Brent's macheps)
 
 
 class ThresholdBracketError(RuntimeError):
@@ -100,15 +100,80 @@ class DephasingVerdict:
     outcome: str | None = None
 
 
-def _root(f, lo: float, hi: float, holds_at_lo: str, fails_at_hi: str) -> float:
-    """Root of f on [lo, hi], which must be < 0 at lo and >= 0 at hi."""
-    from scipy.optimize import brentq  # most of the package's import time
+def _sign_change(f, x: float, fx: float, lo: float, hi: float) -> float:
+    """A float x* in [lo, hi] at which f, < 0 at lo and >= 0 at hi, changes
+    sign, f(x*) >= 0 > f(the float below x*), found from the guess x with
+    fx = f(x): steps of 1, 2, 4, ... ulps away from x until f's sign
+    differs, then bisection over the floats in between."""
+    step = math.ulp(x)
+    if fx < 0.0:
+        lo = x
+        while f(y := min(x + step, hi)) < 0.0:
+            lo, step = y, 2.0 * step
+        hi = y
+    else:
+        hi = x
+        while f(y := max(x - step, lo)) >= 0.0:
+            hi, step = y, 2.0 * step
+        lo = y
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
-    if f(lo) >= 0.0:
+
+def _root(f, lo: float, hi: float, holds_at_lo: str, fails_at_hi: str) -> float:
+    """The float x* in [lo, hi] at which f, < 0 at lo and >= 0 at hi,
+    changes sign: f(x*) >= 0 > f(the float below x*).
+
+    Brent's zero (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4) with no absolute tolerance: inverse quadratic or linear
+    interpolation, or bisection where that would not shrink the bracket
+    fast enough, until the bracket is within 2 eps |b| of its best end b;
+    then a float sign change found from b (_sign_change).
+    """
+    a, fa = lo, f(lo)
+    if fa >= 0.0:
         raise ThresholdBracketError(holds_at_lo)
-    if f(hi) < 0.0:
+    b, fb = hi, f(hi)
+    if fb < 0.0:
         raise ThresholdBracketError(fails_at_hi)
-    return brentq(f, lo, hi, xtol=ROOT_XTOL)
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb < 0.0) == (fc < 0.0):     # c on b's side: a is the far end
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):            # b the end nearer the root
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return _sign_change(f, b, fb, lo, hi)
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:                   # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:                        # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
 
 
 _ALLONES_ROW = np.ones((1, 16))     # product of the all-ones vertex with itself
@@ -146,14 +211,22 @@ def _noise_polynomial(family: str) -> np.ndarray:
     return poly
 
 
+def _output_polynomial(P: np.ndarray, R: float, family: str) -> np.ndarray:
+    """(3, N, 16): the pipeline output on an (N, 16) stack of product inputs
+    as a polynomial in the noise strength p, C[0] + p (C[1] + p C[2]): the
+    frame-scaled CSIGN of the inputs times each coefficient row of the noise
+    polynomial."""
+    G = csign(P * frame_scale(R)) * frame_scale(1.0 / R)
+    return _noise_polynomial(family)[:, None, :] * G
+
+
 def _slack_polynomials(criterion: str, P: np.ndarray, R: float,
                        family: str) -> tuple[np.ndarray, ...]:
     """Flat arrays a, b, c with a p^2 + b p + c the slack, before the min,
-    of every (input row of P, criterion row) pair at noise strength p: the
-    frame-scaled CSIGN of the inputs times each coefficient of the noise
-    polynomial, all three through one product with the criterion's rows."""
-    G = csign(P * frame_scale(R)) * frame_scale(1.0 / R)
-    C = (_noise_polynomial(family)[:, None, :] * G).reshape(-1, 16)
+    of every (input row of P, criterion row) pair at noise strength p: all
+    three coefficients of the output polynomial through one product with
+    the criterion's rows."""
+    C = _output_polynomial(P, R, family).reshape(-1, 16)
     c, b, a = (C @ _criterion_rows(criterion)).reshape(3, -1)
     return a, b, c + CRITERIA[criterion][1]
 
@@ -198,15 +271,18 @@ def min_noise(q: ThresholdQuery) -> float:
     threshold is the largest of the facet roots of the rows negative at
     zero noise (_facet_root).
 
-    Every quantum-separable query is one Brent root of the least slack over
-    the stacked inputs.  On the sphere those are the three axis pairs
-    (X, X), (X, Z) and (Z, Z).  Local Z rotations commute with the CSIGN
-    and the noise, and the reflections that remain fold every pure product
-    input into the XZ quadrant [0, pi/2]^2; the qubit swap keeps the
-    spectra, so (Z, X) adds nothing.  That an axis pair binds in the
-    quadrant is tested, not proven: the tests hold this value equal to a
-    60 x 60 angle grid's within 1e-12, and certify by branch and bound over
-    the quadrant that every input holds at the value + 1e-4.
+    Every quantum-separable query is one bracketed root (_root) of the
+    least slack over the stacked inputs, whose output is built once as a
+    polynomial in the noise strength; it ends at a float sign change, the
+    slack >= 0 at the threshold and < 0 at the float below it.  On the
+    sphere the inputs are the three axis pairs (X, X), (X, Z) and (Z, Z).
+    Local Z rotations commute with the CSIGN and the noise, and the
+    reflections that remain fold every pure product input into the XZ
+    quadrant [0, pi/2]^2; the qubit swap keeps the spectra, so (Z, X) adds
+    nothing.  That an axis pair binds in the quadrant is tested, not
+    proven: the tests hold this value equal to a 60 x 60 angle grid's
+    within 1e-12, and certify by branch and bound over the quadrant that
+    every input holds at the value + 1e-4.
 
     A cube-separable root sits at margin = -tol, which is where
     lp.decide_membership starts to accept: the output mixed with white
@@ -229,9 +305,10 @@ def min_noise(q: ThresholdQuery) -> float:
     if q.criterion != "quantum-separable":
         return _facet_root(*_slack_polynomials(q.criterion, P, R, q.noise_family), hi)
 
+    C = _output_polynomial(P, R, q.noise_family)
+
     def least_slack(p):
-        out = pipeline_rows(P, R, NoiseModel(q.noise_family, p))
-        return float(np.min(slack(q.criterion, out)))
+        return float(np.min(slack(q.criterion, C[0] + p * (C[1] + p * C[2]))))
 
     return _root(least_slack, 0.0, hi, "criterion already holds at zero noise",
                  "criterion still fails at full noise")
@@ -306,15 +383,13 @@ def analytic_bound(model_family: str, R: float) -> AnalyticBounds:
 class _BoundCurve:
     """The state on a family's leading bound as a rational curve in x,
     R = R_num(x) / R_den(x) and r = r_num(x) / r_den(x) (polynomial
-    coefficients, highest first), whose inverse on R > 0 is x_of_R; and the
-    polynomial in x whose root is the crossing of the family's two bounds."""
+    coefficients, highest first), whose inverse on R > 0 is x_of_R."""
 
     x_of_R: Callable[[float], float]
     R_num: tuple
     R_den: tuple
     r_num: tuple
     r_den: tuple
-    crossing: tuple
 
     def R(self, x: float) -> float:
         return _horner(self.R_num, x)[0] / _horner(self.R_den, x)[0]
@@ -330,15 +405,11 @@ def _horner(coeffs, x: float) -> tuple[float, float]:
 
 
 _BOUND_CURVES = {
-    # R = (t - 1/t) / 2 makes sqrt(1 + R^2) = (t + 1/t) / 2, so xy = 1/t;
-    # xz = 1/t squares to R t^2 + R (R - 1) t = 1, which in t alone is
-    # 3t^4 - 2t^3 - 4t^2 - 2t + 1 = 0
+    # R = (t - 1/t) / 2 makes sqrt(1 + R^2) = (t + 1/t) / 2, so xy = 1/t
     "local-depol": _BoundCurve(lambda R: R + math.sqrt(1.0 + R * R),
-                               (1.0, 0.0, -1.0), (2.0, 0.0), (1.0,), (1.0, 0.0),
-                               (3.0, -2.0, -4.0, -2.0, 1.0)),
-    # x = R and tdb1 = 1 / (2R + 1); tdb2 = tdb1 is 1/R - R = 2R, or 3R^2 = 1
-    "joint-depol": _BoundCurve(lambda R: R, (1.0, 0.0), (1.0,), (1.0,), (2.0, 1.0),
-                               (3.0, 0.0, -1.0)),
+                               (1.0, 0.0, -1.0), (2.0, 0.0), (1.0,), (1.0, 0.0)),
+    # x = R and tdb1 = 1 / (2R + 1)
+    "joint-depol": _BoundCurve(lambda R: R, (1.0, 0.0), (1.0,), (1.0,), (2.0, 1.0)),
 }
 
 
@@ -357,53 +428,17 @@ def _least_root(poly, lo: float, hi: float) -> float | None:
     return x
 
 
-def _sign_change(f, x: float, fx: float, lo: float, hi: float) -> float:
-    """A float x* in [lo, hi] at which f, < 0 at lo and >= 0 at hi, changes
-    sign, f(x*) >= 0 > f(the float below x*), found from the guess x with
-    fx = f(x): steps of 1, 2, 4, ... ulps away from x until f's sign
-    differs, then bisection over the floats in between."""
-    step = math.ulp(x)
-    if fx < 0.0:
-        lo = x
-        while f(y := min(x + step, hi)) < 0.0:
-            lo, step = y, 2.0 * step
-        hi = y
-    else:
-        hi = x
-        while f(y := max(x - step, lo)) >= 0.0:
-            hi, step = y, 2.0 * step
-        lo = y
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def analytic_intersection(model_family: str):
     """The crossing of the family's two bounds for R in [0.3, 0.95]; returns
     (R, r).
 
-    The crossing is the root in that bracket of a polynomial in the leading
-    bound's curve parameter (_BOUND_CURVES): 3R^2 = 1 for the joint bounds,
-    R = 1/sqrt 3, and a quartic in t = R + sqrt(1 + R^2) for the local ones.
-    It ends at a float sign change of bound2 - bound1, found from that
-    root (_sign_change).
+    The crossing is the float sign change of bound2 - bound1 (_root):
+    R = 1/sqrt 3 for the joint bounds, and about 0.520 for the local ones.
     """
-    fns = _bound_set(model_family)
-
-    def gap(R):
-        return fns[1][1](R) - fns[0][1](R)
-
-    if gap(0.3) >= 0.0:
-        raise ThresholdBracketError("bounds already crossed at R = 0.3")
-    if gap(0.95) < 0.0:
-        raise ThresholdBracketError("bounds not crossed by R = 0.95")
-    c = _BOUND_CURVES[model_family]
-    R = c.R(_least_root(c.crossing, c.x_of_R(0.3), c.x_of_R(0.95)))
-    R = _sign_change(gap, R, gap(R), 0.3, 0.95)
-    return R, fns[0][1](R)
+    (_, first), (_, second) = _bound_set(model_family)
+    R = _root(lambda R: second(R) - first(R), 0.3, 0.95,
+              "bounds already crossed at R = 0.3", "bounds not crossed by R = 0.95")
+    return R, first(R)
 
 
 # ---------------------------------------------------------------------------

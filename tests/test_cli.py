@@ -286,6 +286,9 @@ def test_compat_json_file_compatible(tmp_path):
 @pytest.mark.parametrize("content, problem", [
     ('{"povms": []}', "expected an object with keys 'dim' and 'povms'"),
     ('{"dim": 2, "povms": [[[[1]]]]}', "a matrix of [re, im] pairs"),
+    ('{"dim": 1, "povms": [[[[{"re": 1}]]]]}', "a matrix of [re, im] pairs"),
+    ('{"dim": 1, "povms": [[[[[1, 0, 5]]]]]}', "a matrix of [re, im] pairs"),
+    ('{"dim": 2, "povms": [[[[[1, 0], [0, 0]], [[0, 0]]]]]}', "a matrix of [re, im] pairs"),
     ('{"dim": 0, "povms": []}', "'dim' must be a positive integer; got 0"),
 ])
 def test_compat_reports_a_malformed_povm_file(tmp_path, capsys, content, problem):
@@ -334,24 +337,21 @@ def test_invalid_input_exit_code():
 
 
 def test_tolerance_banner_reads_the_constants(monkeypatch):
-    from gencube import cli, lp, separability, thresholds
+    from gencube import cli, lp, separability
 
     def banner():
         buf = io.StringIO()
         cli._tolerance_banner(buf)
         return buf.getvalue().strip()
 
-    assert banner() == "tolerances: lp-feasibility=1e-09 positivity=1e-09 root-xtol=1e-12"
-    monkeypatch.setattr(thresholds, "ROOT_XTOL", 1e-5)
-    assert banner().endswith("root-xtol=1e-05")
+    assert banner() == "tolerances: lp-feasibility=1e-09 positivity=1e-09"
     monkeypatch.setattr(lp, "FEASIBILITY_TOL", 2e-10)
     monkeypatch.setattr(separability, "POSITIVITY_TOL", 3e-8)
-    assert banner() == "tolerances: lp-feasibility=2e-10 positivity=3e-08 root-xtol=1e-05"
+    assert banner() == "tolerances: lp-feasibility=2e-10 positivity=3e-08"
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the import time; only the Brent roots load
-    # it, on first use
+    # scipy.optimize is most of the import time; no package code loads it
     code = "import sys, gencube.cli; sys.exit('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -360,11 +360,13 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_cube_threshold_and_curve_leave_scipy_optimize_unloaded():
-    # the cube thresholds are facet roots: no Brent root, so no scipy.optimize
-    runs = [["threshold", "--noise", family, "--space", "cube", "--R", "1"]
+    # the cube thresholds are facet roots and the sphere thresholds the
+    # package's own bracketed root: neither loads scipy.optimize
+    runs = [["threshold", "--noise", family, "--space", space, "--R", "1"]
+            for space in ("cube", "sphere")
             for family in ("joint-depol", "local-depol", "local-dephase")]
-    runs.append(["curve", "--noise", "local-depol", "--space", "cube",
-                 "--r-min", "0.5", "--r-max", "1.5", "--steps", "3"])
+    runs += [["curve", "--noise", "local-depol", "--space", space,
+              "--r-min", "0.5", "--r-max", "1.5", "--steps", "3"] for space in ("cube", "sphere")]
     code = ("import sys\n"
             "from gencube.cli import main\n"
             f"codes = [main(argv) for argv in {runs!r}]\n"
@@ -372,5 +374,30 @@ def test_cube_threshold_and_curve_leave_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr or "a cube threshold loaded scipy.optimize"
-    assert proc.stdout.count("tolerances:") == 4
+    assert proc.returncode == 0, proc.stderr or "a threshold loaded scipy.optimize"
+    assert proc.stdout.count("tolerances:") == 8
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: with scipy unimportable, every
+    # command still exits 0
+    circuit = tmp_path / "circ.txt"
+    circuit.write_text(SUITE["bell_like_joint"])
+    runs = [[cmd, "--noise", "local-depol", "--space", space] + args
+            for space in ("cube", "sphere")
+            for cmd, args in (("threshold", ["--R", "1.16"]),
+                              ("curve", ["--r-min", "0.5", "--r-max", "1.5", "--steps", "3"]))]
+    runs += [["verify", which] for which in sorted(cli._VERIFIERS)]
+    runs += [["simulate", "--circuit", str(circuit), "--shots", "1000", "--compare-dense"],
+             ["compat", "--povms", "xyz"]]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from gencube.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    if main(argv):\n"
+            "        sys.exit(f'{argv} failed')\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("tolerances:") == len(runs) == 13

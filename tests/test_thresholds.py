@@ -23,7 +23,6 @@ from gencube.separability import (
 )
 from gencube.spaces import StateSpaceSpec
 from gencube.thresholds import (
-    ROOT_XTOL,
     ThresholdBracketError,
     ThresholdQuery,
     analytic_bound,
@@ -36,6 +35,8 @@ from gencube.thresholds import (
 )
 
 CUBE = StateSpaceSpec.cube(1.0)
+# scipy's brentq is the tests' independent reference root, at this xtol
+BRENT_XTOL = 1e-12
 
 
 def test_cube_thresholds_reproduce_closed_forms():
@@ -92,6 +93,25 @@ def test_min_noise_bracket_errors(monkeypatch):
     monkeypatch.setattr(th, "_slack_polynomials", lambda *args: (zero, zero, zero - 1.0))
     with pytest.raises(ThresholdBracketError, match="still fails"):
         min_noise(q)
+    # the quantum-separable root (_root) refuses the same two brackets
+    q = ThresholdQuery("joint-depol", StateSpaceSpec.sphere(1.3), "quantum-separable",
+                       "sphere-grid")
+    monkeypatch.setattr(th, "slack", lambda criterion, B: np.ones(len(B)))
+    with pytest.raises(ThresholdBracketError, match="criterion already holds at zero noise"):
+        min_noise(q)
+    monkeypatch.setattr(th, "slack", lambda criterion, B: -np.ones(len(B)))
+    with pytest.raises(ThresholdBracketError, match="criterion still fails at full noise"):
+        min_noise(q)
+
+
+def test_unit_cube_thresholds_sit_below_their_closed_forms_by_the_stated_gaps():
+    # min_noise's docstring: the roots at margin = -tol lie 3.3e-10, 3.5e-10
+    # and 1.8e-10 below 2/3, 2 - sqrt 2 and 1 - 1/sqrt 2
+    for family, exact, gap in [("joint-depol", 2 / 3, "3.3e-10"),
+                               ("local-depol", 2 - math.sqrt(2), "3.5e-10"),
+                               ("local-dephase", 1 - 1 / math.sqrt(2), "1.8e-10")]:
+        lam = min_noise(ThresholdQuery(family, CUBE, "cube-separable"))
+        assert f"{exact - lam:.1e}" == gap, family
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +138,7 @@ def _brent_root(criterion, family, R, P):
         raise ThresholdBracketError("criterion already holds at zero noise")
     if least(hi) < 0.0:
         raise ThresholdBracketError("criterion still fails at full noise")
-    return brentq(least, 0.0, hi, xtol=ROOT_XTOL)
+    return brentq(least, 0.0, hi, xtol=BRENT_XTOL)
 
 
 def _brent_min_noise(q):
@@ -282,7 +302,7 @@ def _bound_state_slacks(family, R):
 def _brent_boundary(family):
     """The boundary as one Brent root of the least slack in R on [0.3, 1]."""
     return brentq(lambda R: float(_bound_state_slacks(family, R).min()), 0.3, 1.0,
-                  xtol=ROOT_XTOL)
+                  xtol=BRENT_XTOL)
 
 
 @pytest.mark.parametrize("family", BOUND_FAMILIES)
@@ -322,7 +342,7 @@ def test_analytic_intersection_is_a_sign_change_of_the_bound_gap(family):
     below = math.nextafter(R, 0.0)
     assert second(R) - first(R) >= 0.0 > second(below) - first(below)
     assert r == first(R)
-    brent = brentq(lambda R: second(R) - first(R), 0.3, 0.95, xtol=ROOT_XTOL)
+    brent = brentq(lambda R: second(R) - first(R), 0.3, 0.95, xtol=BRENT_XTOL)
     assert abs(R - brent) < 1e-12
 
 
@@ -335,6 +355,18 @@ def test_boundary_bracket_errors(monkeypatch):
     monkeypatch.setitem(th._BOUND_SETS, "joint-depol", (("all", lambda R: 1.0),))
     with pytest.raises(ThresholdBracketError, match="bound not achievable at R = 1"):
         lhv_achievability_boundary("joint-depol")
+
+
+def test_intersection_bracket_errors(monkeypatch):
+    # bound2 - bound1 held at +1, then at -1, over the whole bracket
+    monkeypatch.setitem(th._BOUND_SETS, "joint-depol",
+                        (("a", lambda R: 0.0), ("b", lambda R: 1.0)))
+    with pytest.raises(ThresholdBracketError, match="bounds already crossed at R = 0.3"):
+        analytic_intersection("joint-depol")
+    monkeypatch.setitem(th._BOUND_SETS, "joint-depol",
+                        (("a", lambda R: 1.0), ("b", lambda R: 0.0)))
+    with pytest.raises(ThresholdBracketError, match="bounds not crossed by R = 0.95"):
+        analytic_intersection("joint-depol")
 
 
 @pytest.mark.parametrize("shape", ["below", "above", "far below", "far above"])
@@ -492,7 +524,7 @@ def _grid_scan_reference(q):
             raise ThresholdBracketError("criterion still fails at full noise")
         if slack(floor) >= 0.0:
             return None
-        return brentq(slack, floor, hi, xtol=ROOT_XTOL)
+        return brentq(slack, floor, hi, xtol=BRENT_XTOL)
 
     best, arg = 0.0, (0.0, 0.0)
     angles = np.linspace(0.0, math.pi / 2.0, q.grid_n)
@@ -572,6 +604,24 @@ def test_sphere_thresholds_pinned(family, R):
     q = ThresholdQuery(family, StateSpaceSpec.sphere(R), "quantum-separable",
                        "sphere-grid", grid_n=60)
     assert abs(min_noise(q) - SPHERE_THRESHOLDS[family, R]) < 1e-12
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sphere_threshold_is_a_sign_change_of_its_least_slack(family):
+    # the root's own least slack, over the axis pairs' output polynomial,
+    # is >= 0 at p* and < 0 at the float below it
+    cases = [R for f, R in SPHERE_THRESHOLDS if f == family] + list(GRID_R)
+    for R in cases:
+        try:
+            lam = min_noise(_sphere_query(family, R))
+        except ThresholdBracketError:
+            continue
+        C = th._output_polynomial(th._AXIS_PAIRS, R, family)
+
+        def least(p):
+            return np.min(slack("quantum-separable", C[0] + p * (C[1] + p * C[2])))
+
+        assert least(lam) >= 0.0 > least(math.nextafter(lam, 0.0)), R
 
 
 # slack the eigensolver's rounding may hide, far below any cell's bound

@@ -10,7 +10,8 @@ CRITERIA pairs each criterion with its margin, computed row by row over a
 stack of flattened coefficient matrices (cube_margins, pauli_margins,
 quantum_margins), and the tolerance it is held to (lp.FEASIBILITY_TOL for
 cubes, POSITIVITY_TOL otherwise); slack is margin + tol, >= 0 exactly where
-the criterion holds.  Every predicate and the threshold engine read slack.
+the criterion holds.  Every predicate reads slack; the threshold engine
+reads each criterion's tolerance and takes its rows in closed form.
 The module also carries the appendix catalog of hand-built LHV
 decompositions.
 """

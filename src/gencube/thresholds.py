@@ -7,18 +7,20 @@ value for cubes, the least Pauli-pair Born probability, the least
 eigenvalue of the output and of its partial transpose) is >= 0 exactly
 where it holds, on the bracket [0, full noise].
 
-The two linear criteria (cube-separable and pauli-positive) on vertex
-inputs are facet roots, in closed form: the pipeline output is a
-polynomial of degree <= 2 in the noise strength, so each facet row's slack
-is an exact quadratic, and the threshold is the largest of the roots of the
-rows that are negative at zero noise.  The LHV-achievability boundaries
-are polynomial roots too, on a rational curve that carries the state
-sitting on a bound.  Every other root is one bracketed root (_root, Brent's
-zero): the quantum-separable thresholds (on the sphere, over three
-axis-pair inputs), of a least slack over the (N, 16) output polynomial,
-and the crossings of the closed-form bounds.  Every root, facet roots
-aside, ends at a float sign change of its own slack: >= 0 at the root and
-< 0 at the float below it.
+Every threshold is a facet root, in closed form: the pipeline output is a
+polynomial of degree <= 2 in the noise strength, so each row's slack is an
+exact quadratic, and the threshold is the largest of the roots of the rows
+that are negative at zero noise.  The rows are the linear criteria's
+(cube-separable and pauli-positive) on vertex inputs, and on the sphere
+quantum-separable's 20 fixed eigen-rows: the outputs of each axis-pair
+input commute with one another for every R and noise strength, and so do
+their partial transposes, so each of their eigenvalues is one linear row of
+the coefficients.  The reported
+float is the row root.  The LHV-achievability boundaries are polynomial
+roots too, on a rational curve that carries the state sitting on a bound,
+ended at a float sign change of their least slack; the crossings of the
+closed-form bounds are one bracketed root (_root, Brent's zero), ended the
+same way: the slack >= 0 at the root and < 0 at the float below it.
 Closed-form positivity bounds of the rescaled-cube analysis live here as
 well.
 """
@@ -33,8 +35,8 @@ import numpy as np
 
 from . import lp
 from .gates import NOISE_FAMILIES, NoiseModel, csign, noise_scale_matrix, pipeline_rows
-from .pauli import product_rows
-from .separability import CRITERIA, slack
+from .pauli import PT_SIGNS, dense_rows_real, product_rows
+from .separability import CRITERIA
 from .spaces import StateSpaceSpec, check_R, frame_scale
 
 __all__ = [
@@ -82,6 +84,8 @@ class ThresholdQuery:
             raise ValueError("sphere-grid inputs require a sphere state space")
         if self.input_policy == "sphere-grid" and self.criterion != "quantum-separable":
             raise ValueError("sphere-grid inputs take the quantum-separable criterion")
+        if self.input_policy != "sphere-grid" and self.criterion == "quantum-separable":
+            raise ValueError("vertex inputs take a linear criterion, not quantum-separable")
         if self.grid_n < 1:
             raise ValueError("grid_n must be at least 1")
 
@@ -231,6 +235,69 @@ def _slack_polynomials(criterion: str, P: np.ndarray, R: float,
     return a, b, c + CRITERIA[criterion][1]
 
 
+@functools.cache
+def _eigen_rows() -> tuple[np.ndarray, np.ndarray]:
+    """The sphere threshold's eigen-rows: the index into _AXIS_PAIRS of
+    each row's pair, and a (20, 16) matrix W whose row k, applied to the
+    flattened output b of its pair, is an eigenvalue of the operator of b
+    (rows on the partial transpose's side carry PT_SIGNS), at every family,
+    R and noise strength.  Each side's rows give all its eigenvalues.
+    Read-only.
+
+    For each pair, the operators of the output polynomial's coefficients
+    (_output_polynomial) commute over every family and R, and so do their
+    partial transposes.  Their joint eigenspaces, with projectors Pi, are
+    those of one generic combination of them, and the eigenvalue on Pi is
+    tr(Pi rho) / rank Pi, a linear row whose entries are quarters.  Each
+    row is rounded to its quarters and checked exactly, at R = 1/2, 1 and
+    2: Pi, rebuilt from the row, is a projector; Pi summed over a side is
+    the identity; and rho Pi = (row . b) Pi for every coefficient of each
+    family.  Every entry and product there is a short dyadic, so the float
+    checks are exact.  An output entry is +-R^e times a polynomial in p,
+    e in {-1, 0, 1} (the CSIGN moves a Pauli weight by at most one), so an
+    identity linear in the output that holds at three values of R holds at
+    every R.
+    """
+    C = np.stack([_output_polynomial(_AXIS_PAIRS, R, family)
+                  for family in NOISE_FAMILIES for R in (0.5, 1.0, 2.0)])
+    sigma = dense_rows_real(np.eye(16))      # sigma_j / 4; no output has an odd Y
+    pairs, rows = [], []
+    for i in range(len(_AXIS_PAIRS)):
+        for signs in (np.ones(16), PT_SIGNS):
+            B = C[:, :, i].reshape(-1, 16) * signs
+            ops = dense_rows_real(B)
+            generic = np.tensordot(np.sqrt(np.arange(len(B)) + 2.0), ops, 1)
+            ev, V = np.linalg.eigh(generic)
+            total = np.zeros((4, 4))
+            for block in np.split(V, np.flatnonzero(np.diff(ev) > 1e-9 * np.abs(ev).max()) + 1,
+                                  axis=1):
+                rank = block.shape[1]
+                row = np.einsum("jab,ab->j", sigma, block @ block.T) / rank
+                q = np.round(4.0 * row) / 4.0
+                Pi = dense_rows_real(4.0 * rank * q[None])[0]
+                if not (np.abs(row - q).max() < 1e-12 and np.array_equal(Pi @ Pi, Pi)
+                        and np.array_equal(ops @ Pi, (B @ q)[:, None, None] * Pi)):
+                    raise RuntimeError(f"axis pair {i} has no exact eigen-row")
+                total += Pi
+                pairs.append(i)
+                rows.append(q * signs)
+            if not np.array_equal(total, np.eye(4)):
+                raise RuntimeError(f"axis pair {i}'s eigen-rows miss an eigenspace")
+    pairs, rows = np.array(pairs), np.array(rows)
+    pairs.setflags(write=False)
+    rows.setflags(write=False)
+    return pairs, rows
+
+
+def _eigen_slack_polynomials(R: float, family: str) -> tuple[np.ndarray, ...]:
+    """Flat arrays a, b, c with a p^2 + b p + c the quantum-separable slack
+    of each eigen-row (_eigen_rows) on its own axis pair's output at noise
+    strength p."""
+    pairs, W = _eigen_rows()
+    c, b, a = np.einsum("kij,ij->ki", _output_polynomial(_AXIS_PAIRS, R, family)[:, pairs], W)
+    return a, b, c + CRITERIA["quantum-separable"][1]
+
+
 def _facet_root(a: np.ndarray, b: np.ndarray, c: np.ndarray, hi: float) -> float:
     """The root in (0, hi] of the least of the quadratics a p^2 + b p + c:
     the largest of the roots of the rows that are negative at 0.
@@ -264,19 +331,21 @@ def min_noise(q: ThresholdQuery) -> float:
     (the all-ones vertex pair, the 64 vertex pairs, or the sphere's pure
     product inputs), on the bracket [0, full noise].
 
-    The linear criteria (cube-separable: the 684 normalized facets;
-    pauli-positive: the 36 positivity rows / 4) on vertex inputs take no
-    iteration.  The pipeline output is a polynomial of degree <= 2 in the
-    noise strength, so each row's slack is an exact quadratic, and the
-    threshold is the largest of the facet roots of the rows negative at
-    zero noise (_facet_root).
+    Every threshold is a facet root, taken with no iteration.  The
+    pipeline output is a polynomial of degree <= 2 in the noise strength,
+    so each row's slack is an exact quadratic, and the threshold is the
+    largest of the roots of the rows negative at zero noise (_facet_root).
+    The rows are the linear criteria's on vertex inputs (cube-separable:
+    the 684 normalized facets; pauli-positive: the 36 positivity rows / 4),
+    and quantum-separable's on the sphere: the 20 eigen-rows (_eigen_rows)
+    that give every eigenvalue of each axis pair's output and of its
+    partial transpose.  The reported float is the row root itself, within
+    a few ulps of the exact root and not ended at a float sign change of
+    the eigensolver's least slack, which near p = 1/2 changes sign more
+    than once.  Vertex inputs take no quantum-separable query.
 
-    Every quantum-separable query is one bracketed root (_root) of the
-    least slack over the stacked inputs, whose output is built once as a
-    polynomial in the noise strength; it ends at a float sign change, the
-    slack >= 0 at the threshold and < 0 at the float below it.  On the
-    sphere the inputs are the three axis pairs (X, X), (X, Z) and (Z, Z).
-    Local Z rotations commute with the CSIGN and the noise, and the
+    On the sphere the inputs are the three axis pairs (X, X), (X, Z) and
+    (Z, Z).  Local Z rotations commute with the CSIGN and the noise, and the
     reflections that remain fold every pure product input into the XZ
     quadrant [0, pi/2]^2; the qubit swap keeps the spectra, so (Z, X) adds
     nothing.  That an axis pair binds in the quadrant is tested, not
@@ -299,19 +368,9 @@ def min_noise(q: ThresholdQuery) -> float:
     # total dephasing is p = 1/2; the depolarizing families top out at 1
     hi = 0.5 if q.noise_family == "local-dephase" else 1.0
     if q.input_policy == "sphere-grid":
-        P = _AXIS_PAIRS
-    else:
-        P = _ALLONES_ROW if q.input_policy == "worst-vertex" else lp.vertex_product_matrix().T
-    if q.criterion != "quantum-separable":
-        return _facet_root(*_slack_polynomials(q.criterion, P, R, q.noise_family), hi)
-
-    C = _output_polynomial(P, R, q.noise_family)
-
-    def least_slack(p):
-        return float(np.min(slack(q.criterion, C[0] + p * (C[1] + p * C[2]))))
-
-    return _root(least_slack, 0.0, hi, "criterion already holds at zero noise",
-                 "criterion still fails at full noise")
+        return _facet_root(*_eigen_slack_polynomials(R, q.noise_family), hi)
+    P = _ALLONES_ROW if q.input_policy == "worst-vertex" else lp.vertex_product_matrix().T
+    return _facet_root(*_slack_polynomials(q.criterion, P, R, q.noise_family), hi)
 
 
 # ---------------------------------------------------------------------------

@@ -359,9 +359,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert proc.returncode == 0, proc.stderr or "import gencube.cli loaded scipy.optimize"
 
 
+def test_cli_import_derives_no_eigen_rows():
+    # the sphere threshold's eigen-rows are derived on first use only
+    code = ("import sys, gencube.cli, gencube.thresholds as th; "
+            "sys.exit(th._eigen_rows.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "import gencube.cli derived the eigen-rows"
+
+
 def test_cube_threshold_and_curve_leave_scipy_optimize_unloaded():
-    # the cube thresholds are facet roots and the sphere thresholds the
-    # package's own bracketed root: neither loads scipy.optimize
+    # the cube and the sphere thresholds are facet roots: neither loads
+    # scipy.optimize
     runs = [["threshold", "--noise", family, "--space", space, "--R", "1"]
             for space in ("cube", "sphere")
             for family in ("joint-depol", "local-depol", "local-dephase")]

@@ -1,4 +1,6 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ import gencube.thresholds as th
 from gencube import lp
 from gencube.gates import NoiseModel, joint_depol, local_dephase, pipeline, pipeline_rows
 from gencube.pauli import (
+    PT_SIGNS,
     BlochOp,
+    dense_rows_real,
     eigenvalues_hermitian,
     partial_transpose,
     product_rows,
@@ -93,13 +97,14 @@ def test_min_noise_bracket_errors(monkeypatch):
     monkeypatch.setattr(th, "_slack_polynomials", lambda *args: (zero, zero, zero - 1.0))
     with pytest.raises(ThresholdBracketError, match="still fails"):
         min_noise(q)
-    # the quantum-separable root (_root) refuses the same two brackets
+    # the sphere's eigen-rows refuse the same two brackets
     q = ThresholdQuery("joint-depol", StateSpaceSpec.sphere(1.3), "quantum-separable",
                        "sphere-grid")
-    monkeypatch.setattr(th, "slack", lambda criterion, B: np.ones(len(B)))
+    zero = np.zeros(20)
+    monkeypatch.setattr(th, "_eigen_slack_polynomials", lambda *args: (zero, zero, zero + 1.0))
     with pytest.raises(ThresholdBracketError, match="criterion already holds at zero noise"):
         min_noise(q)
-    monkeypatch.setattr(th, "slack", lambda criterion, B: -np.ones(len(B)))
+    monkeypatch.setattr(th, "_eigen_slack_polynomials", lambda *args: (zero, zero, zero - 1.0))
     with pytest.raises(ThresholdBracketError, match="criterion still fails at full noise"):
         min_noise(q)
 
@@ -241,7 +246,9 @@ def test_analytic_bounds_at_unit_rescaling():
 
 def test_query_criteria_are_the_separability_table():
     for criterion in CRITERIA:
-        assert ThresholdQuery("joint-depol", CUBE, criterion).criterion == criterion
+        args = ((StateSpaceSpec.sphere(1.0), criterion, "sphere-grid")
+                if criterion == "quantum-separable" else (CUBE, criterion))
+        assert ThresholdQuery("joint-depol", *args).criterion == criterion
     with pytest.raises(ValueError, match="unknown criterion 'cube'"):
         ThresholdQuery("joint-depol", CUBE, "cube")
 
@@ -606,22 +613,107 @@ def test_sphere_thresholds_pinned(family, R):
     assert abs(min_noise(q) - SPHERE_THRESHOLDS[family, R]) < 1e-12
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_sphere_threshold_is_a_sign_change_of_its_least_slack(family):
-    # the root's own least slack, over the axis pairs' output polynomial,
-    # is >= 0 at p* and < 0 at the float below it
-    cases = [R for f, R in SPHERE_THRESHOLDS if f == family] + list(GRID_R)
-    for R in cases:
+# the real parts of the 16 Pauli products sigma_i (x) sigma_j, in integers:
+# the axis pairs' outputs have no odd-Y coefficient, so their operators are real
+PAULI_REAL = np.rint(4.0 * dense_rows_real(np.eye(16))).astype(int)
+
+
+def _exact_operator(b):
+    """(1/4) sum_j b_j sigma_j of a real 16-vector without odd-Y entries, as a
+    4 x 4 array of Fractions (every float is a rational, taken exactly)."""
+    return sum(Fraction(float(x)) * PAULI_REAL[j] for j, x in enumerate(b)) / 4
+
+
+def _eigen_projector(w, pair, signs):
+    """Pi = rank (1/4) sum_j 4 w_j s_j sigma_j, rank = 1 / tr((Pi / rank)^2),
+    if that is a projector on which the row w is an eigenvalue of the axis
+    pair's output (s_j = signs, PT_SIGNS for the partial transpose), exactly:
+    rho Pi = (w . b) Pi for C[0], C[1] and C[2] of every family at R = 1/2
+    and 2; else None."""
+    Q = _exact_operator(4.0 * w * signs)
+    rank = 1 / np.trace(Q @ Q)
+    Pi = rank * Q
+    if rank.denominator != 1 or not (Pi @ Pi == Pi).all():
+        return None
+    for family in FAMILIES:
+        for R in (0.5, 2.0):
+            for b in th._output_polynomial(th._AXIS_PAIRS, R, family)[:, pair]:
+                value = sum(Fraction(float(x)) for x in b * w)
+                if not (_exact_operator(b * signs) @ Pi == value * Pi).all():
+                    return None
+    return Pi
+
+
+def test_eigen_rows_are_exact_quarter_rows():
+    pairs, W = th._eigen_rows()
+    assert W.shape == (20, 16) and not W.flags.writeable
+    assert set(np.abs(W).ravel()) <= {0.0, 0.25}
+    assert len({tuple(w) for w in W}) == 13
+    ranks = {}
+    for pair in range(3):
+        rows = {tuple(w) for w in W[pairs == pair]}
+        covered = set()
+        for side, signs in (("rho", np.ones(16)), ("PT", PT_SIGNS)):
+            # the distinct rows that are eigenvalues on this side fill it
+            Pis = {w: Pi for w in rows
+                   if (Pi := _eigen_projector(np.array(w), pair, signs)) is not None}
+            assert (sum(Pis.values()) == np.eye(4, dtype=int)).all()
+            ranks[pair, side] = sorted(int(np.trace(Pi)) for Pi in Pis.values())
+            covered |= set(Pis)
+        # and every row is an eigenvalue on one side at least
+        assert covered == rows
+    # multiplicities [2, 1, 1] on (X, X) and (Z, Z), [1, 1, 1, 1] on (X, Z)
+    assert ranks == {(pair, side): [1, 1, 1, 1] if pair == 1 else [1, 1, 2]
+                     for pair in range(3) for side in ("rho", "PT")}
+
+
+# 3 families x 69 rescalings on [0.5, 2.2]
+LATTICE_R = tuple(float(R) for R in np.linspace(0.5, 2.2, 69))
+
+
+@functools.cache
+def _lattice_references():
+    """The Brent root of the eigensolver's least slack over the axis pairs
+    at every lattice case, or the refusal's message."""
+    out = {}
+    for family in FAMILIES:
+        for R in LATTICE_R:
+            try:
+                out[family, R] = _brent_root("quantum-separable", family, R, th._AXIS_PAIRS)
+            except ThresholdBracketError as err:
+                out[family, R] = str(err)
+    return out
+
+
+def _lattice_mismatches():
+    """The lattice cases whose sphere threshold is more than 1e-12 from the
+    Brent reference's, or is refused otherwise."""
+    bad = []
+    for (family, R), expected in _lattice_references().items():
         try:
-            lam = min_noise(_sphere_query(family, R))
-        except ThresholdBracketError:
-            continue
-        C = th._output_polynomial(th._AXIS_PAIRS, R, family)
+            got = min_noise(_sphere_query(family, R))
+        except RuntimeError as err:
+            got = str(err)
+        if isinstance(got, str) or isinstance(expected, str):
+            if got != expected:
+                bad.append((family, R, got, expected))
+        elif abs(got - expected) >= 1e-12:
+            bad.append((family, R, got, expected))
+    return bad
 
-        def least(p):
-            return np.min(slack("quantum-separable", C[0] + p * (C[1] + p * C[2])))
 
-        assert least(lam) >= 0.0 > least(math.nextafter(lam, 0.0)), R
+def test_sphere_threshold_is_the_brent_root_on_the_lattice():
+    assert _lattice_mismatches() == []
+
+
+def test_a_negated_eigen_row_entry_leaves_the_lattice(monkeypatch):
+    # the row that binds for joint depol at R = 1, its first Pauli entry
+    pairs, W = th._eigen_rows()
+    k = int(np.argmin(th._eigen_slack_polynomials(1.0, "joint-depol")[2]))
+    W = W.copy()
+    W[k, np.flatnonzero(W[k, 1:])[0] + 1] *= -1.0
+    monkeypatch.setattr(th, "_eigen_rows", lambda: (pairs, W))
+    assert _lattice_mismatches()
 
 
 # slack the eigensolver's rounding may hide, far below any cell's bound
@@ -705,6 +797,14 @@ def test_sphere_grid_takes_the_quantum_criterion_only(criterion):
     # the axis pairs bind for the spectra alone, which local unitaries keep
     with pytest.raises(ValueError, match="take the quantum-separable criterion"):
         ThresholdQuery("joint-depol", StateSpaceSpec.sphere(1.0), criterion, "sphere-grid")
+
+
+@pytest.mark.parametrize("policy", ["worst-vertex", "all-vertices"])
+def test_vertex_inputs_refuse_the_quantum_criterion(policy):
+    # the eigen-rows exist only for the axis pairs; the 64 vertex pairs'
+    # outputs and partial transposes do not commute
+    with pytest.raises(ValueError, match="vertex inputs take a linear criterion"):
+        ThresholdQuery("joint-depol", CUBE, "quantum-separable", policy)
 
 
 def test_one_point_grid_stays_valid():

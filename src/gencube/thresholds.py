@@ -15,14 +15,14 @@ that are negative at zero noise.  The rows are the linear criteria's
 quantum-separable's 20 fixed eigen-rows: the outputs of each axis-pair
 input commute with one another for every R and noise strength, and so do
 their partial transposes, so each of their eigenvalues is one linear row of
-the coefficients.  The reported
-float is the row root.  The LHV-achievability boundaries are polynomial
-roots too, on a rational curve that carries the state sitting on a bound,
-ended at a float sign change of their least slack; the crossings of the
-closed-form bounds are one bracketed root (_root, Brent's zero), ended the
-same way: the slack >= 0 at the root and < 0 at the float below it.
-Closed-form positivity bounds of the rescaled-cube analysis live here as
-well.
+the coefficients.  The reported float is the row root.
+
+The rescaled-cube positivity bounds are row roots as well: each is the
+least root of one positivity row's Born probability on the all-ones input.
+The LHV-achievability boundaries and the bounds' crossings are polynomial
+roots on a rational curve that carries the state sitting on the leading
+bound, each ended at a float sign change: the slack >= 0 at the root and
+< 0 at the float below it.
 """
 from __future__ import annotations
 
@@ -53,9 +53,6 @@ __all__ = [
     "dephasing_impossibility",
     "DephasingVerdict",
 ]
-
-_EPS = math.ulp(1.0)        # the float spacing at 1 (Brent's macheps)
-
 
 class ThresholdBracketError(RuntimeError):
     """The criterion does not bracket a root on the noise interval."""
@@ -126,58 +123,6 @@ def _sign_change(f, x: float, fx: float, lo: float, hi: float) -> float:
         else:
             hi = mid
     return hi
-
-
-def _root(f, lo: float, hi: float, holds_at_lo: str, fails_at_hi: str) -> float:
-    """The float x* in [lo, hi] at which f, < 0 at lo and >= 0 at hi,
-    changes sign: f(x*) >= 0 > f(the float below x*).
-
-    Brent's zero (Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4) with no absolute tolerance: inverse quadratic or linear
-    interpolation, or bisection where that would not shrink the bracket
-    fast enough, until the bracket is within 2 eps |b| of its best end b;
-    then a float sign change found from b (_sign_change).
-    """
-    a, fa = lo, f(lo)
-    if fa >= 0.0:
-        raise ThresholdBracketError(holds_at_lo)
-    b, fb = hi, f(hi)
-    if fb < 0.0:
-        raise ThresholdBracketError(fails_at_hi)
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb < 0.0) == (fc < 0.0):     # c on b's side: a is the far end
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):            # b the end nearer the root
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return _sign_change(f, b, fb, lo, hi)
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:                   # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:                        # inverse quadratic
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
 
 
 _ALLONES_ROW = np.ones((1, 16))     # product of the all-ones vertex with itself
@@ -298,16 +243,27 @@ def _eigen_slack_polynomials(R: float, family: str) -> tuple[np.ndarray, ...]:
     return a, b, c + CRITERIA["quantum-separable"][1]
 
 
+def _least_positive_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each quadratic a x^2 + b x + c's least positive root, inf where it
+    has none.  The roots are taken in the stable form
+    q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, roots q / a and c / q, so a
+    linear row (a = 0) takes c / q = -c / b; a discriminant below 0, which
+    rounding leaves at a double root, reads as 0."""
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.stack((q / a, c / q))
+    return np.where(roots > 0.0, roots, np.inf).min(axis=0)
+
+
 def _facet_root(a: np.ndarray, b: np.ndarray, c: np.ndarray, hi: float) -> float:
     """The root in (0, hi] of the least of the quadratics a p^2 + b p + c:
-    the largest of the roots of the rows that are negative at 0.
+    the largest of the roots of the rows that are negative at 0, each
+    row's first crossing its least positive root (_least_positive_roots).
 
     That is the least slack's one sign change only if every row changes
     sign at most once on [0, hi].  A row negative at 0 and >= 0 at hi has
     one root there; a row >= 0 at both ends could change sign only by
-    dipping below 0 at its vertex -b / 2a, and is refused.  Each root is
-    taken in the stable form q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, roots
-    q / a and c / q, so a linear row (a = 0) takes c / q = -c / b.
+    dipping below 0 at its vertex -b / 2a, and is refused.
     """
     below = c < 0.0
     if not below.any():
@@ -316,14 +272,9 @@ def _facet_root(a: np.ndarray, b: np.ndarray, c: np.ndarray, hi: float) -> float
         raise ThresholdBracketError("criterion still fails at full noise")
     if (~below & (a > 0.0) & (b < 0.0) & (-b < 2.0 * a * hi) & (b * b > 4.0 * a * c)).any():
         raise RuntimeError("a criterion row changes sign twice on the noise interval")
-    a, b, c = a[below], b[below], c[below]
-    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
-    # q != 0: a row with b = 0 and a <= 0 stays negative at hi
-    with np.errstate(divide="ignore"):
-        roots = np.stack((q / a, c / q))
-    # each row's first crossing is its least positive root (c < 0 rules out 0)
-    first = np.where(roots > 0.0, roots, np.inf).min(axis=0)
-    return min(float(first.max()), hi)
+    # c < 0 rules out a root at 0, and a row with b = 0 and a <= 0 stays
+    # negative at hi, so q != 0
+    return min(float(_least_positive_roots(a[below], b[below], c[below]).max()), hi)
 
 
 def min_noise(q: ThresholdQuery) -> float:
@@ -393,57 +344,15 @@ class AnalyticBounds:
         return dict(self.bounds)[self.active]
 
 
-def _bound_xy(R: float) -> float:
-    return math.sqrt(1.0 + R * R) - R
-
-
-def _bound_xz(R: float) -> float:
-    return (R - 1.0 + math.sqrt((R - 1.0) ** 2 + 4.0 / R)) * R / 2.0
-
-
-def _bound_tdb1(R: float) -> float:
-    return 1.0 / (2.0 * R + 1.0)
-
-
-def _bound_tdb2(R: float) -> float:
-    d = 1.0 + 1.0 / R - R
-    return math.inf if d <= 0 else 1.0 / d
-
-
-# each family's bounds; the first is the one lhv_achievability_boundary
-# puts the state on
-_BOUND_SETS = {
-    "local-depol": (("xy", _bound_xy), ("xz", _bound_xz)),
-    "joint-depol": (("tdb1", _bound_tdb1), ("tdb2", _bound_tdb2)),
-}
-
-
-def _bound_set(model_family: str):
-    try:
-        return _BOUND_SETS[model_family]
-    except KeyError:
-        raise ValueError(f"no closed-form bounds for {model_family}") from None
-
-
-def analytic_bound(model_family: str, R: float) -> AnalyticBounds:
-    """Evaluate the family's closed-form positivity bounds on Cube(R).
-
-    Bounds cap the residual coefficient scale r (noise = 1 - r); the active
-    bound is the minimum.
-    """
-    check_R(R)
-    fns = _bound_set(model_family)
-    values = tuple((name, fn(R)) for name, fn in fns)
-    active = min(values, key=lambda nv: nv[1])[0]
-    return AnalyticBounds(values, active)
-
-
 @dataclass(frozen=True)
 class _BoundCurve:
-    """The state on a family's leading bound as a rational curve in x,
-    R = R_num(x) / R_den(x) and r = r_num(x) / r_den(x) (polynomial
-    coefficients, highest first), whose inverse on R > 0 is x_of_R."""
+    """A family's bounds, as (name, k) pairs with k the bound's positivity
+    row (a row of lp.facet_table()), and the state on its leading bound, the
+    first pair's, as a rational curve in x: R = R_num(x) / R_den(x) and
+    r = r_num(x) / r_den(x) (polynomial coefficients, highest first), whose
+    inverse on R > 0 is x_of_R."""
 
+    rows: tuple
     x_of_R: Callable[[float], float]
     R_num: tuple
     R_den: tuple
@@ -452,6 +361,10 @@ class _BoundCurve:
 
     def R(self, x: float) -> float:
         return _horner(self.R_num, x)[0] / _horner(self.R_den, x)[0]
+
+    def r(self, R: float) -> float:
+        x = self.x_of_R(R)
+        return _horner(self.r_num, x)[0] / _horner(self.r_den, x)[0]
 
 
 def _horner(coeffs, x: float) -> tuple[float, float]:
@@ -465,11 +378,81 @@ def _horner(coeffs, x: float) -> tuple[float, float]:
 
 _BOUND_CURVES = {
     # R = (t - 1/t) / 2 makes sqrt(1 + R^2) = (t + 1/t) / 2, so xy = 1/t
-    "local-depol": _BoundCurve(lambda R: R + math.sqrt(1.0 + R * R),
+    "local-depol": _BoundCurve((("xy", 1), ("xz", 16)), lambda R: R + math.sqrt(1.0 + R * R),
                                (1.0, 0.0, -1.0), (2.0, 0.0), (1.0,), (1.0, 0.0)),
     # x = R and tdb1 = 1 / (2R + 1)
-    "joint-depol": _BoundCurve(lambda R: R, (1.0, 0.0), (1.0,), (1.0,), (2.0, 1.0)),
+    "joint-depol": _BoundCurve((("tdb1", 1), ("tdb2", 16)), lambda R: R,
+                               (1.0, 0.0), (1.0,), (1.0,), (2.0, 1.0)),
 }
+
+
+def _bound_curve(model_family: str) -> _BoundCurve:
+    try:
+        return _BOUND_CURVES[model_family]
+    except KeyError:
+        raise ValueError(f"no closed-form bounds for {model_family}") from None
+
+
+def _bound_values(model_family: str, R: float) -> tuple:
+    """The family's bounds at R as (name, value) pairs: each the least
+    positive root in r (noise = 1 - r) of its row's Born probability on the
+    all-ones input, with no tolerance, or inf where the row has none.  The
+    noise polynomial in p, re-expanded about r = 1 - p, keeps its dyadic
+    coefficients exact.  Each row is linear in r (joint) or has r^2
+    coefficient < 0 < its constant term (local), so no discriminant is
+    negative."""
+    names, rows = zip(*_bound_curve(model_family).rows)
+    n0, n1, n2 = _noise_polynomial(model_family)
+    G = csign(_ALLONES_ROW * frame_scale(R))[0] * frame_scale(1.0 / R)
+    N = np.stack((n0 + n1 + n2, -(n1 + 2.0 * n2), n2))
+    c, b, a = (N * G) @ _criterion_rows("pauli-positive")[:, list(rows)]
+    return tuple(zip(names, map(float, _least_positive_roots(a, b, c))))
+
+
+def analytic_bound(model_family: str, R: float) -> AnalyticBounds:
+    """Evaluate the family's closed-form positivity bounds on Cube(R).
+
+    Bounds cap the residual coefficient scale r (noise = 1 - r); the active
+    bound is the minimum.  Each is the least root of one positivity row
+    (_bound_values): xy and tdb1 of row 1, xz and tdb2 of row 16.
+    """
+    check_R(R)
+    values = _bound_values(model_family, R)
+    return AnalyticBounds(values, min(values, key=lambda nv: nv[1])[0])
+
+
+@functools.cache
+def _bound_terms(family: str) -> np.ndarray:
+    """(17, 7): row k < 16 the polynomial in x (coefficients, highest
+    first) that is D(x) = R_num R_den r_den^2 times flattened entry k of
+    the state on the family's leading bound (_BOUND_CURVES) on the all-ones
+    input, and row 16 D itself.  Facet f's cube slack times D is then
+    M[:, f] @ rows[:16] + tol rows[16], a polynomial in x.  Read-only.
+
+    Entry k of the frame-scaled CSIGN is s_k R^e_k, with s_k = +-1 and e_k
+    in {-1, 0, 1}, and the noise at strength 1 - r scales it by r^w_k, w_k
+    in {0, 1, 2}.  D R^e r^w is the polynomial
+    R_num^(1+e) R_den^(1-e) r_num^w r_den^(2-w).
+    """
+    c = _BOUND_CURVES[family]
+
+    def powers(num, den):        # num^n den^(2-n) for n = 0, 1, 2
+        return np.convolve(den, den), np.convolve(num, den), np.convolve(num, num)
+
+    B = np.zeros((3, 3, 7))      # B[1 + e, w] = D R^e r^w
+    for i, Rp in enumerate(powers(c.R_num, c.R_den)):
+        for w, rp in enumerate(powers(c.r_num, c.r_den)):
+            poly = np.convolve(Rp, rp)
+            B[i, w, 7 - poly.size:] = poly
+    # at R = 2 and r = 1/2, entry k is s_k 2^e_k and its noise factor
+    # 2^-w_k, whose frexp exponents are 1 + e_k and 1 - w_k
+    G = csign(_ALLONES_ROW * frame_scale(2.0))[0] * frame_scale(0.5)
+    n = noise_scale_matrix(NoiseModel(family, 0.5)).ravel()
+    rows = np.empty((17, 7))
+    rows[:16] = np.sign(G)[:, None] * B[np.frexp(G)[1], 1 - np.frexp(n)[1]]
+    rows[16] = B[1, 0]
+    rows.setflags(write=False)
+    return rows
 
 
 def _least_root(poly, lo: float, hi: float) -> float | None:
@@ -489,15 +472,29 @@ def _least_root(poly, lo: float, hi: float) -> float | None:
 
 def analytic_intersection(model_family: str):
     """The crossing of the family's two bounds for R in [0.3, 0.95]; returns
-    (R, r).
+    (R, r), r the bounds' value there.
 
-    The crossing is the float sign change of bound2 - bound1 (_root):
-    R = 1/sqrt 3 for the joint bounds, and about 0.520 for the local ones.
+    On the leading bound's curve, the second bound's row times D(x) is a
+    polynomial in x (_bound_terms); its least root is where the two bounds
+    meet.  That root ends at a float sign change of bound2 - bound1
+    (_sign_change): R = 1/sqrt 3 for the joint bounds, and about 0.520 for
+    the local ones.
     """
-    (_, first), (_, second) = _bound_set(model_family)
-    R = _root(lambda R: second(R) - first(R), 0.3, 0.95,
-              "bounds already crossed at R = 0.3", "bounds not crossed by R = 0.95")
-    return R, first(R)
+    c = _bound_curve(model_family)
+    lo, hi = 0.3, 0.95
+
+    def gap(R):
+        (_, first), (_, second) = _bound_values(model_family, R)
+        return second - first
+
+    if gap(lo) >= 0.0:
+        raise ThresholdBracketError("bounds already crossed at R = 0.3")
+    if gap(hi) < 0.0:
+        raise ThresholdBracketError("bounds not crossed by R = 0.95")
+    row = _criterion_rows("pauli-positive")[:, c.rows[1][1]]
+    R = c.R(_least_root(row @ _bound_terms(model_family)[:16], c.x_of_R(lo), c.x_of_R(hi)))
+    R = _sign_change(gap, R, gap(R), lo, hi)
+    return R, _bound_values(model_family, R)[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -535,46 +532,13 @@ def curve_to_csv(points: list[CurvePoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.cache
-def _bound_terms(family: str) -> np.ndarray:
-    """(17, 7): row k < 16 the polynomial in x (coefficients, highest
-    first) that is D(x) = R_num R_den r_den^2 times flattened entry k of
-    the state on the family's leading bound (_BOUND_CURVES) on the all-ones
-    input, and row 16 D itself.  Facet f's cube slack times D is then
-    M[:, f] @ rows[:16] + tol rows[16], a polynomial in x.  Read-only.
-
-    Entry k of the frame-scaled CSIGN is s_k R^e_k, with s_k = +-1 and e_k
-    in {-1, 0, 1}, and the noise at strength 1 - r scales it by r^w_k, w_k
-    in {0, 1, 2}.  D R^e r^w is the polynomial
-    R_num^(1+e) R_den^(1-e) r_num^w r_den^(2-w).
-    """
-    c = _BOUND_CURVES[family]
-
-    def powers(num, den):        # num^n den^(2-n) for n = 0, 1, 2
-        return np.convolve(den, den), np.convolve(num, den), np.convolve(num, num)
-
-    B = np.zeros((3, 3, 7))      # B[1 + e, w] = D R^e r^w
-    for i, Rp in enumerate(powers(c.R_num, c.R_den)):
-        for w, rp in enumerate(powers(c.r_num, c.r_den)):
-            poly = np.convolve(Rp, rp)
-            B[i, w, 7 - poly.size:] = poly
-    # at R = 2 and r = 1/2, entry k is s_k 2^e_k and its noise factor
-    # 2^-w_k, whose frexp exponents are 1 + e_k and 1 - w_k
-    G = csign(_ALLONES_ROW * frame_scale(2.0))[0] * frame_scale(0.5)
-    n = noise_scale_matrix(NoiseModel(family, 0.5)).ravel()
-    rows = np.empty((17, 7))
-    rows[:16] = np.sign(G)[:, None] * B[np.frexp(G)[1], 1 - np.frexp(n)[1]]
-    rows[16] = B[1, 0]
-    rows.setflags(write=False)
-    return rows
-
-
 def lhv_achievability_boundary(model_family: str) -> float:
     """Smallest R at which the family's leading analytic bound (the first
-    of its _BOUND_SETS row: xy for local, tdb1 for joint depolarization) is
-    LHV-achievable.
+    of its _BOUND_CURVES rows: xy for local, tdb1 for joint depolarization)
+    is LHV-achievable.
 
-    The state sitting on the bound is cube-separable where its cube slack
+    The state sitting on the bound, its r read off the bound's curve
+    (_BoundCurve.r), is cube-separable where its cube slack
     is >= 0.  The bound's own positivity facet reads 0 there, so the slack
     at R = 1 is tol > 0, and the boundary is a sign change on [0.3, 1].
     Each facet row's slack is a polynomial in the bound's curve parameter
@@ -584,11 +548,11 @@ def lhv_achievability_boundary(model_family: str) -> float:
     It ends at a float sign change of the least slack, found from that
     root (_sign_change): slack(R*) >= 0 > slack(the float below R*).
     """
-    bound = _bound_set(model_family)[0][1]
+    c = _bound_curve(model_family)
     tol = CRITERIA["cube-separable"][1]
 
     def bound_slacks(R):
-        out = pipeline_rows(_ALLONES_ROW, R, NoiseModel(model_family, 1.0 - bound(R)))
+        out = pipeline_rows(_ALLONES_ROW, R, NoiseModel(model_family, 1.0 - c.r(R)))
         return lp.facet_margins(out)[0] + tol
 
     s = bound_slacks(0.3)
@@ -596,7 +560,6 @@ def lhv_achievability_boundary(model_family: str) -> float:
         raise ThresholdBracketError("bound already achievable at R = 0.3")
     if bound_slacks(1.0).min() < 0.0:
         raise ThresholdBracketError("bound not achievable at R = 1")
-    c = _BOUND_CURVES[model_family]
     terms, M = _bound_terms(model_family), _criterion_rows("cube-separable")
     R, x, x_hi = 0.3, c.x_of_R(0.3), c.x_of_R(1.0)
     while s.min() < 0.0:

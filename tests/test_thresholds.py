@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -268,9 +269,10 @@ def test_analytic_intersections():
 
 
 def test_analytic_intersections_are_pinned():
-    # the crossings as float sign changes of bound2 - bound1, to the last bit
-    assert analytic_intersection("local-depol")[0] == 0.520072913415584
-    assert analytic_intersection("joint-depol")[0] == 0.5773502691896258
+    # the crossings as float sign changes of bound2 - bound1, to the last
+    # bit; the joint one is 1/sqrt 3 correctly rounded
+    assert analytic_intersection("local-depol")[0] == 0.5200729134155841
+    assert analytic_intersection("joint-depol")[0] == 0.5773502691896257
 
 
 def test_analytic_intersection_refuses_a_family_without_bounds():
@@ -287,7 +289,7 @@ def test_boundary_refuses_a_family_without_bounds():
 
 def test_boundaries_are_pinned():
     # the roots on each family's first bound, to the last bit
-    assert lhv_achievability_boundary("local-depol") == 0.5449333861892419
+    assert lhv_achievability_boundary("local-depol") == 0.544933386189242
     assert lhv_achievability_boundary("joint-depol") == 0.7071067805829943
 
 
@@ -296,9 +298,9 @@ BOUND_FAMILIES = ("local-depol", "joint-depol")
 
 def _bound_state(family, R):
     """The pipeline output on the all-ones input at R, with the noise on the
-    family's first bound."""
-    bound = th._BOUND_SETS[family][0][1]
-    return pipeline_rows(np.ones((1, 16)), R, NoiseModel(family, 1.0 - bound(R)))
+    family's first bound, read off the package's own curve."""
+    r = th._BOUND_CURVES[family].r(R)
+    return pipeline_rows(np.ones((1, 16)), R, NoiseModel(family, 1.0 - r))
 
 
 def _bound_state_slacks(family, R):
@@ -342,38 +344,114 @@ def test_boundary_rows_are_the_slack_polynomials(family):
         assert np.abs(values - _bound_state_slacks(family, R)).max() < 1e-13
 
 
+def _bound_gap(family, R):
+    """bound2 - bound1 at R, from the package's own bounds."""
+    (_, first), (_, second) = analytic_bound(family, R).bounds
+    return second - first
+
+
 @pytest.mark.parametrize("family", BOUND_FAMILIES)
 def test_analytic_intersection_is_a_sign_change_of_the_bound_gap(family):
-    (_, first), (_, second) = th._BOUND_SETS[family]
     R, r = analytic_intersection(family)
     below = math.nextafter(R, 0.0)
-    assert second(R) - first(R) >= 0.0 > second(below) - first(below)
-    assert r == first(R)
-    brent = brentq(lambda R: second(R) - first(R), 0.3, 0.95, xtol=BRENT_XTOL)
+    assert _bound_gap(family, R) >= 0.0 > _bound_gap(family, below)
+    assert r == analytic_bound(family, R).bounds[0][1]
+    # the closed forms' crossing, an independent reference
+    (first, _), (second, _) = th._BOUND_CURVES[family].rows
+    brent = brentq(lambda R: BOUND_FORMULAS[second](R) - BOUND_FORMULAS[first](R),
+                   0.3, 0.95, xtol=BRENT_XTOL)
     assert abs(R - brent) < 1e-12
 
 
 def test_boundary_bracket_errors(monkeypatch):
     # r = 0 (total noise) leaves the identity state, which is separable at
     # every R; r = 1 (no noise) the CSIGN output, which is not at R = 1
-    monkeypatch.setitem(th._BOUND_SETS, "joint-depol", (("none", lambda R: 0.0),))
+    monkeypatch.setattr(th._BoundCurve, "r", lambda self, R: 0.0)
     with pytest.raises(ThresholdBracketError, match="bound already achievable at R = 0.3"):
         lhv_achievability_boundary("joint-depol")
-    monkeypatch.setitem(th._BOUND_SETS, "joint-depol", (("all", lambda R: 1.0),))
+    monkeypatch.setattr(th._BoundCurve, "r", lambda self, R: 1.0)
     with pytest.raises(ThresholdBracketError, match="bound not achievable at R = 1"):
         lhv_achievability_boundary("joint-depol")
 
 
 def test_intersection_bracket_errors(monkeypatch):
     # bound2 - bound1 held at +1, then at -1, over the whole bracket
-    monkeypatch.setitem(th._BOUND_SETS, "joint-depol",
-                        (("a", lambda R: 0.0), ("b", lambda R: 1.0)))
+    monkeypatch.setattr(th, "_bound_values", lambda *args: (("a", 0.0), ("b", 1.0)))
     with pytest.raises(ThresholdBracketError, match="bounds already crossed at R = 0.3"):
         analytic_intersection("joint-depol")
-    monkeypatch.setitem(th._BOUND_SETS, "joint-depol",
-                        (("a", lambda R: 1.0), ("b", lambda R: 0.0)))
+    monkeypatch.setattr(th, "_bound_values", lambda *args: (("a", 1.0), ("b", 0.0)))
     with pytest.raises(ThresholdBracketError, match="bounds not crossed by R = 0.95"):
         analytic_intersection("joint-depol")
+
+
+def _tdb2(R):
+    d = 1.0 + 1.0 / R - R
+    return math.inf if d <= 0 else 1.0 / d
+
+
+# the paper's closed forms of the bounds, the references for the rows' roots
+BOUND_FORMULAS = {
+    "xy": lambda R: math.sqrt(1.0 + R * R) - R,
+    "xz": lambda R: (R - 1.0 + math.sqrt((R - 1.0) ** 2 + 4.0 / R)) * R / 2.0,
+    "tdb1": lambda R: 1.0 / (2.0 * R + 1.0),
+    "tdb2": _tdb2,
+}
+# 224 points on [0.3, 2.5] and the golden ratio, where 1 + 1/R - R = 0 and
+# tdb2 becomes inf
+BOUND_LATTICE = tuple(np.linspace(0.3, 2.5, 224)) + ((1.0 + math.sqrt(5.0)) / 2.0,)
+
+
+def _cancellation(name, R):
+    """How far the bound's closed form cancels at R: 1, but for tdb2 the
+    size of the terms of 1 + 1/R - R over their sum, which vanishes at the
+    golden ratio.  Near there the row root and the formula each carry that
+    sum's rounding, scaled up by this factor."""
+    return max(1.0, (1.0 + 1.0 / R + R) / abs(1.0 + 1.0 / R - R)) if name == "tdb2" else 1.0
+
+
+def _bound_mismatches():
+    """The (family, R, name) cases on the lattice where analytic_bound is
+    more than 64 ulps (times the closed form's cancellation) from its
+    closed form, or inf where that is finite or the other way round; the
+    name "curve" for the leading bound's r read off its curve."""
+    bad = []
+    for family in BOUND_FAMILIES:
+        for R in map(float, BOUND_LATTICE):
+            values = analytic_bound(family, R).bounds
+            values += (("curve", th._BOUND_CURVES[family].r(R)),)
+            for name, value in values:
+                formula = values[0][0] if name == "curve" else name
+                ref = BOUND_FORMULAS[formula](R)
+                if math.isinf(ref) or math.isinf(value):
+                    ok = value == ref
+                else:
+                    ok = abs(value - ref) <= 64 * math.ulp(ref) * _cancellation(formula, R)
+                if not ok:
+                    bad.append((family, R, name))
+    return bad
+
+
+def test_bounds_are_their_closed_forms_on_the_lattice():
+    assert len(BOUND_LATTICE) >= 200
+    assert _bound_mismatches() == []
+    # tdb2 is inf from the golden ratio on, and the lattice reaches it
+    assert analytic_bound("joint-depol", BOUND_LATTICE[-1]).value("tdb2") == math.inf
+    assert analytic_bound("joint-depol", 2.5).value("tdb2") == math.inf
+
+
+def test_a_wrong_bound_row_leaves_the_lattice(monkeypatch):
+    c = th._BOUND_CURVES["local-depol"]
+    monkeypatch.setitem(th._BOUND_CURVES, "local-depol", replace(c, rows=(c.rows[0], ("xz", 0))))
+    bad = _bound_mismatches()
+    assert bad and {(family, name) for family, _, name in bad} == {("local-depol", "xz")}
+
+
+def test_bounds_and_intersections_are_python_floats():
+    for family in BOUND_FAMILIES:
+        for _, value in analytic_bound(family, 0.8).bounds:
+            assert type(value) is float
+        R, r = analytic_intersection(family)
+        assert type(R) is float and type(r) is float
 
 
 @pytest.mark.parametrize("shape", ["below", "above", "far below", "far above"])

@@ -14,18 +14,28 @@ images of a matrix under all 2304 pairs of them.  Three routes use it:
   violates its least facet exactly, and that facet is the separating
   functional;
 * a Carathéodory descent on the facet table (``caratheodory_weights``),
-  which weights every feasible verdict without an LP;
+  which weights every feasible verdict without an LP.  Its faces are
+  64-bit masks of vertex products, cut by the mask of each facet a step
+  reaches (bit j set where vertex product j lies on the facet), and
+  whether a face is affinely independent is remembered per mask;
 * an exact route (``solve_membership_exact``): a certificate search whose
   every answer is checked in integers.  A violated facet, flagged by the
   float margins and confirmed exactly, refutes a point; weights solved by
-  fraction-free elimination on the descent's support accept it, and a
-  rounded point a hair off a face is weighted through the point moved
-  further off the face along its residual.  Any other point goes to the
-  fallback, a phase-1 simplex with Bland's rule on one integer tableau
-  with fraction-free (Bareiss) pivoting, whose Farkas dual is read from
-  the reduced-cost row on the artificial columns.  The route
-  is the exact oracle of the tests and the bench, which the package never
-  calls.
+  fraction-free elimination on the descent's support accept it (the
+  elimination of a support's columns is recorded once, and replayed on
+  each right-hand side), and a rounded point a hair off a face is weighted
+  through the point moved further off the face along its residual.  Any
+  other point goes to the fallback, a phase-1 simplex with Bland's rule on
+  one integer tableau with fraction-free (Bareiss) pivoting, whose Farkas
+  dual is read from the reduced-cost row on the artificial columns.  The
+  route is the exact oracle of the tests and the bench, which the package
+  never calls.
+
+What is remembered sits in two bounded least-recently-used caches, filled
+on first use and depending on the vertex products alone, not on the facet
+table: at most _FACE_CACHE face masks (about 130 B each, 0.13 MB in all)
+and _SUPPORT_CACHE elimination records (at most about 10 kB each, 0.64 MB
+in all).
 
 Every route decides the unit polytope.  A state space rescaled by R scales
 the vertex products by D = frame_scale(R), so its polytope is D P(1), and a
@@ -149,13 +159,22 @@ def facet_table() -> np.ndarray:
 _POSITIVITY_ROWS = 36
 
 
+# bit j of a face mask is vertex product j (column j of the vertex-product matrix)
+_ALL_VERTICES = (1 << 64) - 1
+
+
 @functools.cache
-def _facet_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _facet_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The facet table in floats, 1 / f_0 per row (f_0 its identity entry,
-    the facet's value at the maximally mixed point e_0), and the 684 x 64
-    integer table f . V_j of every facet on every vertex."""
+    the facet's value at the maximally mixed point e_0), the 64 x 684
+    integer table V_j . f of every vertex on every facet (row j holds
+    vertex j), and per facet the uint64 mask of the vertices on it
+    (V_j . f = 0 sets bit j)."""
     F = facet_table().astype(float)
-    return F, 1.0 / F[:, 0], facet_table() @ _VMAT_UNIT.astype(np.int64)
+    T = _VMAT_UNIT.T.astype(np.int64) @ facet_table().T
+    # byte i of a mask holds vertices 8i .. 8i + 7, least significant first
+    masks = np.packbits(T == 0, axis=0, bitorder="little").T.copy().view("<u8").ravel()
+    return F, 1.0 / F[:, 0], T, masks
 
 
 @dataclass(frozen=True)
@@ -217,44 +236,74 @@ def caratheodory_weights(b: np.ndarray) -> np.ndarray:
     decide_membership accepts, by Carathéodory's theorem made constructive
     (Grötschel, Lovász & Schrijver, Geometric Algorithms and Combinatorial
     Optimization).  A b with least margin m < 0 is replaced by its mix
-    x = (b - m e_0) / (1 - m), on which every facet value is >= 0.
+    x = (b - m e_0) / (1 - m), on which every facet value is >= 0.  A b
+    with a NaN or infinite entry is refused before any arithmetic.
 
     The descent keeps the vertices of a face that holds x, all 64 at the
-    start.  While they are affinely dependent, the one with the largest
-    v . x takes weight t / (1 + t) of the mass left, and x moves to the exit
-    x + t (x - v) of the ray from v through x, over the facets that do not
-    hold v; every vertex off a facet the step reaches (ratio equal to t) is
-    dropped.  The face left is a proper face of the last, so there are at
-    most 15 steps and at most 16 vertices enter.  An affinely independent
-    set is solved by least squares; when no facet exits, x is v and the
-    mass left goes to v.
+    start, as a 64-bit mask.  While they are affinely dependent, the one
+    with the largest v . x takes weight t / (1 + t) of the mass left, and x
+    moves to the exit x + t (x - v) of the ray from v through x, over the
+    facets that do not hold v; every vertex off a facet the step reaches
+    (ratio equal to t) is dropped, by AND-ing the face with each reached
+    facet's vertex mask.  The face left is a proper face of the last, so
+    there are at most 15 steps and at most 16 vertices enter.  An affinely
+    independent set is solved by least squares; when no facet exits, x is v
+    and the mass left goes to v.  Whether a face of at most 16 vertices is
+    affinely independent depends on its mask alone, and is remembered for
+    the last _FACE_CACHE masks asked (_independent_face).
     """
-    F, _, T = _facet_arrays()
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite")
+    F, _, T, masks = _facet_arrays()
     m = float(facet_margins(b).min())
     if m < -FEASIBILITY_TOL:
         raise ValueError("b lies outside the polytope")
     x = b if m >= 0.0 else (b - m * np.eye(16)[0]) / (1.0 - m)
     w, mass = np.zeros(64), 1.0
-    cand = np.arange(64)
+    face, cand = _ALL_VERTICES, np.arange(64)
     while True:
         C = _VMAT_UNIT[:, cand]
-        if cand.size <= 16 and np.linalg.matrix_rank(C) == cand.size:
+        if cand.size <= 16 and _independent_face(face):
             w[cand] += mass * np.clip(np.linalg.lstsq(C, x, rcond=None)[0], 0.0, None)
             return w
         j = cand[np.argmax(x @ C)]
         # rounding can leave x a few ulps outside a facet it lies on
         values = np.maximum(F @ x, 0.0)
-        exits = values < T[:, j]
+        Tj = T[j]
+        exits = values < Tj
         if not exits.any():
             w[j] += mass
             return w
-        ratios = values[exits] / (T[exits, j] - values[exits])
+        ratios = values[exits] / (Tj[exits] - values[exits])
         t = float(ratios.min())
         reached = np.flatnonzero(exits)[ratios == t]
-        cand = cand[~T[np.ix_(reached, cand)].any(axis=0)]
+        for k in masks[reached].tolist():
+            face &= k
+        cand = _face_columns(face)
         w[j] += mass * t / (1.0 + t)
         mass /= 1.0 + t
         x = x + t * (x - _VMAT_UNIT[:, j])
+
+
+# faces of at most 16 vertices whose independence _independent_face keeps;
+# an entry, a Python int key and a bool with the cache's own bookkeeping,
+# takes about 130 B, so the cache stays near 0.13 MB
+_FACE_CACHE = 1024
+
+
+def _face_columns(face: int) -> np.ndarray:
+    """The vertex products in the face mask, ascending (an empty face gives
+    an empty integer index)."""
+    bits = np.unpackbits(np.array([face], dtype="<u8").view(np.uint8), bitorder="little")
+    return np.flatnonzero(bits)
+
+
+@functools.lru_cache(maxsize=_FACE_CACHE)
+def _independent_face(face: int) -> bool:
+    """Whether the vertex products in the face mask are linearly
+    independent, so affinely independent as points of the plane b_0 = 1."""
+    cols = _face_columns(face)
+    return bool(np.linalg.matrix_rank(_VMAT_UNIT[:, cols]) == cols.size)
 
 
 def linprog(*args, **kwargs):
@@ -307,21 +356,24 @@ def solve_membership_exact(b: list[Fraction]):
       decide_membership, once f . V_j >= 0 is checked on every column;
     * feasible: otherwise the support S (at most 16 columns) of
       caratheodory_weights of that float vector is solved, V_S w = D b, by
-      fraction-free elimination; a consistent system with w >= 0 gives the
+      fraction-free elimination, replayed on D b from the record of V_S's
+      elimination that the last _SUPPORT_CACHE supports keep
+      (_weights_on_support); a consistent system with w >= 0 gives the
       weights w / D;
     * feasible, a hair off a face: where that system has no such w, the
       point moved off the face along its residual is weighted on its own
       support, and the weights are mixed back (_weights_past_support).
 
-    Any other point, and any point the descent refuses, goes to the
-    phase-1 tableau (_bland_phase1).  A point outside the polytope has no
+    An entry of b that is already a Fraction is used as it is.  Any other
+    point, and any point the descent refuses, goes to the phase-1 tableau
+    (_bland_phase1).  A point outside the polytope has no
     weights w >= 0, and a point inside violates no valid facet, so a facet
     missing from the table, or a float step gone wrong, only sends a point
     to the tableau: the verdict is exact either way.
     """
     if len(b) != 16:
         raise ValueError("b must have 16 coefficients")
-    b = [Fraction(x) for x in b]
+    b = [x if isinstance(x, Fraction) else Fraction(x) for x in b]
     D = math.lcm(*(x.denominator for x in b))
     Db = [x.numerator * (D // x.denominator) for x in b]
     # b / max |b_i| in floats, finite for any b; the cone is scale-free
@@ -336,7 +388,7 @@ def solve_membership_exact(b: list[Fraction]):
         least = int(np.lexsort(digits.T)[0])
         if digits[least, -1] < 0:
             k = int(rows[least])
-            if (_facet_arrays()[2][k] >= 0).all():
+            if (_facet_arrays()[2][:, k] >= 0).all():
                 return "infeasible", [Fraction(int(v)) for v in facet_table()[k]]
             return _bland_phase1(b)
     try:
@@ -376,13 +428,44 @@ def _weights_on_support(cols: list[int], Db: list[int], D: int) -> list[Fraction
 
     Fraction-free Gauss-Jordan elimination (Bareiss) of [V_S | Db] in Python
     integers, one column of S at a time: rows i != r become
-    (T_i piv - T_ic T_r) / prev, an exact division, and each row keeps only
-    the columns still to come and its right-hand side.  After the last
+    (T_i piv - T_ic T_r) / prev, an exact division.  Which rows pivot, and
+    every T_ic, depend on V_S alone, so they are recorded once per support
+    (_support_elimination, which keeps the last _SUPPORT_CACHE records) and
+    each call replays the record on the right-hand side alone:
+    y_i <- (y_i piv - T_ic y_r) // prev, y starting as Db.  After the last
     pivot, det, the pivot row of column c holds det w_c.  A column with no
-    pivot left depends on the earlier ones and takes weight 0; the system is
-    consistent iff every row without a pivot ends in 0."""
-    T = [[_VERTEX_ROWS[i][j] for j in cols] + [Db[i]] for i in range(16)]
-    free, pivots, prev = list(range(16)), [], 1
+    pivot left depends on the earlier ones and takes weight 0; the system
+    is consistent iff every row without a pivot ends in 0."""
+    steps, pivots, free = _support_elimination(tuple(cols))
+    y, det = list(Db), 1
+    for r, piv, prev, f in steps:
+        yr = y[r]
+        y = [yi if i == r else (yi * piv - fi * yr) // prev
+             for i, (yi, fi) in enumerate(zip(y, f))]
+        det = piv
+    if any(y[i] for i in free) or any(y[r] * det < 0 for r, _ in pivots):
+        return None
+    w = [Fraction(0)] * 64
+    for r, c in pivots:
+        w[c] = Fraction(y[r], det * D)
+    return w
+
+
+# supports whose elimination record _support_elimination keeps; a record
+# of 16 pivots holds 16 columns of 16 integers, minors of the +-1 matrix V_S
+# at most 2^32 in magnitude, in at most about 10 kB, so the cache stays
+# under 0.64 MB
+_SUPPORT_CACHE = 64
+
+
+@functools.lru_cache(maxsize=_SUPPORT_CACHE)
+def _support_elimination(cols: tuple[int, ...]):
+    """The Bareiss elimination of V_S, S = cols, as _weights_on_support
+    replays it: per pivot, its row r, the pivot, the previous pivot and the
+    column entries T_ic of every row i at that step; the (row, column) of
+    every pivot; and the rows left without one."""
+    T = [[_VERTEX_ROWS[i][j] for j in cols] for i in range(16)]
+    free, pivots, steps, prev = list(range(16)), [], [], 1
     for c in cols:
         r = next((i for i in free if T[i][0]), None)
         if r is None:
@@ -390,17 +473,13 @@ def _weights_on_support(cols: list[int], Db: list[int], D: int) -> list[Fraction
             continue
         free.remove(r)
         piv, P = T[r][0], T[r][1:]
+        steps.append((r, piv, prev, tuple(row[0] for row in T)))
         for i, row in enumerate(T):
             f = row[0]
             T[i] = P if i == r else [(x * piv - f * p) // prev for x, p in zip(row[1:], P)]
         prev = piv
         pivots.append((r, c))
-    if any(T[i][0] for i in free) or any(T[r][0] * prev < 0 for r, _ in pivots):
-        return None
-    w = [Fraction(0)] * 64
-    for r, c in pivots:
-        w[c] = Fraction(T[r][0], prev * D)
-    return w
+    return tuple(steps), tuple(pivots), tuple(free)
 
 
 def _weights_past_support(w: np.ndarray, Db: list[int], D: int, scale: int) -> list[Fraction] | None:

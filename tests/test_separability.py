@@ -725,6 +725,174 @@ def test_caratheodory_weights_refuse_a_point_outside():
         lp.caratheodory_weights(np.diag([1.0, 1.2, -1.2, 1.2]).ravel())
 
 
+def test_caratheodory_weights_refuse_a_non_finite_point():
+    # m < -tol is False for a NaN least margin, so the margin test alone
+    # would let such a point into the descent: a non-finite point is
+    # refused before any margin is read
+    nan = np.full(16, np.nan)
+    assert not lp.decide_membership(nan).feasible
+    inf = np.eye(16)[0]
+    inf[5] = np.inf
+    for b in (nan, inf):
+        with pytest.raises(ValueError, match="finite"):
+            lp.caratheodory_weights(b)
+
+
+def _index_descent(b):
+    """caratheodory_weights on index arrays: each step filters the candidates
+    through the 684 x 64 table of facets on vertices, and each face of at
+    most 16 vertices has its rank computed afresh.  The descent on face
+    masks must give its floats bit for bit."""
+    F = lp.facet_table().astype(float)
+    T = lp.facet_table() @ _integer_columns()
+    V = lp.vertex_product_matrix()
+    m = float(lp.facet_margins(b).min())
+    if m < -lp.FEASIBILITY_TOL:
+        raise ValueError("b lies outside the polytope")
+    x = b if m >= 0.0 else (b - m * np.eye(16)[0]) / (1.0 - m)
+    w, mass = np.zeros(64), 1.0
+    cand = np.arange(64)
+    while True:
+        C = V[:, cand]
+        if cand.size <= 16 and np.linalg.matrix_rank(C) == cand.size:
+            w[cand] += mass * np.clip(np.linalg.lstsq(C, x, rcond=None)[0], 0.0, None)
+            return w
+        j = cand[np.argmax(x @ C)]
+        values = np.maximum(F @ x, 0.0)
+        exits = values < T[:, j]
+        if not exits.any():
+            w[j] += mass
+            return w
+        ratios = values[exits] / (T[exits, j] - values[exits])
+        t = float(ratios.min())
+        reached = np.flatnonzero(exits)[ratios == t]
+        cand = cand[~T[np.ix_(reached, cand)].any(axis=0)]
+        w[j] += mass * t / (1.0 + t)
+        mass /= 1.0 + t
+        x = x + t * (x - V[:, j])
+
+
+# the certify workload's knife-edge offsets from the R = 1 thresholds, and
+# the sample workload's noise strengths per family
+_KNIFE_OFFSETS = (1e-6, 5e-8, 1e-8, 5e-9, -1e-6, -5e-8, -1e-8, -5e-9)
+_STRENGTH_RANGES = {"joint-depol": (0.70, 0.95), "local-depol": (0.62, 0.95),
+                    "local-dephase": (0.32, 0.50)}
+
+
+def _rescaled_vertex():
+    """The R = 0.8 vertex product of test_cube_separable_with_rescaled_vertices
+    in the unit frame: one step takes its face to the empty mask."""
+    R = 0.8
+    A = product(BlochOp(np.array([R, R, -R])), BlochOp(np.array([-R, R, R])))
+    return rescale2(A, 1 / R).coeffs.ravel()
+
+
+def _descent_lattice():
+    """The knife-edge CSIGN outputs of the all-ones pair (3 families x 8
+    offsets), criterion 12's rational points in floats, the 64 vertex-pair
+    outputs over each family's sampling strengths, Dirichlet mixes of the
+    vertex products, and the rescaled vertex product."""
+    V = lp.vertex_product_matrix()
+    for family, threshold in (("joint-depol", 2 / 3), ("local-depol", 2 - math.sqrt(2)),
+                              ("local-dephase", 1 - 1 / math.sqrt(2))):
+        for offset in _KNIFE_OFFSETS:
+            model = NoiseModel(family, threshold + offset)
+            yield pipeline(ALLONES, ALLONES, 1.0, model).coeffs.ravel()
+    for b in _criterion12_rationals(120):
+        yield np.array([float(x) for x in b])
+    for family, (lo, hi) in _STRENGTH_RANGES.items():
+        for p in np.linspace(lo, hi, 3):
+            yield from pipeline_rows(V.T, 1.0, NoiseModel(family, p))
+    rng = np.random.default_rng(29)
+    for k in (64, 40, 16, 8, 3) * 20:
+        yield V[:, rng.choice(64, k, replace=False)] @ rng.dirichlet(np.ones(k))
+    yield _rescaled_vertex()
+
+
+def _weights_or_refusal(descent, b):
+    try:
+        return descent(b).tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+def _descent_mismatches(points) -> list:
+    """The points on which the package's descent and the index descent differ
+    in any bit of their weights, or in their refusal."""
+    return [b for b in points
+            if _weights_or_refusal(lp.caratheodory_weights, b) != _weights_or_refusal(_index_descent, b)]
+
+
+def _record_faces(monkeypatch) -> set:
+    """Every face mask the descent asks the independence test of."""
+    test, faces = lp._independent_face, set()
+    monkeypatch.setattr(lp, "_independent_face", lambda face: faces.add(face) or test(face))
+    return faces
+
+
+def test_the_masked_descent_is_the_index_descent_bit_for_bit(monkeypatch):
+    independent = lp._independent_face
+    faces = _record_faces(monkeypatch)
+    points = list(_descent_lattice())
+    assert _descent_mismatches(points) == []
+    weighted = [b for b in points if lp.decide_membership(b).feasible]
+    assert len(weighted) >= 700 and len(points) - len(weighted) >= 12
+    # every face asked has its rank decided as matrix_rank decides it
+    V = lp.vertex_product_matrix()
+    assert len(faces) >= 100
+    for face in faces:
+        cols = lp._face_columns(face)
+        assert cols.tolist() == [j for j in range(64) if face >> j & 1]
+        assert independent(face) == (np.linalg.matrix_rank(V[:, cols]) == cols.size)
+    assert independent.cache_info().maxsize == lp._FACE_CACHE
+
+
+def test_an_empty_face_keeps_the_lost_mass_lost(monkeypatch):
+    # the rescaled vertex product leaves no vertex after one step; the empty
+    # face is independent, its least squares on 16 x 0 adds nothing, and the
+    # weights sum to 1 less a rounding error, as on index arrays
+    faces = _record_faces(monkeypatch)
+    b = _rescaled_vertex()
+    w = lp.caratheodory_weights(b)
+    assert faces == {0}
+    assert lp._face_columns(0).dtype.kind == "i" and lp._face_columns(0).size == 0
+    assert w.tobytes() == _index_descent(b).tobytes()
+    assert 0.0 < 1.0 - w.sum() <= 1e-15
+
+
+def test_facet_masks_are_the_vertices_on_each_facet(monkeypatch):
+    on = lp.facet_table() @ _integer_columns() == 0
+    masks = lp._facet_arrays()[3]
+    assert masks.shape == (684,)
+    bits = np.array([[int(m) >> j & 1 for j in range(64)] for m in masks], dtype=bool)
+    assert np.array_equal(bits, on)
+    # the masks are read off the facet table in force
+    _use_facet_table(monkeypatch, lp.facet_table()[::-1])
+    assert np.array_equal(lp._facet_arrays()[3], masks[::-1])
+
+
+def test_a_cleared_mask_bit_leaves_the_lattice(monkeypatch):
+    # clear, in the mask of a facet the first step reaches on a lattice
+    # point inside every facet, the bit of a vertex that point's weights
+    # use: the vertex leaves the face at that step, and the lattice no
+    # longer matches the index descent
+    F, inv, T, masks = lp._facet_arrays()
+    points = list(_descent_lattice())
+    b = next(p for p in points if lp.facet_margins(p).min() > 0.0)
+    values = np.maximum(F @ b, 0.0)
+    j = int(np.argmax(b @ lp.vertex_product_matrix()))
+    exits = values < T[j]
+    ratios = values[exits] / (T[j][exits] - values[exits])
+    k = int(np.flatnonzero(exits)[np.argmin(ratios)])
+    v = int(np.flatnonzero(lp.caratheodory_weights(b))[-1])
+    assert int(masks[k]) >> v & 1
+    cleared = masks.copy()
+    cleared[k] ^= np.uint64(1 << v)
+    monkeypatch.setattr(lp, "_facet_arrays", lambda: (F, inv, T, cleared))
+    mismatches = _descent_mismatches(points)
+    assert any(m is b for m in mismatches)
+
+
 # ---------------------------------------------------------------------------
 # The exact oracle
 # ---------------------------------------------------------------------------
@@ -1048,6 +1216,63 @@ def test_support_weights_refuse_a_negative_or_inconsistent_solve():
     mix = [int(x) for x in V[:, 0] + V[:, 1]]
     half = Fraction(1, 2)
     assert lp._weights_on_support([0, 1], mix, 2) == [half, half] + [Fraction(0)] * 62
+
+
+def _bareiss_on_support(cols, Db, D):
+    """_weights_on_support eliminating [V_S | Db] afresh on every call: the
+    replayed record of V_S must give its weights, and its None."""
+    V = [[int(v) for v in row] for row in _integer_columns()]
+    T = [[V[i][j] for j in cols] + [Db[i]] for i in range(16)]
+    free, pivots, prev = list(range(16)), [], 1
+    for c in cols:
+        r = next((i for i in free if T[i][0]), None)
+        if r is None:
+            T = [row[1:] for row in T]
+            continue
+        free.remove(r)
+        piv, P = T[r][0], T[r][1:]
+        for i, row in enumerate(T):
+            f = row[0]
+            T[i] = P if i == r else [(x * piv - f * p) // prev for x, p in zip(row[1:], P)]
+        prev = piv
+        pivots.append((r, c))
+    if any(T[i][0] for i in free) or any(T[r][0] * prev < 0 for r, _ in pivots):
+        return None
+    w = [Fraction(0)] * 64
+    for r, c in pivots:
+        w[c] = Fraction(T[r][0], prev * D)
+    return w
+
+
+def test_replayed_elimination_is_the_fresh_elimination(monkeypatch):
+    # every support the exact route solves on the lattice, from the descent
+    # and from the point moved past a face, and three made ones: columns 0
+    # and 56 sum to columns 8 and 48 (vertices 0, 7 and 1, 6 of party A are
+    # opposite corners), so column 56 gets no pivot
+    solve, calls = lp._weights_on_support, []
+    monkeypatch.setattr(lp, "_weights_on_support",
+                        lambda *args: calls.append(args) or solve(*args))
+    for b in _descent_lattice():
+        lp.solve_membership_exact([Fraction(x) for x in b])
+    for b in _rounded_vertex_mixes(40, seed=3):
+        lp.solve_membership_exact(b)
+    V = _integer_columns()
+    beyond = [int(x) for x in 3 * V[:, 0] - V[:, 1]]
+    assert (V[:, 0] + V[:, 56] == V[:, 8] + V[:, 48]).all()
+    pair = [int(x) for x in V[:, 8] + V[:, 48]]
+    made = [([0, 1], beyond, 2), ([0, 2], beyond, 2), ([0, 8, 48, 56, 57], pair, 2),
+            ([0, 56, 8, 48], pair, 2)]
+    outcomes = set()
+    supports = {tuple(cols) for cols, _, _ in calls}
+    for cols, Db, D in calls + made:
+        got = solve(cols, Db, D)
+        assert got == _bareiss_on_support(cols, Db, D), (cols, Db, D)
+        outcomes.add(got is None)
+    assert outcomes == {True, False} and len(supports) >= 50
+    steps, pivots, free = lp._support_elimination((0, 8, 48, 56, 57))
+    assert [c for _, c in pivots] == [0, 8, 48, 57] and len(free) == 12
+    assert solve([0, 8, 48, 56, 57], pair, 2)[56] == 0
+    assert lp._support_elimination.cache_info().maxsize == lp._SUPPORT_CACHE
 
 
 def test_stacked_cube_slack_is_each_rows_oracle_verdict():

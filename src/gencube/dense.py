@@ -7,12 +7,16 @@ channel on k qubits is its Kraus superoperator sum_K K (x) conj(K), and
 pauli_transfer turns it into its real Pauli transfer matrix
 T[i, j] = tr(P_i Phi(P_j)) / 2^k (Chow et al., PRL 109, 060501 (2012)).
 
-The reference simulator holds a state rho = 2^-n sum_idx c_idx P_idx by its
-real coefficients c, a (4,)*n tensor stored flat, whose axis p belongs to
-qubit order[p].  apply_transfer contracts a channel's T with its own
-qubits' axes: at most one transposing copy, which brings those axes to the
-front, and one matrix product, each written into whichever of two
-state-sized buffers the state does not occupy, so an op allocates nothing.
+The reference simulator holds a state rho = 2^-m sum_idx c_idx P_idx of its m
+live qubits by its real coefficients c, a (4,)*m tensor stored flat in the
+first 4^m entries of a buffer, whose axis p belongs to qubit order[p].
+apply_transfer contracts a channel's T with its own qubits' axes: at most
+one transposing copy, which brings those axes to the front, and one matrix
+product, each written into whichever of two buffers the state does not
+occupy, so an op allocates nothing.  trace_out drops qubits from the state:
+their partial trace is their axes taken at index 0, a prefix of the buffer
+when those axes lead and otherwise one strided copy, so the state shrinks
+fourfold per qubit.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ __all__ = [
     "pauli_transfer",
     "lead_axes",
     "apply_transfer",
+    "trace_out",
 ]
 
 
@@ -69,27 +74,33 @@ def pauli_transfer(S: np.ndarray, paulis) -> np.ndarray:
     """The real 4^k x 4^k transfer matrix T[i, j] = tr(P_i Phi(P_j)) / 2^k of
     the k-qubit channel Phi with superoperator S (see superop), in the
     products P_i of the one-qubit Paulis `paulis`, the first qubit's most
-    significant: Phi(P_j) = sum_i T[i, j] P_i."""
+    significant: Phi(P_j) = sum_i T[i, j] P_i.  With the index pairs
+    flattened, T = L S R^T / 2^k, L[i, (a, b)] = P_i[b, a] and
+    R[j, (c, d)] = P_j[c, d]: two matrix products."""
     basis = one = np.asarray(paulis)
     for _ in range(S.ndim // 4 - 1):
         d = 2 * basis.shape[1]
         basis = np.einsum("aij,bkl->abikjl", basis, one).reshape(-1, d, d)
     d = basis.shape[1]
-    T = np.einsum("iba,abcd,jcd->ij", basis, S.reshape(d, d, d, d), basis) / d
+    L = basis.transpose(0, 2, 1).reshape(d * d, d * d)
+    R = basis.reshape(d * d, d * d)
+    T = L @ S.reshape(d * d, d * d) @ R.T / d
     return np.ascontiguousarray(T.real)
 
 
 def lead_axes(c: np.ndarray, order: tuple, qubits, spare: np.ndarray):
-    """The flat coefficients c, axis p of qubit order[p], with the axes of
-    `qubits` first, in their order.  Returns (c, order, spare) as given if
-    they lead already; otherwise c is copied, transposed, into spare, and
-    (spare, the new order, c) is returned: c's memory is the new spare."""
+    """The coefficients in the first 4^len(order) entries of the flat
+    buffer c, axis p of qubit order[p], with the axes of `qubits` first, in
+    their order.  Returns (c, order, spare) as given if they lead already;
+    otherwise they are copied, transposed, into spare, and (spare, the new
+    order, c) is returned: c's memory is the new spare."""
     pos = [order.index(q) for q in qubits]
     if pos == list(range(len(pos))):
         return c, order, spare
     rest = [p for p in range(len(order)) if p not in pos]
     shape = (4,) * len(order)
-    np.copyto(spare.reshape(shape), c.reshape(shape).transpose(pos + rest))
+    size = 4 ** len(order)
+    np.copyto(spare[:size].reshape(shape), c[:size].reshape(shape).transpose(pos + rest))
     return spare, tuple(qubits) + tuple(order[p] for p in rest), c
 
 
@@ -99,5 +110,21 @@ def apply_transfer(c: np.ndarray, order: tuple, T: np.ndarray, qubits, spare: np
     front, and T multiplies them, one matrix product written into the spare
     buffer.  Returns (new c, its order, the new spare)."""
     c, order, spare = lead_axes(c, order, qubits, spare)
-    np.matmul(T, c.reshape(len(T), -1), out=spare.reshape(len(T), -1))
+    size = 4 ** len(order)
+    np.matmul(T, c[:size].reshape(len(T), -1), out=spare[:size].reshape(len(T), -1))
     return spare, order, c
+
+
+def trace_out(c: np.ndarray, order: tuple, qubits, spare: np.ndarray):
+    """The state c (see lead_axes) with `qubits` traced out: since
+    rho = 2^-m sum_idx c_idx P_idx, their axes are taken at index 0.  Where
+    those axes lead, that is the buffer's prefix and (c, the rest of order,
+    spare) is returned; otherwise it is one strided copy into spare, and
+    (spare, the rest of order, c) is returned."""
+    rest = tuple(q for q in order if q not in qubits)
+    if all(q in qubits for q in order[:len(order) - len(rest)]):
+        return c, rest, spare
+    index = tuple(0 if q in qubits else slice(None) for q in order)
+    full, kept = (4,) * len(order), (4,) * len(rest)
+    np.copyto(spare[:4 ** len(rest)].reshape(kept), c[:4 ** len(order)].reshape(full)[index])
+    return spare, rest, c

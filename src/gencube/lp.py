@@ -254,11 +254,17 @@ def caratheodory_weights(b: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(b).all():
         raise ValueError("b must be finite")
-    F, _, T, masks = _facet_arrays()
-    m = float(facet_margins(b).min())
+    return _descent(b, _facet_arrays()[0] @ b)
+
+
+def _descent(b: np.ndarray, Fb: np.ndarray) -> np.ndarray:
+    """caratheodory_weights of a finite b whose facet values F b are Fb."""
+    F, inv_f0, T, masks = _facet_arrays()
+    m = float((Fb * inv_f0).min())
     if m < -FEASIBILITY_TOL:
         raise ValueError("b lies outside the polytope")
     x = b if m >= 0.0 else (b - m * np.eye(16)[0]) / (1.0 - m)
+    Fx = Fb if m >= 0.0 else None     # F x, when it is known
     w, mass = np.zeros(64), 1.0
     face, cand = _ALL_VERTICES, np.arange(64)
     while True:
@@ -268,7 +274,7 @@ def caratheodory_weights(b: np.ndarray) -> np.ndarray:
             return w
         j = cand[np.argmax(x @ C)]
         # rounding can leave x a few ulps outside a facet it lies on
-        values = np.maximum(F @ x, 0.0)
+        values = np.maximum(F @ x if Fx is None else Fx, 0.0)
         Tj = T[j]
         exits = values < Tj
         if not exits.any():
@@ -283,6 +289,7 @@ def caratheodory_weights(b: np.ndarray) -> np.ndarray:
         w[j] += mass * t / (1.0 + t)
         mass /= 1.0 + t
         x = x + t * (x - _VMAT_UNIT[:, j])
+        Fx = None
 
 
 # faces of at most 16 vertices whose independence _independent_face keeps;
@@ -379,7 +386,8 @@ def solve_membership_exact(b: list[Fraction]):
     # b / max |b_i| in floats, finite for any b; the cone is scale-free
     scale = max(map(abs, Db)) or 1
     bf = np.array([x / scale for x in Db])
-    rows = np.flatnonzero(facet_margins(bf) <= _EXACT_SCREEN)
+    Fb = _facet_arrays()[0] @ bf
+    rows = np.flatnonzero(Fb * _facet_arrays()[1] <= _EXACT_SCREEN)
     if rows.size:
         F = facet_table()[rows]
         # each row times lcm(f_0) / f_0: the least value is the least f . b / f_0
@@ -392,7 +400,7 @@ def solve_membership_exact(b: list[Fraction]):
                 return "infeasible", [Fraction(int(v)) for v in facet_table()[k]]
             return _bland_phase1(b)
     try:
-        w = caratheodory_weights(bf)
+        w = _descent(bf, Fb)
     except ValueError:
         return _bland_phase1(b)
     weights = _weights_on_support(np.flatnonzero(w).tolist(), Db, D)

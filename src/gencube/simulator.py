@@ -2,7 +2,8 @@
 cube-separable, plus a dense reference for cross-validation, which holds
 each branch's state by its real Pauli coefficients and applies each op as
 one contraction of its Pauli transfer matrix with its own qubits' axes, at
-O(4^n).
+O(4^m) for the m qubits still live: a qubit leaves the state after its
+last op.
 
 The sampler stores one byte per qubit per shot, a cube vertex's index
 (spaces.vertex_index): bits 2, 1, 0 are set on its -1 signs along X, Y, Z.
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import apply_transfer, lead_axes, pauli_transfer, superop
+from .dense import apply_transfer, lead_axes, pauli_transfer, superop, trace_out
 from . import lp
 from .gates import CLIFFORD_ACTIONS, CLIFFORD_UNITARIES, NoiseModel, pipeline_rows
 from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index, bloch_to_dense
@@ -179,6 +180,11 @@ def _unwrapped(ops):
     """Each op, a classical control replaced by the op it controls."""
     for op in ops:
         yield op.op if isinstance(op, ClassicalControl) else op
+
+
+def _op_qubits(op) -> tuple:
+    """The qubits a non-control op acts on, in its own order."""
+    return (op.qubit1, op.qubit2) if isinstance(op, NoisyCsign) else (op.qubit,)
 
 
 class CircuitNotSimulableError(RuntimeError):
@@ -450,9 +456,7 @@ def _drawn_qubits(circuit: Circuit) -> list[int]:
     any op reads it."""
     first_is_prep = {}
     for op in circuit.ops:
-        inner = op.op if isinstance(op, ClassicalControl) else op
-        qubits = (inner.qubit1, inner.qubit2) if isinstance(inner, NoisyCsign) else (inner.qubit,)
-        for q in qubits:
+        for q in _op_qubits(op.op if isinstance(op, ClassicalControl) else op):
             first_is_prep.setdefault(q, isinstance(op, Prepare))
     return [q for q in range(circuit.num_qubits) if not first_is_prep.get(q, False)]
 
@@ -646,44 +650,69 @@ def check_dense_width(num_qubits: int) -> None:
                          f"got {num_qubits}")
 
 
+def _leaving_qubits(circuit: Circuit) -> tuple[tuple, list[tuple]]:
+    """The qubits some op touches, ascending, and per op the qubits whose
+    last op it is.  A classical control's op counts whether a branch runs
+    it or not."""
+    last = {}
+    for k, op in enumerate(_unwrapped(circuit.ops)):
+        for q in _op_qubits(op):
+            last[q] = k
+    leaving = [()] * len(circuit.ops)
+    for q, k in sorted(last.items()):
+        leaving[k] += (q,)
+    return tuple(sorted(last)), leaving
+
+
 def simulate_dense(circuit: Circuit) -> dict:
     """Exact outcome distribution over classical record strings.
 
     Preparations must be quantum (inside the Bloch sphere); measurements
     collapse the state and fork the branch tree with exact Born weights,
     and an outcome of weight at most DENSE_BRANCH_FLOOR of its branch's
-    opens no branch.  A branch holds rho = 2^-n sum_idx c_idx P_idx by its
-    real Pauli coefficients c (see dense), which start as the unit tensor,
-    the maximally mixed state; its trace is c[0, ..., 0].  Every op is one
-    apply_transfer of its Pauli transfer matrix on its own qubits, each
-    matrix built at its first use in the call; a measurement's projections
-    are written into the states of ended branches where there are any, so
-    a call allocates no more states than it holds at once.  Circuits of
+    opens no branch.  A branch holds rho = 2^-m sum_idx c_idx P_idx of its m
+    live qubits by its real Pauli coefficients c (see dense), which start
+    as the unit tensor, the maximally mixed state, over the qubits some op
+    touches; its trace is c[0, ..., 0].  Every op is one apply_transfer of
+    its Pauli transfer matrix on its own qubits, each matrix built at its
+    first use in the call.  After a qubit's last op, run or skipped by its
+    classical control, the qubit is traced out (dense.trace_out), so the
+    state shrinks fourfold; a measurement that is its qubit's last op writes
+    only each outcome's identity row, (c_0 +- c_axis) / 2.  A final block of
+    k measurements on m live qubits thus writes 4^m (1 - 2^-k) entries over
+    all its branches, less than one full-width projection, where keeping
+    every qubit would write (2^(k+1) - 2) 4^m.  A measurement's projections
+    are written into the buffers of ended branches where there are any;
+    every state is a prefix of one of the reused 4^m buffers, so a call
+    allocates no more buffers than it holds states at once.  Circuits of
     more than DENSE_MAX_QUBITS qubits are refused.
     """
-    n = circuit.num_qubits
-    check_dense_width(n)
+    check_dense_width(circuit.num_qubits)
     rids = circuit.record_ids()
     sphere = StateSpaceSpec.sphere(1.0)
+    live, leaving = _leaving_qubits(circuit)
     # keyed by Bloch vector, Clifford name, noise model or (axis, outcome)
     transfers: dict = {}
-    spare = np.empty(4 ** n)    # every op writes into it; see dense.lead_axes
-    free = []   # the states of ended branches, which projections write into
-    start = np.zeros(4 ** n)
+    spare = np.empty(4 ** len(live))    # every op writes into it; see dense.lead_axes
+    free = []   # the buffers of ended branches, which projections write into
+    start = np.zeros(4 ** len(live))
     start[0] = 1.0
 
     dist: dict[str, float] = {}
     # depth first over the measurement branches, + before -, on an explicit
     # stack: a recursive closure would form a reference cycle.  A branch
-    # carries its unnormalized state and that state's axis order
-    stack = [(start, tuple(range(n)), 0, {})]
+    # carries the buffer of its unnormalized state and that state's axis
+    # order, whose length sets the state's width
+    stack = [(start, live, 0, {})]
     while stack:
         c, order, k, record = stack.pop()
         while k < len(circuit.ops):
-            op = circuit.ops[k]
+            op, gone = circuit.ops[k], leaving[k]
             k += 1
             if isinstance(op, ClassicalControl):
                 if record.get(op.record_id) != op.value:
+                    if gone:
+                        c, order, spare = trace_out(c, order, gone, spare)
                     continue
                 op = op.op
             if isinstance(op, Prepare):
@@ -699,18 +728,28 @@ def simulate_dense(circuit: Circuit) -> dict:
                 key, qubits = op.noise, (op.qubit1, op.qubit2)
             elif isinstance(op, Measure):
                 # the qubit's axis first, then each outcome's projection is
-                # one product into a state of its own
+                # one product into a buffer of its own, or, when the qubit
+                # leaves, its identity row alone
                 c, order, spare = lead_axes(c, order, (op.qubit,), spare)
+                rows = c[:4 ** len(order)].reshape(4, -1)
                 floor = DENSE_BRANCH_FLOOR * c[0]
                 branches = []
                 for outcome in (1, -1):
-                    key = (op.axis, outcome)
-                    if key not in transfers:
-                        transfers[key] = _transfer_matrix(op, outcome)
-                    sub = free.pop() if free else np.empty_like(c)
-                    np.matmul(transfers[key], c.reshape(4, -1), out=sub.reshape(4, -1))
+                    sub = free.pop() if free else np.empty_like(spare)
+                    if gone:
+                        out = sub[:rows.shape[1]]
+                        (np.add if outcome > 0 else np.subtract)(
+                            rows[0], rows[axis_index(op.axis)], out=out)
+                        out *= 0.5
+                        sub_order = order[1:]
+                    else:
+                        key = (op.axis, outcome)
+                        if key not in transfers:
+                            transfers[key] = _transfer_matrix(op, outcome)
+                        np.matmul(transfers[key], rows, out=sub[:rows.size].reshape(rows.shape))
+                        sub_order = order
                     if sub[0] > floor:
-                        branches.append((sub, order, k, {**record, op.record_id: outcome}))
+                        branches.append((sub, sub_order, k, {**record, op.record_id: outcome}))
                     else:
                         free.append(sub)
                 free.append(c)
@@ -719,6 +758,8 @@ def simulate_dense(circuit: Circuit) -> dict:
             if key not in transfers:
                 transfers[key] = _transfer_matrix(op)
             c, order, spare = apply_transfer(c, order, transfers[key], qubits, spare)
+            if gone:
+                c, order, spare = trace_out(c, order, gone, spare)
         else:
             key = "".join(_RECORD_CHARS[record.get(rid, 0) + 1] for rid in rids)
             dist[key] = dist.get(key, 0.0) + float(c[0])

@@ -204,6 +204,41 @@ def test_dense_ops_on_reversed_and_far_pairs_match_kron_kraus_sums(n, q1, q2):
     check(np.multiply.outer(sigma, np.eye(2)), (q1,), prep)
 
 
+def _einsum_transfer(S, paulis) -> np.ndarray:
+    """T[i, j] = tr(P_i Phi(P_j)) / 2^k by its definition: one three-operand
+    einsum of the Pauli products, the superoperator and the products."""
+    basis = one = np.asarray(paulis)
+    for _ in range(S.ndim // 4 - 1):
+        d = 2 * basis.shape[1]
+        basis = np.einsum("aij,bkl->abikjl", basis, one).reshape(-1, d, d)
+    d = basis.shape[1]
+    return np.einsum("iba,abcd,jcd->ij", basis, S.reshape(d, d, d, d), basis).real / d
+
+
+def _random_channel(rng, k: int) -> np.ndarray:
+    """Three Kraus operators of a random k-qubit channel: the row blocks of a
+    random isometry, so that sum_m K_m^dagger K_m = 1."""
+    d = 2 ** k
+    g = rng.standard_normal((3 * d, d)) + 1j * rng.standard_normal((3 * d, d))
+    return np.linalg.qr(g)[0].reshape(3, d, d)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pauli_transfer_is_the_three_index_contraction(k):
+    rng = np.random.default_rng(40 + k)
+    channels = [superop(_random_channel(rng, k)) for _ in range(50)]
+    if k == 1:
+        channels += [superop([U]) for U in CLIFFORD_UNITARIES.values()]
+        channels += [superop([(np.eye(2) + s * P) / 2]) for P in PAULIS[1:] for s in (1, -1)]
+    else:
+        channels += [_noisy_csign_superop(NoiseModel(f, p))
+                     for f in NOISE_FAMILIES for p in (0.0, 0.37, 0.7, 1.0)]
+    for S in channels:
+        T = pauli_transfer(S, PAULIS)
+        assert T.shape == (4 ** k, 4 ** k) and T.dtype == float and T.flags.c_contiguous
+        assert np.abs(T - _einsum_transfer(S, PAULIS)).max() <= 1e-15
+
+
 def test_noise_rule_spot_values():
     A = PauliCoeffs2Q(np.diag([1.0, 1.0, -1.0, 1.0]))
     p = 0.3

@@ -80,7 +80,8 @@ def test_the_scan_sees_every_form():
 
 # The dense reference is the independent check of the HN sampler: it reads
 # no name of the coefficient or sampler side
-DENSE_FUNCTIONS = ("simulate_dense", "_noise_kraus", "_noisy_csign_superop", "_transfer_matrix")
+DENSE_FUNCTIONS = ("simulate_dense", "_noise_kraus", "_noisy_csign_superop", "_transfer_matrix",
+                   "_leaving_qubits", "_op_qubits")
 SAMPLER_SIDE = {"noise_scale_matrix", "conjugation_matrix", "csign", "CLIFFORD_ACTIONS",
                 "_CLIFFORD_PERMS", "_CLIFFORD_XORS", "_apply_clifford", "_collapse",
                 "_pair_maps", "cube_separable", "slack", "certificates_hold", "lp"}

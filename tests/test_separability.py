@@ -1275,6 +1275,22 @@ def test_replayed_elimination_is_the_fresh_elimination(monkeypatch):
     assert lp._support_elimination.cache_info().maxsize == lp._SUPPORT_CACHE
 
 
+def test_the_exact_route_hands_its_screen_values_to_the_descent(monkeypatch):
+    # the facet table multiplies a feasible point once: the screen's values
+    # F b go to the descent, which reads its margin and its first step off
+    # them; facet_margins is not asked again
+    descend, seen = lp._descent, []
+    monkeypatch.setattr(lp, "_descent", lambda b, Fb: seen.append((b, Fb)) or descend(b, Fb))
+    monkeypatch.setattr(lp, "facet_margins", None)
+    statuses = [lp.solve_membership_exact(b)[0] for b in _rounded_vertex_mixes(30, seed=4)]
+    assert len(seen) >= statuses.count("feasible") >= 10
+    monkeypatch.undo()
+    F = lp._facet_arrays()[0]
+    for b, Fb in seen:
+        assert np.array_equal(Fb, F @ b)
+        assert descend(b, Fb).tobytes() == lp.caratheodory_weights(b).tobytes()
+
+
 def test_stacked_cube_slack_is_each_rows_oracle_verdict():
     assert CRITERIA["cube-separable"][1] == lp.FEASIBILITY_TOL
     B = np.array(list(_near_cut_points(np.random.default_rng(17), 300)))

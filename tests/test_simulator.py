@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gencube import lp, separability, simulator
-from gencube.dense import partial_trace, permute_qubits
+from gencube.dense import partial_trace, permute_qubits, trace_out
 from gencube.gates import NoiseModel, pipeline
 from gencube.pauli import PAULIS, BlochOp, PauliCoeffs2Q, axis_index
 from gencube.separability import LhvCertificate, verify_certificate
@@ -607,6 +607,191 @@ def test_dense_matches_the_kron_reference_on_the_suite(name):
 def test_dense_matches_the_kron_reference_on_random_circuits(seed):
     c = _random_reference_circuit(seed)
     _assert_same_distribution(simulate_dense(c), _kron_dense_reference(c))
+
+
+# circuits whose qubits leave the dense state in each way: after a measurement,
+# a CSIGN (as its pair's first or second qubit), a skipped ifeq, or never
+# entering it at all
+TRACE_OUT_CIRCUITS = {
+    # five measurements fixed by their preparations, so that the kron
+    # reference opens few branches, then three that fork
+    "eight_qubits_all_measured": """
+qubits 8
+prep 0 0 0 1
+prep 1 1 0 0
+prep 2 0 1 0
+prep 3 0 0 -1
+prep 4 0.6 0 0.8
+prep 5 -1 0 0
+prep 6 0 0.6 -0.8
+prep 7 0 0 1
+csign 0 1 joint-depol 0.0
+clif 2 H
+csign 3 4 local-dephase 0.4
+csign 6 7 local-depol 0.7
+csign 4 5 joint-depol 0.8
+meas 0 Z a
+meas 1 X b
+meas 2 Y c
+meas 3 Z d
+meas 5 X e
+meas 4 X f
+meas 6 Z g
+meas 7 Z h
+""",
+    "untouched_qubits": """
+qubits 4
+prep 1 0.6 0 0.8
+prep 3 1 0 0
+csign 3 1 local-depol 0.7
+meas 1 X a
+meas 3 Z b
+""",
+    "last_op_in_a_skipped_ifeq": """
+qubits 3
+prep 0 1 0 0
+prep 1 0 0 1
+prep 2 0.6 0 0.8
+csign 0 1 joint-depol 0.8
+meas 0 X a
+ifeq a -1 csign 2 1 local-depol 0.7
+meas 1 Z b
+""",
+    "last_measurement_in_a_skipped_ifeq": """
+qubits 3
+prep 0 0 0.6 0.8
+prep 1 0 0 1
+prep 2 0.6 0 0.8
+csign 1 2 local-dephase 0.4
+meas 0 Y a
+ifeq a +1 meas 2 X b
+meas 1 Z c
+""",
+    "measured_twice": """
+qubits 2
+prep 0 0.6 0 0.8
+prep 1 0 1 0
+csign 0 1 joint-depol 0.8
+meas 0 Z a
+meas 1 Y b
+meas 0 X c
+""",
+    "idle_after_last_csign": """
+qubits 3
+prep 0 1 0 0
+prep 1 0 0 1
+prep 2 0 0.6 0.8
+csign 0 1 joint-depol 0.8
+csign 1 2 local-depol 0.7
+clif 1 H
+meas 1 X a
+""",
+    "one_qubit_to_a_scalar": """
+qubits 1
+prep 0 0.6 0 0.8
+meas 0 Z a
+clif 0 H
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_OUT_CIRCUITS))
+def test_traced_out_qubits_keep_the_kron_reference_law(name):
+    c = parse_circuit(TRACE_OUT_CIRCUITS[name])
+    _assert_same_distribution(simulate_dense(c), _kron_dense_reference(c))
+
+
+def _measured_one_by_one(n: int) -> Circuit:
+    """n prepared qubits, a noisy CSIGN ring, then each qubit measured in
+    turn: every qubit's last op is its measurement."""
+    noises = [NoiseModel("joint-depol", 0.8), NoiseModel("local-depol", 0.7),
+              NoiseModel("local-dephase", 0.4)]
+    ops = [Prepare(q, BlochOp(np.array([0.6, 0.0, 0.8]))) for q in range(n)]
+    ops += [NoisyCsign(q, (q + 1) % n, noises[q % 3]) for q in range(n)]
+    ops += [Measure(q, "XYZ"[q % 3], f"m{q}") for q in range(n)]
+    return Circuit(n, tuple(ops))
+
+
+def _inner_ops(circuit: Circuit):
+    """(op index, op, its qubits) of each op, a classical control's op for
+    the control."""
+    for k, op in enumerate(circuit.ops):
+        op = op.op if isinstance(op, ClassicalControl) else op
+        yield k, op, (op.qubit1, op.qubit2) if isinstance(op, NoisyCsign) else (op.qubit,)
+
+
+def _dense_calls(monkeypatch, circuit: Circuit) -> list[tuple[int, tuple]]:
+    """(op index, axis order) of every apply_transfer and lead_axes call
+    simulate_dense makes on circuit; each op must be told apart by the
+    function it calls and its qubits."""
+    ops = {("lead" if isinstance(op, Measure) else "apply", qubits): k
+           for k, op, qubits in _inner_ops(circuit)}
+    assert len(ops) == len(circuit.ops)
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(c, order, *args):
+            qubits = args[-2]
+            calls.append((ops[(name, tuple(qubits))], order))
+            return fn(c, order, *args)
+        return wrapped
+
+    monkeypatch.setattr(simulator, "apply_transfer", spy("apply", simulator.apply_transfer))
+    monkeypatch.setattr(simulator, "lead_axes", spy("lead", simulator.lead_axes))
+    simulate_dense(circuit)
+    return calls
+
+
+@pytest.mark.parametrize("circuit", [
+    _measured_one_by_one(8),
+    parse_circuit("""
+qubits 5
+prep 0 1 0 0
+prep 2 0.6 0 0.8
+prep 3 0 1 0
+csign 0 1 joint-depol 0.8
+csign 1 2 local-depol 0.7
+meas 1 X a
+ifeq a -1 csign 3 1 local-dephase 0.4
+clif 1 H
+"""),
+], ids=["eight_measured_one_by_one", "leaving_mid_circuit"])
+def test_no_dense_call_sees_a_qubit_after_its_last_op(monkeypatch, circuit):
+    last = {q: k for k, _, qubits in _inner_ops(circuit) for q in qubits}
+    calls = _dense_calls(monkeypatch, circuit)
+    assert {k for k, _ in calls} == set(range(len(circuit.ops)))
+    for k, order in calls:
+        # the state holds exactly the qubits whose last op is still ahead
+        assert len(set(order)) == len(order)
+        assert set(order) == {q for q, end in last.items() if end >= k}, (k, order)
+
+
+def test_a_final_measurement_block_shrinks_the_state_fourfold(monkeypatch):
+    n = 8
+    circuit = _measured_one_by_one(n)
+    first = len(circuit.ops) - n
+    measured = [(k - first, len(order))
+                for k, order in _dense_calls(monkeypatch, circuit) if k >= first]
+    # the j-th measurement runs on 2^j branches, and each sees n - j qubits:
+    # a state 4x smaller than the one the measurement before it saw
+    assert len(measured) == 2 ** n - 1
+    assert all(width == n - j for j, width in measured)
+
+
+def test_trace_out_takes_each_axis_at_index_zero():
+    rng = np.random.default_rng(7)
+    order = (3, 0, 2, 1)
+    c = rng.standard_normal(4 ** 4)
+    t = c.reshape((4,) * 4)
+    for qubits, want in [((3,), t[0]), ((3, 0), t[0, 0]), ((2,), t[:, :, 0]),
+                         ((0, 1), t[:, 0, :, 0]), ((3, 0, 2, 1), t[0, 0, 0, 0])]:
+        buf, spare = np.concatenate([c, [np.nan]]), np.full(4 ** 4 + 1, np.nan)
+        out, rest, new_spare = trace_out(buf, order, qubits, spare)
+        assert rest == tuple(q for q in order if q not in qubits)
+        assert np.array_equal(out[:4 ** len(rest)], np.ravel(want))
+        # leading axes are the buffer's prefix; any other needs the copy
+        leading = set(order[:len(qubits)]) == set(qubits)
+        assert (out is buf and new_spare is spare) if leading else (out is spare and new_spare is buf)
 
 
 def test_cost_scales_in_shots_not_dimension():

@@ -24,6 +24,14 @@ def _tolerance_banner(out) -> None:
     )
 
 
+def _non_negative_int(text: str) -> int:
+    """An argparse type: a decimal integer of at least 0; anything else is
+    a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 0; got {text!r}")
+    return int(text)
+
+
 def _threshold_query(noise: str, space: str, R: float) -> thresholds.ThresholdQuery:
     if space == "cube":
         return thresholds.ThresholdQuery(
@@ -146,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", required=True, choices=NOISE_FAMILIES)
     p.add_argument("--space", required=True, choices=("cube", "sphere"))
     p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--precision", type=int, default=6)
+    p.add_argument("--precision", type=_non_negative_int, default=6)
     p.set_defaults(fn=_cmd_threshold)
 
     p = sub.add_parser("curve", help="threshold as a function of R (CSV)")

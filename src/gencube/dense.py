@@ -6,17 +6,22 @@ q's ket index, axis q + n its bra index, qubit 0 the leftmost factor).  A
 channel on k qubits is its Kraus superoperator sum_K K (x) conj(K), and
 pauli_transfer turns it into its real Pauli transfer matrix
 T[i, j] = tr(P_i Phi(P_j)) / 2^k (Chow et al., PRL 109, 060501 (2012)).
+Both are linear (in each K (x) conj(K), and in S), so the reference
+simulator derives its transfer matrices once per process, as fixed bases
+that a noisy CSIGN's noise weights or a preparation's Bloch vector
+combine.
 
 The reference simulator holds a state rho = 2^-m sum_idx c_idx P_idx of its m
 live qubits by its real coefficients c, a (4,)*m tensor stored flat in the
 first 4^m entries of a buffer, whose axis p belongs to qubit order[p].
-apply_transfer contracts a channel's T with its own qubits' axes: at most
-one transposing copy, which brings those axes to the front, and one matrix
-product, each written into whichever of two buffers the state does not
-occupy, so an op allocates nothing.  trace_out drops qubits from the state:
-their partial trace is their axes taken at index 0, a prefix of the buffer
-when those axes lead and otherwise one strided copy, so the state shrinks
-fourfold per qubit.
+A qubit enters the state before its first op as one outer product with
+its coefficients, its axis in front.  apply_transfer contracts a channel's
+T with its own qubits' axes: at most one transposing copy, which brings
+those axes to the front, and one matrix product, each written into
+whichever of two buffers the state does not occupy, so an op allocates
+nothing.  trace_out drops qubits from the state: their partial trace is
+their axes taken at index 0, a prefix of the buffer when those axes lead
+and otherwise one strided copy, so the state shrinks fourfold per qubit.
 """
 from __future__ import annotations
 

@@ -2,8 +2,10 @@
 cube-separable, plus a dense reference for cross-validation, which holds
 each branch's state by its real Pauli coefficients and applies each op as
 one contraction of its Pauli transfer matrix with its own qubits' axes, at
-O(4^m) for the m qubits still live: a qubit leaves the state after its
-last op.
+O(4^m) for the m qubits live: a qubit enters the state at its first op
+and leaves it after its last.  The transfer matrices come from fixed
+operator bases and caches built once per process, and a call resolves
+each op once, before its branch walk.
 
 The sampler stores one byte per qubit per shot, a cube vertex's index
 (spaces.vertex_index): bits 2, 1, 0 are set on its -1 signs along X, Y, Z.
@@ -64,7 +66,7 @@ import numpy as np
 from .dense import apply_transfer, lead_axes, pauli_transfer, superop, trace_out
 from . import lp
 from .gates import CLIFFORD_ACTIONS, CLIFFORD_UNITARIES, NoiseModel, pipeline_rows
-from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index, bloch_to_dense
+from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index
 from .separability import certificates_hold, cube_separable
 from .spaces import CUBE_SIGNS, VERTEX_PERMS, StateSpaceSpec, contains, vertex_index
 
@@ -602,11 +604,11 @@ def _histogram(cols: list[np.ndarray], shots: int) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _noise_kraus(noise: NoiseModel) -> np.ndarray:
-    """Kraus operators of a CSIGN's noise on its qubit pair, stacked.  Each
-    noise model is a Pauli channel,
+def _noise_weights(noise: NoiseModel) -> np.ndarray:
+    """The weights q_ij of a CSIGN's noise on its qubit pair, flat with i
+    the more significant index.  Each noise model is a Pauli channel,
     rho -> sum_ij q_ij (P_i (x) P_j) rho (P_i (x) P_j), with Kraus
-    operators sqrt(q_ij) P_i (x) P_j (zero where q_ij is)."""
+    operators sqrt(q_ij) P_i (x) P_j."""
     p = noise.strength
     if noise.kind == "joint-depol":
         # (1 - p) rho + p I/4 (x) tr rho: every pair but I (x) I at p/16
@@ -617,29 +619,63 @@ def _noise_kraus(noise: NoiseModel) -> np.ndarray:
         a = ([1.0 - 0.75 * p] + [p / 4.0] * 3 if noise.kind == "local-depol"
              else [1.0 - p, 0.0, 0.0, p])
         q = np.outer(a, a).ravel()
+    return q
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _csign_basis() -> np.ndarray:
+    """Row i is the flat transfer matrix of rho -> K_i rho K_i^dagger, where
+    K_i = Q_i CSIGN, Q_i the i-th Pauli pair P_a (x) P_b (i = 4 a + b) and
+    CSIGN = diag(1, 1, 1, -1).  A noisy CSIGN's Kraus operators are
+    sqrt(q_i) K_i (see _noise_weights), and its superoperator
+    sum_i q_i K_i (x) conj(K_i) is linear in q (Wood, Biamonte & Cory,
+    QIC 15, 759 (2015)), so its transfer matrix is q @ this basis."""
     pairs = np.einsum("aij,bkl->abikjl", PAULIS, PAULIS).reshape(16, 4, 4)
-    return np.sqrt(q)[:, None, None] * pairs
+    cz = np.diag([1.0, 1.0, 1.0, -1.0])
+    return _frozen(np.array([pauli_transfer(superop([P @ cz]), PAULIS).ravel() for P in pairs]))
 
 
-def _noisy_csign_superop(noise: NoiseModel) -> np.ndarray:
-    """Superoperator of the CSIGN diag(1, 1, 1, -1) followed by its noise."""
-    return superop(_noise_kraus(noise) @ np.diag([1.0, 1.0, 1.0, -1.0]))
+@functools.cache
+def _prep_basis() -> np.ndarray:
+    """Row k is the flat transfer matrix of rho -> tr(rho) P_k / 2.  A
+    preparation of Bloch vector b puts (1, b) . P / 2 in its qubit's place,
+    and trace-and-replace is linear in the prepared operator, so its
+    transfer matrix is (1, b) @ this basis."""
+    return _frozen(np.array([pauli_transfer(np.multiply.outer(P / 2, np.eye(2)), PAULIS).ravel()
+                             for P in PAULIS]))
+
+
+@functools.cache
+def _clifford_transfer(gate: str) -> np.ndarray:
+    return _frozen(pauli_transfer(superop([CLIFFORD_UNITARIES[gate]]), PAULIS))
+
+
+@functools.cache
+def _projector_transfer(axis: str, outcome: int) -> np.ndarray:
+    projector = (np.eye(2) + outcome * PAULIS[axis_index(axis)]) / 2
+    return _frozen(pauli_transfer(superop([projector]), PAULIS))
 
 
 def _transfer_matrix(op, outcome: int = 0) -> np.ndarray:
     """The Pauli transfer matrix of an op on its own qubits: 4 x 4 for a
     preparation (trace out the qubit and put the prepared state in its
     place), a Clifford, or a measurement's projector (I + outcome P) / 2,
-    16 x 16 for a noisy CSIGN."""
+    16 x 16 for a noisy CSIGN.  A preparation's and a noisy CSIGN's are one
+    product of their weights with a fixed basis; a Clifford's and a
+    projector's are built once per process.  The bases and the cached
+    matrices are read-only."""
     if isinstance(op, Prepare):
-        S = np.multiply.outer(bloch_to_dense(op.state).entries, np.eye(2))
-    elif isinstance(op, Clifford1):
-        S = superop([CLIFFORD_UNITARIES[op.gate]])
-    elif isinstance(op, NoisyCsign):
-        S = _noisy_csign_superop(op.noise)
-    else:
-        S = superop([(np.eye(2) + outcome * PAULIS[axis_index(op.axis)]) / 2])
-    return pauli_transfer(S, PAULIS)
+        return (np.concatenate(([1.0], op.state.bloch)) @ _prep_basis()).reshape(4, 4)
+    if isinstance(op, Clifford1):
+        return _clifford_transfer(op.gate)
+    if isinstance(op, NoisyCsign):
+        return (_noise_weights(op.noise) @ _csign_basis()).reshape(16, 16)
+    return _projector_transfer(op.axis, outcome)
 
 
 def check_dense_width(num_qubits: int) -> None:
@@ -650,114 +686,146 @@ def check_dense_width(num_qubits: int) -> None:
                          f"got {num_qubits}")
 
 
-def _leaving_qubits(circuit: Circuit) -> tuple[tuple, list[tuple]]:
-    """The qubits some op touches, ascending, and per op the qubits whose
-    last op it is.  A classical control's op counts whether a branch runs
-    it or not."""
-    last = {}
+def _dense_plan(circuit: Circuit) -> tuple[list[tuple], int]:
+    """simulate_dense's step for each op, and the most qubits live at once.
+    A step is (control, entering, T, qubits, leaving, measure):
+    - control: a classical control's (record id, value), else None;
+    - entering: None, or (qubits, c) for the qubits whose first op this is,
+      which enter the state before it, in the state of coefficients c: an
+      unconditional preparation's qubit as (1, b), which the op then leaves
+      as it is (its T is None), any other qubit maximally mixed;
+    - T, qubits: the op's transfer matrix and its qubits;
+    - leaving: the qubits whose last op this is;
+    - measure: a measurement's (record id, axis index, (T+, T-)), its
+      outcomes' projector transfer matrices (its T is None), else None.
+    A classical control's op counts as its qubits' first or last whether a
+    branch runs it or not.  Every preparation is checked to be quantum here,
+    before any op runs."""
+    sphere = StateSpaceSpec.sphere(1.0)
+    first, last = {}, {}
     for k, op in enumerate(_unwrapped(circuit.ops)):
+        if isinstance(op, Prepare) and not contains(sphere, op.state):
+            raise ValueError("dense simulation requires quantum preparations "
+                             f"(|bloch| <= 1); got {op.state.bloch}")
         for q in _op_qubits(op):
+            first.setdefault(q, k)
             last[q] = k
-    leaving = [()] * len(circuit.ops)
-    for q, k in sorted(last.items()):
-        leaving[k] += (q,)
-    return tuple(sorted(last)), leaving
+    entering, leaving = [()] * len(circuit.ops), [()] * len(circuit.ops)
+    for q in sorted(first):
+        entering[first[q]] += (q,)
+        leaving[last[q]] += (q,)
+    steps, live, most = [], 0, 0
+    for k, op in enumerate(circuit.ops):
+        control = None
+        if isinstance(op, ClassicalControl):
+            control, op = (op.record_id, op.value), op.op
+        enter, T, measure = None, None, None
+        if entering[k] and isinstance(op, Prepare) and control is None:
+            enter = (entering[k], np.concatenate(([1.0], op.state.bloch)))
+        else:
+            if entering[k]:
+                mixed = np.zeros(4 ** len(entering[k]))
+                mixed[0] = 1.0
+                enter = (entering[k], mixed)
+            if isinstance(op, Measure):
+                measure = (op.record_id, axis_index(op.axis),
+                           (_transfer_matrix(op, 1), _transfer_matrix(op, -1)))
+            else:
+                T = _transfer_matrix(op)
+        steps.append((control, enter, T, _op_qubits(op), leaving[k], measure))
+        live += len(entering[k])
+        most = max(most, live)
+        live -= len(leaving[k])
+    return steps, most
 
 
 def simulate_dense(circuit: Circuit) -> dict:
     """Exact outcome distribution over classical record strings.
 
-    Preparations must be quantum (inside the Bloch sphere); measurements
-    collapse the state and fork the branch tree with exact Born weights,
-    and an outcome of weight at most DENSE_BRANCH_FLOOR of its branch's
-    opens no branch.  A branch holds rho = 2^-m sum_idx c_idx P_idx of its m
-    live qubits by its real Pauli coefficients c (see dense), which start
-    as the unit tensor, the maximally mixed state, over the qubits some op
-    touches; its trace is c[0, ..., 0].  Every op is one apply_transfer of
-    its Pauli transfer matrix on its own qubits, each matrix built at its
-    first use in the call.  After a qubit's last op, run or skipped by its
-    classical control, the qubit is traced out (dense.trace_out), so the
-    state shrinks fourfold; a measurement that is its qubit's last op writes
-    only each outcome's identity row, (c_0 +- c_axis) / 2.  A final block of
-    k measurements on m live qubits thus writes 4^m (1 - 2^-k) entries over
-    all its branches, less than one full-width projection, where keeping
-    every qubit would write (2^(k+1) - 2) 4^m.  A measurement's projections
-    are written into the buffers of ended branches where there are any;
-    every state is a prefix of one of the reused 4^m buffers, so a call
-    allocates no more buffers than it holds states at once.  Circuits of
-    more than DENSE_MAX_QUBITS qubits are refused.
+    Preparations must be quantum (inside the Bloch sphere), which is checked
+    before any op runs; measurements collapse the state and fork the branch
+    tree with exact Born weights, and an outcome of weight at most
+    DENSE_BRANCH_FLOOR of its branch's opens no branch.  A branch holds
+    rho = 2^-m sum_idx c_idx P_idx of its m live qubits by its real Pauli
+    coefficients c (see dense); its trace is c[0, ..., 0].  Each op is
+    resolved once, before the walk (_dense_plan), and each transfer matrix
+    comes from a per-process basis or cache (_transfer_matrix), so the walk
+    only contracts.  A qubit is live from its first op to its last, run or
+    skipped by its classical control: the state starts with no qubit (the
+    scalar 1), and a qubit enters before its first op by one outer product
+    into the spare buffer, prepared if that op is an unconditional
+    preparation (which then applies nothing more) and maximally mixed
+    otherwise.  Every op but that preparation and a measurement is one
+    apply_transfer of its Pauli transfer matrix on its own qubits.  After a
+    qubit's last op it is traced out (dense.trace_out), so the state
+    shrinks fourfold; a measurement that is its qubit's last op writes only
+    each outcome's identity row, (c_0 +- c_axis) / 2.  A final block of k
+    measurements on m live qubits thus writes 4^m (1 - 2^-k) entries over
+    all its branches, where keeping every qubit would write
+    (2^(k+1) - 2) 4^m.  A measurement's projections are written into the
+    buffers of ended branches where there are any; every state is a prefix
+    of one of the reused 4^w buffers, w the most qubits live at once, so a
+    call allocates no more buffers than it holds states at once.  Circuits
+    of more than DENSE_MAX_QUBITS qubits are refused.
     """
     check_dense_width(circuit.num_qubits)
     rids = circuit.record_ids()
-    sphere = StateSpaceSpec.sphere(1.0)
-    live, leaving = _leaving_qubits(circuit)
-    # keyed by Bloch vector, Clifford name, noise model or (axis, outcome)
-    transfers: dict = {}
-    spare = np.empty(4 ** len(live))    # every op writes into it; see dense.lead_axes
+    steps, most = _dense_plan(circuit)
+    spare = np.empty(4 ** most)    # every op writes into it; see dense.lead_axes
     free = []   # the buffers of ended branches, which projections write into
-    start = np.zeros(4 ** len(live))
-    start[0] = 1.0
+    start = np.empty(4 ** most)
+    start[0] = 1.0      # no qubit is live: the state is the scalar 1
 
     dist: dict[str, float] = {}
     # depth first over the measurement branches, + before -, on an explicit
     # stack: a recursive closure would form a reference cycle.  A branch
     # carries the buffer of its unnormalized state and that state's axis
     # order, whose length sets the state's width
-    stack = [(start, live, 0, {})]
+    stack = [(start, (), 0, {})]
     while stack:
         c, order, k, record = stack.pop()
-        while k < len(circuit.ops):
-            op, gone = circuit.ops[k], leaving[k]
+        while k < len(steps):
+            control, enter, T, qubits, gone, measure = steps[k]
             k += 1
-            if isinstance(op, ClassicalControl):
-                if record.get(op.record_id) != op.value:
-                    if gone:
-                        c, order, spare = trace_out(c, order, gone, spare)
-                    continue
-                op = op.op
-            if isinstance(op, Prepare):
-                if not contains(sphere, op.state):
-                    raise ValueError(
-                        "dense simulation requires quantum preparations "
-                        f"(|bloch| <= 1); got {op.state.bloch}"
-                    )
-                key, qubits = tuple(op.state.bloch), (op.qubit,)
-            elif isinstance(op, Clifford1):
-                key, qubits = op.gate, (op.qubit,)
-            elif isinstance(op, NoisyCsign):
-                key, qubits = op.noise, (op.qubit1, op.qubit2)
-            elif isinstance(op, Measure):
+            if enter:
+                # the entering axes lead: one outer product into spare
+                fresh, coeffs = enter
+                size = 4 ** len(order)
+                np.multiply.outer(coeffs, c[:size],
+                                  out=spare[:len(coeffs) * size].reshape(len(coeffs), size))
+                c, order, spare = spare, fresh + order, c
+            if control and record.get(control[0]) != control[1]:
+                if gone:
+                    c, order, spare = trace_out(c, order, gone, spare)
+                continue
+            if measure:
                 # the qubit's axis first, then each outcome's projection is
                 # one product into a buffer of its own, or, when the qubit
                 # leaves, its identity row alone
-                c, order, spare = lead_axes(c, order, (op.qubit,), spare)
+                rid, axis, projectors = measure
+                c, order, spare = lead_axes(c, order, qubits, spare)
                 rows = c[:4 ** len(order)].reshape(4, -1)
                 floor = DENSE_BRANCH_FLOOR * c[0]
                 branches = []
-                for outcome in (1, -1):
+                for outcome, P in zip((1, -1), projectors):
                     sub = free.pop() if free else np.empty_like(spare)
                     if gone:
                         out = sub[:rows.shape[1]]
-                        (np.add if outcome > 0 else np.subtract)(
-                            rows[0], rows[axis_index(op.axis)], out=out)
+                        (np.add if outcome > 0 else np.subtract)(rows[0], rows[axis], out=out)
                         out *= 0.5
                         sub_order = order[1:]
                     else:
-                        key = (op.axis, outcome)
-                        if key not in transfers:
-                            transfers[key] = _transfer_matrix(op, outcome)
-                        np.matmul(transfers[key], rows, out=sub[:rows.size].reshape(rows.shape))
+                        np.matmul(P, rows, out=sub[:rows.size].reshape(rows.shape))
                         sub_order = order
                     if sub[0] > floor:
-                        branches.append((sub, sub_order, k, {**record, op.record_id: outcome}))
+                        branches.append((sub, sub_order, k, {**record, rid: outcome}))
                     else:
                         free.append(sub)
                 free.append(c)
                 stack.extend(reversed(branches))
                 break
-            if key not in transfers:
-                transfers[key] = _transfer_matrix(op)
-            c, order, spare = apply_transfer(c, order, transfers[key], qubits, spare)
+            if T is not None:
+                c, order, spare = apply_transfer(c, order, T, qubits, spare)
             if gone:
                 c, order, spare = trace_out(c, order, gone, spare)
         else:

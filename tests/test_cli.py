@@ -39,6 +39,23 @@ def test_threshold_precision_flag():
     assert "0.2929" in out
 
 
+@pytest.mark.parametrize("precision", ["-1", "two"])
+def test_threshold_refuses_a_bad_precision_as_a_usage_error(capsys, precision):
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--noise", "joint-depol", "--space", "cube", "--precision", precision])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --precision: must be an integer of at least 0; got '{precision}'" in captured.err
+
+
+def test_threshold_precision_zero_prints_no_decimals():
+    code, out = run_cli(["threshold", "--noise", "joint-depol", "--space", "cube",
+                         "--R", "1", "--precision", "0"])
+    assert code == 0
+    assert out.splitlines()[-1] == "1"
+
+
 def test_threshold_deterministic_output():
     argv = ["threshold", "--noise", "local-depol", "--space", "cube", "--R", "1"]
     assert run_cli(argv) == run_cli(argv)

@@ -24,15 +24,19 @@ from gencube.gates import (
 )
 from gencube.lp import vertex_product_matrix
 from gencube.pauli import (
+    AXES,
     PAULIS,
     BlochOp,
     PauliCoeffs2Q,
+    axis_index,
+    bloch_to_dense,
     from_dense,
     product,
     product_rows,
     to_dense,
 )
-from gencube.simulator import _noise_kraus, _noisy_csign_superop
+from gencube import simulator
+from gencube.simulator import Clifford1, Measure, NoisyCsign, Prepare
 from gencube.spaces import CUBE_SYMMETRIES, cube_vertices, rescale2
 
 CSIGN_DENSE = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
@@ -140,7 +144,7 @@ def test_noise_models_against_dense_kraus():
     rng = np.random.default_rng(33)
     cases = [(f, p) for f in FAMILIES for p in (0.0, 0.21, 0.37, 1.0)] + [(local_dephase, 0.7)]
     for family, p in cases:
-        T = pauli_transfer(_noisy_csign_superop(family(p)), PAULIS)
+        T = simulator._transfer_matrix(NoisyCsign(0, 1, family(p)))
         for _ in range(10):
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             rho = g @ g.conj().T
@@ -202,6 +206,74 @@ def test_dense_ops_on_reversed_and_far_pairs_match_kron_kraus_sums(n, q1, q2):
     prep = [math.sqrt(w[k]) * _lift({q1: np.outer(v[:, k], I2[j])}, n)
             for k in range(2) for j in range(2)]
     check(np.multiply.outer(sigma, np.eye(2)), (q1,), prep)
+
+
+# The Kraus route to an op's transfer matrix: its Kraus operators, their
+# superoperator, then pauli_transfer.  The dense reference's basis-built
+# transfer matrices are checked against it.
+
+
+def _noise_kraus(noise: NoiseModel) -> np.ndarray:
+    """Kraus operators of a CSIGN's noise on its qubit pair, stacked.  Each
+    noise model is a Pauli channel,
+    rho -> sum_ij q_ij (P_i (x) P_j) rho (P_i (x) P_j), with Kraus
+    operators sqrt(q_ij) P_i (x) P_j (zero where q_ij is)."""
+    p = noise.strength
+    if noise.kind == "joint-depol":
+        # (1 - p) rho + p I/4 (x) tr rho: every pair but I (x) I at p/16
+        q = np.full(16, p / 16.0)
+        q[0] = 1.0 - 15.0 * p / 16.0
+    else:
+        # the same one-qubit Pauli channel on each qubit
+        a = ([1.0 - 0.75 * p] + [p / 4.0] * 3 if noise.kind == "local-depol"
+             else [1.0 - p, 0.0, 0.0, p])
+        q = np.outer(a, a).ravel()
+    pairs = np.einsum("aij,bkl->abikjl", PAULIS, PAULIS).reshape(16, 4, 4)
+    return np.sqrt(q)[:, None, None] * pairs
+
+
+def _noisy_csign_superop(noise: NoiseModel) -> np.ndarray:
+    """Superoperator of the CSIGN diag(1, 1, 1, -1) followed by its noise."""
+    return superop(_noise_kraus(noise) @ np.diag([1.0, 1.0, 1.0, -1.0]))
+
+
+def _kraus_route_transfer(op, outcome: int = 0) -> np.ndarray:
+    if isinstance(op, Prepare):
+        S = np.multiply.outer(bloch_to_dense(op.state).entries, np.eye(2))
+    elif isinstance(op, Clifford1):
+        S = superop([CLIFFORD_UNITARIES[op.gate]])
+    elif isinstance(op, NoisyCsign):
+        S = _noisy_csign_superop(op.noise)
+    else:
+        S = superop([(np.eye(2) + outcome * PAULIS[axis_index(op.axis)]) / 2])
+    return pauli_transfer(S, PAULIS)
+
+
+def test_basis_transfer_matrices_match_the_kraus_route():
+    rng = np.random.default_rng(55)
+    # every family on a grid with both ends, dephasing also past 1/2
+    cases = [(NoisyCsign(0, 1, NoiseModel(f, p)), 0)
+             for f in NOISE_FAMILIES for p in (0.0, 0.1, 0.37, 0.5, 2 / 3, 0.7, 0.9, 1.0)]
+    cases += [(Clifford1(0, g), 0) for g in "XYZSH"]
+    cases += [(Measure(0, a, "m"), s) for a in AXES for s in (1, -1)]
+    # 200 points of the Bloch ball, uniform in its volume, and the six axes
+    blochs = rng.standard_normal((200, 3))
+    blochs *= rng.random((200, 1)) ** (1 / 3) / np.linalg.norm(blochs, axis=1, keepdims=True)
+    blochs = np.vstack([blochs, np.eye(3), -np.eye(3)])
+    cases += [(Prepare(0, BlochOp(b)), 0) for b in blochs]
+    for op, outcome in cases:
+        got = simulator._transfer_matrix(op, outcome)
+        want = _kraus_route_transfer(op, outcome)
+        assert got.shape == want.shape and got.dtype == float
+        assert np.abs(got - want).max() <= 1e-15, (op, outcome)
+    # the per-process arrays are shared by every call: none can be written
+    cached = [simulator._csign_basis(), simulator._prep_basis()]
+    cached += [simulator._clifford_transfer(g) for g in "XYZSH"]
+    cached += [simulator._projector_transfer(a, s) for a in AXES for s in (1, -1)]
+    for T in cached:
+        assert not T.flags.writeable
+        with pytest.raises(ValueError):
+            T[0, 0] = 0.0
 
 
 def _einsum_transfer(S, paulis) -> np.ndarray:

@@ -80,8 +80,9 @@ def test_the_scan_sees_every_form():
 
 # The dense reference is the independent check of the HN sampler: it reads
 # no name of the coefficient or sampler side
-DENSE_FUNCTIONS = ("simulate_dense", "_noise_kraus", "_noisy_csign_superop", "_transfer_matrix",
-                   "_leaving_qubits", "_op_qubits")
+DENSE_FUNCTIONS = ("simulate_dense", "_noise_weights", "_frozen", "_csign_basis", "_prep_basis",
+                   "_clifford_transfer", "_projector_transfer", "_transfer_matrix",
+                   "_dense_plan", "_op_qubits")
 SAMPLER_SIDE = {"noise_scale_matrix", "conjugation_matrix", "csign", "CLIFFORD_ACTIONS",
                 "_CLIFFORD_PERMS", "_CLIFFORD_XORS", "_apply_clifford", "_collapse",
                 "_pair_maps", "cube_separable", "slack", "certificates_hold", "lp"}
@@ -137,14 +138,14 @@ def test_the_dense_scans_see_every_form():
         "def simulate_dense(c):\n"
         "    csigns = {}\n"
         "    return lp.vertex_product_matrix(), pipeline_rows(c), gates.CLIFFORD_ACTIONS\n"
-        "def _noise_kraus(n):\n"
+        "def _noise_weights(n):\n"
         "    return _gate_table(slack)\n"
         "def other():\n"
         "    return csign\n"
     )
     # csigns is not csign, and other() is not a dense function
     assert sorted(sampler_names(source, DENSE_FUNCTIONS)) == [
-        "_noise_kraus, line 5: _gate_table", "_noise_kraus, line 5: slack",
+        "_noise_weights, line 5: _gate_table", "_noise_weights, line 5: slack",
         "simulate_dense, line 3: CLIFFORD_ACTIONS", "simulate_dense, line 3: lp",
         "simulate_dense, line 3: pipeline_rows",
     ]

@@ -382,6 +382,16 @@ def test_dense_rejects_nonquantum_preparation():
         simulate_dense(parse_circuit(text))
 
 
+def test_dense_rejects_nonquantum_preparation_no_branch_reaches():
+    # qubit 0 is measured +1 with certainty, so no branch runs the ifeq's
+    # preparation; it is refused all the same, before any op runs
+    text = "qubits 2\nprep 0 0 0 1\nmeas 0 Z a\nifeq a -1 prep 1 1 1 1\nmeas 1 Z b\n"
+    c = parse_circuit(text)
+    assert {key[0] for key in simulate_hn(c, 1000, seed=1).histogram} == {"+"}
+    with pytest.raises(ValueError, match="quantum preparations"):
+        simulate_dense(c)
+
+
 def test_dense_total_depol_uniform():
     text = ("qubits 2\nprep 0 0 0 1\nprep 1 0 0 1\n"
             "csign 0 1 joint-depol 1.0\nmeas 0 Z a\nmeas 1 Z b\n")
@@ -611,7 +621,8 @@ def test_dense_matches_the_kron_reference_on_random_circuits(seed):
 
 # circuits whose qubits leave the dense state in each way: after a measurement,
 # a CSIGN (as its pair's first or second qubit), a skipped ifeq, or never
-# entering it at all
+# entering it at all; and enter it in each way: prepared, or maximally mixed
+# before a measurement, an ifeq or a CSIGN, late in the circuit
 TRACE_OUT_CIRCUITS = {
     # five measurements fixed by their preparations, so that the kron
     # reference opens few branches, then three that fork
@@ -692,6 +703,40 @@ prep 0 0.6 0 0.8
 meas 0 Z a
 clif 0 H
 """,
+    "first_op_a_measurement": """
+qubits 3
+prep 0 0.6 0 0.8
+prep 1 0 1 0
+csign 0 1 local-depol 0.7
+meas 2 X a
+csign 2 0 joint-depol 0.8
+meas 0 Z b
+meas 2 Y c
+meas 1 Y d
+""",
+    "first_op_an_ifeq_prep": """
+qubits 3
+prep 0 0 0.6 0.8
+prep 1 1 0 0
+csign 0 1 local-dephase 0.4
+meas 0 Y a
+ifeq a -1 prep 2 0.6 0 0.8
+csign 1 2 joint-depol 0.8
+meas 2 X b
+meas 1 Z c
+""",
+    "prepared_late": """
+qubits 3
+prep 0 1 0 0
+prep 1 0 0 1
+csign 0 1 joint-depol 0.8
+meas 0 X a
+ifeq a +1 clif 1 S
+prep 2 0 0.6 -0.8
+csign 2 1 local-depol 0.7
+meas 1 Y b
+meas 2 Z c
+""",
 }
 
 
@@ -757,13 +802,22 @@ clif 1 H
 """),
 ], ids=["eight_measured_one_by_one", "leaving_mid_circuit"])
 def test_no_dense_call_sees_a_qubit_after_its_last_op(monkeypatch, circuit):
-    last = {q: k for k, _, qubits in _inner_ops(circuit) for q in qubits}
+    first, last = {}, {}
+    for k, _, qubits in _inner_ops(circuit):
+        for q in qubits:
+            first.setdefault(q, k)
+            last[q] = k
+    # an unconditional preparation that is its qubit's first op brings the
+    # qubit in prepared and calls nothing; every other op calls one
+    entering = {k for k, op in enumerate(circuit.ops)
+                if isinstance(op, Prepare) and first[op.qubit] == k}
     calls = _dense_calls(monkeypatch, circuit)
-    assert {k for k, _ in calls} == set(range(len(circuit.ops)))
+    assert {k for k, _ in calls} == set(range(len(circuit.ops))) - entering
     for k, order in calls:
-        # the state holds exactly the qubits whose last op is still ahead
+        # the state holds exactly the qubits whose first op has come and
+        # whose last op is still ahead
         assert len(set(order)) == len(order)
-        assert set(order) == {q for q, end in last.items() if end >= k}, (k, order)
+        assert set(order) == {q for q in last if first[q] <= k <= last[q]}, (k, order)
 
 
 def test_a_final_measurement_block_shrinks_the_state_fourfold(monkeypatch):

@@ -67,10 +67,22 @@ for _table in (CUBE_SIGNS, CUBE_SYMMETRIES, VERTEX_PERMS):
     _table.setflags(write=False)
 
 
+# A pipeline output entry is +-R^e, e in {-1, 0, 1}, times a noise
+# polynomial whose coefficients are at most 4 in size, and every threshold
+# row's slack coefficients a, b, c stay within 4 s, s = max(R, 1/R), up to
+# rounding (tested).  The row roots form b^2 - 4ac, at most 80 s^2 in size,
+# which stays finite while s <= 2^508: 80 (2^508)^2 < 2^1023.
+_R_LIMIT = 2.0 ** 508
+
+
 def check_R(R: float, name: str = "rescaling factor R") -> None:
-    """The domain of a rescaling factor: R must be positive and finite."""
+    """The domain of a rescaling factor: R must be positive and finite, and
+    within a factor 2^508 of 1, where the threshold arithmetic stays
+    finite."""
     if not 0.0 < R < np.inf:
         raise ValueError(f"{name} must be positive and finite; got {R}")
+    if not 1.0 / _R_LIMIT <= R <= _R_LIMIT:
+        raise ValueError(f"{name} must lie in [2^-508, 2^508]; got {R}")
 
 
 @dataclass(frozen=True)

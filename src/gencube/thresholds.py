@@ -19,10 +19,11 @@ the coefficients.  The reported float is the row root.
 
 The rescaled-cube positivity bounds are row roots as well: each is the
 least root of one positivity row's Born probability on the all-ones input.
-The LHV-achievability boundaries and the bounds' crossings are polynomial
-roots on a rational curve that carries the state sitting on the leading
-bound, each ended at a float sign change: the slack >= 0 at the root and
-< 0 at the float below it.
+The LHV-achievability boundaries and the bounds' crossings are one curve
+root: the least R at which a set of rows reads >= 0 on the state sitting on
+the leading bound, which a rational curve carries (the 684 cube rows for a
+boundary, the second bound's positivity row for a crossing), ended at a
+float sign change: the slack >= 0 at the root and < 0 at the float below it.
 """
 from __future__ import annotations
 
@@ -397,15 +398,14 @@ def _bound_values(model_family: str, R: float) -> tuple:
     """The family's bounds at R as (name, value) pairs: each the least
     positive root in r (noise = 1 - r) of its row's Born probability on the
     all-ones input, with no tolerance, or inf where the row has none.  The
-    noise polynomial in p, re-expanded about r = 1 - p, keeps its dyadic
-    coefficients exact.  Each row is linear in r (joint) or has r^2
-    coefficient < 0 < its constant term (local), so no discriminant is
-    negative."""
+    output polynomial in p (_output_polynomial), re-expanded about
+    r = 1 - p, stays exact: each coefficient is 0, +-1 or +-2 times an
+    output entry.  Each row is linear in r (joint) or has r^2 coefficient
+    < 0 < its constant term (local), so no discriminant is negative."""
     names, rows = zip(*_bound_curve(model_family).rows)
-    n0, n1, n2 = _noise_polynomial(model_family)
-    G = csign(_ALLONES_ROW * frame_scale(R))[0] * frame_scale(1.0 / R)
-    N = np.stack((n0 + n1 + n2, -(n1 + 2.0 * n2), n2))
-    c, b, a = (N * G) @ _criterion_rows("pauli-positive")[:, list(rows)]
+    C0, C1, C2 = _output_polynomial(_ALLONES_ROW, R, model_family)[:, 0]
+    N = np.stack((C0 + C1 + C2, -(C1 + 2.0 * C2), C2))
+    c, b, a = N @ _criterion_rows("pauli-positive")[:, list(rows)]
     return tuple(zip(names, map(float, _least_positive_roots(a, b, c))))
 
 
@@ -470,30 +470,54 @@ def _least_root(poly, lo: float, hi: float) -> float | None:
     return x
 
 
+def _curve_root(family: str, rows: np.ndarray, tol: float, lo: float, hi: float,
+                refusals: tuple[str, str]) -> float:
+    """The least R in [lo, hi] at which every column of the (16, k) matrix
+    rows reads >= -tol on the state sitting on the family's leading bound
+    (rows applied to the all-ones pipeline output at noise 1 - r(R)).
+    Refused, with refusals[0] or [1], where that slack is already >= 0 at
+    lo or still < 0 at hi.
+
+    Each row's slack times D(x) is a polynomial in the curve parameter x
+    (_bound_terms).  The root is that of the binding row: the row least at
+    lo, then, while a row is still negative at the root, that row's next
+    root (tied rows give one root).  It ends at a float sign change of the
+    least slack (_sign_change): slack(R*) >= 0 > slack(the float below R*).
+    """
+    c = _bound_curve(family)
+    # facet_values' product: on the cube rows, lp.facet_margins bit for bit
+    table = np.ascontiguousarray(rows.T)
+
+    def slacks(R):
+        out = pipeline_rows(_ALLONES_ROW, R, NoiseModel(family, 1.0 - c.r(R)))[0]
+        return table @ out + tol
+
+    s = slacks(lo)
+    if s.min() >= 0.0:
+        raise ThresholdBracketError(refusals[0])
+    if slacks(hi).min() < 0.0:
+        raise ThresholdBracketError(refusals[1])
+    terms = _bound_terms(family)
+    R, x, x_hi = lo, c.x_of_R(lo), c.x_of_R(hi)
+    while s.min() < 0.0:
+        root = _least_root(rows[:, s.argmin()] @ terms[:16] + tol * terms[16], x, x_hi)
+        if root is None or root <= x:    # a row tied with the last one
+            break
+        x, R = root, c.R(root)
+        s = slacks(R)
+    return _sign_change(lambda R: slacks(R).min(), R, s.min(), lo, hi)
+
+
 def analytic_intersection(model_family: str):
     """The crossing of the family's two bounds for R in [0.3, 0.95]; returns
-    (R, r), r the bounds' value there.
-
-    On the leading bound's curve, the second bound's row times D(x) is a
-    polynomial in x (_bound_terms); its least root is where the two bounds
-    meet.  That root ends at a float sign change of bound2 - bound1
-    (_sign_change): R = 1/sqrt 3 for the joint bounds, and about 0.520 for
-    the local ones.
+    (R, r), r the bounds' value there: a curve root (_curve_root) of the
+    second bound's positivity row, with no tolerance, on the state sitting
+    on the first bound.  R = 1/sqrt 3 for the joint bounds, and about 0.520
+    for the local ones.
     """
-    c = _bound_curve(model_family)
-    lo, hi = 0.3, 0.95
-
-    def gap(R):
-        (_, first), (_, second) = _bound_values(model_family, R)
-        return second - first
-
-    if gap(lo) >= 0.0:
-        raise ThresholdBracketError("bounds already crossed at R = 0.3")
-    if gap(hi) < 0.0:
-        raise ThresholdBracketError("bounds not crossed by R = 0.95")
-    row = _criterion_rows("pauli-positive")[:, c.rows[1][1]]
-    R = c.R(_least_root(row @ _bound_terms(model_family)[:16], c.x_of_R(lo), c.x_of_R(hi)))
-    R = _sign_change(gap, R, gap(R), lo, hi)
+    k = _bound_curve(model_family).rows[1][1]
+    R = _curve_root(model_family, _criterion_rows("pauli-positive")[:, [k]], 0.0, 0.3, 0.95,
+                    ("bounds already crossed at R = 0.3", "bounds not crossed by R = 0.95"))
     return R, _bound_values(model_family, R)[0][1]
 
 
@@ -535,41 +559,13 @@ def curve_to_csv(points: list[CurvePoint]) -> str:
 def lhv_achievability_boundary(model_family: str) -> float:
     """Smallest R at which the family's leading analytic bound (the first
     of its _BOUND_CURVES rows: xy for local, tdb1 for joint depolarization)
-    is LHV-achievable.
-
-    The state sitting on the bound, its r read off the bound's curve
-    (_BoundCurve.r), is cube-separable where its cube slack
-    is >= 0.  The bound's own positivity facet reads 0 there, so the slack
-    at R = 1 is tol > 0, and the boundary is a sign change on [0.3, 1].
-    Each facet row's slack is a polynomial in the bound's curve parameter
-    x (_bound_terms), so the boundary is the root of its binding
-    row: the row least at R = 0.3, then, while a row is still negative at
-    the root, that row's next root (the 12 tied CHSH rows give one root).
-    It ends at a float sign change of the least slack, found from that
-    root (_sign_change): slack(R*) >= 0 > slack(the float below R*).
+    is LHV-achievable: a curve root of the 684 cube rows on [0.3, 1]
+    (_curve_root).  The bound's own positivity facet reads 0 on the state
+    on it, so the slack at R = 1 is tol > 0.
     """
-    c = _bound_curve(model_family)
-    tol = CRITERIA["cube-separable"][1]
-
-    def bound_slacks(R):
-        out = pipeline_rows(_ALLONES_ROW, R, NoiseModel(model_family, 1.0 - c.r(R)))
-        return lp.facet_margins(out)[0] + tol
-
-    s = bound_slacks(0.3)
-    if s.min() >= 0.0:
-        raise ThresholdBracketError("bound already achievable at R = 0.3")
-    if bound_slacks(1.0).min() < 0.0:
-        raise ThresholdBracketError("bound not achievable at R = 1")
-    terms, M = _bound_terms(model_family), _criterion_rows("cube-separable")
-    R, x, x_hi = 0.3, c.x_of_R(0.3), c.x_of_R(1.0)
-    while s.min() < 0.0:
-        root = _least_root(M[:, s.argmin()] @ terms[:16] + tol * terms[16], x, x_hi)
-        if root is None or root <= x:    # a row tied with the last one
-            break
-        x = root
-        R = c.R(x)
-        s = bound_slacks(R)
-    return _sign_change(lambda R: bound_slacks(R).min(), R, s.min(), 0.3, 1.0)
+    return _curve_root(model_family, _criterion_rows("cube-separable"),
+                       CRITERIA["cube-separable"][1], 0.3, 1.0,
+                       ("bound already achievable at R = 0.3", "bound not achievable at R = 1"))
 
 
 def dephasing_impossibility(R: float, p: float) -> DephasingVerdict:

@@ -816,11 +816,20 @@ def _weights_or_refusal(descent, b):
         return str(err)
 
 
-def _descent_mismatches(points) -> list:
-    """The points on which the package's descent and the index descent differ
-    in any bit of their weights, or in their refusal."""
-    return [b for b in points
-            if _weights_or_refusal(lp.caratheodory_weights, b) != _weights_or_refusal(_index_descent, b)]
+@pytest.fixture(scope="session")
+def index_descent_lattice():
+    """Each point of the descent lattice with the index descent's weights
+    or refusal on it: computed once per test run, before any test patches lp,
+    so under the facet table in force at import."""
+    return [(b, _weights_or_refusal(_index_descent, b)) for b in _descent_lattice()]
+
+
+def _descent_mismatches(reference) -> list:
+    """The points of reference, (point, index descent's weights or refusal)
+    pairs, on which the package's descent differs from the index descent
+    in any bit of its weights, or in its refusal."""
+    return [b for b, expected in reference
+            if _weights_or_refusal(lp.caratheodory_weights, b) != expected]
 
 
 def _record_faces(monkeypatch) -> set:
@@ -830,11 +839,11 @@ def _record_faces(monkeypatch) -> set:
     return faces
 
 
-def test_the_masked_descent_is_the_index_descent_bit_for_bit(monkeypatch):
+def test_the_masked_descent_is_the_index_descent_bit_for_bit(monkeypatch, index_descent_lattice):
     independent = lp._independent_face
     faces = _record_faces(monkeypatch)
-    points = list(_descent_lattice())
-    assert _descent_mismatches(points) == []
+    points = [b for b, _ in index_descent_lattice]
+    assert _descent_mismatches(index_descent_lattice) == []
     weighted = [b for b in points if lp.decide_membership(b).feasible]
     assert len(weighted) >= 700 and len(points) - len(weighted) >= 12
     # every face asked has its rank decided as matrix_rank decides it
@@ -871,13 +880,13 @@ def test_facet_masks_are_the_vertices_on_each_facet(monkeypatch):
     assert np.array_equal(lp._facet_arrays()[3], masks[::-1])
 
 
-def test_a_cleared_mask_bit_leaves_the_lattice(monkeypatch):
+def test_a_cleared_mask_bit_leaves_the_lattice(monkeypatch, index_descent_lattice):
     # clear, in the mask of a facet the first step reaches on a lattice
     # point inside every facet, the bit of a vertex that point's weights
     # use: the vertex leaves the face at that step, and the lattice no
     # longer matches the index descent
     F, inv, T, masks = lp._facet_arrays()
-    points = list(_descent_lattice())
+    points = [b for b, _ in index_descent_lattice]
     b = next(p for p in points if lp.facet_margins(p).min() > 0.0)
     values = np.maximum(F @ b, 0.0)
     j = int(np.argmax(b @ lp.vertex_product_matrix()))
@@ -889,7 +898,7 @@ def test_a_cleared_mask_bit_leaves_the_lattice(monkeypatch):
     cleared = masks.copy()
     cleared[k] ^= np.uint64(1 << v)
     monkeypatch.setattr(lp, "_facet_arrays", lambda: (F, inv, T, cleared))
-    mismatches = _descent_mismatches(points)
+    mismatches = _descent_mismatches(index_descent_lattice)
     assert any(m is b for m in mismatches)
 
 

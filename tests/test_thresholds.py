@@ -1,5 +1,8 @@
+import contextlib
 import functools
+import itertools
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -332,16 +335,24 @@ def test_boundary_matches_the_brent_root(family):
 
 @pytest.mark.parametrize("family", BOUND_FAMILIES)
 def test_boundary_rows_are_the_slack_polynomials(family):
-    # D(x) times each facet row's slack, read at the curve's points, is the
-    # float slack on the bound state there
+    # D(x) times each row's slack, read at the curve's points, is the float
+    # slack on the bound state there: the boundary's facet rows + tol, and
+    # the intersection's row, the second bound's positivity row with no
+    # tolerance
     c, terms = th._BOUND_CURVES[family], th._bound_terms(family)
     tol = CRITERIA["cube-separable"][1]
-    P = th._criterion_rows("cube-separable").T @ terms[:16] + tol * terms[16]
-    for R in (0.35, 0.5, 0.75, 1.0):
-        x = c.x_of_R(R)
-        assert abs(c.R(x) - R) < 1e-15
-        values = np.polyval(P.T, x) / np.polyval(terms[16], x)
-        assert np.abs(values - _bound_state_slacks(family, R)).max() < 1e-13
+    k = c.rows[1][1]
+    cases = ((th._criterion_rows("cube-separable"), tol,
+              lambda R: _bound_state_slacks(family, R)),
+             (th._criterion_rows("pauli-positive")[:, [k]], 0.0,
+              lambda R: lp.positivity_values(_bound_state(family, R))[0, [k]] / 4.0))
+    for M, t, slacks in cases:
+        P = M.T @ terms[:16] + t * terms[16]
+        for R in (0.35, 0.5, 0.75, 1.0):
+            x = c.x_of_R(R)
+            assert abs(c.R(x) - R) < 1e-15
+            values = np.polyval(P.T, x) / np.polyval(terms[16], x)
+            assert np.abs(values - slacks(R)).max() < 1e-13
 
 
 def _bound_gap(family, R):
@@ -375,13 +386,16 @@ def test_boundary_bracket_errors(monkeypatch):
 
 
 def test_intersection_bracket_errors(monkeypatch):
-    # bound2 - bound1 held at +1, then at -1, over the whole bracket
-    monkeypatch.setattr(th, "_bound_values", lambda *args: (("a", 0.0), ("b", 1.0)))
-    with pytest.raises(ThresholdBracketError, match="bounds already crossed at R = 0.3"):
-        analytic_intersection("joint-depol")
-    monkeypatch.setattr(th, "_bound_values", lambda *args: (("a", 1.0), ("b", 0.0)))
-    with pytest.raises(ThresholdBracketError, match="bounds not crossed by R = 0.95"):
-        analytic_intersection("joint-depol")
+    # r = 0 (total noise) leaves the identity state, on which the second
+    # bound's positivity row is positive at every R; r = 1 (no noise) the
+    # CSIGN output, on which it is negative at R = 0.95
+    for family in BOUND_FAMILIES:
+        monkeypatch.setattr(th._BoundCurve, "r", lambda self, R: 0.0)
+        with pytest.raises(ThresholdBracketError, match="bounds already crossed at R = 0.3"):
+            analytic_intersection(family)
+        monkeypatch.setattr(th._BoundCurve, "r", lambda self, R: 1.0)
+        with pytest.raises(ThresholdBracketError, match="bounds not crossed by R = 0.95"):
+            analytic_intersection(family)
 
 
 def _tdb2(R):
@@ -478,6 +492,39 @@ def test_threshold_readers_of_R_refuse_it_outside_the_positive_finite_reals(R):
         curve(q, R, 1.0, 3)
     with pytest.raises(ValueError, match="R_max must be positive and finite"):
         curve(q, 0.5, R, 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edge, past", [(2.0 ** 508, 1e200), (2.0 ** -508, 1e-200)],
+                         ids=["large", "small"])
+def test_R_is_refused_where_the_threshold_arithmetic_overflows(edge, past):
+    # every slack coefficient stays within 4 max(R, 1/R), up to rounding,
+    # and the row roots form b^2 - 4ac from them: R past 2^+-508 is refused
+    # before any arithmetic, and R at 2^+-508 runs every threshold and bound
+    # query with no overflow
+    refusal = r"rescaling factor R must lie in \[2\^-508, 2\^508\]; got "
+    for R in (math.nextafter(edge, past), past):
+        for refuse in (lambda: StateSpaceSpec.cube(R), lambda: analytic_bound("joint-depol", R),
+                       lambda: dephasing_impossibility(R, 0.1)):
+            with pytest.raises(ValueError, match=refusal + re.escape(str(R))):
+                refuse()
+    R = edge
+    bound = 4.0 * max(R, 1.0 / R) * (1.0 + 2.0 ** -50)
+    for family in th.NOISE_FAMILIES:
+        for criterion, policy in itertools.product(("cube-separable", "pauli-positive"),
+                                                   ("worst-vertex", "all-vertices")):
+            P = th._ALLONES_ROW if policy == "worst-vertex" else lp.vertex_product_matrix().T
+            for coefficients in th._slack_polynomials(criterion, P, R, family):
+                assert np.abs(coefficients).max() <= bound
+            with contextlib.suppress(ThresholdBracketError):
+                min_noise(ThresholdQuery(family, StateSpaceSpec.cube(R), criterion, policy))
+        for coefficients in th._eigen_slack_polynomials(R, family):
+            assert np.abs(coefficients).max() <= bound
+        with contextlib.suppress(ThresholdBracketError):
+            min_noise(ThresholdQuery(family, StateSpaceSpec.sphere(R), "quantum-separable",
+                                     "sphere-grid"))
+    for family in BOUND_FAMILIES:
+        analytic_bound(family, R)
 
 
 def test_query_refuses_an_unknown_noise_family():

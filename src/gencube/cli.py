@@ -91,7 +91,7 @@ def _cmd_simulate(args, out) -> int:
     with open(args.circuit) as fh:
         circuit = simulator.parse_circuit(fh.read())
     if args.compare_dense:
-        simulator.check_dense_width(circuit.num_qubits)
+        simulator.check_dense_width(circuit)
     _tolerance_banner(out)
     result = simulator.simulate_hn(circuit, args.shots, args.seed)
     print(f"rng: {result.rng_name} seed: {result.seed} shots: {result.shots}", file=out)

@@ -15,13 +15,17 @@ The reference simulator holds a state rho = 2^-m sum_idx c_idx P_idx of its m
 live qubits by its real coefficients c, a (4,)*m tensor stored flat in the
 first 4^m entries of a buffer, whose axis p belongs to qubit order[p].
 A qubit enters the state before its first op as one outer product with
-its coefficients, its axis in front.  apply_transfer contracts a channel's
-T with its own qubits' axes: at most one transposing copy, which brings
-those axes to the front, and one matrix product, each written into
-whichever of two buffers the state does not occupy, so an op allocates
-nothing.  trace_out drops qubits from the state: their partial trace is
-their axes taken at index 0, a prefix of the buffer when those axes lead
-and otherwise one strided copy, so the state shrinks fourfold per qubit.
+its coefficients, its axis in front.  A channel contracts its T with its
+own qubits' axes: at most one transposing copy, which brings those axes
+to the front (lead_axes gives its permutation and the new order), and one
+matrix product, each written into whichever of two buffers the state
+does not occupy, so an op allocates nothing.  A qubit leaves the state
+through its partial trace, its axis taken at index 0: a prefix of the
+buffer when its axis leads and otherwise one strided copy, so the state
+shrinks fourfold.  lead_axes reads only the axis order, so the reference
+simulator fixes every layout before its walk, which repeats these copies
+and products without an order; apply_transfer and trace_out are the same
+operations on one state whose order they carry.
 """
 from __future__ import annotations
 
@@ -93,43 +97,49 @@ def pauli_transfer(S: np.ndarray, paulis) -> np.ndarray:
     return np.ascontiguousarray(T.real)
 
 
-def lead_axes(c: np.ndarray, order: tuple, qubits, spare: np.ndarray):
-    """The coefficients in the first 4^len(order) entries of the flat
-    buffer c, axis p of qubit order[p], with the axes of `qubits` first, in
-    their order.  Returns (c, order, spare) as given if they lead already;
-    otherwise they are copied, transposed, into spare, and (spare, the new
-    order, c) is returned: c's memory is the new spare."""
+def lead_axes(order: tuple, qubits):
+    """The layout that brings the axes of `qubits` to the front, in their
+    order, of a state whose axis p belongs to qubit order[p]: (perm, the new
+    order), perm the transpose that does it, or None if they lead already.
+    It reads only the order, so the reference simulator fixes every step's
+    layout before its walk."""
+    if order[:len(qubits)] == tuple(qubits):
+        return None, order
     pos = [order.index(q) for q in qubits]
-    if pos == list(range(len(pos))):
-        return c, order, spare
     rest = [p for p in range(len(order)) if p not in pos]
-    shape = (4,) * len(order)
-    size = 4 ** len(order)
-    np.copyto(spare[:size].reshape(shape), c[:size].reshape(shape).transpose(pos + rest))
-    return spare, tuple(qubits) + tuple(order[p] for p in rest), c
+    return tuple(pos + rest), tuple(qubits) + tuple(order[p] for p in rest)
 
 
 def apply_transfer(c: np.ndarray, order: tuple, T: np.ndarray, qubits, spare: np.ndarray):
-    """The state c (see lead_axes) after the channel of transfer matrix T
-    on `qubits`, first one most significant: their axes are brought to the
-    front, and T multiplies them, one matrix product written into the spare
-    buffer.  Returns (new c, its order, the new spare)."""
-    c, order, spare = lead_axes(c, order, qubits, spare)
-    size = 4 ** len(order)
+    """The state c, the coefficients in the first 4^len(order) entries of a
+    flat buffer, axis p of qubit order[p], after the channel of transfer
+    matrix T on `qubits`, first one most significant: their axes are
+    brought to the front (lead_axes), a transposing copy into spare unless
+    they lead, and T multiplies them, one matrix product written into the
+    buffer the state does not occupy.  Returns (new c, its order, the new
+    spare)."""
+    shape, size = (4,) * len(order), 4 ** len(order)
+    perm, order = lead_axes(order, qubits)
+    if perm is not None:
+        np.copyto(spare[:size].reshape(shape), c[:size].reshape(shape).transpose(perm))
+        c, spare = spare, c
     np.matmul(T, c[:size].reshape(len(T), -1), out=spare[:size].reshape(len(T), -1))
     return spare, order, c
 
 
 def trace_out(c: np.ndarray, order: tuple, qubits, spare: np.ndarray):
-    """The state c (see lead_axes) with `qubits` traced out: since
+    """The state c (see apply_transfer) with `qubits` traced out: since
     rho = 2^-m sum_idx c_idx P_idx, their axes are taken at index 0.  Where
     those axes lead, that is the buffer's prefix and (c, the rest of order,
-    spare) is returned; otherwise it is one strided copy into spare, and
-    (spare, the rest of order, c) is returned."""
-    rest = tuple(q for q in order if q not in qubits)
-    if all(q in qubits for q in order[:len(order) - len(rest)]):
+    spare) is returned; otherwise it is one strided copy, of the view that
+    lead_axes' transpose would make, into spare, and (spare, the rest of
+    order, c) is returned."""
+    qubits = sorted(qubits, key=order.index)
+    perm, lead = lead_axes(order, qubits)
+    rest = lead[len(qubits):]
+    if perm is None:
         return c, rest, spare
-    index = tuple(0 if q in qubits else slice(None) for q in order)
     full, kept = (4,) * len(order), (4,) * len(rest)
-    np.copyto(spare[:4 ** len(rest)].reshape(kept), c[:4 ** len(order)].reshape(full)[index])
+    np.copyto(spare[:4 ** len(rest)].reshape(kept),
+              c[:4 ** len(order)].reshape(full).transpose(perm)[(0,) * len(qubits)])
     return spare, rest, c

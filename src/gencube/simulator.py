@@ -4,8 +4,9 @@ each branch's state by its real Pauli coefficients and applies each op as
 one contraction of its Pauli transfer matrix with its own qubits' axes, at
 O(4^m) for the m qubits live: a qubit enters the state at its first op
 and leaves it after its last.  The transfer matrices come from fixed
-operator bases and caches built once per process, and a call resolves
-each op once, before its branch walk.
+operator bases and caches built once per process, and a call plans every
+step once, before its branch walk: each unconditional Clifford folds into
+the next transfer matrix on its qubit, and every axis layout is fixed.
 
 The sampler stores one byte per qubit per shot, a cube vertex's index
 (spaces.vertex_index): bits 2, 1, 0 are set on its -1 signs along X, Y, Z.
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import apply_transfer, lead_axes, pauli_transfer, superop, trace_out
+from .dense import lead_axes, pauli_transfer, superop
 from . import lp
 from .gates import CLIFFORD_ACTIONS, CLIFFORD_UNITARIES, NoiseModel, pipeline_rows
 from .pauli import AXES, PAULIS, BlochOp, PauliCoeffs2Q, axis_index
@@ -652,7 +653,10 @@ def _prep_basis() -> np.ndarray:
 
 @functools.cache
 def _clifford_transfer(gate: str) -> np.ndarray:
-    return _frozen(pauli_transfer(superop([CLIFFORD_UNITARIES[gate]]), PAULIS))
+    """A Clifford's transfer matrix, the signed permutation it is in the
+    Pauli basis (Aaronson & Gottesman, PRA 70, 052328 (2004)): the float
+    route misses H's entries by an ulp, so they are rounded."""
+    return _frozen(np.rint(pauli_transfer(superop([CLIFFORD_UNITARIES[gate]]), PAULIS)))
 
 
 @functools.cache
@@ -678,65 +682,156 @@ def _transfer_matrix(op, outcome: int = 0) -> np.ndarray:
     return _projector_transfer(op.axis, outcome)
 
 
-def check_dense_width(num_qubits: int) -> None:
-    """Raise ValueError if the dense reference cannot take num_qubits
-    qubits: it holds 4^n Pauli coefficients."""
-    if num_qubits > DENSE_MAX_QUBITS:
+def check_dense_width(circuit: Circuit) -> None:
+    """Raise ValueError unless the dense reference can take circuit: at
+    most DENSE_MAX_QUBITS qubits, since it holds 4^n Pauli coefficients,
+    and every preparation quantum (inside the Bloch ball), an ifeq's that
+    no branch reaches too.  _dense_plan calls it before any op runs, and
+    the CLI before any shot is sampled."""
+    if circuit.num_qubits > DENSE_MAX_QUBITS:
         raise ValueError(f"dense simulation supports at most {DENSE_MAX_QUBITS} qubits; "
-                         f"got {num_qubits}")
-
-
-def _dense_plan(circuit: Circuit) -> tuple[list[tuple], int]:
-    """simulate_dense's step for each op, and the most qubits live at once.
-    A step is (control, entering, T, qubits, leaving, measure):
-    - control: a classical control's (record id, value), else None;
-    - entering: None, or (qubits, c) for the qubits whose first op this is,
-      which enter the state before it, in the state of coefficients c: an
-      unconditional preparation's qubit as (1, b), which the op then leaves
-      as it is (its T is None), any other qubit maximally mixed;
-    - T, qubits: the op's transfer matrix and its qubits;
-    - leaving: the qubits whose last op this is;
-    - measure: a measurement's (record id, axis index, (T+, T-)), its
-      outcomes' projector transfer matrices (its T is None), else None.
-    A classical control's op counts as its qubits' first or last whether a
-    branch runs it or not.  Every preparation is checked to be quantum here,
-    before any op runs."""
+                         f"got {circuit.num_qubits}")
     sphere = StateSpaceSpec.sphere(1.0)
-    first, last = {}, {}
-    for k, op in enumerate(_unwrapped(circuit.ops)):
+    for op in _unwrapped(circuit.ops):
         if isinstance(op, Prepare) and not contains(sphere, op.state):
             raise ValueError("dense simulation requires quantum preparations "
                              f"(|bloch| <= 1); got {op.state.bloch}")
+
+
+def _dense_plan(circuit: Circuit) -> tuple[list[tuple], int]:
+    """simulate_dense's steps, and the most qubits live at once.  The plan
+    fixes every step's layout, the same on every branch, so the walk
+    carries no axis order.  A step is
+    (op, control, enter, lead, T, measure, trace, order):
+    - op: the index of the op the step belongs to;
+    - order: the state's axis order while the step acts, axis p of qubit
+      order[p];
+    - control: a classical control's (record id, value), else None;
+    - enter: None, or (c, size, shape) for the qubits whose first op this
+      is, which enter in front of the axes of the state, of that size, by
+      one outer product of that shape with their coefficients c: an
+      unconditional preparation's qubit as (1, b), which the op then leaves
+      as it is, any other qubit maximally mixed;
+    - lead: None, or (shape, perm, size), the transposing copy that brings
+      the op's qubits to the front, made whether its classical control runs
+      the op or not;
+    - T: None, or (T, shape, size), the transfer matrix that multiplies the
+      state read in that shape;
+    - measure: None, or (record id, shape, leaves, outcomes), the state read
+      in that shape, 4 rows by the rest, and for each outcome, +1 then -1,
+      its projector's transfer matrix P or, when the qubit leaves, P[0],
+      which writes only the identity row;
+    - trace: None where the leaving qubits lead, whose partial trace is then
+      the state's prefix, else (shape, perm, zeros, size, kept shape, kept
+      size), one strided copy of their axes at index 0.
+    Each unconditional Clifford folds, exactly, into the next op on its
+    qubit.  It is a signed permutation in the Pauli basis, pending and
+    composed with any later Clifford on the qubit until a noisy CSIGN takes
+    T @ (C1 (x) C2) or a measurement P+- @ C.  A preparation drops it, as a
+    Clifford preserves the trace, all a preparation reads (its row 0 is
+    e_0).  Before an ifeq op on the qubit it runs as a step of its own, and
+    as its qubit's last op it is dropped, the qubit still leaving there.  A
+    classical control's op counts as its qubits' first or last whether a
+    branch runs it or not.  Each distinct noisy CSIGN's T is built once per
+    call."""
+    check_dense_width(circuit)
+    first, last = {}, {}
+    for k, op in enumerate(_unwrapped(circuit.ops)):
         for q in _op_qubits(op):
             first.setdefault(q, k)
             last[q] = k
-    entering, leaving = [()] * len(circuit.ops), [()] * len(circuit.ops)
-    for q in sorted(first):
-        entering[first[q]] += (q,)
-        leaving[last[q]] += (q,)
-    steps, live, most = [], 0, 0
-    for k, op in enumerate(circuit.ops):
+    # per op, the qubits whose first op it is, in the op's order, and the
+    # qubits whose last op it is
+    firsts, lasts = [()] * len(circuit.ops), [()] * len(circuit.ops)
+    for q, k in first.items():
+        firsts[k] += (q,)
+    for q, k in last.items():
+        lasts[k] += (q,)
+    steps, order, pending, csigns = [], (), {}, {}
+
+    def emit(k, control, enter, qubits=(), T=None, measure=None, leaving=()):
+        nonlocal order
+        if enter:
+            fresh, coeffs = enter
+            enter = (coeffs, 4 ** len(order), (len(coeffs), 4 ** len(order)))
+            order = fresh + order
+        shape, size = (4,) * len(order), 4 ** len(order)
+        perm, order = lead_axes(order, qubits)
+        lead = None if perm is None else (shape, perm, size)
+        if T is not None:
+            T = (T, (len(T), size // len(T)), size)
+        trace, layout = None, order
+        if leaving:
+            leaving = sorted(leaving, key=order.index)
+            perm, order = lead_axes(order, leaving)
+            order = order[len(leaving):]
+            if perm is not None:
+                trace = (shape, perm, (0,) * len(leaving), size, (4,) * len(order),
+                         4 ** len(order))
+        steps.append((k, control, enter, lead, T, measure, trace, layout))
+
+    for k, (op, entering, leaving) in enumerate(zip(circuit.ops, firsts, lasts)):
         control = None
         if isinstance(op, ClassicalControl):
             control, op = (op.record_id, op.value), op.op
-        enter, T, measure = None, None, None
-        if entering[k] and isinstance(op, Prepare) and control is None:
-            enter = (entering[k], np.concatenate(([1.0], op.state.bloch)))
-        else:
-            if entering[k]:
-                mixed = np.zeros(4 ** len(entering[k]))
-                mixed[0] = 1.0
-                enter = (entering[k], mixed)
-            if isinstance(op, Measure):
-                measure = (op.record_id, axis_index(op.axis),
-                           (_transfer_matrix(op, 1), _transfer_matrix(op, -1)))
+        qubits = _op_qubits(op)
+        prepared = control is None and isinstance(op, Prepare)
+        enter = None
+        if entering and prepared:
+            enter = (entering, np.concatenate(([1.0], op.state.bloch)))
+        elif entering:
+            mixed = np.zeros(4 ** len(entering))
+            mixed[0] = 1.0
+            enter = (entering, mixed)
+        if control is not None:
+            # a branch may skip the op: a pending Clifford runs before it
+            for q in qubits:
+                if q in pending:
+                    emit(k, None, enter, (q,), pending.pop(q))
+                    enter = None
+            folded = [None] * len(qubits)
+        elif isinstance(op, Clifford1):
+            q = op.qubit
+            if leaving:
+                pending.pop(q, None)
             else:
-                T = _transfer_matrix(op)
-        steps.append((control, enter, T, _op_qubits(op), leaving[k], measure))
-        live += len(entering[k])
-        most = max(most, live)
-        live -= len(leaving[k])
-    return steps, most
+                C = _clifford_transfer(op.gate)
+                pending[q] = C @ pending[q] if q in pending else C
+            if entering != leaving:
+                emit(k, None, enter, leaving=leaving)
+            continue
+        else:
+            folded = [pending.pop(q, None) for q in qubits]
+        if isinstance(op, Measure):
+            outcomes = []
+            for outcome in (1, -1):
+                P = _transfer_matrix(op, outcome)
+                if folded[0] is not None:
+                    P = P @ folded[0]
+                outcomes.append((outcome, P[0] if leaving else P))
+            live = len(order) + len(entering)
+            emit(k, control, enter, qubits,
+                 measure=(op.record_id, (4, 4 ** (live - 1)), bool(leaving), outcomes),
+                 leaving=leaving)
+        elif isinstance(op, NoisyCsign):
+            T = csigns.get(op.noise)
+            if T is None:
+                T = csigns[op.noise] = _transfer_matrix(op)
+            C1, C2 = folded
+            if C1 is not None or C2 is not None:
+                # T @ (C1 (x) C2), T's columns read as 4 x 4 blocks
+                T = T.reshape(16, 4, 4)
+                if C1 is not None:
+                    T = C1.T @ T
+                if C2 is not None:
+                    T = T @ C2
+                T = T.reshape(16, 16)
+            emit(k, control, enter, qubits, T, leaving=leaving)
+        elif prepared and entering:
+            emit(k, None, enter, leaving=leaving)
+        else:
+            emit(k, control, enter, qubits, _transfer_matrix(op), leaving=leaving)
+    return steps, max((len(step[-1]) for step in steps), default=0)
 
 
 def simulate_dense(circuit: Circuit) -> dict:
@@ -747,31 +842,34 @@ def simulate_dense(circuit: Circuit) -> dict:
     tree with exact Born weights, and an outcome of weight at most
     DENSE_BRANCH_FLOOR of its branch's opens no branch.  A branch holds
     rho = 2^-m sum_idx c_idx P_idx of its m live qubits by its real Pauli
-    coefficients c (see dense); its trace is c[0, ..., 0].  Each op is
-    resolved once, before the walk (_dense_plan), and each transfer matrix
-    comes from a per-process basis or cache (_transfer_matrix), so the walk
-    only contracts.  A qubit is live from its first op to its last, run or
-    skipped by its classical control: the state starts with no qubit (the
-    scalar 1), and a qubit enters before its first op by one outer product
-    into the spare buffer, prepared if that op is an unconditional
-    preparation (which then applies nothing more) and maximally mixed
-    otherwise.  Every op but that preparation and a measurement is one
-    apply_transfer of its Pauli transfer matrix on its own qubits.  After a
-    qubit's last op it is traced out (dense.trace_out), so the state
-    shrinks fourfold; a measurement that is its qubit's last op writes only
-    each outcome's identity row, (c_0 +- c_axis) / 2.  A final block of k
-    measurements on m live qubits thus writes 4^m (1 - 2^-k) entries over
-    all its branches, where keeping every qubit would write
-    (2^(k+1) - 2) 4^m.  A measurement's projections are written into the
-    buffers of ended branches where there are any; every state is a prefix
-    of one of the reused 4^w buffers, w the most qubits live at once, so a
-    call allocates no more buffers than it holds states at once.  Circuits
-    of more than DENSE_MAX_QUBITS qubits are refused.
+    coefficients c (see dense); its trace is c[0, ..., 0].  The walk only
+    copies and multiplies: every step is planned before it (_dense_plan),
+    its transfer matrix, from a per-process basis or cache
+    (_transfer_matrix), and its layout, the state's axis order, its
+    transposes and its sizes, the same on every branch, so a branch
+    carries no axis order.  Each unconditional Clifford folds into the
+    next transfer matrix on its qubit.  A qubit is live from its first op
+    to its last, run or skipped by its classical control: the state starts
+    with no qubit (the scalar 1), and a qubit enters before its first op by
+    one outer product into the spare buffer, prepared if that op is an
+    unconditional preparation (which then applies nothing more) and
+    maximally mixed otherwise.  Every other op but a measurement is at most
+    one transposing copy, which brings its qubits' axes to the front, and
+    one matrix product.  After a qubit's last op it is traced out, its axis
+    taken at index 0, so the state shrinks fourfold; a measurement that is
+    its qubit's last op writes only each outcome's identity row,
+    (c_0 +- c_axis) / 2.  A final block of k measurements on m live qubits
+    thus writes 4^m (1 - 2^-k) entries over all its branches, where
+    keeping every qubit would write (2^(k+1) - 2) 4^m.  A measurement's
+    projections are written into the buffers of ended branches where there
+    are any; every state is a prefix of one of the reused 4^w buffers, w
+    the most qubits live at once, so a call allocates no more buffers than
+    it holds states at once.  Circuits of more than
+    DENSE_MAX_QUBITS qubits are refused.
     """
-    check_dense_width(circuit.num_qubits)
-    rids = circuit.record_ids()
     steps, most = _dense_plan(circuit)
-    spare = np.empty(4 ** most)    # every op writes into it; see dense.lead_axes
+    rids = circuit.record_ids()
+    spare = np.empty(4 ** most)    # every copy and product writes into it
     free = []   # the buffers of ended branches, which projections write into
     start = np.empty(4 ** most)
     start[0] = 1.0      # no qubit is live: the state is the scalar 1
@@ -779,55 +877,51 @@ def simulate_dense(circuit: Circuit) -> dict:
     dist: dict[str, float] = {}
     # depth first over the measurement branches, + before -, on an explicit
     # stack: a recursive closure would form a reference cycle.  A branch
-    # carries the buffer of its unnormalized state and that state's axis
-    # order, whose length sets the state's width
-    stack = [(start, (), 0, {})]
+    # carries the buffer of its unnormalized state; the plan fixes its layout
+    stack = [(start, 0, {})]
     while stack:
-        c, order, k, record = stack.pop()
+        c, k, record = stack.pop()
         while k < len(steps):
-            control, enter, T, qubits, gone, measure = steps[k]
+            _, control, enter, lead, T, measure, trace, _ = steps[k]
             k += 1
             if enter:
-                # the entering axes lead: one outer product into spare
-                fresh, coeffs = enter
-                size = 4 ** len(order)
-                np.multiply.outer(coeffs, c[:size],
-                                  out=spare[:len(coeffs) * size].reshape(len(coeffs), size))
-                c, order, spare = spare, fresh + order, c
-            if control and record.get(control[0]) != control[1]:
-                if gone:
-                    c, order, spare = trace_out(c, order, gone, spare)
-                continue
-            if measure:
-                # the qubit's axis first, then each outcome's projection is
-                # one product into a buffer of its own, or, when the qubit
-                # leaves, its identity row alone
-                rid, axis, projectors = measure
-                c, order, spare = lead_axes(c, order, qubits, spare)
-                rows = c[:4 ** len(order)].reshape(4, -1)
-                floor = DENSE_BRANCH_FLOOR * c[0]
-                branches = []
-                for outcome, P in zip((1, -1), projectors):
-                    sub = free.pop() if free else np.empty_like(spare)
-                    if gone:
-                        out = sub[:rows.shape[1]]
-                        (np.add if outcome > 0 else np.subtract)(rows[0], rows[axis], out=out)
-                        out *= 0.5
-                        sub_order = order[1:]
-                    else:
-                        np.matmul(P, rows, out=sub[:rows.size].reshape(rows.shape))
-                        sub_order = order
-                    if sub[0] > floor:
-                        branches.append((sub, sub_order, k, {**record, rid: outcome}))
-                    else:
-                        free.append(sub)
-                free.append(c)
-                stack.extend(reversed(branches))
-                break
-            if T is not None:
-                c, order, spare = apply_transfer(c, order, T, qubits, spare)
-            if gone:
-                c, order, spare = trace_out(c, order, gone, spare)
+                coeffs, size, shape = enter
+                np.multiply.outer(coeffs, c[:size], out=spare[:coeffs.size * size].reshape(shape))
+                c, spare = spare, c
+            if lead:
+                shape, perm, size = lead
+                np.copyto(spare[:size].reshape(shape), c[:size].reshape(shape).transpose(perm))
+                c, spare = spare, c
+            if control is None or record.get(control[0]) == control[1]:
+                if measure:
+                    # each outcome's projection is one product into a buffer
+                    # of its own, or, when the qubit leaves, its identity row
+                    rid, shape, leaves, outcomes = measure
+                    rows = c[:shape[0] * shape[1]].reshape(shape)
+                    floor = DENSE_BRANCH_FLOOR * c[0]
+                    branches = []
+                    for outcome, P in outcomes:
+                        sub = free.pop() if free else np.empty_like(spare)
+                        if leaves:
+                            np.dot(P, rows, out=sub[:shape[1]])
+                        else:
+                            np.matmul(P, rows, out=sub[:rows.size].reshape(shape))
+                        if sub[0] > floor:
+                            branches.append((sub, k, {**record, rid: outcome}))
+                        else:
+                            free.append(sub)
+                    free.append(c)
+                    stack.extend(reversed(branches))
+                    break
+                if T:
+                    T, shape, size = T
+                    np.matmul(T, c[:size].reshape(shape), out=spare[:size].reshape(shape))
+                    c, spare = spare, c
+            if trace:
+                shape, perm, zeros, size, kept, kept_size = trace
+                np.copyto(spare[:kept_size].reshape(kept),
+                          c[:size].reshape(shape).transpose(perm)[zeros])
+                c, spare = spare, c
         else:
             key = "".join(_RECORD_CHARS[record.get(rid, 0) + 1] for rid in rids)
             dist[key] = dist.get(key, 0.0) + float(c[0])

@@ -249,6 +249,23 @@ def test_simulate_refuses_a_wide_dense_comparison_before_sampling(tmp_path, caps
     assert capsys.readouterr().err == "error: dense simulation supports at most 8 qubits; got 9\n"
 
 
+def test_simulate_refuses_a_cube_preparation_for_the_dense_comparison_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    f = tmp_path / "cube.txt"
+    f.write_text("qubits 1\nprep 0 1 1 1\nmeas 0 X a\n")
+    # HN sampling alone takes the cube vertex
+    code, out = run_cli(["simulate", "--circuit", str(f), "--shots", "100", "--seed", "1"])
+    assert code == 0 and out.endswith("outcome_string,count\n+,100\n")
+    monkeypatch.setattr(cli.simulator, "simulate_hn",
+                        lambda *args: pytest.fail("sampled a run that must be refused"))
+    code, out = run_cli(["simulate", "--circuit", str(f), "--shots", "100", "--seed", "1",
+                         "--compare-dense"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err == ("error: dense simulation requires quantum preparations "
+                                       "(|bloch| <= 1); got [1. 1. 1.]\n")
+
+
 def test_simulate_refuses_a_state_too_large_to_allocate(tmp_path):
     # 10^6 qubits x ~10^14 shots pass 2^63 bytes, which numpy refuses
     # before allocating; the refusal is one line, not a traceback

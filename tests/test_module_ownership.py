@@ -82,7 +82,7 @@ def test_the_scan_sees_every_form():
 # no name of the coefficient or sampler side
 DENSE_FUNCTIONS = ("simulate_dense", "_noise_weights", "_frozen", "_csign_basis", "_prep_basis",
                    "_clifford_transfer", "_projector_transfer", "_transfer_matrix",
-                   "_dense_plan", "_op_qubits")
+                   "check_dense_width", "_dense_plan", "_op_qubits")
 SAMPLER_SIDE = {"noise_scale_matrix", "conjugation_matrix", "csign", "CLIFFORD_ACTIONS",
                 "_CLIFFORD_PERMS", "_CLIFFORD_XORS", "_apply_clifford", "_collapse",
                 "_pair_maps", "cube_separable", "slack", "certificates_hold", "lp"}

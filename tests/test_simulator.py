@@ -765,26 +765,23 @@ def _inner_ops(circuit: Circuit):
         yield k, op, (op.qubit1, op.qubit2) if isinstance(op, NoisyCsign) else (op.qubit,)
 
 
-def _dense_calls(monkeypatch, circuit: Circuit) -> list[tuple[int, tuple]]:
-    """(op index, axis order) of every apply_transfer and lead_axes call
-    simulate_dense makes on circuit; each op must be told apart by the
-    function it calls and its qubits."""
-    ops = {("lead" if isinstance(op, Measure) else "apply", qubits): k
-           for k, op, qubits in _inner_ops(circuit)}
-    assert len(ops) == len(circuit.ops)
-    calls = []
-
-    def spy(name, fn):
-        def wrapped(c, order, *args):
-            qubits = args[-2]
-            calls.append((ops[(name, tuple(qubits))], order))
-            return fn(c, order, *args)
-        return wrapped
-
-    monkeypatch.setattr(simulator, "apply_transfer", spy("apply", simulator.apply_transfer))
-    monkeypatch.setattr(simulator, "lead_axes", spy("lead", simulator.lead_axes))
-    simulate_dense(circuit)
-    return calls
+def _dense_layouts(circuit: Circuit) -> list[tuple[int, tuple]]:
+    """(op index, axis order) of every step of simulate_dense's plan: the
+    qubits of the state, in its axis order, while the step acts.  Each
+    step's sizes must be those of its layout."""
+    steps, most = simulator._dense_plan(circuit)
+    layouts = []
+    for k, _, _, lead, T, measure, _, order in steps:
+        size = 4 ** len(order)
+        if lead:
+            assert lead[0] == (4,) * len(order) and lead[2] == size
+        if T:
+            assert math.prod(T[1]) == T[2] == size
+        if measure:
+            assert math.prod(measure[1]) == size
+        layouts.append((k, order))
+    assert most == max(len(order) for _, order in layouts)
+    return layouts
 
 
 @pytest.mark.parametrize("circuit", [
@@ -801,35 +798,171 @@ ifeq a -1 csign 3 1 local-dephase 0.4
 clif 1 H
 """),
 ], ids=["eight_measured_one_by_one", "leaving_mid_circuit"])
-def test_no_dense_call_sees_a_qubit_after_its_last_op(monkeypatch, circuit):
+def test_no_dense_call_sees_a_qubit_after_its_last_op(circuit):
     first, last = {}, {}
     for k, _, qubits in _inner_ops(circuit):
         for q in qubits:
             first.setdefault(q, k)
             last[q] = k
-    # an unconditional preparation that is its qubit's first op brings the
-    # qubit in prepared and calls nothing; every other op calls one
-    entering = {k for k, op in enumerate(circuit.ops)
-                if isinstance(op, Prepare) and first[op.qubit] == k}
-    calls = _dense_calls(monkeypatch, circuit)
-    assert {k for k, _ in calls} == set(range(len(circuit.ops))) - entering
-    for k, order in calls:
+    # every op has a step but an unconditional Clifford that is neither its
+    # qubit's first op nor its last, which folds into a later step
+    folded = {k for k, op in enumerate(circuit.ops)
+              if isinstance(op, Clifford1) and first[op.qubit] < k < last[op.qubit]}
+    layouts = _dense_layouts(circuit)
+    assert {k for k, _ in layouts} == set(range(len(circuit.ops))) - folded
+    for k, order in layouts:
         # the state holds exactly the qubits whose first op has come and
         # whose last op is still ahead
         assert len(set(order)) == len(order)
         assert set(order) == {q for q in last if first[q] <= k <= last[q]}, (k, order)
 
 
-def test_a_final_measurement_block_shrinks_the_state_fourfold(monkeypatch):
+def test_a_final_measurement_block_shrinks_the_state_fourfold():
     n = 8
     circuit = _measured_one_by_one(n)
     first = len(circuit.ops) - n
-    measured = [(k - first, len(order))
-                for k, order in _dense_calls(monkeypatch, circuit) if k >= first]
-    # the j-th measurement runs on 2^j branches, and each sees n - j qubits:
-    # a state 4x smaller than the one the measurement before it saw
-    assert len(measured) == 2 ** n - 1
-    assert all(width == n - j for j, width in measured)
+    measured = [(k - first, len(order)) for k, order in _dense_layouts(circuit) if k >= first]
+    # the j-th measurement sees n - j qubits: a state 4x smaller than the
+    # one the measurement before it saw
+    assert measured == [(j, n - j) for j in range(n)]
+    # and it runs on 2^j branches: each opens both outcomes
+    assert len(simulate_dense(circuit)) == 2 ** n
+
+
+# one circuit per way an unconditional Clifford folds into the dense plan,
+# with the index of each Clifford that must fold into a later step, and the
+# index of an ifeq op once per pending Clifford that runs before it as a
+# step of its own
+FOLD_CIRCUITS = {
+    "two_cliffords_compose": ("""
+qubits 2
+prep 0 0.6 0 0.8
+prep 1 0 1 0
+clif 0 H
+clif 0 S
+csign 0 1 local-depol 0.7
+meas 0 Y a
+meas 1 X b
+""", (2, 3), ()),
+    "first_op_a_clifford": ("""
+qubits 2
+prep 0 1 0 0
+clif 1 H
+clif 1 S
+csign 0 1 joint-depol 0.8
+meas 0 Y a
+meas 1 Z b
+""", (2,), ()),
+    "before_a_csign_first_side": ("""
+qubits 2
+prep 0 0.6 0 0.8
+prep 1 0 0.6 0.8
+clif 0 H
+csign 0 1 local-dephase 0.4
+meas 0 X a
+meas 1 Y b
+""", (2,), ()),
+    "before_a_csign_second_side": ("""
+qubits 3
+prep 0 0.6 0 0.8
+prep 1 0 0.6 0.8
+prep 2 1 0 0
+clif 1 H
+csign 2 1 joint-depol 0.8
+csign 0 1 local-dephase 0.4
+meas 0 X a
+meas 1 Y b
+meas 2 Z c
+""", (3,), ()),
+    "before_both_sides_of_a_csign": ("""
+qubits 3
+prep 0 0.6 0 0.8
+prep 1 0 0.6 0.8
+prep 2 0.8 0.6 0
+csign 0 2 local-depol 0.7
+clif 0 S
+clif 1 H
+clif 0 H
+csign 1 0 local-depol 0.7
+meas 0 Y a
+meas 1 X b
+meas 2 Z c
+""", (4, 5, 6), ()),
+    "before_a_last_measurement": ("""
+qubits 2
+prep 0 0.6 0 0.8
+prep 1 0 1 0
+csign 0 1 joint-depol 0.8
+clif 0 H
+clif 0 S
+meas 0 Y a
+clif 1 S
+meas 1 X b
+""", (3, 4, 6), ()),
+    "before_a_measurement_not_last": ("""
+qubits 2
+prep 0 0.6 0 0.8
+prep 1 0 1 0
+csign 0 1 local-depol 0.7
+clif 0 H
+meas 0 X a
+csign 0 1 local-dephase 0.4
+meas 0 Y b
+meas 1 Z c
+""", (3,), ()),
+    "before_a_preparation": ("""
+qubits 2
+prep 0 0.6 0 0.8
+prep 1 0 1 0
+csign 0 1 joint-depol 0.8
+clif 0 H
+prep 0 0 0.6 0.8
+csign 0 1 local-depol 0.7
+meas 0 X a
+meas 1 Y b
+""", (3,), ()),
+    "before_an_ifeq_op": ("""
+qubits 3
+prep 0 0.6 0 0.8
+prep 1 0 0 1
+prep 2 1 0 0
+csign 0 1 local-depol 0.7
+meas 2 X a
+clif 0 H
+clif 1 S
+ifeq a +1 csign 0 1 joint-depol 0.8
+clif 0 S
+ifeq a +1 meas 0 Y b
+meas 1 X c
+meas 0 Z d
+""", (), (7, 7, 9)),
+    "last_op_a_clifford": ("""
+qubits 3
+prep 0 0.6 0 0.8
+prep 1 0 1 0
+prep 2 0 0.6 0.8
+csign 0 1 joint-depol 0.8
+csign 1 2 local-depol 0.7
+clif 1 S
+clif 1 H
+meas 0 X a
+meas 2 Y b
+""", (5,), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_CIRCUITS))
+def test_folded_cliffords_keep_the_kron_reference_law(name):
+    text, folded, flushed = FOLD_CIRCUITS[name]
+    c = parse_circuit(text)
+    assert all(isinstance(c.ops[k], Clifford1) for k in folded)
+    steps = [k for k, _ in _dense_layouts(c)]
+    assert not set(steps) & set(folded)
+    assert all(isinstance(c.ops[k], ClassicalControl) for k in flushed)
+    assert all(steps.count(k) == 1 + flushed.count(k) for k in flushed)
+    got, want = simulate_dense(c), _kron_dense_reference(c)
+    assert list(got) == list(want)
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-15
 
 
 def test_trace_out_takes_each_axis_at_index_zero():
